@@ -7,7 +7,6 @@ from .groupoid import (
     Groupoid,
     SubgroupoidSpec,
     validate_groupoid,
-    composable,
     is_wide_subgroupoid,
     enumerate_wide_subgroupoids,
     left_transversal,

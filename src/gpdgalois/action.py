@@ -130,40 +130,62 @@ def subalgebra_closure(space, gens, include=()) -> Subalgebra:
 
 class AlgebraAction:
     """A groupoid action beta on a block ring; build through
-    :func:`validate_action` (direct construction skips all checks)."""
+    :func:`validate_action` (direct construction skips all checks).
+
+    Each beta_g is compiled once into its moves (source slot, target slot,
+    p^t): coordinate b of x goes to slot sigma_g(b) raised to p^t, t the
+    Frobenius exponent of b.
+    """
 
     def __init__(self, groupoid: Groupoid, ring: BlockRing, sigma, frob):
         self.groupoid = groupoid
         self.ring = ring
         self.sigma = {g: dict(m) for g, m in sigma.items()}
         self.frob = {g: dict(m) for g, m in frob.items()}
-        self.support = {g: ring.ideal(groupoid.r[g]) for g in groupoid.elements}
+        ideals = {e: ring.ideal(e) for e in groupoid.identities}
+        self._source = {g: ideals[groupoid.d[g]] for g in groupoid.elements}
+        self.support = {g: ideals[groupoid.r[g]] for g in groupoid.elements}
+        p = ring.field.p
+        self._moves = {
+            g: tuple(
+                (ring.slot_index(b), ring.slot_index(self.sigma[g][b]),
+                 p ** self.frob[g][b])
+                for b in src
+            )
+            for g, src in self._source.items()
+        }
+        self._source_slots = {
+            g: frozenset(i for i, _, _ in moves) for g, moves in self._moves.items()
+        }
         self._base: Subalgebra | None = None
         self._coords = None
         self._coords_known = False
 
     def source_ideal(self, g) -> IdealRef:
-        return self.ring.ideal(self.groupoid.d[g])
+        return self._source[g]
 
     def apply(self, g, x, truncate: bool = False) -> tuple:
         """Transport x along beta_g; x must live in E_{g^{-1}} unless
         truncate multiplies it into that ideal first."""
         R = self.ring
-        src = set(self.source_ideal(g).support)
+        moves = self._moves[g]
         if truncate:
-            x = R.mul(x, R.unit(src))
+            R._check(x)
         else:
-            outside = [s for s in R.support_of(x) if s not in src]
+            src = self._source_slots[g]
+            outside = tuple(
+                s
+                for i, (s, v) in enumerate(zip(R.slots, x))
+                if v != R.field.zero and i not in src
+            )
             if outside:
                 raise SupportViolation(
                     f"element not supported in the source ideal of {g!r}",
-                    witness=tuple(outside),
+                    witness=outside,
                 )
         out = [R.field.zero] * len(R.blocks)
-        sig, tw = self.sigma[g], self.frob[g]
-        for b in src:
-            v = x[R.slot_index(b)]
-            out[R.slot_index(sig[b])] = R.field.power(v, R.field.p ** tw[b])
+        for i, j, q in moves:
+            out[j] = x[i] if q == 1 else R.field.power(x[i], q)
         return tuple(out)
 
     def base_subalgebra(self) -> Subalgebra:
@@ -182,13 +204,9 @@ class AlgebraAction:
         return self.galois_coordinates() is not None
 
 
-def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraAction:
-    """Check the action axioms exhaustively and return the action.
-
-    sigma and frob are given per non-identity element; identity components
-    are filled in as the identity map with no twist.
-    """
-    frob = frob or {}
+def _complete_maps(G: Groupoid, R: BlockRing, sigma, frob) -> tuple[dict, dict]:
+    """Check each sigma_g and its twists on their own and fill in the
+    identity components; returns the full sigma and frob tables."""
     idset = set(G.identities)
     for e in idset:
         if not any(owner == e for owner in R.owner.values()):
@@ -196,11 +214,11 @@ def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraActio
     for b, e in R.owner.items():
         if e not in idset:
             raise InvalidInput(f"block {b!r} owned by non-identity {e!r}")
+    blocks_of = {e: R.ideal(e).support for e in idset}
 
     full_sigma, full_frob = {}, {}
     for g in G.elements:
-        src = tuple(R.ideal(G.d[g]).support)
-        tgt = tuple(R.ideal(G.r[g]).support)
+        src, tgt = blocks_of[G.d[g]], blocks_of[G.r[g]]
         if g in idset and g not in sigma:
             full_sigma[g] = {b: b for b in src}
             full_frob[g] = {b: 0 for b in src}
@@ -218,7 +236,7 @@ def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraActio
             raise NotBijective(f"sigma[{g!r}] is not a bijection onto {G.r[g]!r}")
         tw = {b: 0 for b in src}
         for b, t in dict(frob.get(g, {})).items():
-            if b not in set(src):
+            if b not in tw:
                 raise SupportMismatch(f"frob[{g!r}] twists unknown block {b!r}")
             if not 0 <= t < R.field.k:
                 raise ExponentOutOfRange(
@@ -230,16 +248,48 @@ def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraActio
                 raise IdentityNotTrivial(f"beta[{g!r}] must be the identity map")
         full_sigma[g] = m
         full_frob[g] = tw
+    return full_sigma, full_frob
 
+
+def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraAction:
+    """Check the action axioms exactly and return the action.
+
+    sigma and frob are given per non-identity element; identity components
+    are filled in as the identity map with no twist.
+
+    beta_g o beta_h = beta_gh is checked on the block maps: for every
+    composable (g, h) and every block b of d(h), sigma_g(sigma_h b) =
+    sigma_gh(b) and t_h(b) + t_g(sigma_h b) = t_gh(b) mod k.  This decides
+    the identity exactly.  Every beta is F_p-linear, so equality on the
+    F_p-basis {s e_b}, s running over a basis of F_{p^k}, is equality of
+    the maps.  On that basis the two sides are s^(p^a) e_{sigma_g sigma_h b}
+    and s^(p^c) e_{sigma_gh b} with a = t_h(b) + t_g(sigma_h b) and
+    c = t_gh(b); s != 0, so they agree for every s exactly when the blocks
+    agree and x -> x^(p^(a-c)) fixes a basis of F_{p^k}, that is, is the
+    identity.  The Frobenius has order exactly k, so that happens exactly
+    when a = c mod k.  A failing pair is reported with the first F_p-basis
+    vector of E_{d(h)} on which the two sides differ.
+    """
+    full_sigma, full_frob = _complete_maps(G, R, sigma, frob or {})
     action = AlgebraAction(G, R, full_sigma, full_frob)
+    k = R.field.k
     for g, h in G.composable:
         gh = G.product[(g, h)]
-        for x in ideal_fp_basis(R, R.ideal(G.d[h]).support):
-            if action.apply(g, action.apply(h, x)) != action.apply(gh, x):
-                raise CompositionFailure(
-                    f"beta[{g!r}] o beta[{h!r}] != beta[{gh!r}]",
-                    witness=(g, h, R.format(x)),
-                )
+        sg, sh, sgh = full_sigma[g], full_sigma[h], full_sigma[gh]
+        tg, th, tgh = full_frob[g], full_frob[h], full_frob[gh]
+        for b in action.source_ideal(h):
+            c = sh[b]
+            if sg[c] == sgh[b] and (th[b] + tg[c] - tgh[b]) % k == 0:
+                continue
+            x = next(
+                x
+                for x in ideal_fp_basis(R, [b])
+                if action.apply(g, action.apply(h, x)) != action.apply(gh, x)
+            )
+            raise CompositionFailure(
+                f"beta[{g!r}] o beta[{h!r}] != beta[{gh!r}]",
+                witness=(g, h, R.format(x)),
+            )
     return action
 
 

@@ -265,16 +265,37 @@ def ideal_fp_basis(R: BlockRing, support) -> list:
     return out
 
 
+def disconnected_identity(G, g):
+    """The first identity outside the connected component of r(g), or None.
+
+    In a groupoid, "some h has d h = e and r h = e'" is already an
+    equivalence on identities (identities, inverses and products give
+    reflexivity, symmetry and transitivity), so the component of r(g) is
+    {r h : d h = r(g)}.
+    """
+    G.index(g)
+    reached = {G.r[h] for h in G.elements if G.d[h] == G.r[g]}
+    return next((e for e in G.identities if e not in reached), None)
+
+
 def faithfulness_criterion(G, g) -> bool:
-    """Combinatorial test for faithfulness of E_g over the invariants:
-    every non-identity element of G must touch {d(g), r(g)} with one of its
-    endpoints.  Identities never link blocks, so they are exempt."""
-    if g not in set(G.elements):
-        raise UnknownLabel(f"unknown element {g!r}")
-    anchors = {G.d[g], G.r[g]}
-    for h in G.elements:
-        if h in set(G.identities):
-            continue
-        if G.d[h] not in anchors and G.r[h] not in anchors:
-            return False
-    return True
+    """Combinatorial test for faithfulness of E_g over the invariants K:
+    every identity of G lies in the connected component of r(g).
+
+    Proof, for a validated action (every identity owns a block).  The
+    orbit of a block b owned by e is {sigma_h(b) : d h = e}; it meets the
+    blocks of exactly the identities in the component of e, since
+    sigma_h maps the blocks of d h onto those of r h.  The indicator 1_O
+    of an orbit O lies in K, because beta_h carries 1_O 1_{d h} to
+    1_O 1_{r h}.
+    - If an orbit O misses the blocks of r(g), then 1_O is a nonzero
+      element of K with 1_O E_g = 0, so E_g is not faithful.
+    - If every orbit meets them, let x in K be nonzero at a block b, and
+      pick h with d h = owner(b) and sigma_h(b) owned by r(g).
+      Invariance gives x at sigma_h(b) equal to x_b^(p^t) != 0, so
+      x E_g != 0 and E_g is faithful.
+    So E_g is faithful exactly when every orbit meets the blocks of r(g).
+    Every identity owns a block, so that means every identity lies in the
+    component of r(g).
+    """
+    return disconnected_identity(G, g) is None

@@ -335,10 +335,10 @@ def cmd_correspondence(problem: Problem, args) -> Report:
 def _witness_str(R, err: HypothesisFailure) -> str:
     if not err.witness:
         return str(err)
-    g, inner, annihilator = err.witness
+    g, outside, annihilator = err.witness
     parts = [f"ideal of {g} unfaithful"]
-    if inner is not None:
-        parts.append(f"escaping element {inner}")
+    if outside is not None:
+        parts.append(f"identity {outside} not connected to r({g})")
     if annihilator is not None:
         parts.append(f"annihilator {R.format(annihilator)}")
     return "; ".join(parts)

@@ -2,8 +2,20 @@
 
 The product is given extensionally as triples; sources d, targets r and
 inverses are derived from the table and cross-checked against any values
-the caller supplies.  Validation is exhaustive: the defining axioms and all
-their standard consequences are tested on every element, pair and triple.
+the caller supplies.  Validation decides every groupoid axiom and its
+standard consequences exactly, but does work proportional to the table
+rather than to |G|^3:
+
+- the unit candidates, inverse candidates and the division sets come from
+  the product entries;
+- the composability rule ((g, h) defined iff d g = r h) and the product
+  endpoints (d(gh) = d h, r(gh) = r g) are checked on pairs first, and
+  together they imply the existence axiom on every triple;
+- associativity is then compared on the composable triples only, which
+  are the only triples where both sides are defined.
+
+The cost is O(|G| + |products| + composable triples); see
+:func:`validate_groupoid` for the proofs.
 """
 
 from __future__ import annotations
@@ -38,10 +50,10 @@ class Groupoid:
         self.d = dict(d)
         self.r = dict(r)
         self.identities = tuple(identities)
-        self.composable = tuple(
-            p for p in itertools.product(self.elements, repeat=2) if p in self.product
-        )
         self._index = {g: i for i, g in enumerate(self.elements)}
+        self.composable = tuple(
+            sorted(self.product, key=lambda p: (self._index[p[0]], self._index[p[1]]))
+        )
 
     def index(self, g) -> int:
         try:
@@ -52,69 +64,113 @@ class Groupoid:
     def is_identity(self, g) -> bool:
         return g in self._index and self.d[g] == g == self.r[g]
 
-    def try_mul(self, g, h):
-        return self.product.get((g, h))
-
     def __repr__(self):
         return f"Groupoid({list(self.elements)})"
 
 
 def validate_groupoid(elements, products, inverses=None) -> Groupoid:
-    """Build a groupoid from raw data, verifying every axiom exhaustively."""
+    """Build a groupoid from raw data, verifying every axiom exactly.
+
+    The checks run in this order, each on the table's entries or pairs:
+    unique units d g and r g; the composability rule (g, h) defined iff
+    d g = r h; the product endpoints d(gh) = d h and r(gh) = r g;
+    associativity on composable triples; unique inverses; and the standard
+    consequences (inverse endpoints and involution, antihomomorphism,
+    identity products, fixed identities, left and right division).
+
+    This accepts exactly the tables on which the existence axiom
+    ("g(hl) is defined iff gh and hl are, iff (gh)l is") and associativity
+    ("(gh)l = g(hl) when defined") hold on every triple:
+
+    1. Composability and endpoints imply existence on every triple.  If gh
+       and hl are defined then d g = r h and d h = r l, so g(hl) is defined
+       because r(hl) = r h = d g, and (gh)l is defined because
+       d(gh) = d h = r l.  If hl is undefined then d h != r l, so (gh)l is
+       undefined too, since d(gh) = d h whenever gh exists; symmetrically,
+       if gh is undefined then d g != r h = r(hl) and g(hl) is undefined.
+    2. By 1, both sides of the associativity law are defined exactly on the
+       composable triples (d g = r h, d h = r l), so comparing them there
+       decides associativity everywhere.
+
+    Conversely every check made here is an axiom or a consequence of the
+    axioms, so no groupoid is rejected.
+    """
     elements = list(elements)
     if not elements:
         raise InvalidInput("empty element list")
     if len(set(elements)) != len(elements):
         raise InvalidInput("duplicate element labels")
-    known = set(elements)
+    index = {g: i for i, g in enumerate(elements)}
     product: dict = {}
     for triple in products:
         if len(triple) != 3:
             raise InvalidInput(f"product triple {triple!r} must have 3 entries")
         a, b, ab = triple
         for lbl in (a, b, ab):
-            if lbl not in known:
+            if lbl not in index:
                 raise UnknownLabel(f"product triple references unknown label {lbl!r}")
         if (a, b) in product and product[(a, b)] != ab:
             raise InvalidInput(f"conflicting products for ({a!r}, {b!r})")
         product[(a, b)] = ab
 
+    def in_order(labels):
+        return sorted(labels, key=index.__getitem__)
+
+    # Units: x is a right unit of g when gx = g, a left unit when xg = g.
+    right_units = {g: set() for g in elements}
+    left_units = {g: set() for g in elements}
+    for (a, b), ab in product.items():
+        if ab == a:
+            right_units[a].add(b)
+        if ab == b:
+            left_units[b].add(a)
     d, r = {}, {}
     for g in elements:
-        right_units = [x for x in elements if product.get((g, x)) == g]
-        left_units = [x for x in elements if product.get((x, g)) == g]
-        if not right_units or not left_units:
+        rights, lefts = in_order(right_units[g]), in_order(left_units[g])
+        if not rights or not lefts:
             raise MissingIdentity(f"no d/r identities for {g!r}")
-        if len(right_units) > 1 or len(left_units) > 1:
-            raise AxiomViolation("unique-identities", (g, right_units, left_units))
-        d[g], r[g] = right_units[0], left_units[0]
+        if len(rights) > 1 or len(lefts) > 1:
+            raise AxiomViolation("unique-identities", (g, rights, lefts))
+        d[g], r[g] = rights[0], lefts[0]
+    with_d = {g: [] for g in elements}
+    with_r = {g: [] for g in elements}
+    for g in elements:
+        with_d[d[g]].append(g)
+        with_r[r[g]].append(g)
 
-    # Associativity and the existence axioms, on every triple.
-    for g, h, l in itertools.product(elements, repeat=3):
-        gh = product.get((g, h))
-        hl = product.get((h, l))
-        lhs = product.get((gh, l)) if gh is not None else None
-        rhs = product.get((g, hl)) if hl is not None else None
-        both_factors = gh is not None and hl is not None
-        if (rhs is not None) != both_factors:
-            raise AxiomViolation("existence", (g, h, l))
-        if (rhs is not None) != (lhs is not None):
-            raise AxiomViolation("existence", (g, h, l))
-        if rhs is not None and lhs != rhs:
-            raise AxiomViolation("associativity", (g, h, l))
+    # The product is defined exactly on pairs with matching endpoints: every
+    # entry matches, and there are as many entries as matching pairs.
+    for a, b in product:
+        if d[a] != r[b]:
+            raise AxiomViolation("composability", (a, b))
+    if len(product) != sum(len(with_d[e]) * len(with_r[e]) for e in elements):
+        missing = next(
+            (g, h) for g in elements for h in with_r[d[g]] if (g, h) not in product
+        )
+        raise AxiomViolation("composability", missing)
+    for (a, b), ab in product.items():
+        if d[ab] != d[b] or r[ab] != r[a]:
+            raise AxiomViolation("product-endpoints", (a, b))
 
-    # The product is defined exactly on pairs with matching endpoints.
-    for g, h in itertools.product(elements, repeat=2):
-        if ((g, h) in product) != (d[g] == r[h]):
-            raise AxiomViolation("composability", (g, h))
+    # Associativity on composable triples, in (g, h, l) element order.
+    for g in elements:
+        for h in with_r[d[g]]:
+            gh = product[(g, h)]
+            for l in with_r[d[h]]:
+                if product[(gh, l)] != product[(g, product[(h, l)])]:
+                    raise AxiomViolation("associativity", (g, h, l))
 
+    # x is the inverse of g when xg = d g and gx = r g.
+    left_inverses = {g: set() for g in elements}
+    right_inverses = {g: set() for g in elements}
+    for (a, b), ab in product.items():
+        if ab == d[b]:
+            left_inverses[b].add(a)
+        if ab == r[a]:
+            right_inverses[a].add(b)
     inverse = {}
     for g in elements:
-        cands = [
-            x
-            for x in elements
-            if product.get((x, g)) == d[g] and product.get((g, x)) == r[g]
-        ]
+        cands = in_order(left_inverses[g] & right_inverses[g])
         if not cands:
             raise MissingInverse(f"no inverse for {g!r}")
         if len(cands) > 1:
@@ -122,12 +178,13 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
         inverse[g] = cands[0]
     if inverses:
         for g, gi in inverses.items():
-            if g not in known or gi not in known:
+            if g not in index or gi not in index:
                 raise UnknownLabel("inverse map references unknown label")
             if inverse[g] != gi:
                 raise AxiomViolation("user-inverse", (g, gi, inverse[g]))
 
-    identities = [g for g in elements if any(d[x] == g or r[x] == g for x in elements)]
+    endpoints = set(d.values()) | set(r.values())
+    identities = [g for g in elements if g in endpoints]
 
     # Standard consequences, tested rather than assumed.
     for g in elements:
@@ -137,38 +194,32 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
         if inverse[gi] != g:
             raise AxiomViolation("double-inverse", g)
     for (g, h), gh in product.items():
-        if d[gh] != d[h] or r[gh] != r[g]:
-            raise AxiomViolation("product-endpoints", (g, h))
-        if ((inverse[h], inverse[g]) in product) != ((g, h) in product):
+        if (inverse[h], inverse[g]) not in product:
             raise AxiomViolation("inverse-pair", (g, h))
         if product[(inverse[h], inverse[g])] != inverse[gh]:
             raise AxiomViolation("antihomomorphism", (g, h))
-        if (gh in identities) != (g == inverse[h]):
+        if (gh in endpoints) != (g == inverse[h]):
             raise AxiomViolation("identity-product", (g, h))
     for e in identities:
         if d[e] != e or r[e] != e or inverse[e] != e:
             raise AxiomViolation("identity-fixed", e)
-    for g, h in itertools.product(elements, repeat=2):
-        right_div = any(product.get((h, l)) == g for l in elements)
-        if right_div != (r[g] == r[h]):
-            raise AxiomViolation("right-division", (g, h))
-        left_div = any(product.get((l, h)) == g for l in elements)
-        if left_div != (d[g] == d[h]):
-            raise AxiomViolation("left-division", (g, h))
+    # Division: g = hl for some l iff r g = r h, and g = lh for some l iff
+    # d g = d h.  Each product set is compared with its endpoint class.
+    row = {g: set() for g in elements}
+    col = {g: set() for g in elements}
+    for (a, b), ab in product.items():
+        row[a].add(ab)
+        col[b].add(ab)
+    for h in elements:
+        for axiom, got, want in (
+            ("right-division", row[h], with_r[r[h]]),
+            ("left-division", col[h], with_d[d[h]]),
+        ):
+            if got != set(want):
+                g = in_order(got.symmetric_difference(want))[0]
+                raise AxiomViolation(axiom, (g, h))
 
     return Groupoid(elements, product, inverse, d, r, identities)
-
-
-def composable(G: Groupoid) -> tuple:
-    """All composable pairs; cross-checked against the endpoint rule."""
-    pairs = tuple(
-        (g, h)
-        for g, h in itertools.product(G.elements, repeat=2)
-        if G.d[g] == G.r[h]
-    )
-    if set(pairs) != set(G.product):
-        raise AxiomViolation("composability", None)
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -187,8 +238,7 @@ class SubgroupoidSpec:
 def _closure_certificate(G: Groupoid, subset) -> str | None:
     sset = set(subset)
     for g in subset:
-        if g not in set(G.elements):
-            raise UnknownLabel(f"unknown element {g!r}")
+        G.index(g)
     for g, h in itertools.product(subset, repeat=2):
         gh = G.product.get((g, h))
         if gh is not None and gh not in sset:

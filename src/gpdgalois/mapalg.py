@@ -25,6 +25,7 @@ from .blockring import (
     BlockRing,
     IdealRef,
     ProductSpace,
+    disconnected_identity,
     ideal_fp_basis,
     is_faithful_ideal,
 )
@@ -750,8 +751,9 @@ def require_faithful_hypotheses(A: AlgebraAction):
     action must admit Galois coordinates and every E_g must be faithful
     over the base.  Raises HypothesisFailure with a witness otherwise.
 
-    The witness names the first unfaithful ideal, the non-identity element
-    whose endpoints escape its anchors (when one exists), and an
+    The witness names the first unfaithful ideal E_g, an identity outside
+    the connected component of r(g) (see
+    :func:`~gpdgalois.blockring.faithfulness_criterion`), and an
     annihilator from the base algebra.
     """
     G = A.groupoid
@@ -762,20 +764,9 @@ def require_faithful_hypotheses(A: AlgebraAction):
         direct, annihilator = is_faithful_ideal(K, A.support[g])
         if direct:
             continue
-        anchors = {G.d[g], G.r[g]}
-        inner = next(
-            (
-                h
-                for h in G.elements
-                if h not in set(G.identities)
-                and G.d[h] not in anchors
-                and G.r[h] not in anchors
-            ),
-            None,
-        )
         raise HypothesisFailure(
             f"E_{g!r} is not faithful over the base algebra",
-            witness=(g, inner, annihilator),
+            witness=(g, disconnected_identity(G, g), annihilator),
         )
 
 

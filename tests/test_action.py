@@ -3,7 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_invariants
+from conftest import (
+    FIXTURE_FILES,
+    PAIR_CYCLIC_SPECS,
+    brute_invariants,
+    cli_outcome,
+    elementwise_validate_action,
+    fixture_doc,
+    pair_cyclic_doc,
+)
 from gpdgalois.action import (
     AlgebraAction,
     check_galois_coordinates,
@@ -26,9 +34,12 @@ from gpdgalois.errors import (
     NotSubgroupoid,
     SupportMismatch,
     SupportViolation,
+    ValidationError,
 )
 from gpdgalois.groupoid import quotient_gset, regular_gset, validate_groupoid
 from gpdgalois.scalar import make_field
+
+TWISTED_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[3] > 1]
 
 
 def trivial_involution_action():
@@ -286,3 +297,76 @@ def test_module_invariants(fix1, fixc2):
         assert report.ok
     report = module_invariants_check(fixc2.action, regular_gset(fixc2.groupoid))
     assert report.ok
+
+
+@st.composite
+def mutated_actions(draw):
+    """A fixture or generated problem (twisted ones drawn as often as the
+    rest) with at most one sigma entry swapped or retargeted, or one
+    Frobenius exponent changed."""
+    source = draw(st.sampled_from(FIXTURE_FILES + PAIR_CYCLIC_SPECS + TWISTED_SPECS))
+    doc = fixture_doc(source) if isinstance(source, str) else pair_cyclic_doc(*source)
+    ideals, action = doc["ring"]["ideals"], doc["action"]
+    g = draw(st.sampled_from(doc["groupoid"]["elements"]))
+    spec = action.get(g) or {"sigma": {b: b for b in ideals[g]}}
+    sigma, frob = dict(spec["sigma"]), dict(spec.get("frob", {}))
+    kind = draw(st.sampled_from(["none", "swap", "retarget", "retwist"]))
+    b = draw(st.sampled_from(sorted(sigma)))
+    if kind == "swap":
+        c = draw(st.sampled_from(sorted(sigma)))
+        sigma[b], sigma[c] = sigma[c], sigma[b]
+    elif kind == "retarget":
+        sigma[b] = draw(st.sampled_from(doc["ring"]["blocks"]))
+    elif kind == "retwist":
+        frob[b] = draw(st.integers(0, doc["field"].get("k", 1) - 1))
+    action[g] = {"sigma": sigma, "frob": frob}
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_actions())
+def test_validate_action_matches_elementwise_oracle(doc):
+    grp, ring, fld = doc["groupoid"], doc["ring"], doc["field"]
+    G = validate_groupoid(grp["elements"], grp["products"], grp.get("inverses"))
+    F = make_field(fld["p"], fld.get("k", 1), fld.get("modulus"))
+    R = make_ring(F, ring["blocks"], ring["ideals"], identities=G.identities)
+    sigma = {g: spec["sigma"] for g, spec in doc["action"].items()}
+    frob = {g: spec.get("frob", {}) for g, spec in doc["action"].items()}
+    outcomes = []
+    for validate in (validate_action, elementwise_validate_action):
+        try:
+            outcomes.append(validate(G, R, sigma, frob))
+        except ValidationError as err:
+            outcomes.append(err)
+    new, old = outcomes
+    if isinstance(old, ValidationError):
+        assert type(new) is type(old)
+        assert (str(new), new.witness) == (str(old), old.witness)
+    else:
+        assert not isinstance(new, ValidationError)
+        assert (new.sigma, new.frob) == (old.sigma, old.frob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_actions())
+def test_check_command_matches_elementwise_oracle(doc):
+    assert cli_outcome(doc) == cli_outcome(doc, oracle=True)
+
+
+def test_composition_twist_wraps_mod_k():
+    # over F_8, g0_0_2 after g0_0_1 is the identity: exponents 1 + 2 = 3
+    # agree with 0 only mod 3
+    doc = pair_cyclic_doc("frobenius", 1, 3, 3)
+    grp, fld = doc["groupoid"], doc["field"]
+    G = validate_groupoid(grp["elements"], grp["products"])
+    R = make_ring(make_field(2, 3, fld["modulus"]), ["v0"], {"g0_0_0": ["v0"]})
+    sigma = {g: s["sigma"] for g, s in doc["action"].items()}
+    frob = {g: s["frob"] for g, s in doc["action"].items()}
+    assert frob["g0_0_1"] == {"v0": 1} and frob["g0_0_2"] == {"v0": 2}
+    validate_action(G, R, sigma, frob)
+    frob["g0_0_1"] = {"v0": 2}
+    with pytest.raises(CompositionFailure) as err:
+        validate_action(G, R, sigma, frob)
+    with pytest.raises(CompositionFailure) as oracle_err:
+        elementwise_validate_action(G, R, sigma, frob)
+    assert err.value.witness == oracle_err.value.witness

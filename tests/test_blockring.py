@@ -1,16 +1,27 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import PAIR_CYCLIC_SPECS, disjoint_union, pair_cyclic_doc
+from gpdgalois.action import validate_action
 from gpdgalois.blockring import (
     IdealRef,
+    disconnected_identity,
     faithfulness_criterion,
     idempotents_of,
     is_faithful_ideal,
     make_ring,
     ring_arith,
 )
-from gpdgalois.errors import InvalidInput, SizeBoundExceeded, UnknownLabel
+from gpdgalois.errors import (
+    HypothesisFailure,
+    InvalidInput,
+    SizeBoundExceeded,
+    UnknownLabel,
+)
+from gpdgalois.groupoid import validate_groupoid
+from gpdgalois.mapalg import require_faithful_hypotheses
 from gpdgalois.scalar import make_field
 
 
@@ -113,3 +124,57 @@ def test_criterion_matches_direct_check_everywhere(fix1, fix2):
         for g in fix.groupoid.elements:
             direct, _ = is_faithful_ideal(K, fix.action.support[g])
             assert faithfulness_criterion(fix.groupoid, g) == direct
+
+
+def _fp_dim(spec):
+    family, n, m, k = spec
+    return n * k if family == "frobenius" else n * m * k
+
+
+@st.composite
+def disjoint_families(draw, max_fp_dim=8):
+    """Disjoint unions of one to three P_n x C_m problems over one field,
+    with at most max_fp_dim F_p-dimensions of blocks in all."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    fits = [s for s in PAIR_CYCLIC_SPECS if s[3] == k and _fp_dim(s) <= max_fp_dim]
+    specs = [draw(st.sampled_from(fits))]
+    for _ in range(draw(st.integers(0, 2))):
+        room = max_fp_dim - sum(map(_fp_dim, specs))
+        fits = [s for s in fits if _fp_dim(s) <= room]
+        if not fits:
+            break
+        specs.append(draw(st.sampled_from(fits)))
+    return disjoint_union(
+        [pair_cyclic_doc(*s) for s in specs], lambda c, x: f"c{c}.{x}"
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(disjoint_families())
+def test_criterion_matches_direct_check_on_generated_families(doc):
+    grp, ring, fld = doc["groupoid"], doc["ring"], doc["field"]
+    G = validate_groupoid(grp["elements"], grp["products"])
+    F = make_field(fld["p"], fld["k"], fld.get("modulus"))
+    R = make_ring(F, ring["blocks"], ring["ideals"], identities=G.identities)
+    A = validate_action(
+        G, R,
+        {g: s["sigma"] for g, s in doc["action"].items()},
+        {g: s["frob"] for g, s in doc["action"].items()},
+    )
+    K = A.base_subalgebra()
+    faithful = {}
+    for g in G.elements:
+        faithful[g], _ = is_faithful_ideal(K, A.support[g])
+        assert faithfulness_criterion(G, g) == faithful[g]
+        outside = disconnected_identity(G, g)
+        assert (outside is None) == faithful[g]
+        if outside is not None:
+            assert not any(G.d[h] == G.r[g] and G.r[h] == outside for h in G.elements)
+    if all(faithful.values()):
+        require_faithful_hypotheses(A)
+    else:
+        with pytest.raises(HypothesisFailure) as err:
+            require_faithful_hypotheses(A)
+        g, outside, annihilator = err.value.witness
+        assert not faithful[g] and outside == disconnected_identity(G, g)
+        assert annihilator is not None

@@ -328,7 +328,7 @@ def test_correspondence_quartic(fixf4):
 def test_correspondence_hypothesis_failure(fix2):
     with pytest.raises(HypothesisFailure) as err:
         galois_correspondence(fix2.action)
-    assert err.value.witness[1] == "h"
+    assert err.value.witness[1] == "e3"
 
 
 def test_strong_subalgebras_match_bruteforce(fix1, fixc2, fixf4):

@@ -1,16 +1,25 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import (
+    FIXTURE_FILES,
+    PAIR_CYCLIC_SPECS,
+    cli_outcome,
+    fixture_doc,
+    oracle_validate_groupoid,
+    pair_cyclic_doc,
+)
 from gpdgalois.errors import (
     AxiomViolation,
     NotSubgroupoid,
     NotWide,
     SizeBoundExceeded,
     UnknownLabel,
+    ValidationError,
 )
 from gpdgalois.groupoid import (
-    composable,
     coset_space,
     enumerate_wide_subgroupoids,
     is_wide_subgroupoid,
@@ -60,7 +69,7 @@ def test_composable_matches_endpoint_rule(fix1, fix2):
             for g, h in itertools.product(G.elements, repeat=2)
             if G.d[g] == G.r[h]
         }
-        assert set(composable(G)) == oracle
+        assert set(G.composable) == oracle
 
 
 def test_standard_consequences_hold(fix1, fix2, fixc2):
@@ -188,3 +197,100 @@ def test_regular_gset_values(fix1, fix2, fixc2):
 
     X2 = regular_gset(fix2.groupoid)
     assert set(X2.fiber_points("e3")) == {"e3", "h"}
+
+
+@st.composite
+def problem_docs(draw):
+    """A shipped fixture or a generated P_n x C_m problem (n*m <= 8)."""
+    source = draw(st.sampled_from(FIXTURE_FILES + PAIR_CYCLIC_SPECS))
+    return fixture_doc(source) if isinstance(source, str) else pair_cyclic_doc(*source)
+
+
+@st.composite
+def mutated_tables(draw):
+    """A problem whose product table has at most one entry changed,
+    deleted, added or swapped with another's."""
+    doc = draw(problem_docs())
+    grp = doc["groupoid"]
+    elements = grp["elements"]
+    products = [list(t) for t in grp["products"]]
+    kind = draw(st.sampled_from(["none", "change", "delete", "add", "swap"]))
+    i = draw(st.integers(0, len(products) - 1))
+    defined = {(a, b) for a, b, _ in products}
+    free = [(a, b) for a in elements for b in elements if (a, b) not in defined]
+    if kind == "add" and free:
+        a, b = draw(st.sampled_from(free))
+        products.append([a, b, draw(st.sampled_from(elements))])
+    elif kind in ("change", "add"):
+        products[i][2] = draw(st.sampled_from(elements))
+    elif kind == "delete":
+        del products[i]
+    elif kind == "swap":
+        j = draw(st.integers(0, len(products) - 1))
+        products[i][2], products[j][2] = products[j][2], products[i][2]
+    grp["products"] = products
+    return doc
+
+
+def _outcome(validate, doc):
+    grp = doc["groupoid"]
+    try:
+        return validate(grp["elements"], grp["products"], grp.get("inverses"))
+    except ValidationError as err:
+        return err
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_tables())
+def test_validate_groupoid_matches_exhaustive_oracle(doc):
+    new = _outcome(validate_groupoid, doc)
+    old = _outcome(oracle_validate_groupoid, doc)
+    assert isinstance(new, ValidationError) == isinstance(old, ValidationError)
+    if not isinstance(new, ValidationError):
+        for attr in ("elements", "product", "inverse", "d", "r", "identities",
+                     "composable"):
+            assert getattr(new, attr) == getattr(old, attr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_tables())
+def test_check_command_matches_exhaustive_oracle(doc):
+    assert cli_outcome(doc) == cli_outcome(doc, oracle=True)
+
+
+def _moufang_loop_table():
+    """Chein's loop M(S_3, 2) of order 12: (g,0)(h,0) = (gh,0),
+    (g,0)(h,1) = (hg,1), (g,1)(h,0) = (gh^-1,1), (g,1)(h,1) = (h^-1 g,0).
+    It has units, unique inverses, (xy)^-1 = y^-1 x^-1 and division, but
+    is not associative, so only the associativity check can reject it."""
+    perms = list(itertools.permutations(range(3)))
+
+    def mul(a, b):
+        return tuple(a[b[i]] for i in range(3))
+
+    def inv(a):
+        return tuple(sorted(range(3), key=a.__getitem__))
+
+    def label(g, s):
+        return "".join(map(str, g)) + f"/{s}"
+
+    rules = {
+        (0, 0): lambda g, h: (mul(g, h), 0),
+        (0, 1): lambda g, h: (mul(h, g), 1),
+        (1, 0): lambda g, h: (mul(g, inv(h)), 1),
+        (1, 1): lambda g, h: (mul(inv(h), g), 0),
+    }
+    elements = [label(g, s) for s in (0, 1) for g in perms]
+    products = [
+        (label(g, s), label(h, t), label(*rules[(s, t)](g, h)))
+        for s in (0, 1) for g in perms for t in (0, 1) for h in perms
+    ]
+    return elements, products
+
+
+def test_moufang_loop_rejected_by_associativity():
+    elements, products = _moufang_loop_table()
+    for validate in (validate_groupoid, oracle_validate_groupoid):
+        with pytest.raises(AxiomViolation) as err:
+            validate(elements, products)
+        assert err.value.axiom == "associativity"

@@ -239,8 +239,9 @@ def test_grothendieck_hypothesis_failure(fix2):
     X = regular_gset(fix2.groupoid)
     with pytest.raises(HypothesisFailure) as err:
         grothendieck_set_check(fix2.action, X)
-    g, inner, annihilator = err.value.witness
-    assert inner == "h"
+    g, outside, annihilator = err.value.witness
+    # e3 is the identity outside the component {e1, e2} of r(e1)
+    assert (g, outside) == ("e1", "e3")
     assert annihilator is not None
 
 
