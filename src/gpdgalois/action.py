@@ -12,7 +12,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .blockring import BlockRing, IdealRef, ideal_fp_basis
+from .blockring import (
+    BRUTE_FORCE_BOUND,
+    BlockRing,
+    IdealRef,
+    fixed_elements,
+    ideal_fp_basis,
+)
 from .errors import (
     CompositionFailure,
     ExponentOutOfRange,
@@ -27,8 +33,6 @@ from .errors import (
 )
 from .groupoid import Groupoid, SubgroupoidSpec, make_subgroupoid
 from .scalar import FpSpan, fp_basis_scalars
-
-BRUTE_FORCE_BOUND = 1 << 16
 
 
 def span_elements(space, basis) -> tuple:
@@ -81,11 +85,7 @@ class Submodule:
 
 
 class Subalgebra(Submodule):
-    """A unital subring of a product space, closed under multiplication.
-
-    Closure under the action of a base subalgebra K is a separate, optional
-    check (`assert_k_closed`), since K is usually computed later.
-    """
+    """A unital subring of a product space, closed under multiplication."""
 
     def __init__(self, space, basis, max_elements: int = BRUTE_FORCE_BOUND):
         super().__init__(space, basis, max_elements)
@@ -94,14 +94,6 @@ class Subalgebra(Submodule):
         for a, b in itertools.combinations_with_replacement(self.basis, 2):
             if not self.contains(space.mul(a, b)):
                 raise SupportViolation("subalgebra not closed under multiplication")
-
-    def assert_k_closed(self, K: "Subalgebra"):
-        for c in K.basis:
-            for b in self.basis:
-                if not self.contains(self.space.k_scale(c, b)):
-                    raise SupportViolation(
-                        "not closed under base multiplication", witness=(c, b)
-                    )
 
     def key(self) -> tuple:
         """Canonical identity of the underlying element set."""
@@ -165,13 +157,13 @@ class AlgebraAction:
         return self._source[g]
 
     def apply(self, g, x, truncate: bool = False) -> tuple:
-        """Transport x along beta_g; x must live in E_{g^{-1}} unless
-        truncate multiplies it into that ideal first."""
+        """Transport x along beta_g; x must have one coordinate per block
+        and live in E_{g^{-1}}, unless truncate multiplies it into that
+        ideal first."""
         R = self.ring
         moves = self._moves[g]
-        if truncate:
-            R._check(x)
-        else:
+        R._check(x)
+        if not truncate:
             src = self._source_slots[g]
             outside = tuple(
                 s
@@ -353,7 +345,16 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
 
     Computed structurally from the block orbits and their accumulated
     Frobenius twists, then cross-checked against brute-force filtering of
-    every ring element whenever the ring is small enough.
+    every ring element whenever the ring has at most BRUTE_FORCE_BOUND
+    elements.
+
+    The filter keeps x when beta_h(x 1_{d h}) = x 1_{r h} for every h.  It
+    runs on the moves (i, j, q) that `apply` runs on: x[j] = x[i]^q for
+    each.  That is the same condition.  Both sides vanish off the blocks of
+    r(h), and sigma_h maps the blocks of d(h) onto those of r(h), so the
+    moves' targets are exactly the slots where the two sides can differ.
+    The oracle thus checks the maps the rest of the package applies, not
+    the edge list solved above.
     """
     G, R = A.groupoid, A.ring
     if H is None:
@@ -376,15 +377,7 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
     result = Subalgebra(R, basis)
 
     if R.field.order ** len(R.blocks) <= BRUTE_FORCE_BOUND:
-        brute = set()
-        units = {h: R.unit(A.source_ideal(h).support) for h in labels}
-        tunits = {h: R.unit(A.support[h].support) for h in labels}
-        for x in R.all_elements():
-            if all(
-                A.apply(h, R.mul(x, units[h])) == R.mul(x, tunits[h])
-                for h in labels
-            ):
-                brute.add(x)
+        brute = fixed_elements(R, [A._moves[h] for h in labels])
         if brute != set(result.elements):
             raise OracleMismatch("structural invariants disagree with brute force")
     return result

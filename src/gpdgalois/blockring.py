@@ -14,6 +14,7 @@ from .errors import BlockMismatch, InvalidInput, SizeBoundExceeded, UnknownLabel
 from .scalar import FieldSpec, Scalar, flatten, fp_basis_scalars
 
 DEFAULT_MAX_SUPPORT = 16
+BRUTE_FORCE_BOUND = 1 << 16
 
 
 class ProductSpace:
@@ -35,10 +36,6 @@ class ProductSpace:
             return self._index[slot]
         except KeyError:
             raise UnknownLabel(f"unknown slot {slot!r}") from None
-
-    def block_of_slot(self, slot):
-        """The R-block a slot is tied to; the identity map on a ring."""
-        return slot
 
     def zero(self) -> tuple:
         return (self.field.zero,) * len(self.slots)
@@ -106,10 +103,7 @@ class ProductSpace:
     def flat(self, x) -> tuple[int, ...]:
         return flatten(x)
 
-    def fp_dim(self) -> int:
-        return len(self.slots) * self.field.k
-
-    def all_elements(self, bound: int = 1 << 16):
+    def all_elements(self, bound: int = BRUTE_FORCE_BOUND):
         """Every element, little-endian in the slot coordinates."""
         total = self.field.order ** len(self.slots)
         if total > bound:
@@ -230,8 +224,29 @@ def idempotents_of(
     return out
 
 
-def idempotent_element(R: BlockRing, idem: Idempotent) -> tuple:
-    return R.unit(idem.support)
+def fixed_elements(space: ProductSpace, tables) -> set:
+    """Brute-force oracle: every element of the space that satisfies every
+    move of every table, found by enumerating the whole space (at most
+    BRUTE_FORCE_BOUND elements).
+
+    A move (i, j, q) asks x[j] = x[i]^q, or x[j] = 0 when i is None.  The
+    tables are compiled maps, so an element passes exactly when each map
+    carries it, restricted to the map's source, onto its own restriction to
+    the map's target.  Each element is rejected at its first violated move.
+    """
+    field, zero = space.field, space.field.zero
+    moves = [move for table in tables for move in table]
+    out = set()
+    for x in space.all_elements():
+        for i, j, q in moves:
+            if i is None:
+                if x[j] != zero:
+                    break
+            elif x[j] != (x[i] if q == 1 else field.power(x[i], q)):
+                break
+        else:
+            out.add(x)
+    return out
 
 
 def is_faithful_ideal(K, E: IdealRef) -> tuple[bool, tuple | None]:

@@ -22,10 +22,12 @@ from .action import (
     twisted_invariant_basis,
 )
 from .blockring import (
+    BRUTE_FORCE_BOUND,
     BlockRing,
     IdealRef,
     ProductSpace,
     disconnected_identity,
+    fixed_elements,
     ideal_fp_basis,
     is_faithful_ideal,
 )
@@ -45,7 +47,6 @@ from .groupoid import coset_space, quotient_gset
 from .scalar import FpSpan, flatten, fp_basis_scalars
 from .tensor import RankProfile, TensorOverK, kblocks, rank_profile
 
-BRUTE_FORCE_BOUND = 1 << 16
 HOM_SEARCH_BOUND = 1 << 20
 
 
@@ -61,9 +62,6 @@ class MapSpace(ProductSpace):
         super().__init__(ring.field, slots)
         self.gset = X
         self.ring = ring
-
-    def block_of_slot(self, slot):
-        return slot[1]
 
     def k_scale(self, c, x) -> tuple:
         """Pointwise action of a ring element on a function."""
@@ -102,15 +100,36 @@ class MapSpace(ProductSpace):
 
 
 class MapAlgebra:
-    """Map(X, R) with its ideals, indicators and the lifted action alpha."""
+    """Map(X, R) with its ideals, indicators and the lifted action alpha.
+
+    Each alpha_g is compiled once into its moves (source slot or None,
+    target slot, p^t), one per slot (x, b) on the fiber X_g: the value at
+    (gamma_{g^{-1}}(x), sigma_g^{-1}(b)) goes to (x, b) raised to p^t, t the
+    Frobenius exponent of the source block.  The source is None where b has
+    no sigma_g-preimage, and that slot stays zero.
+    """
 
     def __init__(self, space: MapSpace, action: AlgebraAction):
         self.space = space
         self.action = action
         G = action.groupoid
-        self._inv_sigma = {
-            g: {v: k for k, v in action.sigma[g].items()} for g in G.elements
-        }
+        X = space.gset
+        p = space.field.p
+        self._moves = {}
+        for g in G.elements:
+            gi = G.inverse[g]
+            inv_sigma = {v: k for k, v in action.sigma[g].items()}
+            moves = []
+            for j, (x, b) in enumerate(space.slots):
+                if X.fiber[x] != G.r[g]:
+                    continue
+                src_block = inv_sigma.get(b)
+                if src_block is None:
+                    moves.append((None, j, 1))
+                    continue
+                i = space.slot_index((X.gamma[gi][x], src_block))
+                moves.append((i, j, p ** action.frob[g][src_block]))
+            self._moves[g] = tuple(moves)
 
     def one_prime(self, g) -> tuple:
         """The indicator function of the fiber X_g with value 1_g."""
@@ -129,21 +148,11 @@ class MapAlgebra:
     def alpha(self, g, f) -> tuple:
         """alpha_g(f 1'_{g^{-1}}): transport f along gamma_g and beta_g,
         supported on the fiber X_g."""
-        G = self.action.groupoid
-        X = self.space.gset
-        R = self.action.ring
-        gi = G.inverse[g]
-        out = [self.space.field.zero] * len(self.space.slots)
-        for idx, (x, b) in enumerate(self.space.slots):
-            if X.fiber[x] != G.r[g]:
-                continue
-            if b not in self._inv_sigma[g]:
-                continue
-            src_point = X.gamma[gi][x]
-            src_block = self._inv_sigma[g][b]
-            v = f[self.space.slot_index((src_point, src_block))]
-            t = self.action.frob[g][src_block]
-            out[idx] = self.space.field.power(v, self.space.field.p**t)
+        field = self.space.field
+        out = [field.zero] * len(self.space.slots)
+        for i, j, q in self._moves[g]:
+            if i is not None:
+                out[j] = f[i] if q == 1 else field.power(f[i], q)
         return tuple(out)
 
 
@@ -188,9 +197,18 @@ class InvariantAlgebra(Subalgebra):
         self.action = mapalgebra.action
 
 
-def invariant_algebra(X: GSet, A: AlgebraAction, brute: str = "auto") -> InvariantAlgebra:
-    """Compute A(X) by orbit analysis on (point, block) slots, optionally
-    cross-checked against brute-force filtering of every function."""
+def invariant_algebra(X: GSet, A: AlgebraAction) -> InvariantAlgebra:
+    """Compute A(X) by orbit analysis on (point, block) slots, cross-checked
+    against brute-force filtering of every function whenever Map(X, R) has
+    at most BRUTE_FORCE_BOUND elements.
+
+    The filter keeps f when alpha_g(f 1'_{g^{-1}}) = f 1'_g for every g.
+    It runs on the moves (i, j, q) that `MapAlgebra.alpha` runs on:
+    f[j] = f[i]^q, or f[j] = 0 when i is None.  That is the same
+    condition.  Both sides vanish off the fiber X_g, and the moves target
+    every slot on it.  The oracle thus checks the maps the rest of the
+    package applies, not the edge list solved above.
+    """
     M = function_algebra(X, A)
     space = M.space
     G = A.groupoid
@@ -207,16 +225,8 @@ def invariant_algebra(X: GSet, A: AlgebraAction, brute: str = "auto") -> Invaria
     ]
     out = InvariantAlgebra(M, basis)
 
-    size = space.field.order ** len(space.slots)
-    if brute == "always" and size > BRUTE_FORCE_BOUND:
-        raise SizeBoundExceeded(f"brute force over {size} functions refused")
-    if brute != "never" and size <= BRUTE_FORCE_BOUND:
-        wanted = set()
-        for f in space.all_elements():
-            if all(
-                M.alpha(g, f) == space.mul(f, M.one_prime(g)) for g in G.elements
-            ):
-                wanted.add(f)
+    if space.field.order ** len(space.slots) <= BRUTE_FORCE_BOUND:
+        wanted = fixed_elements(space, [M._moves[g] for g in G.elements])
         if wanted != set(out.elements):
             raise OracleMismatch("invariant functions disagree with brute force")
     return out

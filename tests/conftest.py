@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from gpdgalois import cli, fixtures
-from gpdgalois.action import AlgebraAction, _complete_maps
+from gpdgalois.action import AlgebraAction, _complete_maps, span_elements
 from gpdgalois.blockring import ideal_fp_basis
 from gpdgalois.errors import (
     AxiomViolation,
@@ -18,6 +18,8 @@ from gpdgalois.errors import (
     MissingIdentity,
     MissingInverse,
     NonUniqueInverse,
+    OracleMismatch,
+    SupportViolation,
     UnknownLabel,
 )
 from gpdgalois.groupoid import Groupoid
@@ -88,6 +90,23 @@ def brute_invariant_functions(X, action):
         if ok:
             out.add(f)
     return out
+
+
+def elementwise_alpha(M, g, f):
+    """Oracle: alpha_g(f 1'_{g^{-1}}) rebuilt slot by slot, looking up the
+    source point, the sigma_g-preimage block and its Frobenius exponent."""
+    G = M.action.groupoid
+    X = M.space.gset
+    inv_sigma = {v: k for k, v in M.action.sigma[g].items()}
+    out = [M.space.field.zero] * len(M.space.slots)
+    for idx, (x, b) in enumerate(M.space.slots):
+        if X.fiber[x] != G.r[g] or b not in inv_sigma:
+            continue
+        src_block = inv_sigma[b]
+        v = f[M.space.slot_index((X.gamma[G.inverse[g]][x], src_block))]
+        t = M.action.frob[g][src_block]
+        out[idx] = M.space.field.power(v, M.space.field.p**t)
+    return tuple(out)
 
 
 def brute_subalgebras(R, K):
@@ -217,6 +236,80 @@ def disjoint_union(docs, relabel):
                 for part, m in spec.items()
             }
     return out
+
+
+PROBLEM_SOURCES = FIXTURE_FILES + PAIR_CYCLIC_SPECS
+
+
+def problem_doc(source):
+    """The document of a shipped fixture file or of a PAIR_CYCLIC_SPECS entry."""
+    return fixture_doc(source) if isinstance(source, str) else pair_cyclic_doc(*source)
+
+
+def problem_action(source):
+    """The validated action of problem_doc(source)."""
+    problem = cli.Problem(problem_doc(source))
+    G = problem.groupoid()
+    return problem.action(G, problem.ring(G))
+
+
+# Corrupted structural bases ----------------------------------------------
+
+def basis_mutations(field, vecs):
+    """(kind, mutate) pairs that corrupt a twisted_invariant_basis result:
+    drop one vector, or apply the Frobenius to one node's value in every
+    vector (an automorphism of that block)."""
+    out = [("drop", lambda vs, i=i: vs[:i] + vs[i + 1:]) for i in range(len(vecs))]
+    for n in dict.fromkeys(n for vec in vecs for n in vec):
+        out.append((
+            "twist",
+            lambda vs, n=n: [
+                {m: field.power(v, field.p) if m == n else v for m, v in vec.items()}
+                for vec in vs
+            ],
+        ))
+    return out
+
+
+def corrupted_basis_outcomes(module, compute, space):
+    """Run compute() once per corruption of the basis it gets from
+    module.twisted_invariant_basis and return the kinds of corruption that
+    raised OracleMismatch.
+
+    A corruption that leaves the span unchanged must be accepted.  One whose
+    span is not a unital subalgebra must be stopped by the Subalgebra checks
+    (SupportViolation) before the oracle runs.  Every other one must raise
+    OracleMismatch."""
+    orig = module.twisted_invariant_basis
+    expected = set(compute().elements)
+    seen = []
+
+    def recording(*args):
+        seen.append(orig(*args))
+        return seen[-1]
+
+    with mock.patch.object(module, "twisted_invariant_basis", recording):
+        compute()
+    caught = set()
+    zero = space.field.zero
+    for kind, mutate in basis_mutations(space.field, seen[-1]):
+        basis = [tuple(vec.get(s, zero) for s in space.slots) for vec in mutate(seen[-1])]
+        members = set(span_elements(space, basis))
+        subalgebra = space.one() in members and all(
+            space.mul(a, b) in members for a, b in itertools.product(basis, repeat=2)
+        )
+        with mock.patch.object(module, "twisted_invariant_basis",
+                               lambda *a, m=mutate: m(orig(*a))):
+            if members == expected:
+                assert set(compute().elements) == expected
+            elif subalgebra:
+                with pytest.raises(OracleMismatch):
+                    compute()
+                caught.add(kind)
+            else:
+                with pytest.raises(SupportViolation):
+                    compute()
+    return caught
 
 
 # Oracles for the validators ----------------------------------------------

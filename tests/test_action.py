@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    FIXTURE_FILES,
     PAIR_CYCLIC_SPECS,
+    PROBLEM_SOURCES,
     brute_invariants,
     cli_outcome,
+    corrupted_basis_outcomes,
     elementwise_validate_action,
-    fixture_doc,
     pair_cyclic_doc,
+    problem_action,
+    problem_doc,
 )
+from gpdgalois import action as action_mod
 from gpdgalois.action import (
     AlgebraAction,
     check_galois_coordinates,
@@ -27,8 +30,9 @@ from gpdgalois.action import (
     validate_action,
     verify_skew_ring,
 )
-from gpdgalois.blockring import make_ring
+from gpdgalois.blockring import fixed_elements, make_ring
 from gpdgalois.errors import (
+    BlockMismatch,
     CompositionFailure,
     NotBijective,
     NotSubgroupoid,
@@ -36,7 +40,12 @@ from gpdgalois.errors import (
     SupportViolation,
     ValidationError,
 )
-from gpdgalois.groupoid import quotient_gset, regular_gset, validate_groupoid
+from gpdgalois.groupoid import (
+    enumerate_wide_subgroupoids,
+    quotient_gset,
+    regular_gset,
+    validate_groupoid,
+)
 from gpdgalois.scalar import make_field
 
 TWISTED_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[3] > 1]
@@ -304,8 +313,7 @@ def mutated_actions(draw):
     """A fixture or generated problem (twisted ones drawn as often as the
     rest) with at most one sigma entry swapped or retargeted, or one
     Frobenius exponent changed."""
-    source = draw(st.sampled_from(FIXTURE_FILES + PAIR_CYCLIC_SPECS + TWISTED_SPECS))
-    doc = fixture_doc(source) if isinstance(source, str) else pair_cyclic_doc(*source)
+    doc = problem_doc(draw(st.sampled_from(PROBLEM_SOURCES + TWISTED_SPECS)))
     ideals, action = doc["ring"]["ideals"], doc["action"]
     g = draw(st.sampled_from(doc["groupoid"]["elements"]))
     spec = action.get(g) or {"sigma": {b: b for b in ideals[g]}}
@@ -370,3 +378,47 @@ def test_composition_twist_wraps_mod_k():
     with pytest.raises(CompositionFailure) as oracle_err:
         elementwise_validate_action(G, R, sigma, frob)
     assert err.value.witness == oracle_err.value.witness
+
+
+def test_apply_rejects_short_element(fix1):
+    # the first two of four coordinates: too short, whatever they hold
+    R = fix1.ring
+    with pytest.raises(BlockMismatch):
+        fix1.action.apply("g", R.element({"v1": 1})[:2])
+
+
+# The invariants oracle on compiled beta moves ----------------------------
+
+def small_subgroupoids(G):
+    """Every wide subgroupoid when |G| <= 16, else the identities and G."""
+    if len(G.elements) <= 16:
+        return [H.labels for H in enumerate_wide_subgroupoids(G, 16)]
+    return [tuple(G.identities), tuple(G.elements)]
+
+
+def test_beta_fixed_set_matches_bruteforce_oracle():
+    compared = 0
+    for source in PROBLEM_SOURCES:
+        A = problem_action(source)
+        R = A.ring
+        if R.field.order ** len(R.blocks) > 1 << 12:
+            continue
+        for labels in small_subgroupoids(A.groupoid):
+            fixed = fixed_elements(R, [A._moves[h] for h in labels])
+            assert fixed == brute_invariants(A, labels), (source, labels)
+            assert fixed == set(invariants(A, labels).elements)
+            compared += 1
+    assert compared >= 100
+
+
+def test_invariants_oracle_catches_corrupted_basis():
+    caught = set()
+    for source in PROBLEM_SOURCES:
+        A = problem_action(source)
+        if A.ring.field.order ** len(A.ring.blocks) > 1 << 8:
+            continue
+        for labels in (tuple(A.groupoid.identities), tuple(A.groupoid.elements)):
+            caught |= corrupted_basis_outcomes(
+                action_mod, lambda: invariants(A, labels), A.ring
+            )
+    assert caught == {"drop", "twist"}

@@ -1,12 +1,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import brute_invariant_functions
+from conftest import (
+    PROBLEM_SOURCES,
+    brute_invariant_functions,
+    corrupted_basis_outcomes,
+    elementwise_alpha,
+    problem_action,
+)
+from gpdgalois import mapalg
 from gpdgalois.action import invariants, subalgebra_closure
+from gpdgalois.blockring import fixed_elements
 from gpdgalois.errors import HypothesisFailure, SupportViolation
 from gpdgalois.groupoid import make_subgroupoid, quotient_gset, regular_gset
 from gpdgalois.mapalg import (
+    MapSpace,
     build_eval_gset,
     double_dual_check,
     eval_hom_family,
@@ -23,6 +33,7 @@ from gpdgalois.mapalg import (
     tensor_split_check,
     transversal_hom_family,
 )
+from gpdgalois.scalar import fp_basis_scalars
 
 
 def test_function_algebra_structure(fix1):
@@ -250,3 +261,62 @@ def test_hypothesis_gate_requires_galois():
 
     with pytest.raises(HypothesisFailure):
         require_faithful_hypotheses(trivial_involution_action())
+
+
+# Compiled alpha and the invariant-functions oracle ------------------------
+
+def small_gsets(G):
+    """The regular G-set and the quotient by the whole groupoid."""
+    return {"regular": regular_gset(G), "by-all": quotient_gset(G, G.elements)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PROBLEM_SOURCES), st.sampled_from(["regular", "by-all"]), st.data()
+)
+def test_compiled_alpha_matches_elementwise_oracle(source, gset, data):
+    A = problem_action(source)
+    M = function_algebra(small_gsets(A.groupoid)[gset], A)
+    space = M.space
+    functions = [
+        space.element({slot: s})
+        for slot in space.slots
+        for s in fp_basis_scalars(space.field)
+    ]
+    n = len(space.slots)
+    for _ in range(3):
+        functions.append(tuple(data.draw(
+            st.lists(st.sampled_from(space.field.elements()), min_size=n, max_size=n)
+        )))
+    for g in A.groupoid.elements:
+        for f in functions:
+            assert M.alpha(g, f) == elementwise_alpha(M, g, f)
+
+
+def test_alpha_fixed_set_matches_bruteforce_oracle():
+    compared = 0
+    for source in PROBLEM_SOURCES:
+        A = problem_action(source)
+        for X in small_gsets(A.groupoid).values():
+            if A.ring.field.order ** len(MapSpace(X, A.ring).slots) > 1 << 12:
+                continue
+            M = function_algebra(X, A)
+            fixed = fixed_elements(M.space, M._moves.values())
+            assert fixed == brute_invariant_functions(X, A), source
+            assert fixed == set(invariant_algebra(X, A).elements)
+            compared += 1
+    assert compared >= 40
+
+
+def test_invariant_algebra_oracle_catches_corrupted_basis():
+    caught = set()
+    for source in PROBLEM_SOURCES:
+        A = problem_action(source)
+        for X in small_gsets(A.groupoid).values():
+            space = MapSpace(X, A.ring)
+            if space.field.order ** len(space.slots) > 1 << 8:
+                continue
+            caught |= corrupted_basis_outcomes(
+                mapalg, lambda: invariant_algebra(X, A), space
+            )
+    assert caught == {"drop", "twist"}
