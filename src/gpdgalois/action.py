@@ -346,7 +346,9 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
     Computed structurally from the block orbits and their accumulated
     Frobenius twists, then cross-checked against brute-force filtering of
     every ring element whenever the ring has at most BRUTE_FORCE_BOUND
-    elements.
+    elements.  The oracle compares its fixed set with the span of the
+    structural basis before the Subalgebra checks for the unit and for
+    closure run, so a wrong basis raises OracleMismatch.
 
     The filter keeps x when beta_h(x 1_{d h}) = x 1_{r h} for every h.  It
     runs on the moves (i, j, q) that `apply` runs on: x[j] = x[i]^q for
@@ -374,13 +376,11 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
     basis = [
         R.element({b: v for b, v in vec.items()}) for vec in vec_basis
     ]
-    result = Subalgebra(R, basis)
-
     if R.field.order ** len(R.blocks) <= BRUTE_FORCE_BOUND:
         brute = fixed_elements(R, [A._moves[h] for h in labels])
-        if brute != set(result.elements):
+        if brute != set(Submodule(R, basis).elements):
             raise OracleMismatch("structural invariants disagree with brute force")
-    return result
+    return Subalgebra(R, basis)
 
 
 def trace(A: AlgebraAction, x) -> tuple:
@@ -391,6 +391,23 @@ def trace(A: AlgebraAction, x) -> tuple:
     for g in A.groupoid.elements:
         out = R.add(out, A.apply(g, x, truncate=True))
     return out
+
+
+def trace_image_is_base(A: AlgebraAction) -> bool:
+    """Is the image of the trace exactly the base algebra K?
+
+    The trace is F_p-linear, so its image is the span of the traces of an
+    F_p-basis of R.  That span is K exactly when each of those traces lies
+    in K and they span a space of dimension dim K."""
+    R = A.ring
+    K = A.base_subalgebra()
+    span = FpSpan(R.field.p)
+    for x in ideal_fp_basis(R, R.blocks):
+        t = trace(A, x)
+        if not K.contains(t):
+            return False
+        span.insert(R.flat(t))
+    return span.dim == K.dim
 
 
 @dataclass(frozen=True)
@@ -531,18 +548,65 @@ class SkewReport:
 
 def verify_skew_ring(A: AlgebraAction) -> SkewReport:
     """Associativity on every monomial triple (block basis times delta_g)
-    and the two-sided unit law for the identity-indicator sum."""
+    and the two-sided unit law for the identity-indicator sum.
+
+    The monomials m_k = s e_b delta_g (b a block of E_g, s in the power
+    basis of the field) form an F_p-basis of the sum of the E_g delta_g.
+    skew_mul is F_p-bilinear: R.mul is bilinear, and apply moves block
+    coordinates to other slots and raises them to Frobenius powers
+    x -> x^(p^t), which is F_p-linear.  So with m_u m_v = sum_k c_uv^k m_k,
+
+        (m_u m_v) m_w = sum_k c_uv^k (m_k m_w)
+        m_u (m_v m_w) = sum_k c_vw^k (m_u m_k),
+
+    and the M x M table of products m_u m_v, each computed once by
+    skew_mul and expanded over the monomials, decides every triple exactly.
+    The expansion is faithful: x beta_g(y) is a multiple of x, so it lies in
+    E_g = E_gh.  The triples run in the order of the direct triple loop, so
+    the first failing one and its witness are the same; where
+    m_u m_v = 0 and m_v m_w = 0, both sides are zero.
+    """
     R, G = A.ring, A.groupoid
+    p = R.field.p
     monomials = []
+    index = {}
     for g in G.elements:
         for b in A.support[g].support:
-            for s in fp_basis_scalars(R.field):
+            for t, s in enumerate(fp_basis_scalars(R.field)):
+                index[(g, R.slot_index(b), t)] = len(monomials)
                 monomials.append({g: R.element({b: s})})
-    for u, v, w in itertools.product(monomials, repeat=3):
-        lhs = skew_mul(A, skew_mul(A, u, v), w)
-        rhs = skew_mul(A, u, skew_mul(A, v, w))
-        if lhs != rhs:
-            return SkewReport(False, False, True, witness=(u, v, w))
+
+    def expand(z):
+        """(k, c) for every nonzero coefficient c of m_k in z."""
+        return tuple(
+            (index[(g, i, t)], c)
+            for g, x in z.items()
+            for i, v in enumerate(x)
+            for t, c in enumerate(v)
+            if c
+        )
+
+    table = [[expand(skew_mul(A, u, v)) for v in monomials] for u in monomials]
+
+    def combine(terms, rows, col):
+        """sum of c * rows[k][col] over the (k, c) in terms, as a dict."""
+        acc: dict = {}
+        for k, c in terms:
+            for j, d in rows[k][col]:
+                acc[j] = (acc.get(j, 0) + c * d) % p
+        return {j: c for j, c in acc.items() if c}
+
+    columns = list(zip(*table))  # columns[k][u] = m_u m_k
+    M = len(monomials)
+    for u, v, w in itertools.product(range(M), repeat=3):
+        uv, vw = table[u][v], table[v][w]
+        if not uv and not vw:
+            continue
+        if combine(uv, table, w) != combine(vw, columns, u):
+            return SkewReport(
+                False, False, True,
+                witness=(monomials[u], monomials[v], monomials[w]),
+            )
     one = skew_identity(A)
     for u in monomials:
         if skew_mul(A, one, u) != u or skew_mul(A, u, one) != u:

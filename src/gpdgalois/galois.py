@@ -33,7 +33,7 @@ from .mapalg import (
     HomGSetReport,
     HomRecord,
     require_faithful_hypotheses,
-    tensor_split_check,
+    splits_per_target,
     transversal_hom_family,
 )
 from .scalar import LinearSystem, flatten, make_field, solve_linear
@@ -516,11 +516,7 @@ def strong_subalgebra_check(T, A: AlgebraAction) -> StrongSubalgebraReport:
     if sep and bs and equals:
         hom_report = hom_gset_check(T, A)
         families = transversal_hom_family(T, A, H)
-        blocks = kblocks(K)
-        for g in A.groupoid.elements:
-            splits[g] = tensor_split_check(
-                A.support[g], T, K, families[A.groupoid.r[g]], A, blocks=blocks
-            )
+        splits = splits_per_target(A, T, K, families.__getitem__)
     return StrongSubalgebraReport(sep, bs, witness, H.labels, equals, splits, hom_report)
 
 

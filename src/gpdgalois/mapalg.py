@@ -207,7 +207,9 @@ def invariant_algebra(X: GSet, A: AlgebraAction) -> InvariantAlgebra:
     f[j] = f[i]^q, or f[j] = 0 when i is None.  That is the same
     condition.  Both sides vanish off the fiber X_g, and the moves target
     every slot on it.  The oracle thus checks the maps the rest of the
-    package applies, not the edge list solved above.
+    package applies, not the edge list solved above.  It compares with
+    the span of the structural basis before the Subalgebra checks run, so
+    a wrong basis raises OracleMismatch.
     """
     M = function_algebra(X, A)
     space = M.space
@@ -223,13 +225,11 @@ def invariant_algebra(X: GSet, A: AlgebraAction) -> InvariantAlgebra:
     basis = [
         tuple(vec.get(s, space.field.zero) for s in space.slots) for vec in vec_basis
     ]
-    out = InvariantAlgebra(M, basis)
-
     if space.field.order ** len(space.slots) <= BRUTE_FORCE_BOUND:
         wanted = fixed_elements(space, [M._moves[g] for g in G.elements])
-        if wanted != set(out.elements):
+        if wanted != set(Submodule(space, basis).elements):
             raise OracleMismatch("invariant functions disagree with brute force")
-    return out
+    return InvariantAlgebra(M, basis)
 
 
 class HomRecord:
@@ -426,17 +426,28 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
                        A: AlgebraAction, blocks=None) -> SplitReport:
     """Materialize (r tensor b) -> (r * f_i(b))_i as a prime-field matrix
     and check it is a bijective unital multiplicative map onto the product
-    of copies of E indexed by the family."""
+    of copies of E indexed by the family.
+
+    Each f_i(y) is computed once per distinct y, and the image phi(x tensor y)
+    once per tensor basis vector; the matrix columns and the right-hand
+    sides of the multiplicativity check both read those images."""
     R = A.ring
     E_mod = Submodule(R, ideal_fp_basis(R, E.support))
     blocks = blocks if blocks is not None else kblocks(K)
     tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis, blocks=blocks)
 
     slot_ids = [R.slot_index(b) for b in E.support]
+    hom_images: dict = {}
+
+    def images_of(y):
+        """(f_i(y))_i, computed once per y."""
+        if y not in hom_images:
+            hom_images[y] = tuple(hom.apply(y) for hom in family)
+        return hom_images[y]
 
     def phi_tuple(x, y):
         """(x * f_i(y)) per family member, as ring elements."""
-        return tuple(R.mul(x, hom.apply(y)) for hom in family)
+        return tuple(R.mul(x, img) for img in images_of(y))
 
     def flat_tuple(members):
         # restrict to the ideal's slots; every value lives inside E
@@ -453,8 +464,9 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
     span = FpSpan(R.field.p)
     independent = True
     basis_data = list(tens.basis_vectors())
-    for _, x, y in basis_data:
-        col = flat_tuple(phi_tuple(x, y))
+    phis = [phi_tuple(x, y) for _, x, y in basis_data]
+    for phi in phis:
+        col = flat_tuple(phi)
         columns.append(col)
         if not span.insert(col):
             independent = False
@@ -473,25 +485,22 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
     )
 
     multiplicative = True
-    pures = [(x, y) for _, x, y in basis_data]
-    for (x1, y1), (x2, y2) in itertools.combinations_with_replacement(pures, 2):
+    terms = [(x, y, phi) for (_, x, y), phi in zip(basis_data, phis)]
+    for (x1, y1, phi1), (x2, y2, phi2) in itertools.combinations_with_replacement(
+        terms, 2
+    ):
         lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
-        rhs = flat_tuple(
-            tuple(
-                R.mul(a, b)
-                for a, b in zip(phi_tuple(x1, y1), phi_tuple(x2, y2))
-            )
-        )
+        rhs = flat_tuple(tuple(R.mul(a, b) for a, b in zip(phi1, phi2)))
         if lhs != rhs:
             multiplicative = False
             break
 
     components_match = True
     width = len(E.support) * R.field.k
-    for i, hom in enumerate(family):
-        for b in B.basis:
-            img = matrix_apply(tens.pure(R.unit(E.support), b))
-            expected = flatten(hom.apply(b)[s] for s in slot_ids)
+    for b in B.basis:
+        img = matrix_apply(tens.pure(R.unit(E.support), b))
+        for i, hom_b in enumerate(images_of(b)):
+            expected = flatten(hom_b[s] for s in slot_ids)
             if img[i * width : (i + 1) * width] != expected:
                 components_match = False
                 break
@@ -510,6 +519,29 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
         tens.dim,
         target_dim,
     )
+
+
+def splits_per_target(A: AlgebraAction, B, K: Subalgebra, family_at) -> dict:
+    """{g: tensor_split_check(E_g, B, K, family_at(r(g)), A)} for every g
+    in G, with the check run once per target identity, in the order the
+    targets first occur in G.
+
+    The split check at g has arguments that depend on r(g) only: E_g is
+    the ideal of r(g), the evaluation family V_g(X) is read off the fiber
+    X_{r(g)}, and a transversal family is the one grouped under r(g).
+    One report therefore serves every g with the same target."""
+    G = A.groupoid
+    blocks = kblocks(K)
+    by_target: dict = {}
+    out = {}
+    for g in G.elements:
+        e = G.r[g]
+        if e not in by_target:
+            by_target[e] = tensor_split_check(
+                A.support[e], B, K, family_at(e), A, blocks=blocks
+            )
+        out[g] = by_target[e]
+    return out
 
 
 @dataclass
@@ -805,17 +837,10 @@ def grothendieck_set_check(A: AlgebraAction, X: GSet) -> SetRoundTripReport:
     G = A.groupoid
     AX = invariant_algebra(X, A)
     K = A.base_subalgebra()
-    blocks = kblocks(K)
     ev = eval_iso_check(X, AX)
     indep = gset_isomorphic(X, build_eval_gset(AX).gset) is not None
-    splits = {}
-    proof_identity = True
-    for g in G.elements:
-        family = eval_hom_family(AX, g)
-        rep = tensor_split_check(A.support[g], AX, K, family, A, blocks=blocks)
-        splits[g] = rep
-        if not rep.components_match:
-            proof_identity = False
+    splits = splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
+    proof_identity = all(rep.components_match for rep in splits.values())
     return SetRoundTripReport(ev, indep, splits, proof_identity)
 
 

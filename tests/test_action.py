@@ -9,6 +9,8 @@ from conftest import (
     brute_invariants,
     cli_outcome,
     corrupted_basis_outcomes,
+    direct_verify_skew_ring,
+    doc_action,
     elementwise_validate_action,
     pair_cyclic_doc,
     problem_action,
@@ -27,6 +29,7 @@ from gpdgalois.action import (
     stabilizer,
     subalgebra_closure,
     trace,
+    trace_image_is_base,
     validate_action,
     verify_skew_ring,
 )
@@ -157,6 +160,41 @@ def test_trace_image_is_base(fix1, fixc2, fixf4):
         assert {trace(A, x) for x in R.all_elements()} == K
 
 
+def trivial_shift_action(m):
+    """C_m acting trivially on m blocks over F_2: not free, and the trace
+    is m times the identity, so its image is K exactly when m is odd."""
+    doc = problem_doc(("shift", 1, m, 1))
+    for spec in doc["action"].values():
+        spec["sigma"] = {b: b for b in spec["sigma"]}
+    return doc_action(doc)
+
+
+def trace_image_by_enumeration(A):
+    R = A.ring
+    return {trace(A, x) for x in R.all_elements()} == set(A.base_subalgebra().elements)
+
+
+def test_trace_image_check_matches_enumeration(fixf4swap):
+    actions = [problem_action(source) for source in PROBLEM_SOURCES]
+    actions += [fixf4swap.action, trivial_involution_action()]
+    actions += [trivial_shift_action(m) for m in (2, 3)]
+    verdicts = []
+    for A in actions:
+        if A.ring.field.order ** len(A.ring.blocks) > 1 << 12:
+            continue
+        verdicts.append(trace_image_is_base(A))
+        assert verdicts[-1] == trace_image_by_enumeration(A)
+    assert len(verdicts) >= 30 and verdicts.count(False) == 2
+
+
+def test_trace_image_check_on_non_free_actions():
+    # the trace of a trivial involution vanishes; that of a trivial C_3 is
+    # the identity, so its image is K although the action is not free
+    assert not trace_image_is_base(trivial_involution_action())
+    assert not trace_image_is_base(trivial_shift_action(2))
+    assert trace_image_is_base(trivial_shift_action(3))
+
+
 def test_base_is_direct_summand(fix1, fixc2, fixf4, fixf4swap):
     # a trace preimage of one yields a base-linear projection fixing the base
     for fix in (fix1, fixc2, fixf4, fixf4swap):
@@ -276,6 +314,79 @@ def test_verify_skew_ring_detects_corruption(fix1):
     broken = AlgebraAction(fix1.groupoid, fix1.ring, sigma, fix1.action.frob)
     report = verify_skew_ring(broken)
     assert not report.ok and report.witness is not None
+
+
+# The structure-constant skew ring check against the direct triple loop ---
+
+def monomial_count(A):
+    return sum(len(A.support[g].support) for g in A.groupoid.elements) * A.ring.field.k
+
+
+MONOMIALS = {source: monomial_count(problem_action(source)) for source in PROBLEM_SOURCES}
+SKEW_SOURCES = [source for source, m in MONOMIALS.items() if m <= 32]
+SMALL_SKEW_SOURCES = [source for source, m in MONOMIALS.items() if m <= 16]
+
+
+@pytest.mark.parametrize("source", SKEW_SOURCES, ids=str)
+def test_skew_table_matches_direct_oracle(source):
+    A = problem_action(source)
+    assert verify_skew_ring(A) == direct_verify_skew_ring(A)
+
+
+def test_skew_table_matches_direct_oracle_on_f4_swap(fixf4swap):
+    assert verify_skew_ring(fixf4swap.action) == direct_verify_skew_ring(fixf4swap.action)
+
+
+def corrupted_action(A, g, kind, b, value):
+    """A copy of A, built without validation, with sigma_g(b) swapped with
+    sigma_g(value) ("swap"), sent to block value ("retarget"), or with the
+    Frobenius exponent of b under g set to value ("retwist")."""
+    sigma = {h: dict(m) for h, m in A.sigma.items()}
+    frob = {h: dict(m) for h, m in A.frob.items()}
+    if kind == "swap":
+        sigma[g][b], sigma[g][value] = sigma[g][value], sigma[g][b]
+    elif kind == "retarget":
+        sigma[g][b] = value
+    else:
+        frob[g][b] = value
+    return AlgebraAction(A.groupoid, A.ring, sigma, frob)
+
+
+@st.composite
+def corrupted_skew_actions(draw):
+    A = problem_action(draw(st.sampled_from(SMALL_SKEW_SOURCES)))
+    g = draw(st.sampled_from(A.groupoid.elements))
+    b = draw(st.sampled_from(sorted(A.sigma[g])))
+    kind = draw(st.sampled_from(["swap", "retarget", "retwist"]))
+    if kind == "swap":
+        value = draw(st.sampled_from(sorted(A.sigma[g])))
+    elif kind == "retarget":
+        value = draw(st.sampled_from(A.ring.blocks))
+    else:
+        value = draw(st.integers(0, A.ring.field.k - 1))
+    return corrupted_action(A, g, kind, b, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corrupted_skew_actions())
+def test_skew_table_matches_direct_oracle_on_corrupted_actions(A):
+    assert verify_skew_ring(A) == direct_verify_skew_ring(A)
+
+
+def test_skew_table_reports_the_oracle_witness(fix1, fixf4):
+    # non-composing corruptions over F_2 and F_4, each caught by associativity
+    cases = [
+        corrupted_action(fix1.action, "g", "swap", "v1", "v2"),
+        corrupted_action(fix1.action, "gi", "retarget", "v3", "v3"),
+        corrupted_action(problem_action(("twisted", 1, 2, 2)), "g0_0_1", "retwist",
+                         "v0_0", 0),
+        corrupted_action(problem_action(("frobenius", 2, 2, 2)), "g1_0_1", "retwist",
+                         "v0", 0),
+    ]
+    for A in cases:
+        report = verify_skew_ring(A)
+        assert not report.associative and report.witness is not None
+        assert report == direct_verify_skew_ring(A)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,21 +1,27 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    FIXTURE_FILES,
+    PAIR_CYCLIC_SPECS,
     PROBLEM_SOURCES,
     brute_invariant_functions,
     corrupted_basis_outcomes,
     elementwise_alpha,
+    pairwise_tensor_split_check,
     problem_action,
 )
 from gpdgalois import mapalg
 from gpdgalois.action import invariants, subalgebra_closure
 from gpdgalois.blockring import fixed_elements
 from gpdgalois.errors import HypothesisFailure, SupportViolation
+from gpdgalois.galois import strong_subalgebra_check
 from gpdgalois.groupoid import make_subgroupoid, quotient_gset, regular_gset
 from gpdgalois.mapalg import (
+    HomRecord,
     MapSpace,
     build_eval_gset,
     double_dual_check,
@@ -30,6 +36,7 @@ from gpdgalois.mapalg import (
     invariant_algebra,
     quotient_iso_pair,
     require_faithful_hypotheses,
+    splits_per_target,
     tensor_split_check,
     transversal_hom_family,
 )
@@ -320,3 +327,103 @@ def test_invariant_algebra_oracle_catches_corrupted_basis():
                 mapalg, lambda: invariant_algebra(X, A), space
             )
     assert caught == {"drop", "twist"}
+
+
+# The tensor split against the pairwise oracle -----------------------------
+
+def fp_dim(source):
+    A = problem_action(source)
+    return len(A.ring.blocks) * A.ring.field.k
+
+
+SPLIT_SOURCES = FIXTURE_FILES + [
+    spec for spec in PAIR_CYCLIC_SPECS if spec[1] ** 2 * spec[2] <= 8 and fp_dim(spec) <= 4
+]
+
+
+def family_variants(family, E, ring):
+    """The family itself, one hom with its last image replaced by the unit
+    of E (or by zero where it is the unit), the first hom appended once
+    more and, in families of two or more, the last hom replaced by a copy
+    of the first."""
+    hom = family[0]
+    unit = ring.unit(E.support)
+    last = ring.zero() if hom.images[-1] == unit else unit
+    replaced = HomRecord(hom.source, ring, hom.target_support,
+                         hom.images[:-1] + (last,))
+    out = {
+        "valid": list(family),
+        "replaced": [replaced] + list(family[1:]),
+        "appended": list(family) + [hom],
+    }
+    if len(family) > 1:
+        out["duplicated"] = list(family[:-1]) + [hom]
+    return out
+
+
+def split_families(A):
+    """(name, B, family at g) for the evaluation families of A(X) on the
+    regular G-set and the transversal families of R and of K."""
+    G = A.groupoid
+    AX = invariant_algebra(regular_gset(G), A)
+    out = [("eval", AX, lambda g: eval_hom_family(AX, g))]
+    for name, H in (("R", G.identities), ("K", G.elements)):
+        T = invariants(A, H)
+        fams = transversal_hom_family(T, A, make_subgroupoid(G, H))
+        out.append((name, T, lambda g, fams=fams: fams[G.r[g]]))
+    return out
+
+
+@pytest.mark.parametrize("source", SPLIT_SOURCES, ids=str)
+def test_tensor_split_matches_pairwise_oracle(source):
+    A = problem_action(source)
+    K = A.base_subalgebra()
+    verdicts = set()
+    for name, B, family_at in split_families(A):
+        for g in A.groupoid.elements:
+            E = A.support[g]
+            for kind, fam in family_variants(family_at(g), E, A.ring).items():
+                rep = tensor_split_check(E, B, K, fam, A)
+                assert rep == pairwise_tensor_split_check(E, B, K, fam, A), (name, g, kind)
+                verdicts.add((kind, rep.ok))
+    assert ("valid", True) in verdicts
+    assert ("appended", False) in verdicts
+    assert any(not ok for kind, ok in verdicts if kind != "valid")
+
+
+# fix2 has an unfaithful ideal, so grothendieck_set_check refuses it
+@pytest.mark.parametrize("source", [s for s in SPLIT_SOURCES if s != "fix2.json"], ids=str)
+def test_split_reports_per_target_match_pairwise_oracle(source):
+    A = problem_action(source)
+    G, K = A.groupoid, A.base_subalgebra()
+    X = regular_gset(G)
+    AX = invariant_algebra(X, A)
+    splits = grothendieck_set_check(A, X).splits
+    assert list(splits) == list(G.elements)
+    for g in G.elements:
+        assert splits[g] == pairwise_tensor_split_check(
+            A.support[g], AX, K, eval_hom_family(AX, g), A
+        ), g
+    for H in (G.identities, G.elements):
+        T = invariants(A, H)
+        report = strong_subalgebra_check(T, A)
+        fams = transversal_hom_family(T, A, make_subgroupoid(G, report.stabilizer_labels))
+        assert list(report.splits) == list(G.elements)
+        for g in G.elements:
+            assert report.splits[g] == pairwise_tensor_split_check(
+                A.support[g], T, K, fams[G.r[g]], A
+            ), (H, g)
+
+
+def test_splits_per_target_runs_once_per_identity(fix1):
+    A = fix1.action
+    calls = []
+
+    def counting(E, B, K, family, A, blocks=None):
+        calls.append((E, family))
+        return len(calls)
+
+    with mock.patch.object(mapalg, "tensor_split_check", counting):
+        splits = splits_per_target(A, A.ring, A.base_subalgebra(), lambda e: [e])
+    assert calls == [(A.support["e1"], ["e1"]), (A.support["e2"], ["e2"])]
+    assert splits == {"e1": 1, "e2": 2, "g": 2, "gi": 1}
