@@ -2,7 +2,7 @@
 field blocks: invariants, Galois coordinates, skew groupoid rings, the
 set/algebra equivalence and the subgroupoid correspondence."""
 
-from .scalar import FieldSpec, LinearSystem, make_field, frobenius, solve_linear
+from .scalar import FieldSpec, LinearSystem, make_field, solve_linear
 from .groupoid import (
     Groupoid,
     SubgroupoidSpec,
@@ -17,10 +17,7 @@ from .gset import GSet, GMap, validate_gset, check_gmap, gset_isomorphic
 from .blockring import (
     BlockRing,
     IdealRef,
-    Idempotent,
     make_ring,
-    ring_arith,
-    idempotents_of,
     is_faithful_ideal,
     faithfulness_criterion,
 )
@@ -30,7 +27,6 @@ from .action import (
     Subalgebra,
     Submodule,
     validate_action,
-    apply_beta,
     invariants,
     trace,
     find_galois_coordinates,

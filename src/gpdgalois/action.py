@@ -8,6 +8,7 @@ unital ideals of a product of field blocks that respect the decomposition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,26 +51,35 @@ def span_elements(space, basis) -> tuple:
 
 
 class Submodule:
-    """An F_p-subspace of a product space with explicit elements, an
-    echelonized basis, and coordinate solving."""
+    """An F_p-subspace of a product space with an echelonized basis and
+    coordinate solving.  It is identified by its reduced row echelon
+    basis; its elements are listed only when something reads them."""
 
     def __init__(self, space, basis, max_elements: int = BRUTE_FORCE_BOUND):
         self.space = space
         self._span = FpSpan(space.field.p)
-        kept = []
-        for b in basis:
-            if self._span.insert(space.flat(b)):
-                kept.append(b)
-        self.basis = tuple(kept)
-        if space.field.p ** len(kept) > max_elements:
-            raise SizeBoundExceeded(
-                f"submodule would have {space.field.p ** len(kept)} elements"
-            )
-        self.elements = span_elements(space, self.basis)
+        self.basis = tuple(b for b in basis if self._span.insert(space.flat(b)))
+        if self.size > max_elements:
+            raise SizeBoundExceeded(f"submodule would have {self.size} elements")
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """Every element, in the little-endian order of span_elements."""
+        return span_elements(self.space, self.basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def size(self) -> int:
+        """The number of elements, p^dim."""
+        return self.space.field.p ** self.dim
+
+    def key(self) -> tuple:
+        """Canonical identity: the reduced row echelon basis of the span.
+        Two subspaces of one space are equal exactly when their keys are."""
+        return self._span.rref()
 
     def contains(self, x) -> bool:
         return self._span.contains(self.space.flat(x))
@@ -94,10 +104,6 @@ class Subalgebra(Submodule):
         for a, b in itertools.combinations_with_replacement(self.basis, 2):
             if not self.contains(space.mul(a, b)):
                 raise SupportViolation("subalgebra not closed under multiplication")
-
-    def key(self) -> tuple:
-        """Canonical identity of the underlying element set."""
-        return tuple(sorted(self.space.flat(x) for x in self.elements))
 
 
 def subalgebra_closure(space, gens, include=()) -> Subalgebra:
@@ -283,11 +289,6 @@ def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraActio
                 witness=(g, h, R.format(x)),
             )
     return action
-
-
-def apply_beta(A: AlgebraAction, g, x, truncate: bool = False) -> tuple:
-    """Blockwise transport with Frobenius twist (see AlgebraAction.apply)."""
-    return A.apply(g, x, truncate)
 
 
 def twisted_invariant_basis(field, nodes, edges) -> list[dict]:

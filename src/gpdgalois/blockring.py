@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import BlockMismatch, InvalidInput, SizeBoundExceeded, UnknownLabel
 from .scalar import FieldSpec, Scalar, flatten, fp_basis_scalars
 
-DEFAULT_MAX_SUPPORT = 16
 BRUTE_FORCE_BOUND = 1 << 16
 
 
@@ -138,13 +137,6 @@ class IdealRef:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class Idempotent:
-    """A 0/1 block vector, the only idempotents a product of fields has."""
-
-    support: tuple
-
-
 class BlockRing(ProductSpace):
     """R = direct sum of E_e over identities e, one field block at a time."""
 
@@ -152,7 +144,6 @@ class BlockRing(ProductSpace):
         super().__init__(field, blocks)
         self.blocks = self.slots
         self.owner = dict(owner)
-        self.ring = self
 
     def ideal(self, e) -> IdealRef:
         sup = tuple(b for b in self.blocks if self.owner[b] == e)
@@ -194,34 +185,6 @@ def make_ring(field: FieldSpec, blocks, ideals, identities=None) -> BlockRing:
                 f"ideal table keys {sorted(map(str, ideals))} != identities"
             )
     return BlockRing(field, blocks, owner)
-
-
-def ring_arith(R: BlockRing, op: str, x, y=None):
-    """Dispatch add | mul | neg on ring elements."""
-    if op == "add":
-        return R.add(x, y)
-    if op == "mul":
-        return R.mul(x, y)
-    if op == "neg":
-        return R.neg(x)
-    raise InvalidInput(f"unknown ring operation {op!r}")
-
-
-def idempotents_of(
-    R: BlockRing, E: IdealRef, max_support: int = DEFAULT_MAX_SUPPORT
-) -> list[Idempotent]:
-    """All nonzero idempotents of a unital ideal: the nonempty block
-    subsets, ordered by size then position."""
-    sup = tuple(E.support)
-    for b in sup:
-        R.slot_index(b)
-    if len(sup) > max_support:
-        raise SizeBoundExceeded(f"ideal support {len(sup)} exceeds {max_support}")
-    out = []
-    for size in range(1, len(sup) + 1):
-        for combo in itertools.combinations(range(len(sup)), size):
-            out.append(Idempotent(tuple(sup[i] for i in combo)))
-    return out
 
 
 def fixed_elements(space: ProductSpace, tables) -> set:

@@ -25,7 +25,14 @@ from .action import (
     verify_skew_ring,
 )
 from .blockring import faithfulness_criterion, is_faithful_ideal, make_ring
-from .errors import HypothesisFailure, InvalidInput, ValidationError
+from .errors import (
+    DegreeMismatch,
+    HypothesisFailure,
+    InvalidInput,
+    NonPrimeCharacteristic,
+    ReducibleModulus,
+    ValidationError,
+)
 from .groupoid import (
     enumerate_wide_subgroupoids,
     make_subgroupoid,
@@ -98,10 +105,11 @@ class Problem:
         for section in ("field", "groupoid", "ring", "action"):
             if section not in doc:
                 raise InvalidInput(f"missing section {section!r}")
-
-    def field(self):
-        sec = self.doc["field"]
-        return make_field(sec["p"], sec.get("k", 1), sec.get("modulus"))
+        # The fields are checked first, so a bad one is invalid input
+        # rather than a structural failure after the groupoid axioms.
+        self.field = _field(doc["field"])
+        ring = doc["ring"]
+        self.ring_field = _field(ring["field"]) if "field" in ring else self.field
 
     def groupoid(self):
         sec = self.doc["groupoid"]
@@ -111,10 +119,9 @@ class Problem:
 
     def ring(self, G):
         sec = self.doc["ring"]
-        fld = self.field() if "field" not in sec else make_field(
-            sec["field"]["p"], sec["field"].get("k", 1), sec["field"].get("modulus")
+        return make_ring(
+            self.ring_field, sec["blocks"], sec["ideals"], identities=G.identities
         )
-        return make_ring(fld, sec["blocks"], sec["ideals"], identities=G.identities)
 
     def action(self, G, R):
         sec = self.doc["action"]
@@ -152,23 +159,17 @@ class Problem:
         return subalgebra_closure(R, gens, include=A.base_subalgebra().basis)
 
 
-def _build_all(problem, report):
-    G = problem.groupoid()
-    report.add("groupoid axioms", True)
-    R = problem.ring(G)
-    report.add("ring blocks partition", True)
-    A = problem.action(G, R)
-    report.add("action axioms", True)
-    return G, R, A
-
-
-def cmd_check(problem: Problem, args) -> Report:
-    report = Report("check")
+def _field(sec):
     try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+        return make_field(sec["p"], sec.get("k", 1), sec.get("modulus"))
+    except (NonPrimeCharacteristic, DegreeMismatch, ReducibleModulus) as err:
+        raise InvalidInput(str(err)) from None
+
+
+# Each subcommand adds its checks to a report once run_command has built
+# and reported the groupoid G, the ring R and the action A.
+
+def cmd_check(report, problem, args, G, R, A):
     for name in problem.doc.get("gsets", {}):
         try:
             problem.gset(G, name)
@@ -184,23 +185,16 @@ def cmd_check(problem: Problem, args) -> Report:
     for name in problem.doc.get("subalgebras", {}):
         try:
             T = problem.subalgebra(A, name)
-            report.add(f"subalgebra {name}", True, f"{len(T.elements)} elements")
+            report.add(f"subalgebra {name}", True, f"{T.size} elements")
         except ValidationError as err:
             report.add(f"subalgebra {name}", False, str(err))
-    return report
 
 
-def cmd_galois(problem: Problem, args) -> Report:
-    report = Report("galois")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_galois(report, problem, args, G, R, A):
     coords = find_galois_coordinates(A)
     if coords is None:
         report.add("galois coordinates", False, "no coordinate system exists")
-        return report
+        return
     pairs = ", ".join(f"({R.format(x)}; {R.format(y)})" for x, y in coords.pairs)
     report.add("galois coordinates", True, f"{coords.strategy}: {pairs}")
     K = A.base_subalgebra()
@@ -210,48 +204,27 @@ def cmd_galois(problem: Problem, args) -> Report:
     splits = mapalg.splits_per_target(A, AX, K, lambda e: mapalg.eval_hom_family(AX, e))
     for g, rep in splits.items():
         report.add(f"ideal tensor split at {g}", rep.ok)
-    return report
 
 
-def cmd_subgroupoids(problem: Problem, args) -> Report:
-    report = Report("subgroupoids")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_subgroupoids(report, problem, args, G, R, A):
     subs = enumerate_wide_subgroupoids(G, args.max_size)
     for H in subs:
         report.note("wide subgroupoid", "{" + ", ".join(map(str, H.labels)) + "}")
     report.add("enumeration complete", True, f"{len(subs)} found")
-    return report
 
 
-def cmd_invariants(problem: Problem, args) -> Report:
-    report = Report("invariants")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_invariants(report, problem, args, G, R, A):
     H = problem.subgroupoid(G, args.sub)
     T = invariants(A, H)
     report.add(
         "invariants computed (oracle checked)",
         True,
-        f"{len(T.elements)} elements, basis "
+        f"{T.size} elements, basis "
         + ", ".join(R.format(b) for b in T.basis),
     )
-    return report
 
 
-def cmd_faithful(problem: Problem, args) -> Report:
-    report = Report("faithful")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_faithful(report, problem, args, G, R, A):
     K = A.base_subalgebra()
     for g in G.elements:
         crit = faithfulness_criterion(G, g)
@@ -265,60 +238,39 @@ def cmd_faithful(problem: Problem, args) -> Report:
             direct,
             None if direct else f"annihilator {R.format(witness)}",
         )
-    return report
 
 
-def cmd_skew(problem: Problem, args) -> Report:
-    report = Report("skew")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_skew(report, problem, args, G, R, A):
     rep = verify_skew_ring(A)
     report.add("associativity on monomial triples", rep.associative)
     report.add("two-sided unit law", rep.unital)
-    return report
 
 
-def cmd_grothendieck(problem: Problem, args) -> Report:
-    report = Report("grothendieck")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_grothendieck(report, problem, args, G, R, A):
     X = problem.gset(G, args.gset)
     try:
         rep = mapalg.grothendieck_set_check(A, X)
     except HypothesisFailure as err:
         report.hypothesis_failure("equivalence hypotheses", _witness_str(R, err))
-        return report
+        return
     report.add("points biject with evaluation maps", rep.eval_iso.isomorphism)
     report.add("independent isomorphism search", rep.independent_iso_found)
     for g, srep in rep.splits.items():
         report.add(f"ideal tensor split at {g}", srep.ok)
     report.add("split components are the evaluations", rep.proof_identity)
-    return report
 
 
-def cmd_correspondence(problem: Problem, args) -> Report:
-    report = Report("correspondence")
-    try:
-        G, R, A = _build_all(problem, report)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
+def cmd_correspondence(report, problem, args, G, R, A):
     try:
         table = galois_mod.galois_correspondence(A, max_elements=args.max_size)
     except HypothesisFailure as err:
         report.hypothesis_failure("correspondence hypotheses", _witness_str(R, err))
-        return report
+        return
     for row in table.rows:
         report.note(
             "row",
             "{" + ", ".join(map(str, row.subgroupoid)) + "} -> "
-            f"{len(row.subalgebra.elements)} elements"
+            f"{row.subalgebra.size} elements"
             f" (separable={row.separable}, beta-strong={row.beta_strong},"
             f" split={row.r_split})",
         )
@@ -327,7 +279,6 @@ def cmd_correspondence(problem: Problem, args) -> Report:
                table.image_equals_strong_subalgebras)
     report.add("stabilizer recovers each subgroupoid", table.closure_holds)
     report.add("coset partitions distinguish subgroupoids", table.partition_injective)
-    return report
 
 
 def _witness_str(R, err: HypothesisFailure) -> str:
@@ -340,6 +291,25 @@ def _witness_str(R, err: HypothesisFailure) -> str:
     if annihilator is not None:
         parts.append(f"annihilator {R.format(annihilator)}")
     return "; ".join(parts)
+
+
+def run_command(problem: Problem, args) -> Report:
+    """Build the groupoid, the ring and the action, one reported step
+    each, then run the subcommand's checks; a structural failure ends the
+    report."""
+    report = Report(args.command)
+    try:
+        G = problem.groupoid()
+        report.add("groupoid axioms", True)
+        R = problem.ring(G)
+        report.add("ring blocks partition", True)
+        A = problem.action(G, R)
+        report.add("action axioms", True)
+    except ValidationError as err:
+        report.add("structural validation", False, str(err))
+        return report
+    COMMANDS[args.command](report, problem, args, G, R, A)
+    return report
 
 
 COMMANDS = {
@@ -379,7 +349,7 @@ def main(argv=None) -> int:
         with open(args.file) as fh:
             doc = json.load(fh)
         problem = Problem(doc)
-        report = COMMANDS[args.command](problem, args)
+        report = run_command(problem, args)
     except (json.JSONDecodeError, OSError, KeyError, TypeError, InvalidInput) as err:
         report = Report(args.command, status="invalid-input")
         report.checks.append(Check("input", "fail", str(err)))

@@ -20,7 +20,7 @@ from .action import (
     subalgebra_closure,
     trace,
 )
-from .blockring import IdealRef, ideal_fp_basis, idempotents_of
+from .blockring import ideal_fp_basis
 from .errors import (
     InvalidInput,
     NoSuchIdempotent,
@@ -67,19 +67,30 @@ def _require_same_frame(f: HomRecord, g: HomRecord):
         raise TargetMismatch("homomorphisms have different sources")
 
 
+def _equalising_block(R, support, xs, ys):
+    """The unit 1_b of the first block b of the support with
+    x 1_b = y 1_b for every pair of the two lists, or None.
+
+    This decides whether some nonzero idempotent of the ideal equalises
+    the lists.  Those idempotents are the units 1_S of the nonempty block
+    subsets S, and x 1_S = y 1_S gives x 1_b = y 1_b for each b in S after
+    multiplying by 1_b.  So some 1_S equalises exactly when a single block
+    does, and the first such block is the first equalising idempotent in
+    the order by size, then position."""
+    for b in support:
+        i = R.slot_index(b)
+        if all(x[i] == y[i] for x, y in zip(xs, ys)):
+            return R.unit([b])
+    return None
+
+
 def strongly_distinct(f: HomRecord, g: HomRecord) -> tuple[bool, tuple | None]:
     """No nonzero idempotent of the target equalizes f and g; the failing
     idempotent is the witness otherwise.  Scanning the source basis
     suffices because both maps are linear."""
     _require_same_frame(f, g)
-    R = f.ring
-    for idem in idempotents_of(R, IdealRef(f.target_support)):
-        pi = R.unit(idem.support)
-        if all(
-            R.mul(fi, pi) == R.mul(gi, pi) for fi, gi in zip(f.images, g.images)
-        ):
-            return False, pi
-    return True, None
+    pi = _equalising_block(f.ring, f.target_support, f.images, g.images)
+    return pi is None, pi
 
 
 def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
@@ -464,13 +475,9 @@ def is_beta_strong(T, A: AlgebraAction, H=None) -> tuple[bool, tuple | None]:
                 continue
             moved_g = [A.apply(g, t, truncate=True) for t in T.basis]
             moved_h = [A.apply(h, t, truncate=True) for t in T.basis]
-            for idem in idempotents_of(R, A.support[g]):
-                pi = R.unit(idem.support)
-                if all(
-                    R.mul(a, pi) == R.mul(b, pi)
-                    for a, b in zip(moved_g, moved_h)
-                ):
-                    return False, (g, h, pi)
+            pi = _equalising_block(R, A.support[g].support, moved_g, moved_h)
+            if pi is not None:
+                return False, (g, h, pi)
     return True, None
 
 
@@ -510,7 +517,7 @@ def strong_subalgebra_check(T, A: AlgebraAction) -> StrongSubalgebraReport:
     H = stabilizer(T, A)
     bs, witness = is_beta_strong(T, A, H)
     inv = invariants(A, H)
-    equals = set(inv.elements) == set(T.elements)
+    equals = inv.key() == T.key()
     splits: dict = {}
     hom_report = None
     if sep and bs and equals:

@@ -250,8 +250,9 @@ def _closure_certificate(G: Groupoid, subset) -> str | None:
 
 
 def make_subgroupoid(G: Groupoid, labels) -> SubgroupoidSpec:
-    ordered = tuple(g for g in G.elements if g in set(labels))
-    if len(ordered) != len(set(labels)):
+    wanted = set(labels)
+    ordered = tuple(g for g in G.elements if g in wanted)
+    if len(ordered) != len(wanted):
         raise UnknownLabel("subgroupoid references unknown labels")
     cert = _closure_certificate(G, ordered)
     if cert:
@@ -276,23 +277,62 @@ def is_wide_subgroupoid(G: Groupoid, labels) -> tuple[bool, str | None]:
     return True, None
 
 
+def _closure(G: Groupoid, members: frozenset, g) -> frozenset:
+    """The smallest subset containing members and g that is closed under
+    product and inverse; members must already be closed."""
+    out = set(members)
+    queue = [g]
+    while queue:
+        x = queue.pop()
+        if x in out:
+            continue
+        out.add(x)
+        queue.append(G.inverse[x])
+        for y in out:
+            for pair in ((x, y), (y, x)):
+                xy = G.product.get(pair)
+                if xy is not None and xy not in out:
+                    queue.append(xy)
+    return frozenset(out)
+
+
 def enumerate_wide_subgroupoids(
     G: Groupoid, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> list[SubgroupoidSpec]:
-    """All wide subgroupoids, ordered by size then lexicographically by
-    element index.  Brute force over subsets containing every identity."""
+    """All wide subgroupoids, ordered by size, then lexicographically by
+    the element indices of their non-identities.
+
+    Closure search (cyclic extension; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 10): start from the identities and
+    close S together with each element g outside S under product and
+    inverse, for every S found, keeping each result once.  Every result
+    contains the identities and is closed, so it is a wide subgroupoid.
+    Every wide subgroupoid W is found: the identities lie in W, and while
+    S is a proper subset of W, any g in W outside S gives a closure that
+    lies inside W, because W is closed and contains S and g, and that is
+    strictly larger than S.  G is finite, so this chain of one-element
+    closures, each found from the one before, ends at W.
+    """
     if len(G.elements) > max_elements:
         raise SizeBoundExceeded(
             f"|G|={len(G.elements)} exceeds bound {max_elements}"
         )
-    non_identities = [g for g in G.elements if g not in set(G.identities)]
-    out = []
-    for size in range(len(non_identities) + 1):
-        for combo in itertools.combinations(range(len(non_identities)), size):
-            subset = list(G.identities) + [non_identities[i] for i in combo]
-            if _closure_certificate(G, subset) is None:
-                out.append(make_subgroupoid(G, subset))
-    return out
+    identities = frozenset(G.identities)
+    found = {identities}
+    frontier = [identities]
+    while frontier:
+        S = frontier.pop()
+        for g in G.elements:
+            if g not in S:
+                T = _closure(G, S, g)
+                if T not in found:
+                    found.add(T)
+                    frontier.append(T)
+
+    def order(S):
+        return len(S), sorted(G.index(g) for g in S - identities)
+
+    return [make_subgroupoid(G, S) for S in sorted(found, key=order)]
 
 
 class CosetSpace:

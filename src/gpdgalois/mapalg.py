@@ -574,7 +574,7 @@ def hom_gset_check(B, A: AlgebraAction) -> HomGSetReport:
     G = A.groupoid
     H = stabilizer(B, A)
     T_check = invariants(A, H)
-    if set(T_check.elements) != set(B.elements):
+    if T_check.key() != B.key():
         return HomGSetReport(
             False, False, False, False, True,
             certificate="not the invariants of its own stabilizer",

@@ -214,11 +214,6 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, k, tuple(mod))
 
 
-def frobenius(field: FieldSpec, x: Scalar, e: int) -> Scalar:
-    """x raised to the p^e power."""
-    return field.frobenius(x, e)
-
-
 @dataclass
 class LinearSystem:
     """matrix (rows x cols of scalars) and right-hand side (length rows)."""
@@ -350,6 +345,25 @@ class FpSpan:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    def rref(self) -> tuple:
+        """The reduced row echelon basis of the span, in pivot order.
+
+        Every stored row has a leading 1 at its pivot and zeros before it,
+        so only rows with a smaller pivot can be nonzero in a pivot
+        column.  Back-substitution from the largest pivot down clears
+        those entries.  The reduced row echelon form of a subspace is
+        unique, so two spans are equal exactly when these tuples are."""
+        pivots = sorted(self.rows)
+        rows = [list(self.rows[pv][0]) for pv in pivots]
+        for i in reversed(range(len(pivots))):
+            pv, row = pivots[i], rows[i]
+            for above in rows[:i]:
+                c = above[pv]
+                if c:
+                    for j in range(pv, len(row)):
+                        above[j] = (above[j] - c * row[j]) % self.p
+        return tuple(map(tuple, rows))
 
 
 def fp_basis_scalars(field_: FieldSpec) -> list[Scalar]:

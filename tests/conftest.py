@@ -18,7 +18,7 @@ from gpdgalois.action import (
     skew_mul,
     span_elements,
 )
-from gpdgalois.blockring import ideal_fp_basis
+from gpdgalois.blockring import IdealRef, ideal_fp_basis
 from gpdgalois.errors import (
     AxiomViolation,
     CompositionFailure,
@@ -27,9 +27,15 @@ from gpdgalois.errors import (
     MissingInverse,
     NonUniqueInverse,
     OracleMismatch,
+    SizeBoundExceeded,
     UnknownLabel,
 )
-from gpdgalois.groupoid import Groupoid
+from gpdgalois.groupoid import (
+    DEFAULT_MAX_ELEMENTS,
+    Groupoid,
+    _closure_certificate,
+    make_subgroupoid,
+)
 from gpdgalois.mapalg import SplitReport
 from gpdgalois.scalar import FpSpan, flatten, fp_basis_scalars
 from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
@@ -230,6 +236,100 @@ def pairwise_tensor_split_check(E, B, K, family, A, blocks=None):
         square, square and independent, unital, multiplicative, components_match,
         len(family), rank_profile(B, K, blocks=blocks), tens.dim, target_dim,
     )
+
+
+# Oracles for the enumerations ---------------------------------------------
+
+def subset_wide_subgroupoids(G, max_elements=DEFAULT_MAX_ELEMENTS):
+    """Oracle: every wide subgroupoid, found by certifying every subset that
+    contains the identities, in itertools.combinations order over the
+    non-identities (by size, then lexicographically by index)."""
+    if len(G.elements) > max_elements:
+        raise SizeBoundExceeded(
+            f"|G|={len(G.elements)} exceeds bound {max_elements}"
+        )
+    non_identities = [g for g in G.elements if g not in set(G.identities)]
+    out = []
+    for size in range(len(non_identities) + 1):
+        for combo in itertools.combinations(range(len(non_identities)), size):
+            subset = list(G.identities) + [non_identities[i] for i in combo]
+            if _closure_certificate(G, subset) is None:
+                out.append(make_subgroupoid(G, subset))
+    return out
+
+
+def set_partitions(items):
+    """Every set partition of a list, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def wide_subgroupoid_count(n, m):
+    """The number of wide subgroupoids of P_n x C_m: the sum over set
+    partitions of the objects of the product over parts B of
+    sum_{d | m} d^(|B| - 1)."""
+    total = 0
+    for part in set_partitions(list(range(n))):
+        term = 1
+        for block in part:
+            term *= sum(d ** (len(block) - 1) for d in range(1, m + 1) if m % d == 0)
+        total += term
+    return total
+
+
+def idempotents_of(R, E, max_support=16):
+    """Oracle: the supports of every nonzero idempotent of a unital ideal,
+    that is, every nonempty block subset, by size, then position."""
+    sup = tuple(E.support)
+    for b in sup:
+        R.slot_index(b)
+    if len(sup) > max_support:
+        raise SizeBoundExceeded(f"ideal support {len(sup)} exceeds {max_support}")
+    return [
+        tuple(sup[i] for i in combo)
+        for size in range(1, len(sup) + 1)
+        for combo in itertools.combinations(range(len(sup)), size)
+    ]
+
+
+def _equalising_idempotent(R, support, xs, ys):
+    for sub in idempotents_of(R, IdealRef(support)):
+        pi = R.unit(sub)
+        if all(R.mul(x, pi) == R.mul(y, pi) for x, y in zip(xs, ys)):
+            return pi
+    return None
+
+
+def idempotent_strongly_distinct(f, g):
+    """Oracle: strongly_distinct scanning every nonzero idempotent of the
+    target ideal instead of its single blocks."""
+    pi = _equalising_idempotent(f.ring, f.target_support, f.images, g.images)
+    return pi is None, pi
+
+
+def idempotent_is_beta_strong(T, A, H):
+    """Oracle: is_beta_strong scanning every nonzero idempotent of E_g."""
+    G = A.groupoid
+    hset = set(H.labels)
+    for gi_idx, g in enumerate(G.elements):
+        for h in G.elements[gi_idx + 1:]:
+            q = G.product.get((G.inverse[g], h))
+            if G.r[g] != G.r[h] or q is None or q in hset:
+                continue
+            pi = _equalising_idempotent(
+                A.ring, A.support[g].support,
+                [A.apply(g, t, truncate=True) for t in T.basis],
+                [A.apply(h, t, truncate=True) for t in T.basis],
+            )
+            if pi is not None:
+                return False, (g, h, pi)
+    return True, None
 
 
 # Generated problems -------------------------------------------------------

@@ -19,6 +19,7 @@ from conftest import (
 from gpdgalois import action as action_mod
 from gpdgalois.action import (
     AlgebraAction,
+    Submodule,
     check_galois_coordinates,
     find_galois_coordinates,
     invariants,
@@ -26,6 +27,7 @@ from gpdgalois.action import (
     skew_element,
     skew_identity,
     skew_mul,
+    span_elements,
     stabilizer,
     subalgebra_closure,
     trace,
@@ -33,7 +35,7 @@ from gpdgalois.action import (
     validate_action,
     verify_skew_ring,
 )
-from gpdgalois.blockring import fixed_elements, make_ring
+from gpdgalois.blockring import ProductSpace, fixed_elements, make_ring
 from gpdgalois.errors import (
     BlockMismatch,
     CompositionFailure,
@@ -533,3 +535,39 @@ def test_invariants_oracle_catches_corrupted_basis():
                 action_mod, lambda: invariants(A, labels), A.ring
             )
     assert caught == {"drop", "twist"}
+
+
+SPAN_SPACES = [
+    ProductSpace(make_field(2), ["a", "b", "c", "d"]),
+    ProductSpace(make_field(3), ["a", "b", "c"]),
+    ProductSpace(make_field(2, 2, [1, 1, 1]), ["a", "b", "c"]),
+]
+
+
+@st.composite
+def generator_lists(draw):
+    """A product space and two generator lists.  Half the time the second
+    list is made of F_p-combinations of the first, so equal spans occur."""
+    space = draw(st.sampled_from(SPAN_SPACES))
+    vector = st.tuples(*[st.sampled_from(space.field.elements())] * len(space.slots))
+    first = draw(st.lists(vector, max_size=4))
+    if first and draw(st.booleans()):
+        coeffs = st.lists(st.integers(0, space.field.p - 1),
+                          min_size=len(first), max_size=len(first))
+        second = [space.int_combine(draw(coeffs), first)
+                  for _ in range(draw(st.integers(0, 4)))]
+    else:
+        second = draw(st.lists(vector, max_size=4))
+    return space, first, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists())
+def test_submodule_key_decides_equality_and_elements_are_lazy(case):
+    space, first, second = case
+    S, T = Submodule(space, first), Submodule(space, second)
+    assert "elements" not in vars(S)
+    assert S.key() == Submodule(space, first[::-1]).key()
+    assert (S.key() == T.key()) == (set(S.elements) == set(T.elements))
+    assert S.elements == span_elements(space, S.basis)
+    assert S.size == len(S.elements)

@@ -161,3 +161,20 @@ def test_json_report_shape(capsys):
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert all(set(c) <= {"name", "verdict", "witness"} for c in doc["checks"])
+
+
+@pytest.mark.parametrize("field,message", [
+    ({"p": 4}, "4 is not prime"),
+    ({"p": 2, "k": 2, "modulus": [1, 1]}, "modulus must have length k+1=3, got 2"),
+    ({"p": 2, "k": 2, "modulus": [1, 0, 1]}, "modulus has factor of degree 1"),
+], ids=["non-prime", "modulus-length", "reducible-modulus"])
+def test_bad_field_is_invalid_input(capsys, tmp_path, field, message):
+    doc = json.loads(pathlib.Path(FIX1).read_text())
+    doc["field"] = field
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "subgroupoids"):
+        code, out = run(capsys, command, str(path), "--json")
+        report = json.loads(out)
+        assert code == 2 and report["status"] == "invalid-input"
+        assert report["checks"] == [{"name": "input", "verdict": "fail", "witness": message}]

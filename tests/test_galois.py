@@ -1,8 +1,16 @@
 
+import itertools
+
 import pytest
 
-from conftest import brute_subalgebras
-from gpdgalois.action import Submodule, invariants, subalgebra_closure
+from conftest import (
+    PROBLEM_SOURCES,
+    brute_subalgebras,
+    idempotent_is_beta_strong,
+    idempotent_strongly_distinct,
+    problem_action,
+)
+from gpdgalois.action import Submodule, invariants, stabilizer, subalgebra_closure
 from gpdgalois.blockring import ideal_fp_basis
 from gpdgalois.errors import HypothesisFailure, NotAModule
 from gpdgalois.galois import (
@@ -22,6 +30,7 @@ from gpdgalois.galois import (
 )
 from gpdgalois.groupoid import regular_gset
 from gpdgalois.mapalg import (
+    HomRecord,
     eval_hom_family,
     hom_set,
     invariant_algebra,
@@ -392,3 +401,47 @@ def test_strong_from_distinct_quotient_families(fix1, fixc2):
             fams = transversal_hom_family(T, A, labels)
             if all(pairwise_strongly_distinct(f)[0] for f in fams.values()):
                 assert is_beta_strong(T, A)[0]
+
+
+def _candidate_subalgebras(A):
+    """The candidates of galois_correspondence: closures over K of at most
+    three F_p-basis vectors of R, one per subalgebra."""
+    R, K = A.ring, A.base_subalgebra()
+    family = ideal_fp_basis(R, R.blocks)
+    seen = {}
+    for size in range(4):
+        for combo in itertools.combinations(family, size):
+            T = subalgebra_closure(R, combo, include=K.basis)
+            seen.setdefault(T.key(), T)
+    return list(seen.values())
+
+
+def _small(source):
+    """A fixture, or a generated problem with |G| <= 16 and at most 8
+    F_p-dimensions of blocks."""
+    if isinstance(source, str):
+        return True
+    family, n, m, k = source
+    return n * n * m <= 16 and (n if family == "frobenius" else n * m) * k <= 8
+
+
+EQUALISER_SOURCES = [s for s in PROBLEM_SOURCES if _small(s)]
+
+
+@pytest.mark.parametrize("source", EQUALISER_SOURCES, ids=str)
+def test_single_block_scan_matches_idempotent_oracle(source):
+    # every candidate subalgebra T: is_beta_strong, and strongly_distinct on
+    # every pair of transports t -> beta_g(t) with the same target
+    A = problem_action(source)
+    G, R = A.groupoid, A.ring
+    for T in _candidate_subalgebras(A):
+        H = stabilizer(T, A)
+        assert is_beta_strong(T, A, H) == idempotent_is_beta_strong(T, A, H)
+        homs = [
+            HomRecord(T, R, A.support[g].support,
+                      [A.apply(g, t, truncate=True) for t in T.basis])
+            for g in G.elements
+        ]
+        for f, h in itertools.product(homs, repeat=2):
+            if f.target_support == h.target_support:
+                assert strongly_distinct(f, h) == idempotent_strongly_distinct(f, h)

@@ -6,7 +6,9 @@ subgroupoid and `grothendieck` once per named G-set.  `galois`, `skew`,
 `correspondence` and any named `grothendieck` also run on two generated
 problems over F_4 and F_8 (`conftest.pair_cyclic_doc`), written to a
 temporary file, so the tensor-split and skew-ring paths over extension
-fields are covered too.  A change that claims to keep the reports identical
+fields are covered too.  `subgroupoids` also runs on those two and on
+P_3 x C_2 over F_2 (31 wide subgroupoids of 18 elements), so the order of
+the enumeration is held beyond the fixtures.  A change that claims to keep the reports identical
 proves it here.
 
 The recorded `correspondence` reports on the generated problems FAIL
@@ -38,6 +40,7 @@ FIXTURES = ["fix1.json", "fix2.json", "fixc2.json", "fixf4.json"]
 PLAIN = ["check", "galois", "subgroupoids", "faithful", "skew", "correspondence"]
 GENERATED = [("twisted", 2, 2, 2), ("frobenius", 2, 3, 3)]
 GENERATED_PLAIN = ["galois", "skew", "correspondence"]
+ENUMERATED = [("shift", 3, 2, 1)] + GENERATED
 
 
 def golden_argvs():
@@ -55,6 +58,8 @@ def golden_argvs():
         runs = [[cmd] for cmd in GENERATED_PLAIN]
         runs += [["grothendieck", "--gset", gs] for gs in doc.get("gsets", {})]
         out += [(" ".join(["_".join(map(str, spec))] + run), spec, run) for run in runs]
+    for spec in ENUMERATED:
+        out.append(("_".join(map(str, spec)) + " subgroupoids", spec, ["subgroupoids"]))
     return out
 
 

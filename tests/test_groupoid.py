@@ -7,9 +7,12 @@ from conftest import (
     FIXTURE_FILES,
     PAIR_CYCLIC_SPECS,
     cli_outcome,
+    disjoint_union,
     fixture_doc,
     oracle_validate_groupoid,
     pair_cyclic_doc,
+    subset_wide_subgroupoids,
+    wide_subgroupoid_count,
 )
 from gpdgalois.errors import (
     AxiomViolation,
@@ -138,6 +141,57 @@ def test_enumerate_wide_subgroupoids(fix1, fix2, fixc2):
 def test_enumerate_bound(fix1):
     with pytest.raises(SizeBoundExceeded):
         enumerate_wide_subgroupoids(fix1.groupoid, max_elements=2)
+
+
+def _groupoid_of(doc):
+    grp = doc["groupoid"]
+    return validate_groupoid(grp["elements"], grp["products"])
+
+
+# The groupoid of a PAIR_CYCLIC_SPECS entry depends on n and m only.
+SMALL_PAIR_CYCLIC = sorted({(n, m) for _, n, m, _ in PAIR_CYCLIC_SPECS if n * n * m <= 20})
+
+
+def _same_enumeration(G):
+    found = enumerate_wide_subgroupoids(G)
+    assert found == subset_wide_subgroupoids(G)
+    return found
+
+
+@pytest.mark.parametrize("name", FIXTURE_FILES)
+def test_closure_search_matches_subset_oracle_on_fixtures(name):
+    _same_enumeration(_groupoid_of(fixture_doc(name)))
+
+
+@pytest.mark.parametrize("n,m", SMALL_PAIR_CYCLIC)
+def test_closure_search_matches_subset_oracle_on_pair_cyclic(n, m):
+    found = _same_enumeration(_groupoid_of(pair_cyclic_doc("shift", n, m)))
+    assert len(found) == wide_subgroupoid_count(n, m)
+
+
+UNION_PAIRS = [
+    (a, b) for a, b in itertools.combinations_with_replacement(SMALL_PAIR_CYCLIC, 2)
+    if a[0] * a[0] * a[1] + b[0] * b[0] * b[1] <= 12
+]
+
+
+@pytest.mark.parametrize("first,second", UNION_PAIRS,
+                         ids=[f"P{a[0]}xC{a[1]}+P{b[0]}xC{b[1]}" for a, b in UNION_PAIRS])
+def test_closure_search_matches_subset_oracle_on_disjoint_unions(first, second):
+    docs = [pair_cyclic_doc("shift", *first), pair_cyclic_doc("shift", *second)]
+    found = _same_enumeration(_groupoid_of(disjoint_union(docs, lambda c, x: f"c{c}.{x}")))
+    assert len(found) == wide_subgroupoid_count(*first) * wide_subgroupoid_count(*second)
+
+
+def test_closure_search_count_beyond_the_default_bound():
+    # P_3 x C_4 has |G| = 36, above the default bound of 20
+    G = _groupoid_of(pair_cyclic_doc("shift", 3, 4))
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_wide_subgroupoids(G)
+    found = enumerate_wide_subgroupoids(G, max_elements=36)
+    assert len(found) == wide_subgroupoid_count(3, 4) == 111
+    assert len({s.labels for s in found}) == 111
+    assert all(is_wide_subgroupoid(G, s.labels) == (True, None) for s in found)
 
 
 def test_coset_space_oracle(fix1):
