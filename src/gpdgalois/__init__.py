@@ -2,7 +2,7 @@
 field blocks: invariants, Galois coordinates, skew groupoid rings, the
 set/algebra equivalence and the subgroupoid correspondence."""
 
-from .scalar import FieldSpec, LinearSystem, make_field, solve_linear
+from .scalar import FieldSpec, make_field, solve_linear
 from .groupoid import (
     Groupoid,
     SubgroupoidSpec,

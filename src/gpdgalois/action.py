@@ -19,6 +19,7 @@ from .blockring import (
     IdealRef,
     fixed_elements,
     ideal_fp_basis,
+    slotwise_matrix,
 )
 from .errors import (
     CompositionFailure,
@@ -33,7 +34,7 @@ from .errors import (
     SupportViolation,
 )
 from .groupoid import Groupoid, SubgroupoidSpec, make_subgroupoid
-from .scalar import FpSpan, fp_basis_scalars
+from .scalar import FpSpan, fp_basis_scalars, solve_linear
 
 
 def span_elements(space, basis) -> tuple:
@@ -445,30 +446,25 @@ def find_galois_coordinates(A: AlgebraAction) -> GaloisCoordinates | None:
     generating set because each beta_g is linear over the invariants, so an
     inconsistent system proves absence.
     """
-    from .scalar import LinearSystem, solve_linear
-
     R, G = A.ring, A.groupoid
     pairs = tuple((R.unit([b]), R.unit([b])) for b in R.blocks)
     ok, _ = check_galois_coordinates(A, pairs)
     if ok:
         return GaloisCoordinates(pairs, "block-idempotents")
 
-    F = R.field
     ybasis = ideal_fp_basis(R, R.blocks)
     nvars = len(ybasis)
     nslots = len(R.blocks)
     idset = set(G.identities)
-    matrix, rhs = [], []
+    matrix = slotwise_matrix(
+        R,
+        [[A.apply(g, y, truncate=True) for y in ybasis] for g in G.elements],
+        range(nslots),
+    )
+    rhs = []
     for g in G.elements:
-        transported = [A.apply(g, y, truncate=True) for y in ybasis]
-        target = R.unit(A.support[g].support) if g in idset else R.zero()
-        for s in range(nslots):
-            row = [F.zero] * (nvars * nslots)
-            for j in range(nvars):
-                row[j * nslots + s] = transported[j][s]
-            matrix.append(row)
-            rhs.append(target[s])
-    sol = solve_linear(F, LinearSystem(matrix, rhs))
+        rhs.extend(R.unit(A.support[g].support) if g in idset else R.zero())
+    sol = solve_linear(R.field, matrix, rhs)
     if sol.solution is None:
         return None
     xs = [tuple(sol.solution[j * nslots : (j + 1) * nslots]) for j in range(nvars)]
@@ -628,7 +624,9 @@ class ModuleInvariantsReport:
 def module_invariants_check(A: AlgebraAction, X) -> ModuleInvariantsReport:
     """The module invariants of Map(X, R) under the delta-action coincide
     with the invariant function algebra, and the ring invariants under the
-    delta-action coincide with the base algebra.  Fully enumerated."""
+    delta-action coincide with the base algebra.  Fully enumerated; the
+    ring side is the `fixed_elements` filter on the moves of every beta_g,
+    which `invariants` shows is the condition beta_g(x 1_{d g}) = x 1_{r g}."""
     from . import mapalg
 
     R, G = A.ring, A.groupoid
@@ -649,11 +647,5 @@ def module_invariants_check(A: AlgebraAction, X) -> ModuleInvariantsReport:
     map_side = delta_invariant == invariant_fns
 
     base = set(A.base_subalgebra().elements)
-    ring_invariant = set()
-    for x in R.all_elements():
-        if all(
-            A.apply(g, x, truncate=True) == R.mul(x, R.unit(A.support[g].support))
-            for g in G.elements
-        ):
-            ring_invariant.add(x)
+    ring_invariant = fixed_elements(R, [A._moves[g] for g in G.elements])
     return ModuleInvariantsReport(map_side, ring_invariant == base)

@@ -105,11 +105,19 @@ class Problem:
         for section in ("field", "groupoid", "ring", "action"):
             if section not in doc:
                 raise InvalidInput(f"missing section {section!r}")
-        # The fields are checked first, so a bad one is invalid input
-        # rather than a structural failure after the groupoid axioms.
+        # The fields and the action entries' keys are checked first, so a
+        # bad one is invalid input rather than a structural failure.
         self.field = _field(doc["field"])
         ring = doc["ring"]
         self.ring_field = _field(ring["field"]) if "field" in ring else self.field
+        if not isinstance(doc["action"], dict):
+            raise InvalidInput("section 'action' must be a JSON object")
+        self.sigma, self.frob = {}, {}
+        for g, spec in doc["action"].items():
+            if "sigma" not in spec:
+                raise InvalidInput(f"action entry {g!r} is missing key 'sigma'")
+            self.sigma[g] = spec["sigma"]
+            self.frob[g] = spec.get("frob", {})
 
     def groupoid(self):
         sec = self.doc["groupoid"]
@@ -124,10 +132,7 @@ class Problem:
         )
 
     def action(self, G, R):
-        sec = self.doc["action"]
-        sigma = {g: spec["sigma"] for g, spec in sec.items()}
-        frob = {g: spec.get("frob", {}) for g, spec in sec.items()}
-        return validate_action(G, R, sigma, frob)
+        return validate_action(G, R, self.sigma, self.frob)
 
     def subgroupoid(self, G, name):
         named = self.doc.get("subgroupoids", {})

@@ -20,7 +20,7 @@ from .action import (
     subalgebra_closure,
     trace,
 )
-from .blockring import ideal_fp_basis
+from .blockring import ideal_fp_basis, slotwise_matrix
 from .errors import (
     InvalidInput,
     NoSuchIdempotent,
@@ -36,7 +36,7 @@ from .mapalg import (
     splits_per_target,
     transversal_hom_family,
 )
-from .scalar import LinearSystem, flatten, make_field, solve_linear
+from .scalar import FpSpan, flatten, solve_linear
 from .tensor import BlockModuleBasis, RankProfile, TensorOverK, kblocks, rank_profile
 
 __all__ = [
@@ -101,6 +101,17 @@ def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def _frame_matrix(family) -> list:
+    """The slotwise matrix D of a frame on the target ideal's slots: D x =
+    rhs asks sum x_i u(y_i) = rhs_u for every u in the family and source
+    basis element y_i, and D^T c = 0 asks sum c_u u = 0."""
+    for h in family[1:]:
+        _require_same_frame(family[0], h)
+    ring = family[0].ring
+    slot_ids = [ring.slot_index(b) for b in family[0].target_support]
+    return slotwise_matrix(ring, [u.images for u in family], slot_ids)
+
+
 def dual_basis_solve(family):
     """For each u in the family, elements x_i of the target ideal and y_i
     of the source with sum x_i u'(y_i) = delta_{u,u'} 1_v for every u'.
@@ -111,39 +122,24 @@ def dual_basis_solve(family):
     """
     if not family:
         return []
-    for h in family[1:]:
-        _require_same_frame(family[0], h)
+    matrix = _frame_matrix(family)
     ring = family[0].ring
     F = ring.field
     support = family[0].target_support
-    slot_ids = [ring.slot_index(b) for b in support]
-    T = family[0].source
-    ybasis = T.basis
+    ns = len(support)
     unit = ring.unit(support)
 
     certificates = []
     for ui in range(len(family)):
-        matrix, rhs = [], []
-        for upi, uprime in enumerate(family):
-            target = unit if upi == ui else ring.zero()
-            for s in slot_ids:
-                row = [F.zero] * (len(ybasis) * len(slot_ids))
-                for i in range(len(ybasis)):
-                    for si, s2 in enumerate(slot_ids):
-                        if s2 == s:
-                            row[i * len(slot_ids) + si] = uprime.images[i][s]
-                matrix.append(row)
-                rhs.append(target[s])
-        sol = solve_linear(F, LinearSystem(matrix, rhs))
+        rhs = [F.one if upi == ui else F.zero
+               for upi in range(len(family)) for _ in support]
+        sol = solve_linear(F, matrix, rhs)
         if sol.solution is None:
             return None
-        pairs = []
-        for i, y in enumerate(ybasis):
-            coords = {}
-            for si, b in enumerate(support):
-                coords[b] = sol.solution[i * len(slot_ids) + si]
-            x = ring.element(coords)
-            pairs.append((x, y))
+        pairs = [
+            (ring.element(dict(zip(support, sol.solution[i * ns : (i + 1) * ns]))), y)
+            for i, y in enumerate(family[0].source.basis)
+        ]
         for upi, uprime in enumerate(family):
             total = ring.zero()
             for x, y in pairs:
@@ -160,26 +156,9 @@ def freeness_check(family) -> bool:
     from the source: only the zero combination vanishes."""
     if not family:
         return True
-    for h in family[1:]:
-        _require_same_frame(family[0], h)
-    ring = family[0].ring
-    F = ring.field
-    support = family[0].target_support
-    slot_ids = [ring.slot_index(b) for b in support]
-    T = family[0].source
-    matrix = []
-    rhs = []
-    for i in range(len(T.basis)):
-        for s in slot_ids:
-            row = [F.zero] * (len(family) * len(slot_ids))
-            for ui, u in enumerate(family):
-                for si, s2 in enumerate(slot_ids):
-                    if s2 == s:
-                        row[ui * len(slot_ids) + si] = u.images[i][s]
-            matrix.append(row)
-            rhs.append(F.zero)
-    sol = solve_linear(F, LinearSystem(matrix, rhs))
-    return not sol.nullspace
+    transposed = [list(col) for col in zip(*_frame_matrix(family))]
+    F = family[0].ring.field
+    return not solve_linear(F, transposed, [F.zero] * len(transposed)).nullspace
 
 
 @dataclass
@@ -236,11 +215,7 @@ def separability_idempotent_from_structure(field, mult, unit_coords):
     nv = n * n
     matrix, rhs = [], []
     for l in range(n):
-        row = [field.zero] * nv
-        for i in range(n):
-            for j in range(n):
-                row[i * n + j] = field.add(row[i * n + j], mult[i][j][l])
-        matrix.append(row)
+        matrix.append([mult[i][j][l] for i in range(n) for j in range(n)])
         rhs.append(unit_coords[l])
     for tau in range(n):
         for a in range(n):
@@ -252,7 +227,7 @@ def separability_idempotent_from_structure(field, mult, unit_coords):
                     row[a * n + j] = field.sub(row[a * n + j], mult[tau][j][b])
                 matrix.append(row)
                 rhs.append(field.zero)
-    sol = solve_linear(field, LinearSystem(matrix, rhs))
+    sol = solve_linear(field, matrix, rhs)
     if sol.solution is None:
         return None
     if sol.nullspace:
@@ -354,29 +329,21 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
     if separability_idempotent(T, base) is None:
         raise NotSeparable("algebra is not separable over the base")
 
-    Fp = make_field(space.field.p)
-    matrix, rhs = [], []
-    ncols = len(T.basis)
-
-    def add_rows(vectors, target):
-        for pos in range(len(target)):
-            row = [(vectors[i][pos],) for i in range(ncols)]
-            matrix.append(row)
-            rhs.append((target[pos],))
-
-    for x in T.basis:
-        diff = space.sub(x, f_apply(x))
-        cols = [flatten(space.mul(diff, b)) for b in T.basis]
-        add_rows(cols, flatten(space.zero()))
-    cols = [flatten(f_apply(b)) for b in T.basis]
-    add_rows(cols, flatten(space.one()))
-
-    sol = solve_linear(Fp, LinearSystem(matrix, rhs))
-    if sol.solution is None:
+    # The column of b_i's coefficient in pi: (x - f(x)) b_i per x, then f(b_i).
+    diffs = [space.sub(x, f_apply(x)) for x in T.basis]
+    span = FpSpan(space.field.p)
+    independent = [
+        span.insert(
+            flatten(c for d in diffs for c in space.mul(d, b)) + flatten(f_apply(b))
+        )
+        for b in T.basis
+    ]
+    coords = span.coords(flatten(space.zero()) * len(diffs) + flatten(space.one()))
+    if coords is None:
         raise NoSuchIdempotent("the defining system is inconsistent")
-    if sol.nullspace:
+    if not all(independent):
         raise NoSuchIdempotent("the idempotent is not unique")
-    pi = T.combine([c[0] for c in sol.solution])
+    pi = T.combine(coords)
     if space.mul(pi, pi) != pi:
         raise OracleMismatch("solved element is not idempotent")
     for x in T.elements:

@@ -4,6 +4,10 @@ A scalar is a length-k coefficient tuple over F_p in the power basis of the
 chosen modulus polynomial.  Every module downstream reduces its questions to
 the operations here, so determinism (fixed pivot order, fixed enumeration
 order) is part of the contract.
+
+There is one elimination engine, FpSpan, over F_p.  Rank, membership,
+coordinates and canonical keys use it directly, and solve_linear restricts
+an F_{p^k}-system to an F_p-system with the same solutions and solves that.
 """
 
 from __future__ import annotations
@@ -214,84 +218,6 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, k, tuple(mod))
 
 
-@dataclass
-class LinearSystem:
-    """matrix (rows x cols of scalars) and right-hand side (length rows)."""
-
-    matrix: list
-    rhs: list
-
-    def __post_init__(self):
-        for row in self.matrix:
-            if len(row) != len(self.matrix[0]):
-                raise DegreeMismatch("ragged matrix")
-        if len(self.rhs) != len(self.matrix):
-            raise DegreeMismatch("rhs length differs from row count")
-
-
-@dataclass
-class LinearSolution:
-    solution: list | None
-    nullspace: list = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return self.solution is not None
-
-
-def solve_linear(field_: FieldSpec, system: LinearSystem) -> LinearSolution:
-    """Gaussian elimination with a fixed pivot rule: leftmost column first,
-    smallest row index; free variables are set to zero in the particular
-    solution and each contributes one standard nullspace vector.
-    """
-    F = field_
-    mat = [list(row) for row in system.matrix]
-    rhs = list(system.rhs)
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c] != F.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        inv = F.inv(mat[r][c])
-        mat[r] = [F.mul(inv, v) for v in mat[r]]
-        rhs[r] = F.mul(inv, rhs[r])
-        for i in range(nrows):
-            if i != r and mat[i][c] != F.zero:
-                factor = mat[i][c]
-                mat[i] = [F.sub(v, F.mul(factor, w)) for v, w in zip(mat[i], mat[r])]
-                rhs[i] = F.sub(rhs[i], F.mul(factor, rhs[r]))
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rhs[i] != F.zero:
-            return LinearSolution(None, [])
-    solution = [F.zero] * ncols
-    for row, col in pivots:
-        solution[col] = rhs[row]
-    pivot_cols = {c for _, c in pivots}
-    nullspace = []
-    for c in range(ncols):
-        if c in pivot_cols:
-            continue
-        vec = [F.zero] * ncols
-        vec[c] = F.one
-        for row, col in pivots:
-            vec[col] = F.neg(mat[row][c])
-        nullspace.append(vec)
-    return LinearSolution(solution, nullspace)
-
-
 # Prime-field span bookkeeping on flattened integer vectors.  Used for
 # membership, coordinates and dimension counts everywhere downstream.
 
@@ -381,6 +307,61 @@ def flatten(scalars) -> tuple[int, ...]:
     return tuple(out)
 
 
-def unflatten(field_: FieldSpec, flat) -> tuple[Scalar, ...]:
-    k = field_.k
-    return tuple(tuple(flat[i : i + k]) for i in range(0, len(flat), k))
+@dataclass
+class LinearSolution:
+    solution: list | None
+    nullspace: list = field(default_factory=list)
+
+
+def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
+    """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to F_p.
+
+    Unknown j becomes the k F_p columns flatten(a_ij t^m over rows i),
+    m = 0..k-1, inserted into one FpSpan in the order (j, m).  The unknowns
+    with independent columns are the pivots.  The particular solution,
+    free variables zero, is read off FpSpan.coords(flatten(rhs)), and each
+    other unknown j gives the nullspace vector e_j minus the coordinates of
+    its column over the pivots.
+
+    This is the answer of row reduction directly over F_{p^k}, leftmost
+    pivot column first.  The F_{p^k}-span W of columns 0..j-1 is the F_p-
+    span of their columns a_i t^m.  If a_j lies in W, so does every a_j t^m.
+    If not, W meets F_{p^k} a_j only in 0, so the k columns a_j t^m are
+    independent.  So the F_p pivots are the k-fold copies of the F_{p^k}
+    pivots, only the m = 0 column needs testing, and as coordinates over
+    the pivots are unique, both give the same solution and nullspace.
+    """
+    F = field_
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise DegreeMismatch("ragged matrix")
+    if len(rhs) != len(matrix):
+        raise DegreeMismatch("rhs length differs from row count")
+    powers = fp_basis_scalars(F)[1:]
+    span = FpSpan(F.p)
+    pivots = []
+    dependent = {}  # unknown j -> its m = 0 column
+    for j in range(ncols):
+        col = flatten(row[j] for row in matrix)
+        if span.insert(col):
+            pivots.append(j)
+            for t in powers:
+                span.insert(flatten(F.mul(row[j], t) for row in matrix))
+        else:
+            dependent[j] = col
+
+    def assemble(coords):
+        vec = [F.zero] * ncols
+        for n, j in enumerate(pivots):
+            vec[j] = tuple(coords[n * F.k : (n + 1) * F.k])
+        return vec
+
+    coords = span.coords(flatten(rhs))
+    if coords is None:
+        return LinearSolution(None, [])
+    nullspace = []
+    for j, col in dependent.items():
+        vec = [F.neg(x) for x in assemble(span.coords(col))]
+        vec[j] = F.one
+        nullspace.append(vec)
+    return LinearSolution(assemble(coords), nullspace)

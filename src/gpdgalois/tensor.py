@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import Subalgebra, span_elements
-from .errors import KBlockNotField, NotAModule, SupportViolation
+from .errors import KBlockNotField, NotAModule
 from .scalar import FpSpan, Scalar, make_field
 
 
@@ -19,30 +19,22 @@ class KBlock:
     """One primitive idempotent u of K together with the field K·u.
 
     `afield` is an abstract copy of K·u (built on the minimal polynomial of
-    the chosen generator kappa over F_p), with coordinate maps both ways.
+    the chosen generator kappa over F_p); from_abstract maps its scalars
+    into a space as combinations of the powers of kappa.
     """
 
-    def __init__(self, space, u, fp_basis, kappa, afield, kappa_pows):
-        self.space = space
+    def __init__(self, space, u, afield, kappa_pows):
         self.u = u
-        self.fp_basis = tuple(fp_basis)
-        self.kappa = kappa
         self.afield = afield
         self.kappa_pows = tuple(kappa_pows)
-        self._decomp = FpSpan(space.field.p)
+        span = FpSpan(space.field.p)
         for pw in self.kappa_pows:
-            if not self._decomp.insert(space.flat(pw)):
+            if not span.insert(space.flat(pw)):
                 raise KBlockNotField("generator powers are dependent")
 
     @property
     def degree(self) -> int:
         return self.afield.k
-
-    def to_abstract(self, c) -> Scalar:
-        coords = self._decomp.coords(self.space.flat(c))
-        if coords is None:
-            raise SupportViolation("element outside K times its idempotent")
-        return tuple(coords)
 
     def from_abstract(self, space, s: Scalar) -> tuple:
         return space.int_combine(s, self.kappa_pows)
@@ -99,7 +91,7 @@ def kblocks(K: Subalgebra) -> list[KBlock]:
         kappa_pows = [u]
         for _ in range(d - 1):
             kappa_pows.append(space.mul(kappa_pows[-1], kappa))
-        out.append(KBlock(space, u, fp_basis, kappa, afield, kappa_pows))
+        out.append(KBlock(space, u, afield, kappa_pows))
     return out
 
 

@@ -238,6 +238,55 @@ def pairwise_tensor_split_check(E, B, K, family, A, blocks=None):
     )
 
 
+# Reference linear algebra -------------------------------------------------
+
+def gauss_jordan_solve(F, matrix, rhs):
+    """Reference: Gauss-Jordan elimination directly over F_{p^k} with a
+    fixed pivot rule (leftmost column first, smallest row index).  Free
+    variables are zero in the particular solution and each contributes one
+    standard nullspace vector.  Returns (solution or None, nullspace)."""
+    mat = [list(row) for row in matrix]
+    rhs = list(rhs)
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != F.zero), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
+        inv = F.inv(mat[r][c])
+        mat[r] = [F.mul(inv, v) for v in mat[r]]
+        rhs[r] = F.mul(inv, rhs[r])
+        for i in range(nrows):
+            if i != r and mat[i][c] != F.zero:
+                factor = mat[i][c]
+                mat[i] = [F.sub(v, F.mul(factor, w)) for v, w in zip(mat[i], mat[r])]
+                rhs[i] = F.sub(rhs[i], F.mul(factor, rhs[r]))
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    if any(rhs[i] != F.zero for i in range(r, nrows)):
+        return None, []
+    solution = [F.zero] * ncols
+    for row, col in pivots:
+        solution[col] = rhs[row]
+    pivot_cols = {c for _, c in pivots}
+    nullspace = []
+    for c in range(ncols):
+        if c in pivot_cols:
+            continue
+        vec = [F.zero] * ncols
+        vec[c] = F.one
+        for row, col in pivots:
+            vec[col] = F.neg(mat[row][c])
+        nullspace.append(vec)
+    return solution, nullspace
+
+
 # Oracles for the enumerations ---------------------------------------------
 
 def subset_wide_subgroupoids(G, max_elements=DEFAULT_MAX_ELEMENTS):

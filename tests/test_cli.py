@@ -50,6 +50,29 @@ def test_missing_section(capsys, tmp_path):
     assert code == 2
 
 
+def _without_sigma(doc):
+    del doc["action"]["g"]["sigma"]
+
+
+def _action_list(doc):
+    doc["action"] = [doc["action"]]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_without_sigma, "action entry 'g' is missing key 'sigma'"),
+    (_action_list, "section 'action' must be a JSON object"),
+], ids=["missing-sigma", "action-not-object"])
+def test_malformed_action_is_invalid_input(capsys, tmp_path, corrupt, message):
+    doc = json.loads(pathlib.Path(FIX1).read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad_action.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "invalid-input" in out
+    assert message in out
+
+
 def test_galois_command(capsys):
     code, out = run(capsys, "galois", FIX1)
     assert code == 0

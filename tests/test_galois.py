@@ -1,4 +1,5 @@
 
+import functools
 import itertools
 
 import pytest
@@ -105,6 +106,64 @@ def test_freeness(frame):
     assert freeness_check(family)
     assert not freeness_check([family[0], family[0]])
     assert freeness_check([])
+
+
+def brute_free(family):
+    """Oracle: no nonzero coefficient tuple c in E^|family|, E the target
+    ideal, has sum c_u u vanishing on the source basis."""
+    R = family[0].ring
+    support = family[0].target_support
+    ideal = [
+        R.element(dict(zip(support, vals)))
+        for vals in itertools.product(R.field.elements(), repeat=len(support))
+    ]
+    for cs in itertools.product(ideal, repeat=len(family)):
+        if all(c == R.zero() for c in cs):
+            continue
+        if all(
+            functools.reduce(R.add, (R.mul(c, u.images[i]) for c, u in zip(cs, family)))
+            == R.zero()
+            for i in range(len(family[0].source.basis))
+        ):
+            return False
+    return True
+
+
+def test_freeness_and_dual_basis_match_brute_force(fix1, fixc2, fixf4):
+    """freeness_check and dual_basis_solve against brute_free on every
+    nonempty subfamily of small F_2 and F_4 frames, and on each frame with
+    a member repeated.  A dual basis exists exactly when the family is
+    free: both questions split over the slots s of E, and in slot s the
+    dual basis asks for a left inverse of the matrix (u(y_i)[s])_{i,u},
+    which exists exactly when its columns are independent, which is
+    freeness in that slot."""
+    A, R = fix1.action, fix1.ring
+    K = A.base_subalgebra()
+    R1 = invariants(A, fix1.wide_subgroupoids["G0"])
+    Ac = fixc2.action
+    Rc = invariants(Ac, fixc2.wide_subgroupoids["G0"])
+    Af = fixf4.action
+    Rf = invariants(Af, fixf4.wide_subgroupoids["G0"])
+    frames = [
+        hom_set(R1, K, A.support["g"], R),
+        eval_hom_family(invariant_algebra(regular_gset(fix1.groupoid), A), "g"),
+        transversal_hom_family(K, A, fix1.wide_subgroupoids["all"])["e1"],
+        transversal_hom_family(Rc, Ac, fixc2.wide_subgroupoids["G0"])["e"],
+        hom_set(Rf, Af.base_subalgebra(), Af.support["a"], fixf4.ring),
+    ]
+    families = [fam + [fam[0]] for fam in frames] + [
+        list(sub)
+        for fam in frames
+        for size in range(1, len(fam) + 1)
+        for sub in itertools.combinations(fam, size)
+    ]
+    verdicts = set()
+    for family in families:
+        free = brute_free(family)
+        assert freeness_check(family) == free
+        assert (dual_basis_solve(family) is not None) == free
+        verdicts.add((family[0].ring.field.k, free))
+    assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_tri_equivalence_instances(fix1, fixc2, fixf4):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import gauss_jordan_solve
 from gpdgalois.errors import (
     DegreeMismatch,
     ExponentOutOfRange,
@@ -11,7 +12,6 @@ from gpdgalois.errors import (
 )
 from gpdgalois.scalar import (
     FpSpan,
-    LinearSystem,
     flatten,
     make_field,
     solve_linear,
@@ -21,6 +21,7 @@ F2 = make_field(2)
 F3 = make_field(3)
 F4 = make_field(2, 2, [1, 1, 1])
 F9 = make_field(3, 2, [1, 0, 1])
+F8 = make_field(2, 3, [1, 1, 0, 1])
 
 T = F4.element([0, 1])
 
@@ -99,7 +100,7 @@ def test_field_axioms_exhaustive(field):
 
 
 def test_solve_linear_trivial():
-    out = solve_linear(F2, LinearSystem([[(1,)]], [(0,)]))
+    out = solve_linear(F2, [[(1,)]], [(0,)])
     assert out.solution == [(0,)]
     assert out.nullspace == []
 
@@ -112,13 +113,13 @@ def test_solve_linear_underdetermined():
         if (a + b) % 2 == 1
     ]
     assert ((1, 0) in sols) and ((0, 1) in sols)
-    out = solve_linear(F2, LinearSystem([[(1,), (1,)]], [(1,)]))
+    out = solve_linear(F2, [[(1,), (1,)]], [(1,)])
     assert out.solution == [(1,), (0,)]
     assert out.nullspace == [[(1,), (1,)]]
 
 
 def test_solve_linear_inconsistent():
-    out = solve_linear(F2, LinearSystem([[(0,)]], [(1,)]))
+    out = solve_linear(F2, [[(0,)]], [(1,)])
     assert out.solution is None
 
 
@@ -140,7 +141,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_solve_linear_substitution(data):
     field, matrix, rhs = data
-    out = solve_linear(field, LinearSystem(matrix, rhs))
+    out = solve_linear(field, matrix, rhs)
 
     def apply(vec):
         result = []
@@ -163,6 +164,47 @@ def test_solve_linear_substitution(data):
                 apply(list(cand)) == rhs
                 for cand in itertools.product(field.elements(), repeat=len(matrix[0]))
             )
+
+
+def _combination(field, coeffs, vectors):
+    out = [field.zero] * len(vectors[0])
+    for c, vec in zip(coeffs, vectors):
+        out = [field.add(a, field.mul(c, v)) for a, v in zip(out, vec)]
+    return out
+
+
+@st.composite
+def dependent_systems(draw):
+    """Systems over F_2, F_3, F_4 and F_8 in which a column or the
+    right-hand side is often a combination of earlier columns, so pivots,
+    free variables and inconsistent systems all occur."""
+    field = draw(st.sampled_from([F2, F3, F4, F8]))
+    pick = st.sampled_from(field.elements())
+    rows = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if columns and draw(st.booleans()):
+            coeffs = [draw(pick) for _ in columns]
+            columns.append(_combination(field, coeffs, columns))
+        else:
+            columns.append([draw(pick) for _ in range(rows)])
+    if draw(st.booleans()):
+        rhs = _combination(field, [draw(pick) for _ in columns], columns)
+    else:
+        rhs = [draw(pick) for _ in range(rows)]
+    matrix = [[col[i] for col in columns] for i in range(rows)]
+    return field, matrix, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_systems())
+def test_solve_linear_matches_gauss_jordan(data):
+    field, matrix, rhs = data
+    out = solve_linear(field, matrix, rhs)
+    solution, nullspace = gauss_jordan_solve(field, matrix, rhs)
+    assert out.solution == solution
+    assert len(out.nullspace) == len(nullspace)
+    assert out.nullspace == nullspace
 
 
 def test_fpspan_coords_roundtrip():
