@@ -39,15 +39,15 @@ from .scalar import FpSpan, fp_basis_scalars, solve_linear
 
 def span_elements(space, basis) -> tuple:
     """The full prime-field span, little-endian: the coefficient of the
-    first basis vector varies fastest, so basis[0] is element number 1."""
-    p = space.field.p
-    out = []
-    for idx in range(p ** len(basis)):
-        coeffs, m = [], idx
-        for _ in basis:
-            coeffs.append(m % p)
-            m //= p
-        out.append(space.int_combine(coeffs, basis))
+    first basis vector varies fastest, so basis[0] is element number 1.
+
+    Element number sum c_i p^i is sum c_i b_i.  The span of the first i+1
+    vectors lists the span of the first i, then that list plus c b_i for
+    c = 1, ..., p-1, so each element costs one addition."""
+    out = [space.zero()]
+    for b in basis:
+        multiples = [space.int_combine([c], [b]) for c in range(1, space.field.p)]
+        out.extend([space.add(x, m) for m in multiples for x in out])
     return tuple(out)
 
 
@@ -184,7 +184,7 @@ class AlgebraAction:
                 )
         out = [R.field.zero] * len(R.blocks)
         for i, j, q in moves:
-            out[j] = x[i] if q == 1 else R.field.power(x[i], q)
+            out[j] = x[i] if q == 1 else R.field.frobenius_table(q)[x[i]]
         return tuple(out)
 
     def base_subalgebra(self) -> Subalgebra:
@@ -328,16 +328,17 @@ def twisted_invariant_basis(field, nodes, edges) -> list[dict]:
                 twist_gcd = math.gcd(twist_gcd, (w[a] + t - w[b]) % field.k)
         sub_deg = twist_gcd if twist_gcd else field.k
         sub_basis = []
+        sub_frob = field.frobenius_table(field.p**sub_deg)
         span = FpSpan(field.p)
         for x in field.elements():
-            if field.power(x, field.p**sub_deg) == x and span.insert(x):
+            if sub_frob[x] == x and span.insert(x):
                 sub_basis.append(x)
         if len(sub_basis) != sub_deg:
             raise OracleMismatch("subfield dimension mismatch")
         comp.sort(key=lambda n: idx[n])
         for s in sub_basis:
             basis.append(
-                {n: field.power(s, field.p ** (w[n] % field.k)) for n in comp}
+                {n: field.frobenius_table(field.p ** w[n])[s] for n in comp}
             )
     return basis
 

@@ -198,14 +198,18 @@ def fixed_elements(space: ProductSpace, tables) -> set:
     the map's target.  Each element is rejected at its first violated move.
     """
     field, zero = space.field, space.field.zero
-    moves = [move for table in tables for move in table]
+    moves = [
+        (i, j, None if q == 1 else field.frobenius_table(q))
+        for table in tables
+        for i, j, q in table
+    ]
     out = set()
     for x in space.all_elements():
-        for i, j, q in moves:
+        for i, j, frob in moves:
             if i is None:
                 if x[j] != zero:
                     break
-            elif x[j] != (x[i] if q == 1 else field.power(x[i], q)):
+            elif x[j] != (x[i] if frob is None else frob[x[i]]):
                 break
         else:
             out.add(x)

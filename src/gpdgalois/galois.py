@@ -36,7 +36,7 @@ from .mapalg import (
     splits_per_target,
     transversal_hom_family,
 )
-from .scalar import FpSpan, flatten, solve_linear
+from .scalar import Elimination, FpSpan, flatten, solve_linear
 from .tensor import BlockModuleBasis, RankProfile, TensorOverK, kblocks, rank_profile
 
 __all__ = [
@@ -117,14 +117,16 @@ def dual_basis_solve(family):
     of the source with sum x_i u'(y_i) = delta_{u,u'} 1_v for every u'.
 
     The y side ranges over the source basis (a spanning set suffices by
-    linearity); the x side is solved per u.  Returns one pair list per
-    family member, or None when some system is inconsistent.
+    linearity); the x side is solved per u.  Only the right-hand side
+    depends on u, so the frame matrix is eliminated once and each system
+    is read off that elimination.  Returns one pair list per family
+    member, or None when some system is inconsistent.
     """
     if not family:
         return []
-    matrix = _frame_matrix(family)
     ring = family[0].ring
     F = ring.field
+    system = Elimination(F, _frame_matrix(family))
     support = family[0].target_support
     ns = len(support)
     unit = ring.unit(support)
@@ -133,7 +135,7 @@ def dual_basis_solve(family):
     for ui in range(len(family)):
         rhs = [F.one if upi == ui else F.zero
                for upi in range(len(family)) for _ in support]
-        sol = solve_linear(F, matrix, rhs)
+        sol = system.solve(rhs)
         if sol.solution is None:
             return None
         pairs = [
@@ -237,19 +239,22 @@ def separability_idempotent_from_structure(field, mult, unit_coords):
     ]
 
 
-def separability_idempotent(T, K: Subalgebra, blocks=None) -> SeparabilityIdempotent | None:
+def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
     """The unique v in T tensor_K T with mu(v) = 1 and (t tensor 1)v =
     (1 tensor t)v, solved blockwise over the K-blocks; None when some
     block's system is inconsistent.
 
     Cross-validated structurally: the returned pairs are re-encoded in
     tensor coordinates and all three defining properties are re-checked.
+    One block basis of T per K-block serves the solve and both factors of
+    the tensor.
     """
     space = T.space
-    blocks = blocks if blocks is not None else kblocks(K)
+    parts = []
     all_pairs = []
-    for blk in blocks:
+    for blk in kblocks(K):
         bmb = BlockModuleBasis(space, blk, T.basis)
+        parts.append(bmb)
         if bmb.rank == 0:
             continue
         unit_u = space.k_scale(blk.u, space.one())
@@ -270,7 +275,7 @@ def separability_idempotent(T, K: Subalgebra, blocks=None) -> SeparabilityIdempo
                 all_pairs.append((x, bj))
 
     pairs = tuple(all_pairs)
-    tens = TensorOverK(space, space, K, T.basis, T.basis, blocks=blocks)
+    tens = TensorOverK(space, space, K, T.basis, T.basis, m_parts=parts, n_parts=parts)
     coords = tens.from_pairs(pairs)
     total = space.zero()
     for x, y in pairs:
@@ -301,6 +306,14 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
     f_on_basis maps every basis element of T to its image inside the base
     subalgebra; the idempotent is found by an exact linear solve and its
     uniqueness is part of the verification.
+
+    The solve is over T's basis: (x - f(x)) pi = 0 for every basis x, and
+    f(pi) = 1.  By linearity these are the defining conditions.  Once the
+    system is consistent its solution is unique.  If pi and pi' both
+    solve it, then pi pi' = f(pi) pi' = pi' and pi' pi = f(pi') pi = pi,
+    and T is commutative, so pi = pi'.  So every column is independent,
+    and a dependent column would be a fault of this library, not of the
+    input: it raises OracleMismatch.
     """
     space = T.space
     for b in base.basis:
@@ -342,7 +355,7 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
     if coords is None:
         raise NoSuchIdempotent("the defining system is inconsistent")
     if not all(independent):
-        raise NoSuchIdempotent("the idempotent is not unique")
+        raise OracleMismatch("the idempotent of a consistent system is not unique")
     pi = T.combine(coords)
     if space.mul(pi, pi) != pi:
         raise OracleMismatch("solved element is not idempotent")
@@ -474,21 +487,24 @@ class StrongSubalgebraReport:
         )
 
 
-def strong_subalgebra_check(T, A: AlgebraAction) -> StrongSubalgebraReport:
+def strong_subalgebra_check(T, A: AlgebraAction, invariants_of=None) -> StrongSubalgebraReport:
     """Evaluate both sides of the characterization independently and, when
-    they hold, verify the split structure of T."""
+    they hold, verify the split structure of T.
+
+    invariants_of(H), when given, must return invariants(A, H); it lets a
+    caller share invariants it has already computed."""
     from .mapalg import hom_gset_check
 
     K = A.base_subalgebra()
     sep = separability_idempotent(T, K) is not None
     H = stabilizer(T, A)
     bs, witness = is_beta_strong(T, A, H)
-    inv = invariants(A, H)
+    inv = invariants(A, H) if invariants_of is None else invariants_of(H)
     equals = inv.key() == T.key()
     splits: dict = {}
     hom_report = None
     if sep and bs and equals:
-        hom_report = hom_gset_check(T, A)
+        hom_report = hom_gset_check(T, A, invariants_of)
         families = transversal_hom_family(T, A, H)
         splits = splits_per_target(A, T, K, families.__getitem__)
     return StrongSubalgebraReport(sep, bs, witness, H.labels, equals, splits, hom_report)
@@ -536,6 +552,18 @@ def galois_correspondence(
     prime-field block basis) of size at most `max_generators` over the
     base algebra; the hypothesis gate raises HypothesisFailure when some
     ideal is unfaithful or the action is not Galois.
+
+    Two things are kept for the length of this call, and no longer:
+    - invariants(A, H) per subgroupoid H (as a set of labels), shared by
+      the rows, strong_subalgebra_check and hom_gset_check.  It is a
+      function of A and H, and A does not change during the call.
+    - each row's separable and beta-strong verdicts, by the row's key.  A
+      candidate with the same key takes them instead of solving again.
+      Equal keys mean equal spans, and both verdicts depend on the span
+      only: a separability idempotent is a property of the algebra, not
+      of the basis it is solved on (DeMeyer and Ingraham, Separable
+      Algebras over Commutative Rings, 1971), and the stabilizer and the
+      equalising-block test are linear conditions checked on a basis.
     """
     from .groupoid import coset_space
 
@@ -543,11 +571,19 @@ def galois_correspondence(
     G, R = A.groupoid, A.ring
     K = A.base_subalgebra()
 
+    kept_invariants: dict = {}
+
+    def invariants_of(H):
+        labels = frozenset(H.labels)
+        if labels not in kept_invariants:
+            kept_invariants[labels] = invariants(A, H)
+        return kept_invariants[labels]
+
     rows = []
     partitions = set()
     for H in enumerate_wide_subgroupoids(G, max_elements):
-        T = invariants(A, H)
-        report = strong_subalgebra_check(T, A)
+        T = invariants_of(H)
+        report = strong_subalgebra_check(T, A, invariants_of)
         rows.append(
             CorrespondenceRow(
                 H.labels,
@@ -571,12 +607,16 @@ def galois_correspondence(
         for combo in itertools.combinations(family, size):
             T = subalgebra_closure(R, combo, include=K.basis)
             seen.setdefault(T.key(), T)
+    row_verdicts = {
+        key: (row.separable, row.beta_strong) for key, row in zip(keys, rows)
+    }
     strong = []
     for key in sorted(seen, key=lambda k: (len(k), k)):
         T = seen[key]
-        if separability_idempotent(T, K) is None:
-            continue
-        ok, _ = is_beta_strong(T, A)
+        if key in row_verdicts:
+            ok = all(row_verdicts[key])
+        else:
+            ok = separability_idempotent(T, K) is not None and is_beta_strong(T, A)[0]
         if ok:
             strong.append(T)
     image_ok = set(keys) == {T.key() for T in strong}

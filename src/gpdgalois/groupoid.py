@@ -312,6 +312,11 @@ def enumerate_wide_subgroupoids(
     lies inside W, because W is closed and contains S and g, and that is
     strictly larger than S.  G is finite, so this chain of one-element
     closures, each found from the one before, ends at W.
+
+    For each S, g and its inverse are tried once between them: a set
+    closed under inverse that contains one of them contains the other, so
+    _closure(G, S, g) = _closure(G, S, g^{-1}).  The set of results is the
+    same, and so is the returned order, which is a sort.
     """
     if len(G.elements) > max_elements:
         raise SizeBoundExceeded(
@@ -322,8 +327,10 @@ def enumerate_wide_subgroupoids(
     frontier = [identities]
     while frontier:
         S = frontier.pop()
+        tried = set(S)
         for g in G.elements:
-            if g not in S:
+            if g not in tried:
+                tried.add(G.inverse[g])
                 T = _closure(G, S, g)
                 if T not in found:
                     found.add(T)

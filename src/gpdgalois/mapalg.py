@@ -45,7 +45,7 @@ from .errors import (
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
 from .groupoid import coset_space, quotient_gset
 from .scalar import FpSpan, flatten, fp_basis_scalars
-from .tensor import RankProfile, TensorOverK, kblocks, rank_profile
+from .tensor import RankProfile, TensorOverK, rank_profile
 
 HOM_SEARCH_BOUND = 1 << 20
 
@@ -152,7 +152,7 @@ class MapAlgebra:
         out = [field.zero] * len(self.space.slots)
         for i, j, q in self._moves[g]:
             if i is not None:
-                out[j] = f[i] if q == 1 else field.power(f[i], q)
+                out[j] = f[i] if q == 1 else field.frobenius_table(q)[f[i]]
         return tuple(out)
 
 
@@ -423,7 +423,7 @@ class SplitReport:
 
 
 def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
-                       A: AlgebraAction, blocks=None) -> SplitReport:
+                       A: AlgebraAction) -> SplitReport:
     """Materialize (r tensor b) -> (r * f_i(b))_i as a prime-field matrix
     and check it is a bijective unital multiplicative map onto the product
     of copies of E indexed by the family.
@@ -433,8 +433,7 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
     sides of the multiplicativity check both read those images."""
     R = A.ring
     E_mod = Submodule(R, ideal_fp_basis(R, E.support))
-    blocks = blocks if blocks is not None else kblocks(K)
-    tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis, blocks=blocks)
+    tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
 
     slot_ids = [R.slot_index(b) for b in E.support]
     hom_images: dict = {}
@@ -507,7 +506,7 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
         if not components_match:
             break
 
-    ranks = rank_profile(B, K, blocks=blocks)
+    ranks = rank_profile(B, K, parts=tens.n_parts)
     return SplitReport(
         square,
         bijective,
@@ -531,15 +530,12 @@ def splits_per_target(A: AlgebraAction, B, K: Subalgebra, family_at) -> dict:
     X_{r(g)}, and a transversal family is the one grouped under r(g).
     One report therefore serves every g with the same target."""
     G = A.groupoid
-    blocks = kblocks(K)
     by_target: dict = {}
     out = {}
     for g in G.elements:
         e = G.r[g]
         if e not in by_target:
-            by_target[e] = tensor_split_check(
-                A.support[e], B, K, family_at(e), A, blocks=blocks
-            )
+            by_target[e] = tensor_split_check(A.support[e], B, K, family_at(e), A)
         out[g] = by_target[e]
     return out
 
@@ -564,16 +560,19 @@ class HomGSetReport:
         return self.gset_valid and self.equivalent
 
 
-def hom_gset_check(B, A: AlgebraAction) -> HomGSetReport:
+def hom_gset_check(B, A: AlgebraAction, invariants_of=None) -> HomGSetReport:
     """Build the canonical hom family of an invariant subalgebra (one map
     per coset of its stabilizer), let beta act on it, and test both
-    characterizations of V(B) being a G-set."""
+    characterizations of V(B) being a G-set.
+
+    invariants_of(H), when given, must return invariants(A, H); it lets a
+    caller share invariants it has already computed."""
     from .action import stabilizer
     from . import galois as galois_mod
 
     G = A.groupoid
     H = stabilizer(B, A)
-    T_check = invariants(A, H)
+    T_check = invariants(A, H) if invariants_of is None else invariants_of(H)
     if T_check.key() != B.key():
         return HomGSetReport(
             False, False, False, False, True,

@@ -71,8 +71,27 @@ def _monic_polys(p, degree):
         yield list(tail) + [1]
 
 
+class _PowerTable(dict):
+    """x -> x^q, each entry computed by FieldSpec.power on its first lookup."""
+
+    def __init__(self, field_: FieldSpec, q: int):
+        super().__init__()
+        self.field = field_
+        self.q = q
+
+    def __missing__(self, x: Scalar) -> Scalar:
+        self[x] = y = self.field.power(x, self.q)
+        return y
+
+
 class FieldSpec:
-    """A finite field F_{p^k}; build through :func:`make_field`."""
+    """A finite field F_{p^k}; build through :func:`make_field`.
+
+    Products, inverses and the Frobenius powers x -> x^q (q = p^t) are
+    kept on the field object, each computed on its first use.  They are
+    functions of their arguments, so reading a kept value is exact, and
+    they are freed with the field, which every problem builds afresh.
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -83,6 +102,7 @@ class FieldSpec:
         self._elements: tuple[Scalar, ...] | None = None
         self._mul_cache: dict[tuple[Scalar, Scalar], Scalar] = {}
         self._inv_cache: dict[Scalar, Scalar] = {}
+        self._frobenius_tables: dict[int, _PowerTable] = {}
 
     @property
     def order(self) -> int:
@@ -169,10 +189,18 @@ class FieldSpec:
     def div(self, x: Scalar, y: Scalar) -> Scalar:
         return self.mul(x, self.inv(y))
 
+    def frobenius_table(self, q: int) -> dict[Scalar, Scalar]:
+        """x -> x^q for a Frobenius power q = p^t, as a dict that fills
+        itself on first lookup of each x and is kept for the next caller."""
+        table = self._frobenius_tables.get(q)
+        if table is None:
+            table = self._frobenius_tables[q] = _PowerTable(self, q)
+        return table
+
     def frobenius(self, x: Scalar, e: int) -> Scalar:
         if not 0 <= e < self.k:
             raise ExponentOutOfRange(f"exponent {e} outside [0, {self.k})")
-        return self.power(x, self.p**e)
+        return self.frobenius_table(self.p**e)[x]
 
     def format(self, x: Scalar) -> str:
         if self.k == 1:
@@ -313,15 +341,16 @@ class LinearSolution:
     nullspace: list = field(default_factory=list)
 
 
-def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
-    """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to F_p.
+class Elimination:
+    """A matrix over F_{p^k}, restricted to F_p and eliminated once.
 
     Unknown j becomes the k F_p columns flatten(a_ij t^m over rows i),
     m = 0..k-1, inserted into one FpSpan in the order (j, m).  The unknowns
-    with independent columns are the pivots.  The particular solution,
-    free variables zero, is read off FpSpan.coords(flatten(rhs)), and each
-    other unknown j gives the nullspace vector e_j minus the coordinates of
-    its column over the pivots.
+    with independent columns are the pivots.  solve(rhs) reads the
+    particular solution, free variables zero, off FpSpan.coords(flatten(rhs)),
+    so one elimination serves every right-hand side; each other unknown j
+    gives the nullspace vector e_j minus the coordinates of its column over
+    the pivots.
 
     This is the answer of row reduction directly over F_{p^k}, leftmost
     pivot column first.  The F_{p^k}-span W of columns 0..j-1 is the F_p-
@@ -331,37 +360,55 @@ def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
     pivots, only the m = 0 column needs testing, and as coordinates over
     the pivots are unique, both give the same solution and nullspace.
     """
-    F = field_
-    ncols = len(matrix[0]) if matrix else 0
-    if any(len(row) != ncols for row in matrix):
-        raise DegreeMismatch("ragged matrix")
-    if len(rhs) != len(matrix):
-        raise DegreeMismatch("rhs length differs from row count")
-    powers = fp_basis_scalars(F)[1:]
-    span = FpSpan(F.p)
-    pivots = []
-    dependent = {}  # unknown j -> its m = 0 column
-    for j in range(ncols):
-        col = flatten(row[j] for row in matrix)
-        if span.insert(col):
-            pivots.append(j)
-            for t in powers:
-                span.insert(flatten(F.mul(row[j], t) for row in matrix))
-        else:
-            dependent[j] = col
 
-    def assemble(coords):
-        vec = [F.zero] * ncols
-        for n, j in enumerate(pivots):
+    def __init__(self, field_: FieldSpec, matrix):
+        F = self.field = field_
+        self.nrows = len(matrix)
+        self.ncols = ncols = len(matrix[0]) if matrix else 0
+        if any(len(row) != ncols for row in matrix):
+            raise DegreeMismatch("ragged matrix")
+        powers = fp_basis_scalars(F)[1:]
+        self._span = FpSpan(F.p)
+        self._pivots = []
+        self._dependent = {}  # unknown j -> its m = 0 column
+        for j in range(ncols):
+            col = flatten(row[j] for row in matrix)
+            if self._span.insert(col):
+                self._pivots.append(j)
+                for t in powers:
+                    self._span.insert(flatten(F.mul(row[j], t) for row in matrix))
+            else:
+                self._dependent[j] = col
+        self._nullspace = None
+
+    def _assemble(self, coords) -> list:
+        F = self.field
+        vec = [F.zero] * self.ncols
+        for n, j in enumerate(self._pivots):
             vec[j] = tuple(coords[n * F.k : (n + 1) * F.k])
         return vec
 
-    coords = span.coords(flatten(rhs))
-    if coords is None:
-        return LinearSolution(None, [])
-    nullspace = []
-    for j, col in dependent.items():
-        vec = [F.neg(x) for x in assemble(span.coords(col))]
-        vec[j] = F.one
-        nullspace.append(vec)
-    return LinearSolution(assemble(coords), nullspace)
+    def solve(self, rhs) -> LinearSolution:
+        """Solve matrix · x = rhs; no solution and no nullspace when the
+        system is inconsistent.  The nullspace is computed on the first
+        consistent solve and kept."""
+        if len(rhs) != self.nrows:
+            raise DegreeMismatch("rhs length differs from row count")
+        coords = self._span.coords(flatten(rhs))
+        if coords is None:
+            return LinearSolution(None, [])
+        if self._nullspace is None:
+            F = self.field
+            self._nullspace = []
+            for j, col in self._dependent.items():
+                vec = [F.neg(x) for x in self._assemble(self._span.coords(col))]
+                vec[j] = F.one
+                self._nullspace.append(vec)
+        return LinearSolution(self._assemble(coords), list(self._nullspace))
+
+
+def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
+    """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to F_p
+    (see Elimination, which callers with many right-hand sides for one
+    matrix build once)."""
+    return Elimination(field_, matrix).solve(rhs)

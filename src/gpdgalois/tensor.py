@@ -40,9 +40,20 @@ class KBlock:
         return space.int_combine(s, self.kappa_pows)
 
 
-def kblocks(K: Subalgebra) -> list[KBlock]:
+def kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     """The primitive idempotents of K with their field data, in the order
-    the idempotents first appear in K's element enumeration."""
+    the idempotents first appear in K's element enumeration.
+
+    They are a function of the subspace K, so they are computed once per K
+    and kept on it, as Submodule.elements is, and freed with it.  A K that
+    is not a product of fields keeps nothing and raises each time."""
+    blocks = getattr(K, "_kblocks", None)
+    if blocks is None:
+        blocks = K._kblocks = _find_kblocks(K)
+    return blocks
+
+
+def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     space = K.space
     idems = [x for x in K.elements if x != space.zero() and space.mul(x, x) == x]
     primitive = []
@@ -92,7 +103,7 @@ def kblocks(K: Subalgebra) -> list[KBlock]:
         for _ in range(d - 1):
             kappa_pows.append(space.mul(kappa_pows[-1], kappa))
         out.append(KBlock(space, u, afield, kappa_pows))
-    return out
+    return tuple(out)
 
 
 class BlockModuleBasis:
@@ -153,20 +164,21 @@ class RankProfile:
         return self.ranks[0] if self.constant and self.ranks else None
 
 
-def rank_profile(T, K: Subalgebra, blocks=None) -> RankProfile:
+def rank_profile(T, K: Subalgebra, parts=None) -> RankProfile:
     """dim over K·u of T·u for every primitive idempotent u of K.
 
-    Raises NotAModule when T is not closed under multiplication by K.
+    parts, when given, are T's BlockModuleBasis per block of kblocks(K),
+    already built by the caller.  Raises NotAModule when T is not closed
+    under multiplication by K.
     """
     space = T.space
     for c in K.basis:
         for b in T.basis:
             if not T.contains(space.k_scale(c, b)):
                 raise NotAModule("module not closed under base multiplication")
-    blocks = blocks if blocks is not None else kblocks(K)
-    ranks = tuple(
-        BlockModuleBasis(space, blk, T.basis).rank for blk in blocks
-    )
+    if parts is None:
+        parts = [BlockModuleBasis(space, blk, T.basis) for blk in kblocks(K)]
+    ranks = tuple(part.rank for part in parts)
     constant = len(set(ranks)) <= 1
     return RankProfile(ranks, constant, all(r >= 1 for r in ranks))
 
@@ -176,15 +188,33 @@ class TensorOverK:
 
     Elements are prime-field coordinate vectors over the basis
     kappa^m (m_i tensor n_j), enumerated block-major.
+
+    m_parts and n_parts, when given, are the BlockModuleBasis of M and of
+    N per block of kblocks(K), already built by the caller; they are built
+    here otherwise.  One list passed as both means M = N, and both sides
+    then share their kept coordinates.
+
+    The tensor keeps, for as long as it lives, the per-block coordinates
+    of every element it has decomposed and the coordinates of every pure
+    tensor it has built.  Both are functions of their arguments over
+    fixed parts, so a kept value is the value a new computation would
+    give.
     """
 
-    def __init__(self, space_m, space_n, K: Subalgebra, m_basis, n_basis, blocks=None):
+    def __init__(self, space_m, space_n, K: Subalgebra, m_basis, n_basis,
+                 m_parts=None, n_parts=None):
         self.space_m = space_m
         self.space_n = space_n
         self.p = K.space.field.p
-        self.blocks = blocks if blocks is not None else kblocks(K)
-        self.m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
-        self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
+        self.blocks = kblocks(K)
+        if m_parts is None:
+            m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
+        if n_parts is None:
+            n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
+        self.m_parts, self.n_parts = m_parts, n_parts
+        self._m_coords: dict = {}
+        self._n_coords = self._m_coords if n_parts is m_parts else {}
+        self._pure: dict = {}
         self.layout = []
         off = 0
         for bi, blk in enumerate(self.blocks):
@@ -200,22 +230,30 @@ class TensorOverK:
     def add(self, a, b) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def _block_coords(self, space, parts, kept, z) -> tuple:
+        """The K·u-coordinates of z·u over each block's basis, kept."""
+        got = kept.get(z)
+        if got is None:
+            got = kept[z] = tuple(
+                part.decompose(space.k_scale(blk.u, z))
+                for part, blk in zip(parts, self.blocks)
+            )
+        return got
+
     def pure(self, x, y) -> tuple:
         """Coordinates of the pure tensor (x in M, y in N)."""
+        got = self._pure.get((x, y))
+        if got is not None:
+            return got
+        per_block_m = self._block_coords(self.space_m, self.m_parts, self._m_coords, x)
+        per_block_n = self._block_coords(self.space_n, self.n_parts, self._n_coords, y)
         coords = [0] * self.dim
-        per_block_m = [
-            part.decompose(self.space_m.k_scale(blk.u, x))
-            for part, blk in zip(self.m_parts, self.blocks)
-        ]
-        per_block_n = [
-            part.decompose(self.space_n.k_scale(blk.u, y))
-            for part, blk in zip(self.n_parts, self.blocks)
-        ]
         for (bi, i, j), off, d in self.layout:
             prod = self.blocks[bi].afield.mul(per_block_m[bi][i], per_block_n[bi][j])
             for m in range(d):
                 coords[off + m] = (coords[off + m] + prod[m]) % self.p
-        return tuple(coords)
+        got = self._pure[(x, y)] = tuple(coords)
+        return got
 
     def from_pairs(self, pairs) -> tuple:
         out = self.zero()

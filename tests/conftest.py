@@ -14,9 +14,11 @@ from gpdgalois.action import (
     SkewReport,
     Submodule,
     _complete_maps,
+    invariants,
     skew_identity,
     skew_mul,
     span_elements,
+    subalgebra_closure,
 )
 from gpdgalois.blockring import IdealRef, ideal_fp_basis
 from gpdgalois.errors import (
@@ -30,15 +32,24 @@ from gpdgalois.errors import (
     SizeBoundExceeded,
     UnknownLabel,
 )
+from gpdgalois.galois import (
+    CorrespondenceRow,
+    CorrespondenceTable,
+    is_beta_strong,
+    separability_idempotent,
+    strong_subalgebra_check,
+)
 from gpdgalois.groupoid import (
     DEFAULT_MAX_ELEMENTS,
     Groupoid,
     _closure_certificate,
+    coset_space,
+    enumerate_wide_subgroupoids,
     make_subgroupoid,
 )
-from gpdgalois.mapalg import SplitReport
+from gpdgalois.mapalg import SplitReport, require_faithful_hypotheses
 from gpdgalois.scalar import FpSpan, flatten, fp_basis_scalars
-from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
+from gpdgalois.tensor import TensorOverK, rank_profile
 
 
 @pytest.fixture(scope="session")
@@ -168,13 +179,12 @@ def direct_verify_skew_ring(A):
     return SkewReport(True, True, True)
 
 
-def pairwise_tensor_split_check(E, B, K, family, A, blocks=None):
+def pairwise_tensor_split_check(E, B, K, family, A):
     """Oracle: the tensor split check with phi(x tensor y) recomputed, hom
     images included, for the columns and for both factors of every pair."""
     R = A.ring
     E_mod = Submodule(R, ideal_fp_basis(R, E.support))
-    blocks = blocks if blocks is not None else kblocks(K)
-    tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis, blocks=blocks)
+    tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
     slot_ids = [R.slot_index(b) for b in E.support]
 
     def phi_tuple(x, y):
@@ -234,7 +244,60 @@ def pairwise_tensor_split_check(E, B, K, family, A, blocks=None):
             break
     return SplitReport(
         square, square and independent, unital, multiplicative, components_match,
-        len(family), rank_profile(B, K, blocks=blocks), tens.dim, target_dim,
+        len(family), rank_profile(B, K), tens.dim, target_dim,
+    )
+
+
+def unmemoised_pure(tens, x, y):
+    """Oracle: TensorOverK.pure with both factors decomposed afresh over
+    the tensor's block bases on every call, nothing kept."""
+    coords = [0] * tens.dim
+    per_block_m = [
+        part.decompose(tens.space_m.k_scale(blk.u, x))
+        for part, blk in zip(tens.m_parts, tens.blocks)
+    ]
+    per_block_n = [
+        part.decompose(tens.space_n.k_scale(blk.u, y))
+        for part, blk in zip(tens.n_parts, tens.blocks)
+    ]
+    for (bi, i, j), off, d in tens.layout:
+        prod = tens.blocks[bi].afield.mul(per_block_m[bi][i], per_block_n[bi][j])
+        for m in range(d):
+            coords[off + m] = (coords[off + m] + prod[m]) % tens.p
+    return tuple(coords)
+
+
+def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_ELEMENTS):
+    """Oracle: galois_correspondence with nothing shared, every row's
+    invariants computed afresh and separability_idempotent plus
+    is_beta_strong run on every candidate subalgebra."""
+    G, R = A.groupoid, A.ring
+    require_faithful_hypotheses(A)
+    K = A.base_subalgebra()
+    rows, partitions = [], set()
+    for H in enumerate_wide_subgroupoids(G, max_elements):
+        T = invariants(A, H)
+        report = strong_subalgebra_check(T, A)
+        rows.append(CorrespondenceRow(
+            H.labels, T, report.stabilizer_labels, report.separable,
+            report.beta_strong, report.r_split,
+        ))
+        partitions.add(frozenset(frozenset(c) for c in coset_space(G, H).classes))
+    keys = [row.subalgebra.key() for row in rows]
+    seen: dict = {}
+    for size in range(max_generators + 1):
+        for combo in itertools.combinations(ideal_fp_basis(R, R.blocks), size):
+            T = subalgebra_closure(R, combo, include=K.basis)
+            seen.setdefault(T.key(), T)
+    strong = []
+    for key in sorted(seen, key=lambda k: (len(k), k)):
+        T = seen[key]
+        if separability_idempotent(T, K) is not None and is_beta_strong(T, A)[0]:
+            strong.append(T)
+    return CorrespondenceTable(
+        rows, strong, len(set(keys)) == len(keys), len(partitions) == len(rows),
+        set(keys) == {T.key() for T in strong},
+        all(row.closure_holds for row in rows),
     )
 
 

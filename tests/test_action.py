@@ -571,3 +571,17 @@ def test_submodule_key_decides_equality_and_elements_are_lazy(case):
     assert (S.key() == T.key()) == (set(S.elements) == set(T.elements))
     assert S.elements == span_elements(space, S.basis)
     assert S.size == len(S.elements)
+
+
+@pytest.mark.parametrize("space", SPAN_SPACES, ids=lambda s: f"F_{s.field.order}")
+def test_span_elements_is_little_endian(space):
+    # element number sum c_i p^i is sum c_i b_i, over F_3 as well as F_2
+    one, s = space.field.one, space.field.elements()[-1]
+    basis = [space.element({"a": one, "b": s}), space.element({"b": one}),
+             space.element({"c": s, "a": one})]
+    p = space.field.p
+    listed = span_elements(space, basis)
+    assert len(listed) == p ** len(basis)
+    for idx, x in enumerate(listed):
+        coeffs = [idx // p**i % p for i in range(len(basis))]
+        assert x == space.int_combine(coeffs, basis)

@@ -1,19 +1,31 @@
 
 import functools
 import itertools
+from unittest import mock
 
 import pytest
 
 from conftest import (
     PROBLEM_SOURCES,
     brute_subalgebras,
+    candidate_loop_correspondence,
+    corrupted_basis_outcomes,
     idempotent_is_beta_strong,
     idempotent_strongly_distinct,
     problem_action,
+    unmemoised_pure,
 )
+from gpdgalois import action as action_mod
+from gpdgalois import galois as galois_mod
+from gpdgalois import mapalg
 from gpdgalois.action import Submodule, invariants, stabilizer, subalgebra_closure
 from gpdgalois.blockring import ideal_fp_basis
-from gpdgalois.errors import HypothesisFailure, NotAModule
+from gpdgalois.errors import (
+    HypothesisFailure,
+    NotAModule,
+    OracleMismatch,
+    SizeBoundExceeded,
+)
 from gpdgalois.galois import (
     associated_idempotent,
     coords_from_separability,
@@ -29,15 +41,17 @@ from gpdgalois.galois import (
     strongly_distinct,
     tri_equivalence_check,
 )
-from gpdgalois.groupoid import regular_gset
+from gpdgalois.groupoid import enumerate_wide_subgroupoids, regular_gset
 from gpdgalois.mapalg import (
     HomRecord,
     eval_hom_family,
     hom_set,
     invariant_algebra,
+    splits_per_target,
     transversal_hom_family,
 )
-from gpdgalois.scalar import make_field
+from gpdgalois.scalar import Elimination, FpSpan, make_field
+from gpdgalois.tensor import TensorOverK
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +178,35 @@ def test_freeness_and_dual_basis_match_brute_force(fix1, fixc2, fixf4):
         assert (dual_basis_solve(family) is not None) == free
         verdicts.add((family[0].ring.field.k, free))
     assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_dual_basis_eliminates_each_frame_once(fix1, fixf4):
+    # one Elimination per family, however many members it has
+    A, R = fix1.action, fix1.ring
+    K = A.base_subalgebra()
+    R1 = invariants(A, fix1.wide_subgroupoids["G0"])
+    Af = fixf4.action
+    Rf = invariants(Af, fixf4.wide_subgroupoids["G0"])
+    families = [
+        transversal_hom_family(R1, A, fix1.wide_subgroupoids["G0"])["e2"],
+        eval_hom_family(invariant_algebra(regular_gset(fix1.groupoid), A), "g"),
+        hom_set(Rf, Af.base_subalgebra(), Af.support["a"], fixf4.ring),
+    ]
+    families.append(families[0] + [families[0][0]])
+    built = []
+
+    class Counting(Elimination):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    with mock.patch.object(galois_mod, "Elimination", Counting):
+        for family in families:
+            before = len(built)
+            certs = dual_basis_solve(family)
+            assert len(built) - before == 1
+            assert certs is None or len(certs) == len(family)
+    assert min(len(f) for f in families) >= 2
 
 
 def test_tri_equivalence_instances(fix1, fixc2, fixf4):
@@ -295,6 +338,26 @@ def test_associated_idempotent_identity_map(fix1):
     K = A.base_subalgebra()
     pi = associated_idempotent(K, {b: b for b in K.basis}, K)
     assert pi == R.one()
+
+
+def test_associated_idempotent_dependent_column_is_oracle_mismatch(fix1):
+    # a consistent system has a unique solution (associated_idempotent's
+    # docstring), so a solve that reports a dependent column is a library
+    # fault, not an input without a unique idempotent
+    A, R = fix1.action, fix1.ring
+    K = A.base_subalgebra()
+    base = subalgebra_closure(R, [])
+    u1 = R.element({"v1": 1, "v3": 1})
+    u2 = R.element({"v2": 1, "v4": 1})
+    proj = {u1: R.one(), u2: R.zero()}
+
+    class LastColumnDependent(FpSpan):
+        def insert(self, vec):
+            return super().insert(vec) and self.count < len(K.basis)
+
+    with mock.patch.object(galois_mod, "FpSpan", LastColumnDependent):
+        with pytest.raises(OracleMismatch):
+            associated_idempotent(K, proj, base)
 
 
 def test_associated_idempotent_rejects_non_hom(fix1):
@@ -504,3 +567,93 @@ def test_single_block_scan_matches_idempotent_oracle(source):
         for f, h in itertools.product(homs, repeat=2):
             if f.target_support == h.target_support:
                 assert strongly_distinct(f, h) == idempotent_strongly_distinct(f, h)
+
+
+@pytest.mark.parametrize("source", EQUALISER_SOURCES, ids=str)
+def test_kept_tensor_coordinates_match_unmemoised(source):
+    # every tensor that separability_idempotent and tensor_split_check
+    # build: pure on the arguments it was asked about, asked again and
+    # scaled by K on either side, and from_pairs with a repeated pair,
+    # against pure recomputed with nothing kept
+    A = problem_action(source)
+    G = A.groupoid
+    K = A.base_subalgebra()
+    built = []
+
+    class Recording(TensorOverK):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.asked = []
+            built.append(self)
+
+        def pure(self, x, y):
+            self.asked.append((x, y))
+            return super().pure(x, y)
+
+    with mock.patch.object(galois_mod, "TensorOverK", Recording), \
+            mock.patch.object(mapalg, "TensorOverK", Recording):
+        for H in enumerate_wide_subgroupoids(G):
+            separability_idempotent(invariants(A, H), K)
+        AX = invariant_algebra(regular_gset(G), A)
+        splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
+    assert any(t.space_m is t.space_n for t in built)
+    assert any(t.space_m is not t.space_n for t in built)
+    for tens in built:
+        asked = list(dict.fromkeys(tens.asked))[:24]
+        for x, y in asked:
+            for a, b in [(x, y)] + [
+                pair
+                for c in K.basis
+                for pair in ((tens.space_m.k_scale(c, x), y),
+                             (x, tens.space_n.k_scale(c, y)))
+            ]:
+                assert tens.pure(a, b) == unmemoised_pure(tens, a, b)
+        pairs = asked[:4] + asked[:1]
+        expected = tens.zero()
+        for a, b in pairs:
+            expected = tens.add(expected, unmemoised_pure(tens, a, b))
+        assert tens.from_pairs(pairs) == expected
+
+
+CORRESPONDENCE_SOURCES = [
+    s for s in PROBLEM_SOURCES if isinstance(s, str) or s[1] * s[1] * s[2] <= 16
+]
+
+
+def _table_summary(table):
+    return (
+        [(r.subgroupoid, r.subalgebra.key(), r.stabilizer_labels, r.separable,
+          r.beta_strong, r.r_split) for r in table.rows],
+        [T.key() for T in table.strong_subalgebras],
+        (table.injective, table.partition_injective,
+         table.image_equals_strong_subalgebras, table.closure_holds),
+    )
+
+
+@pytest.mark.parametrize("source", CORRESPONDENCE_SOURCES, ids=str)
+def test_correspondence_matches_candidate_loop(source):
+    # shared invariants and row verdicts give the same table as solving
+    # every row and every candidate afresh, each on its own action
+    try:
+        expected = candidate_loop_correspondence(problem_action(source))
+    except (HypothesisFailure, SizeBoundExceeded) as err:
+        with pytest.raises(type(err)):
+            galois_correspondence(problem_action(source))
+        return
+    table = galois_correspondence(problem_action(source))
+    assert _table_summary(table) == _table_summary(expected)
+
+
+def test_invariants_oracle_live_after_correspondence():
+    # nothing galois_correspondence shares outlives it: afterwards a
+    # corrupted structural basis still raises OracleMismatch on that action
+    caught = set()
+    for source in ["fix1.json", "fixc2.json", "fixf4.json",
+                   ("twisted", 1, 2, 2), ("frobenius", 2, 2, 2)]:
+        A = problem_action(source)
+        for row in galois_correspondence(A).rows:
+            caught |= corrupted_basis_outcomes(
+                action_mod, lambda labels=row.subgroupoid: invariants(A, labels),
+                A.ring,
+            )
+    assert caught == {"drop", "twist"}

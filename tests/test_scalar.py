@@ -22,6 +22,7 @@ F3 = make_field(3)
 F4 = make_field(2, 2, [1, 1, 1])
 F9 = make_field(3, 2, [1, 0, 1])
 F8 = make_field(2, 3, [1, 1, 0, 1])
+F16 = make_field(2, 4, [1, 1, 0, 0, 1])
 
 T = F4.element([0, 1])
 
@@ -83,6 +84,21 @@ def test_frobenius_iterated_is_identity(field):
         if field.k > 1:
             assert y == x
         assert field.power(x, field.p**field.k) == x
+
+
+@pytest.mark.parametrize("field", [F2, F4, F8, F16], ids=repr)
+def test_frobenius_table_matches_repeated_multiplication(field):
+    for t in range(field.k):
+        q = field.p**t
+        table = field.frobenius_table(q)
+        for x in field.elements():
+            expected = field.one
+            for _ in range(q):
+                expected = field.mul(expected, x)
+            assert table[x] == expected
+            assert field.frobenius(x, t) == expected
+        assert field.frobenius_table(q) is table
+        assert len(table) == field.order
 
 
 @pytest.mark.parametrize("field", [F4, F9])
