@@ -27,7 +27,6 @@ from .errors import (
     IdentityNotTrivial,
     InvalidInput,
     NotBijective,
-    NotSubgroupoid,
     OracleMismatch,
     SizeBoundExceeded,
     SupportMismatch,
@@ -56,16 +55,17 @@ class Submodule:
     coordinate solving.  It is identified by its reduced row echelon
     basis; its elements are listed only when something reads them."""
 
-    def __init__(self, space, basis, max_elements: int = BRUTE_FORCE_BOUND):
+    def __init__(self, space, basis):
         self.space = space
         self._span = FpSpan(space.field.p)
         self.basis = tuple(b for b in basis if self._span.insert(space.flat(b)))
-        if self.size > max_elements:
-            raise SizeBoundExceeded(f"submodule would have {self.size} elements")
 
     @functools.cached_property
     def elements(self) -> tuple:
-        """Every element, in the little-endian order of span_elements."""
+        """Every element, in the little-endian order of span_elements; a
+        subspace of more than BRUTE_FORCE_BOUND elements refuses."""
+        if self.size > BRUTE_FORCE_BOUND:
+            raise SizeBoundExceeded(f"submodule has {self.size} elements")
         return span_elements(self.space, self.basis)
 
     @property
@@ -98,8 +98,8 @@ class Submodule:
 class Subalgebra(Submodule):
     """A unital subring of a product space, closed under multiplication."""
 
-    def __init__(self, space, basis, max_elements: int = BRUTE_FORCE_BOUND):
-        super().__init__(space, basis, max_elements)
+    def __init__(self, space, basis):
+        super().__init__(space, basis)
         if not self.contains(space.one()):
             raise SupportViolation("subalgebra does not contain the identity")
         for a, b in itertools.combinations_with_replacement(self.basis, 2):
@@ -129,7 +129,8 @@ def subalgebra_closure(space, gens, include=()) -> Subalgebra:
 
 class AlgebraAction:
     """A groupoid action beta on a block ring; build through
-    :func:`validate_action` (direct construction skips all checks).
+    :func:`validate_action` (direct construction skips all checks).  The
+    lifted action alpha on Map(X, R) is one too (mapalg.MapAlgebra).
 
     Each beta_g is compiled once into its moves (source slot, target slot,
     p^t): coordinate b of x goes to slot sigma_g(b) raised to p^t, t the
@@ -254,42 +255,54 @@ def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraActio
     """Check the action axioms exactly and return the action.
 
     sigma and frob are given per non-identity element; identity components
-    are filled in as the identity map with no twist.
+    are filled in as the identity map with no twist.  Each map and twist is
+    checked on its own by _complete_maps, and composition by
+    check_composition.
+    """
+    full_sigma, full_frob = _complete_maps(G, R, sigma, frob or {})
+    action = AlgebraAction(G, R, full_sigma, full_frob)
+    check_composition(action, "beta")
+    return action
 
-    beta_g o beta_h = beta_gh is checked on the block maps: for every
-    composable (g, h) and every block b of d(h), sigma_g(sigma_h b) =
-    sigma_gh(b) and t_h(b) + t_g(sigma_h b) = t_gh(b) mod k.  This decides
-    the identity exactly.  Every beta is F_p-linear, so equality on the
-    F_p-basis {s e_b}, s running over a basis of F_{p^k}, is equality of
-    the maps.  On that basis the two sides are s^(p^a) e_{sigma_g sigma_h b}
-    and s^(p^c) e_{sigma_gh b} with a = t_h(b) + t_g(sigma_h b) and
+
+def check_composition(A: AlgebraAction, name: str) -> None:
+    """Raise CompositionFailure unless A_g o A_h = A_gh for every
+    composable (g, h); name is the action's symbol in the message.
+
+    The identity is checked on the block maps: for every composable (g, h)
+    and every block b of d(h), sigma_g(sigma_h b) = sigma_gh(b) and
+    t_h(b) + t_g(sigma_h b) = t_gh(b) mod k.  This decides it exactly.
+    Every A_g is F_p-linear, so equality on the F_p-basis {s e_b}, s
+    running over a basis of F_{p^k}, is equality of the maps.  On that
+    basis the two sides are s^(p^a) e_{sigma_g sigma_h b} and
+    s^(p^c) e_{sigma_gh b} with a = t_h(b) + t_g(sigma_h b) and
     c = t_gh(b); s != 0, so they agree for every s exactly when the blocks
     agree and x -> x^(p^(a-c)) fixes a basis of F_{p^k}, that is, is the
     identity.  The Frobenius has order exactly k, so that happens exactly
     when a = c mod k.  A failing pair is reported with the first F_p-basis
-    vector of E_{d(h)} on which the two sides differ.
+    vector of E_{d(h)} on which the two sides differ.  The argument uses
+    only that A moves field blocks with Frobenius twists, so it holds for
+    beta on R and for alpha on Map(X, R) alike.
     """
-    full_sigma, full_frob = _complete_maps(G, R, sigma, frob or {})
-    action = AlgebraAction(G, R, full_sigma, full_frob)
+    G, R = A.groupoid, A.ring
     k = R.field.k
     for g, h in G.composable:
         gh = G.product[(g, h)]
-        sg, sh, sgh = full_sigma[g], full_sigma[h], full_sigma[gh]
-        tg, th, tgh = full_frob[g], full_frob[h], full_frob[gh]
-        for b in action.source_ideal(h):
+        sg, sh, sgh = A.sigma[g], A.sigma[h], A.sigma[gh]
+        tg, th, tgh = A.frob[g], A.frob[h], A.frob[gh]
+        for b in A.source_ideal(h):
             c = sh[b]
             if sg[c] == sgh[b] and (th[b] + tg[c] - tgh[b]) % k == 0:
                 continue
             x = next(
                 x
                 for x in ideal_fp_basis(R, [b])
-                if action.apply(g, action.apply(h, x)) != action.apply(gh, x)
+                if A.apply(g, A.apply(h, x)) != A.apply(gh, x)
             )
             raise CompositionFailure(
-                f"beta[{g!r}] o beta[{h!r}] != beta[{gh!r}]",
+                f"{name}[{g!r}] o {name}[{h!r}] != {name}[{gh!r}]",
                 witness=(g, h, R.format(x)),
             )
-    return action
 
 
 def twisted_invariant_basis(field, nodes, edges) -> list[dict]:
@@ -344,7 +357,9 @@ def twisted_invariant_basis(field, nodes, edges) -> list[dict]:
 
 
 def invariants(A: AlgebraAction, H=None) -> Subalgebra:
-    """The invariant subalgebra under (a subgroupoid of) the action.
+    """The invariant subalgebra under (a subgroupoid of) the action.  A is
+    any block action: beta on R, or alpha on Map(X, R), whose invariants
+    are A(X).
 
     Computed structurally from the block orbits and their accumulated
     Frobenius twists, then cross-checked against brute-force filtering of
@@ -376,9 +391,7 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
         for b in A.source_ideal(h).support:
             edges.append((b, A.sigma[h][b], A.frob[h][b]))
     vec_basis = twisted_invariant_basis(R.field, R.blocks, edges)
-    basis = [
-        R.element({b: v for b, v in vec.items()}) for vec in vec_basis
-    ]
+    basis = [R.element(vec) for vec in vec_basis]
     if R.field.order ** len(R.blocks) <= BRUTE_FORCE_BOUND:
         brute = fixed_elements(R, [A._moves[h] for h in labels])
         if brute != set(Submodule(R, basis).elements):
@@ -625,28 +638,19 @@ class ModuleInvariantsReport:
 def module_invariants_check(A: AlgebraAction, X) -> ModuleInvariantsReport:
     """The module invariants of Map(X, R) under the delta-action coincide
     with the invariant function algebra, and the ring invariants under the
-    delta-action coincide with the base algebra.  Fully enumerated; the
-    ring side is the `fixed_elements` filter on the moves of every beta_g,
-    which `invariants` shows is the condition beta_g(x 1_{d g}) = x 1_{r g}."""
+    delta-action coincide with the base algebra.  Fully enumerated.
+
+    f is delta-invariant when alpha_g(f) = 1'_g f for every g, and x when
+    beta_g(x 1_{d g}) = x 1_{r g}.  Each is the condition `fixed_elements`
+    tests on the moves of every alpha_g or beta_g, as `invariants` shows."""
     from . import mapalg
 
-    R, G = A.ring, A.groupoid
-    M = mapalg.function_algebra(X, A)
-    space = M.space
-    invariant_fns = set(mapalg.invariant_algebra(X, A).elements)
-    delta_invariant = set()
-    for f in space.all_elements():
-        ok = True
-        for g in G.elements:
-            lhs = M.alpha(g, f)
-            rhs = space.k_scale(R.unit(A.support[g].support), f)
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            delta_invariant.add(f)
-    map_side = delta_invariant == invariant_fns
+    G = A.groupoid
+    AX = mapalg.invariant_algebra(X, A)
+    M = AX.mapalgebra
+    delta_invariant = fixed_elements(M.ring, [M._moves[g] for g in G.elements])
+    map_side = delta_invariant == set(AX.elements)
 
     base = set(A.base_subalgebra().elements)
-    ring_invariant = fixed_elements(R, [A._moves[g] for g in G.elements])
+    ring_invariant = fixed_elements(A.ring, [A._moves[g] for g in G.elements])
     return ModuleInvariantsReport(map_side, ring_invariant == base)

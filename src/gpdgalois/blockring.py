@@ -192,12 +192,12 @@ def fixed_elements(space: ProductSpace, tables) -> set:
     move of every table, found by enumerating the whole space (at most
     BRUTE_FORCE_BOUND elements).
 
-    A move (i, j, q) asks x[j] = x[i]^q, or x[j] = 0 when i is None.  The
-    tables are compiled maps, so an element passes exactly when each map
-    carries it, restricted to the map's source, onto its own restriction to
-    the map's target.  Each element is rejected at its first violated move.
+    A move (i, j, q) asks x[j] = x[i]^q.  The tables are compiled maps, so
+    an element passes exactly when each map carries it, restricted to the
+    map's source, onto its own restriction to the map's target.  Each
+    element is rejected at its first violated move.
     """
-    field, zero = space.field, space.field.zero
+    field = space.field
     moves = [
         (i, j, None if q == 1 else field.frobenius_table(q))
         for table in tables
@@ -206,10 +206,7 @@ def fixed_elements(space: ProductSpace, tables) -> set:
     out = set()
     for x in space.all_elements():
         for i, j, frob in moves:
-            if i is None:
-                if x[j] != zero:
-                    break
-            elif x[j] != (x[i] if frob is None else frob[x[i]]):
+            if x[j] != (x[i] if frob is None else frob[x[i]]):
                 break
         else:
             out.add(x)

@@ -9,6 +9,7 @@ independently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ from .mapalg import (
     HomRecord,
     require_faithful_hypotheses,
     splits_per_target,
-    transversal_hom_family,
 )
 from .scalar import Elimination, FpSpan, flatten, solve_linear
 from .tensor import BlockModuleBasis, RankProfile, TensorOverK, kblocks, rank_profile
@@ -446,6 +446,12 @@ def is_beta_strong(T, A: AlgebraAction, H=None) -> tuple[bool, tuple | None]:
     G, R = A.groupoid, A.ring
     H = H if H is not None else stabilizer(T, A)
     hset = set(H.labels)
+
+    @functools.cache
+    def moved(g):
+        """beta_g of T's basis, computed once per g."""
+        return [A.apply(g, t, truncate=True) for t in T.basis]
+
     for gi_idx, g in enumerate(G.elements):
         for h in G.elements[gi_idx + 1 :]:
             if G.r[g] != G.r[h]:
@@ -453,9 +459,7 @@ def is_beta_strong(T, A: AlgebraAction, H=None) -> tuple[bool, tuple | None]:
             q = G.product.get((G.inverse[g], h))
             if q is None or q in hset:
                 continue
-            moved_g = [A.apply(g, t, truncate=True) for t in T.basis]
-            moved_h = [A.apply(h, t, truncate=True) for t in T.basis]
-            pi = _equalising_block(R, A.support[g].support, moved_g, moved_h)
+            pi = _equalising_block(R, A.support[g].support, moved(g), moved(h))
             if pi is not None:
                 return False, (g, h, pi)
     return True, None
@@ -505,8 +509,7 @@ def strong_subalgebra_check(T, A: AlgebraAction, invariants_of=None) -> StrongSu
     hom_report = None
     if sep and bs and equals:
         hom_report = hom_gset_check(T, A, invariants_of)
-        families = transversal_hom_family(T, A, H)
-        splits = splits_per_target(A, T, K, families.__getitem__)
+        splits = splits_per_target(A, T, K, hom_report.families.__getitem__)
     return StrongSubalgebraReport(sep, bs, witness, H.labels, equals, splits, hom_report)
 
 

@@ -2,10 +2,10 @@
 sets and algebras.
 
 Map(X, R) is again a product of field blocks, one slot per (point, block)
-pair with the block drawn from the point's fiber ideal.  The lifted action
-alpha, the invariant algebra A(X), evaluation homomorphisms, the G-set of
-homomorphisms of an algebra, and the mutually inverse maps between A(G/H)
-and the H-invariants all live here.
+pair with the block drawn from the point's fiber ideal, and the lifted
+action alpha is a block action on it.  Its invariants A(X), evaluation
+homomorphisms, the G-set of homomorphisms of an algebra, and the mutually
+inverse maps between A(G/H) and the H-invariants all live here.
 """
 
 from __future__ import annotations
@@ -17,23 +17,19 @@ from .action import (
     AlgebraAction,
     Subalgebra,
     Submodule,
+    check_composition,
     invariants,
     span_elements,
-    twisted_invariant_basis,
 )
 from .blockring import (
-    BRUTE_FORCE_BOUND,
     BlockRing,
     IdealRef,
-    ProductSpace,
     disconnected_identity,
-    fixed_elements,
     ideal_fp_basis,
     is_faithful_ideal,
 )
 from .errors import (
     CarrierMismatch,
-    CompositionFailure,
     HypothesisFailure,
     NotIdentityOnFiber,
     OracleMismatch,
@@ -44,24 +40,28 @@ from .errors import (
 )
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
 from .groupoid import coset_space, quotient_gset
-from .scalar import FpSpan, flatten, fp_basis_scalars
+from .scalar import FpSpan, flatten
 from .tensor import RankProfile, TensorOverK, rank_profile
 
 HOM_SEARCH_BOUND = 1 << 20
 
 
-class MapSpace(ProductSpace):
-    """Functions X -> R with f(x) supported in the fiber ideal of x,
-    as a product space with slots (point, block)."""
+class MapSpace(BlockRing):
+    """Functions X -> R with f(x) supported in the fiber ideal of x: a
+    block ring whose blocks are the slots (point, block), the slot (x, b)
+    owned by the point's fiber X.fiber[x]."""
 
     def __init__(self, X: GSet, ring: BlockRing):
-        slots = []
-        for x in X.carrier:
-            for b in ring.ideal(X.fiber[x]).support:
-                slots.append((x, b))
-        super().__init__(ring.field, slots)
+        slots = [
+            (x, b) for x in X.carrier for b in ring.ideal(X.fiber[x]).support
+        ]
+        super().__init__(ring.field, slots, {(x, b): X.fiber[x] for x, b in slots})
         self.gset = X
         self.ring = ring
+
+    def ideal(self, e) -> IdealRef:
+        """The functions supported on the fiber X_e; empty when X_e is."""
+        return IdealRef(tuple(s for s in self.slots if self.owner[s] == e))
 
     def k_scale(self, c, x) -> tuple:
         """Pointwise action of a ring element on a function."""
@@ -99,91 +99,50 @@ class MapSpace(ProductSpace):
         return tuple(vals[x][self.ring.slot_index(b)] for x, b in self.slots)
 
 
-class MapAlgebra:
-    """Map(X, R) with its ideals, indicators and the lifted action alpha.
-
-    Each alpha_g is compiled once into its moves (source slot or None,
-    target slot, p^t), one per slot (x, b) on the fiber X_g: the value at
-    (gamma_{g^{-1}}(x), sigma_g^{-1}(b)) goes to (x, b) raised to p^t, t the
-    Frobenius exponent of the source block.  The source is None where b has
-    no sigma_g-preimage, and that slot stays zero.
-    """
+class MapAlgebra(AlgebraAction):
+    """Map(X, R) with the lifted action alpha, a block action on the slots
+    of the MapSpace: sigma'_g(y, b) = (gamma_g y, sigma_g b) with the twist
+    frob'_g(y, b) = frob_g(b).  So alpha_g(f 1'_{g^{-1}}) is `apply` with
+    truncate: the value at (y, b) goes to (gamma_g y, sigma_g b) raised to
+    p^t, supported on the fiber X_g."""
 
     def __init__(self, space: MapSpace, action: AlgebraAction):
+        G, X = action.groupoid, space.gset
+        sigma, frob = {}, {}
+        for g in G.elements:
+            src = space.ideal(G.d[g]).support
+            sigma[g] = {(y, b): (X.gamma[g][y], action.sigma[g][b]) for y, b in src}
+            frob[g] = {(y, b): action.frob[g][b] for y, b in src}
+        super().__init__(G, space, sigma, frob)
         self.space = space
         self.action = action
-        G = action.groupoid
-        X = space.gset
-        p = space.field.p
-        self._moves = {}
-        for g in G.elements:
-            gi = G.inverse[g]
-            inv_sigma = {v: k for k, v in action.sigma[g].items()}
-            moves = []
-            for j, (x, b) in enumerate(space.slots):
-                if X.fiber[x] != G.r[g]:
-                    continue
-                src_block = inv_sigma.get(b)
-                if src_block is None:
-                    moves.append((None, j, 1))
-                    continue
-                i = space.slot_index((X.gamma[gi][x], src_block))
-                moves.append((i, j, p ** action.frob[g][src_block]))
-            self._moves[g] = tuple(moves)
 
     def one_prime(self, g) -> tuple:
         """The indicator function of the fiber X_g with value 1_g."""
-        G = self.action.groupoid
-        e = G.r[g]
-        return tuple(
-            self.space.field.one if self.space.gset.fiber[x] == e else self.space.field.zero
-            for x, _ in self.space.slots
-        )
+        return self.space.unit(self.support[g].support)
 
     def ideal_slots(self, g) -> tuple:
-        G = self.action.groupoid
-        e = G.r[g]
-        return tuple(s for s in self.space.slots if self.space.gset.fiber[s[0]] == e)
+        return self.support[g].support
 
     def alpha(self, g, f) -> tuple:
         """alpha_g(f 1'_{g^{-1}}): transport f along gamma_g and beta_g,
         supported on the fiber X_g."""
-        field = self.space.field
-        out = [field.zero] * len(self.space.slots)
-        for i, j, q in self._moves[g]:
-            if i is not None:
-                out[j] = f[i] if q == 1 else field.frobenius_table(q)[f[i]]
-        return tuple(out)
+        return self.apply(g, f, truncate=True)
 
 
 def function_algebra(X: GSet, A: AlgebraAction) -> MapAlgebra:
-    """Construct Map(X, R) with alpha and verify alpha is an action."""
+    """Construct Map(X, R) with alpha and verify alpha is an action, as
+    validate_action verifies beta: each identity's block map is the
+    identity with no twist mod k, and check_composition holds."""
     G = A.groupoid
     if X.groupoid is not G and X.groupoid.elements != G.elements:
         raise CarrierMismatch("G-set and action live over different groupoids")
     M = MapAlgebra(MapSpace(X, A.ring), A)
-    space = M.space
-
-    def slot_basis(e):
-        for idx, (x, b) in enumerate(space.slots):
-            if X.fiber[x] != e:
-                continue
-            for s in fp_basis_scalars(space.field):
-                vec = [space.field.zero] * len(space.slots)
-                vec[idx] = s
-                yield tuple(vec)
-
+    k = M.ring.field.k
     for e in G.identities:
-        for f in slot_basis(e):
-            if M.alpha(e, f) != f:
-                raise NotIdentityOnFiber(f"alpha[{e!r}] is not the identity")
-    for g, h in G.composable:
-        gh = G.product[(g, h)]
-        for f in slot_basis(G.d[h]):
-            if M.alpha(g, M.alpha(h, f)) != M.alpha(gh, f):
-                raise CompositionFailure(
-                    f"alpha[{g!r}] o alpha[{h!r}] != alpha[{gh!r}]", witness=(g, h)
-                )
+        if any(M.sigma[e][s] != s or M.frob[e][s] % k for s in M.source_ideal(e)):
+            raise NotIdentityOnFiber(f"alpha[{e!r}] is not the identity")
+    check_composition(M, "alpha")
     return M
 
 
@@ -198,38 +157,10 @@ class InvariantAlgebra(Subalgebra):
 
 
 def invariant_algebra(X: GSet, A: AlgebraAction) -> InvariantAlgebra:
-    """Compute A(X) by orbit analysis on (point, block) slots, cross-checked
-    against brute-force filtering of every function whenever Map(X, R) has
-    at most BRUTE_FORCE_BOUND elements.
-
-    The filter keeps f when alpha_g(f 1'_{g^{-1}}) = f 1'_g for every g.
-    It runs on the moves (i, j, q) that `MapAlgebra.alpha` runs on:
-    f[j] = f[i]^q, or f[j] = 0 when i is None.  That is the same
-    condition.  Both sides vanish off the fiber X_g, and the moves target
-    every slot on it.  The oracle thus checks the maps the rest of the
-    package applies, not the edge list solved above.  It compares with
-    the span of the structural basis before the Subalgebra checks run, so
-    a wrong basis raises OracleMismatch.
-    """
+    """A(X): the invariants of alpha, computed and oracle-checked by
+    `invariants` on the MapAlgebra."""
     M = function_algebra(X, A)
-    space = M.space
-    G = A.groupoid
-    edges = []
-    for g in G.elements:
-        for y in X.fiber_points(G.d[g]):
-            for b in A.source_ideal(g).support:
-                edges.append(
-                    ((y, b), (X.gamma[g][y], A.sigma[g][b]), A.frob[g][b])
-                )
-    vec_basis = twisted_invariant_basis(space.field, space.slots, edges)
-    basis = [
-        tuple(vec.get(s, space.field.zero) for s in space.slots) for vec in vec_basis
-    ]
-    if space.field.order ** len(space.slots) <= BRUTE_FORCE_BOUND:
-        wanted = fixed_elements(space, [M._moves[g] for g in G.elements])
-        if wanted != set(Submodule(space, basis).elements):
-            raise OracleMismatch("invariant functions disagree with brute force")
-    return InvariantAlgebra(M, basis)
+    return InvariantAlgebra(M, invariants(M).basis)
 
 
 class HomRecord:
@@ -489,7 +420,9 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
         terms, 2
     ):
         lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
-        rhs = flat_tuple(tuple(R.mul(a, b) for a, b in zip(phi1, phi2)))
+        rhs = flatten(
+            R.field.mul(a[i], b[i]) for a, b in zip(phi1, phi2) for i in slot_ids
+        )
         if lhs != rhs:
             multiplicative = False
             break

@@ -41,6 +41,7 @@ from gpdgalois.errors import (
     CompositionFailure,
     NotBijective,
     NotSubgroupoid,
+    SizeBoundExceeded,
     SupportMismatch,
     SupportViolation,
     ValidationError,
@@ -498,6 +499,14 @@ def test_apply_rejects_short_element(fix1):
     R = fix1.ring
     with pytest.raises(BlockMismatch):
         fix1.action.apply("g", R.element({"v1": 1})[:2])
+
+
+def test_subspace_above_the_bound_refuses_to_list():
+    A = doc_action(pair_cyclic_doc("shift", 5, 4))
+    T = invariants(A, A.groupoid.identities)
+    assert T.size == 2 ** 20
+    with pytest.raises(SizeBoundExceeded):
+        T.elements
 
 
 # The invariants oracle on compiled beta moves ----------------------------

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from conftest import pair_cyclic_doc
 from gpdgalois.cli import main
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -80,6 +81,18 @@ def test_galois_command(capsys):
     code, out = run(capsys, "galois", FIXF4)
     assert code == 0
     assert "linear-solve" in out
+
+
+def test_invariants_report_above_the_listing_bound(capsys, tmp_path):
+    # P_5 x C_4: R^{G0} is all of R, 2^20 elements, above the 2^16 that
+    # any subspace may list; the report needs only its dimension
+    doc = pair_cyclic_doc("shift", 5, 4)
+    doc["subgroupoids"] = {"G0": [f"g{i}_{i}_0" for i in range(5)]}
+    path = tmp_path / "p5c4.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "invariants", str(path), "--sub", "G0")
+    assert code == 0
+    assert "1048576 elements" in out
 
 
 def test_galois_command_negative(capsys, tmp_path):

@@ -1,0 +1,41 @@
+"""No module of the package imports a name it never uses.
+
+Only module-level imports are checked.  ``__init__.py`` re-exports by
+design, and a name a module lists in ``__all__`` is a re-export too;
+``from __future__`` imports are compiler directives, not names.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gpdgalois"
+
+
+def unused_imports(path):
+    """(line, name) for each module-level import the module never reads."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [(line, name) for line, name in imported
+            if name not in used and name not in exported]
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: unused_imports(path)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -14,12 +14,19 @@ from conftest import (
     pairwise_tensor_split_check,
     problem_action,
 )
-from gpdgalois import mapalg
-from gpdgalois.action import invariants, subalgebra_closure
+from gpdgalois import action as action_mod, mapalg
+from gpdgalois.action import (
+    AlgebraAction,
+    _complete_maps,
+    invariants,
+    module_invariants_check,
+    subalgebra_closure,
+)
 from gpdgalois.blockring import fixed_elements
-from gpdgalois.errors import HypothesisFailure, SupportViolation
+from gpdgalois.errors import CompositionFailure, HypothesisFailure, SupportViolation
 from gpdgalois.galois import strong_subalgebra_check
 from gpdgalois.groupoid import make_subgroupoid, quotient_gset, regular_gset
+from gpdgalois.gset import validate_gset
 from gpdgalois.mapalg import (
     HomRecord,
     MapSpace,
@@ -58,6 +65,30 @@ def test_function_algebra_one_point(fixc2):
     X = quotient_gset(G, make_subgroupoid(G, G.elements))
     M = function_algebra(X, fixc2.action)
     assert len(M.space.slots) == len(fixc2.ring.blocks)
+
+
+def test_function_algebra_rejects_broken_composition(fix1):
+    # gi sends v3, v4 to v2, v1: a bijection onto the blocks of e1, but
+    # gi o g swaps v1 and v2 instead of fixing them
+    G, R = fix1.groupoid, fix1.ring
+    sigma = {"g": {"v1": "v3", "v2": "v4"}, "gi": {"v3": "v2", "v4": "v1"}}
+    A = AlgebraAction(G, R, *_complete_maps(G, R, sigma, {}))
+    with pytest.raises(CompositionFailure, match=r"alpha\["):
+        function_algebra(regular_gset(G), A)
+
+
+def test_gset_with_empty_fiber(fix2):
+    # points over e1 and e2 only: h acts on the empty fiber over e3
+    G, A = fix2.groupoid, fix2.action
+    X = validate_gset(
+        G, ["x1", "x2"], {"x1": "e1", "x2": "e2"},
+        {"g": {"x1": "x2"}, "gi": {"x2": "x1"}, "h": {}},
+    )
+    M = function_algebra(X, A)
+    assert M.space.ideal("e3").support == ()
+    assert M.alpha("h", M.space.one()) == M.space.zero()
+    assert invariant_algebra(X, A).dim == 2
+    assert module_invariants_check(A, X).ok
 
 
 def test_map_space_support_constraint(fix1):
@@ -324,7 +355,7 @@ def test_invariant_algebra_oracle_catches_corrupted_basis():
             if space.field.order ** len(space.slots) > 1 << 8:
                 continue
             caught |= corrupted_basis_outcomes(
-                mapalg, lambda: invariant_algebra(X, A), space
+                action_mod, lambda: invariant_algebra(X, A), space
             )
     assert caught == {"drop", "twist"}
 
