@@ -21,17 +21,7 @@ from .blockring import (
     ideal_fp_basis,
     slotwise_matrix,
 )
-from .errors import (
-    CompositionFailure,
-    ExponentOutOfRange,
-    IdentityNotTrivial,
-    InvalidInput,
-    NotBijective,
-    OracleMismatch,
-    SizeBoundExceeded,
-    SupportMismatch,
-    SupportViolation,
-)
+from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
 from .groupoid import Groupoid, SubgroupoidSpec, make_subgroupoid
 from .scalar import FpSpan, fp_basis_scalars, solve_linear
 
@@ -88,7 +78,7 @@ class Submodule:
     def coords(self, x) -> tuple[int, ...]:
         got = self._span.coords(self.space.flat(x))
         if got is None:
-            raise SupportViolation("element outside the submodule")
+            raise ValidationError("element outside the submodule")
         return got
 
     def combine(self, coeffs) -> tuple:
@@ -101,10 +91,10 @@ class Subalgebra(Submodule):
     def __init__(self, space, basis):
         super().__init__(space, basis)
         if not self.contains(space.one()):
-            raise SupportViolation("subalgebra does not contain the identity")
+            raise ValidationError("subalgebra does not contain the identity")
         for a, b in itertools.combinations_with_replacement(self.basis, 2):
             if not self.contains(space.mul(a, b)):
-                raise SupportViolation("subalgebra not closed under multiplication")
+                raise ValidationError("subalgebra not closed under multiplication")
 
 
 def subalgebra_closure(space, gens, include=()) -> Subalgebra:
@@ -179,7 +169,7 @@ class AlgebraAction:
                 if v != R.field.zero and i not in src
             )
             if outside:
-                raise SupportViolation(
+                raise ValidationError(
                     f"element not supported in the source ideal of {g!r}",
                     witness=outside,
                 )
@@ -210,7 +200,7 @@ def _complete_maps(G: Groupoid, R: BlockRing, sigma, frob) -> tuple[dict, dict]:
     idset = set(G.identities)
     for e in idset:
         if not any(owner == e for owner in R.owner.values()):
-            raise SupportMismatch(f"identity {e!r} owns no blocks")
+            raise ValidationError(f"identity {e!r} owns no blocks")
     for b, e in R.owner.items():
         if e not in idset:
             raise InvalidInput(f"block {b!r} owned by non-identity {e!r}")
@@ -227,25 +217,25 @@ def _complete_maps(G: Groupoid, R: BlockRing, sigma, frob) -> tuple[dict, dict]:
             raise InvalidInput(f"missing sigma for {g!r}")
         m = dict(sigma[g])
         if set(m) != set(src):
-            raise SupportMismatch(
+            raise ValidationError(
                 f"sigma[{g!r}] defined on {sorted(map(str, m))}, expected blocks of {G.d[g]!r}"
             )
         if set(m.values()) - set(tgt):
-            raise SupportMismatch(f"sigma[{g!r}] maps outside the blocks of {G.r[g]!r}")
+            raise ValidationError(f"sigma[{g!r}] maps outside the blocks of {G.r[g]!r}")
         if len(set(m.values())) != len(m) or set(m.values()) != set(tgt):
-            raise NotBijective(f"sigma[{g!r}] is not a bijection onto {G.r[g]!r}")
+            raise ValidationError(f"sigma[{g!r}] is not a bijection onto {G.r[g]!r}")
         tw = {b: 0 for b in src}
         for b, t in dict(frob.get(g, {})).items():
             if b not in tw:
-                raise SupportMismatch(f"frob[{g!r}] twists unknown block {b!r}")
+                raise ValidationError(f"frob[{g!r}] twists unknown block {b!r}")
             if not 0 <= t < R.field.k:
-                raise ExponentOutOfRange(
+                raise InvalidInput(
                     f"frob[{g!r}][{b!r}]={t} outside [0, {R.field.k})"
                 )
             tw[b] = t
         if g in idset:
             if any(m[b] != b for b in src) or any(tw[b] for b in src):
-                raise IdentityNotTrivial(f"beta[{g!r}] must be the identity map")
+                raise ValidationError(f"beta[{g!r}] must be the identity map")
         full_sigma[g] = m
         full_frob[g] = tw
     return full_sigma, full_frob
@@ -266,7 +256,7 @@ def validate_action(G: Groupoid, R: BlockRing, sigma, frob=None) -> AlgebraActio
 
 
 def check_composition(A: AlgebraAction, name: str) -> None:
-    """Raise CompositionFailure unless A_g o A_h = A_gh for every
+    """Raise ValidationError unless A_g o A_h = A_gh for every
     composable (g, h); name is the action's symbol in the message.
 
     The identity is checked on the block maps: for every composable (g, h)
@@ -299,7 +289,7 @@ def check_composition(A: AlgebraAction, name: str) -> None:
                 for x in ideal_fp_basis(R, [b])
                 if A.apply(g, A.apply(h, x)) != A.apply(gh, x)
             )
-            raise CompositionFailure(
+            raise ValidationError(
                 f"{name}[{g!r}] o {name}[{h!r}] != {name}[{gh!r}]",
                 witness=(g, h, R.format(x)),
             )
@@ -378,13 +368,10 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
     """
     G, R = A.groupoid, A.ring
     if H is None:
-        labels = G.elements
+        H = G.elements
     elif isinstance(H, SubgroupoidSpec):
-        labels = H.labels
-    else:
-        labels = make_subgroupoid(G, tuple(H)).labels
-    cert_sub = make_subgroupoid(G, labels)  # raises NotSubgroupoid on junk
-    labels = cert_sub.labels
+        H = H.labels
+    labels = make_subgroupoid(G, H).labels  # raises ValidationError on junk
 
     edges = []
     for h in labels:
@@ -516,7 +503,7 @@ def skew_element(A: AlgebraAction, terms: dict) -> dict:
     for g, x in terms.items():
         sup = set(A.support[g].support)
         if any(s not in sup for s in R.support_of(x)):
-            raise SupportViolation(f"coefficient of delta_{g!r} outside E_{g!r}")
+            raise ValidationError(f"coefficient of delta_{g!r} outside E_{g!r}")
         if x != R.zero():
             out[g] = x
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BlockMismatch, InvalidInput, SizeBoundExceeded, UnknownLabel
+from .errors import InvalidInput, SizeBoundExceeded
 from .scalar import FieldSpec, Scalar, flatten, fp_basis_scalars
 
 BRUTE_FORCE_BOUND = 1 << 16
@@ -34,7 +34,7 @@ class ProductSpace:
         try:
             return self._index[slot]
         except KeyError:
-            raise UnknownLabel(f"unknown slot {slot!r}") from None
+            raise InvalidInput(f"unknown slot {slot!r}") from None
 
     def zero(self) -> tuple:
         return (self.field.zero,) * len(self.slots)
@@ -58,14 +58,14 @@ class ProductSpace:
             return tuple(out)
         vals = tuple(self.field.element(v) for v in coords)
         if len(vals) != len(self.slots):
-            raise BlockMismatch(
+            raise InvalidInput(
                 f"expected {len(self.slots)} coordinates, got {len(vals)}"
             )
         return vals
 
     def _check(self, x):
         if len(x) != len(self.slots):
-            raise BlockMismatch("element has wrong number of coordinates")
+            raise InvalidInput("element has wrong number of coordinates")
 
     def add(self, x, y) -> tuple:
         self._check(x), self._check(y)
@@ -73,9 +73,6 @@ class ProductSpace:
 
     def sub(self, x, y) -> tuple:
         return tuple(self.field.sub(a, b) for a, b in zip(x, y))
-
-    def neg(self, x) -> tuple:
-        return tuple(self.field.neg(a) for a in x)
 
     def mul(self, x, y) -> tuple:
         self._check(x), self._check(y)
@@ -148,7 +145,7 @@ class BlockRing(ProductSpace):
     def ideal(self, e) -> IdealRef:
         sup = tuple(b for b in self.blocks if self.owner[b] == e)
         if not sup:
-            raise UnknownLabel(f"no blocks owned by {e!r}")
+            raise InvalidInput(f"no blocks owned by {e!r}")
         return IdealRef(sup)
 
     def k_scale(self, c, x) -> tuple:
@@ -172,7 +169,7 @@ def make_ring(field: FieldSpec, blocks, ideals, identities=None) -> BlockRing:
             raise InvalidInput(f"identity {e!r} owns no blocks")
         for b in blist:
             if b not in set(blocks):
-                raise UnknownLabel(f"unknown block {b!r} in ideal of {e!r}")
+                raise InvalidInput(f"unknown block {b!r} in ideal of {e!r}")
             if b in owner:
                 raise InvalidInput(f"block {b!r} assigned to two ideals")
             owner[b] = e
@@ -216,20 +213,14 @@ def fixed_elements(space: ProductSpace, tables) -> set:
 def is_faithful_ideal(K, E: IdealRef) -> tuple[bool, tuple | None]:
     """No nonzero element of K annihilates the ideal; witness otherwise.
 
-    K is anything with an ordered `elements` collection over R (typically
-    the invariant subalgebra); the first annihilator in that order is the
-    witness.
+    K is a subalgebra of R (typically the invariants); the first
+    annihilator in the order of K.elements is the witness.
     """
-    elems = K.elements if hasattr(K, "elements") else tuple(K)
-    space = K.space if hasattr(K, "space") else None
-    if space is None:
-        raise InvalidInput("K must carry its ambient space")
+    space = K.space
     unit = space.unit(E.support)
     zero = space.zero()
-    for x in elems:
-        if x == zero:
-            continue
-        if space.mul(x, unit) == zero:
+    for x in K.elements:
+        if x != zero and space.mul(x, unit) == zero:
             return False, x
     return True, None
 

@@ -3,8 +3,21 @@
 One JSON problem file describes a field, a groupoid, a block ring and an
 action (plus optional named G-sets, subgroupoids and subalgebra generator
 lists); each subcommand runs one family of checks and emits a
-deterministic report.  Exit codes: 0 pass, 1 fail or hypothesis failure,
-2 invalid input.
+deterministic report.  Its status and exit code:
+
+- 0 `pass`;
+- 1 `fail`: a check fails, or the input breaks an axiom or a stated
+  property (ValidationError);
+- 1 `hypothesis-failure`: a theorem's hypothesis fails, so its check does
+  not apply (HypothesisFailure);
+- 2 `invalid-input`: a malformed or unknown file, section, key, name or
+  argument (InvalidInput);
+- 3 `bound-exceeded`: an enumeration is above its bound, such as
+  `--max-size` (SizeBoundExceeded);
+- 4 `oracle-mismatch`: a structural result disagreed with its brute-force
+  cross-check, a fault of this library (OracleMismatch).
+
+run_command gives each error category its status, in one place.
 """
 
 from __future__ import annotations
@@ -12,7 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, repeat
 
 from . import galois as galois_mod
 from . import mapalg
@@ -26,11 +41,10 @@ from .action import (
 )
 from .blockring import faithfulness_criterion, is_faithful_ideal, make_ring
 from .errors import (
-    DegreeMismatch,
     HypothesisFailure,
     InvalidInput,
-    NonPrimeCharacteristic,
-    ReducibleModulus,
+    OracleMismatch,
+    SizeBoundExceeded,
     ValidationError,
 )
 from .groupoid import (
@@ -43,9 +57,6 @@ from .groupoid import (
 from .gset import validate_gset
 from .scalar import make_field
 
-EXIT_CODES = {"pass": 0, "fail": 1, "hypothesis-failure": 1, "invalid-input": 2}
-
-
 @dataclass
 class Check:
     name: str
@@ -53,10 +64,7 @@ class Check:
     witness: str | None = None
 
     def as_dict(self):
-        out = {"name": self.name, "verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 @dataclass
@@ -73,126 +81,175 @@ class Report:
     def note(self, name, witness=None):
         self.checks.append(Check(name, "info", witness))
 
-    def hypothesis_failure(self, name, witness=None):
-        self.checks.append(Check(name, "hypothesis-failure", witness))
-        self.status = "hypothesis-failure"
+    def end(self, status, name, witness):
+        """The last line and the report's status; its verdict is the
+        status, but an invalid input's line is a FAIL."""
+        self.checks.append(Check(name, "fail" if status == "invalid-input" else status, witness))
+        self.status = status
 
     def as_dict(self):
-        return {
-            "command": self.command,
-            "status": self.status,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+        return {**vars(self), "checks": [c.as_dict() for c in self.checks]}
 
     def render(self) -> str:
         lines = [f"command: {self.command}"]
         for c in self.checks:
-            tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO",
-                   "hypothesis-failure": "HYPOTHESIS-FAILURE"}[c.verdict]
             suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"[{tag}] {c.name}{suffix}")
+            lines.append(f"[{c.verdict.upper()}] {c.name}{suffix}")
         lines.append(f"status: {self.status}")
         return "\n".join(lines)
 
 
+# An object whose values all have one shape; kind, if given, names an
+# entry in messages.
+Each = namedtuple("Each", "kind shape")
+
+
+class OneOf(tuple):
+    """Shapes told apart by their JSON type."""
+
+
+# The shape of each section of a problem file.  A dict lists an object's
+# keys (a key ending in "?" may be absent), [shape] is an array, and a
+# type is a JSON value of that type; a label is a string, a number or null.
+NULL = type(None)
+LABEL = (str, int, float, NULL)
+LABELS = [LABEL]
+LABEL_MAP = Each(None, LABEL)
+FIELD = {"p": object}
+COEFFICIENT = OneOf((int, [int]))
+SHAPES = {
+    "action": Each("action entry", {"sigma": LABEL_MAP, "frob?": Each(None, int)}),
+    "groupoid": {"elements": LABELS, "products": [LABELS], "inverses?": OneOf((LABEL_MAP, NULL))},
+    "ring": {"field?": FIELD, "blocks": LABELS, "ideals": Each(None, LABELS)},
+    "subgroupoids": Each("subgroupoid", LABELS),
+    "gsets": Each("G-set", OneOf((
+        str, {"carrier": LABELS, "fibers": LABEL_MAP, "gamma?": Each(None, LABEL_MAP)}))),
+    "subalgebras": Each("subalgebra", [OneOf((Each(None, COEFFICIENT), [COEFFICIENT]))]),
+}
+NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an integer",
+         LABEL: "a label", NULL: "null"}
+
+
+def _conform(value, shape, where):
+    """Return value if it has the shape, else raise InvalidInput naming
+    where it fails: the section, then each key, entry and item."""
+    shapes = shape if isinstance(shape, OneOf) else (shape,)
+    shape = next((s for s in shapes if isinstance(value, _type(s))), None)
+    if shape is None:
+        raise InvalidInput(f"{where} must be {' or '.join(NAMES[_type(s)] for s in shapes)}")
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                _conform(value[name], sub, f"{where} key {name!r}")
+            elif name == key:
+                raise InvalidInput(f"{where} is missing key {name!r}")
+    elif isinstance(shape, (list, Each)):
+        item = shape[0] if isinstance(shape, list) else shape.shape
+        if not _plain(value if isinstance(shape, list) else value.values(), item):
+            for name, x in enumerate(value) if isinstance(shape, list) else value.items():
+                _conform(x, item, f"{where} item {name}" if isinstance(shape, list) else
+                         f"{shape.kind} {name!r}" if shape.kind else f"{where} entry {name!r}")
+    return value
+
+
+def _plain(values, shape) -> bool:
+    """Whether each of values has shape, when that is a leaf or an array
+    of leaves: the bulk of a document, checked at once."""
+    if isinstance(shape, list):
+        values = list(values)
+        return (all(map(isinstance, values, repeat(list)))
+                and _plain(chain.from_iterable(values), shape[0]))
+    leaf = isinstance(shape, type) or shape is LABEL
+    return leaf and all(map(isinstance, values, repeat(shape)))
+
+
+def _type(shape):
+    """The JSON type of a shape, as a Python type (or tuple of types)."""
+    return dict if isinstance(shape, (dict, Each)) else list if isinstance(shape, list) else shape
+
+
+def _field(sec, where):
+    _conform(sec, FIELD, where)
+    return make_field(sec["p"], sec.get("k", 1), sec.get("modulus"))
+
+
 class Problem:
-    """Lazily validated bundle built from one problem file."""
+    """One problem file.  The shape of each section (SHAPES) is checked
+    when it is first read: the sections G, R and A are built from here,
+    the optional named entries when a command reads them."""
 
     def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise InvalidInput("problem document must be a JSON object")
-        self.doc = doc
+        self.doc = _conform(doc, dict, "problem document")
         for section in ("field", "groupoid", "ring", "action"):
             if section not in doc:
                 raise InvalidInput(f"missing section {section!r}")
-        # The fields and the action entries' keys are checked first, so a
-        # bad one is invalid input rather than a structural failure.
-        self.field = _field(doc["field"])
-        ring = doc["ring"]
-        self.ring_field = _field(ring["field"]) if "field" in ring else self.field
-        if not isinstance(doc["action"], dict):
-            raise InvalidInput("section 'action' must be a JSON object")
-        self.sigma, self.frob = {}, {}
-        for g, spec in doc["action"].items():
-            if "sigma" not in spec:
-                raise InvalidInput(f"action entry {g!r} is missing key 'sigma'")
-            self.sigma[g] = spec["sigma"]
-            self.frob[g] = spec.get("frob", {})
+        # The fields and the action entries are checked first, so a bad
+        # one is invalid input rather than a structural failure.
+        self.field = _field(doc["field"], "section 'field'")
+        ring = _conform(doc["ring"], dict, "section 'ring'")
+        self.ring_field = (_field(ring["field"], "section 'ring' key 'field'")
+                           if "field" in ring else self.field)
+        actions = _conform(doc["action"], SHAPES["action"], "section 'action'").items()
+        self.sigma = {g: spec["sigma"] for g, spec in actions}
+        self.frob = {g: spec.get("frob", {}) for g, spec in actions}
+        for section in ("groupoid", "ring"):
+            _conform(doc[section], SHAPES[section], f"section {section!r}")
 
-    def groupoid(self):
-        sec = self.doc["groupoid"]
-        return validate_groupoid(
-            sec["elements"], sec["products"], sec.get("inverses")
-        )
+    def build(self, built=lambda line: None):
+        """Build and validate G, R and A; built(line) reports each."""
+        grp, ring = self.doc["groupoid"], self.doc["ring"]
+        G = validate_groupoid(grp["elements"], grp["products"], grp.get("inverses"))
+        built("groupoid axioms")
+        R = make_ring(self.ring_field, ring["blocks"], ring["ideals"], identities=G.identities)
+        built("ring blocks partition")
+        A = validate_action(G, R, self.sigma, self.frob)
+        built("action axioms")
+        return G, R, A
 
-    def ring(self, G):
-        sec = self.doc["ring"]
-        return make_ring(
-            self.ring_field, sec["blocks"], sec["ideals"], identities=G.identities
-        )
+    def named(self, section) -> dict:
+        """Every entry of an optional section, each shape checked."""
+        return _conform(self.doc.get(section, {}), SHAPES[section], f"section {section!r}")
 
-    def action(self, G, R):
-        return validate_action(G, R, self.sigma, self.frob)
+    def entry(self, section, name):
+        """One entry of an optional section, its shape checked."""
+        entries = _conform(self.doc.get(section, {}), dict, f"section {section!r}")
+        each = SHAPES[section]
+        if name not in entries:
+            raise InvalidInput(f"unknown {each.kind} {name!r}")
+        return _conform(entries[name], each.shape, f"{each.kind} {name!r}")
 
-    def subgroupoid(self, G, name):
-        named = self.doc.get("subgroupoids", {})
-        if name not in named:
-            raise InvalidInput(f"unknown subgroupoid {name!r}")
-        return make_subgroupoid(G, named[name])
-
-    def gset(self, G, name):
-        named = self.doc.get("gsets", {})
-        if name not in named:
-            raise InvalidInput(f"unknown G-set {name!r}")
-        spec = named[name]
+    def gset(self, G, spec):
         if spec == "regular":
             return regular_gset(G)
         if isinstance(spec, str) and spec.startswith("quotient:"):
-            return quotient_gset(G, self.subgroupoid(G, spec.split(":", 1)[1]))
+            H = make_subgroupoid(G, self.entry("subgroupoids", spec.split(":", 1)[1]))
+            return quotient_gset(G, H)
         if isinstance(spec, str):
             raise InvalidInput(f"unknown G-set shorthand {spec!r}")
         return validate_gset(G, spec["carrier"], spec["fibers"], {
             g: dict(m) for g, m in spec.get("gamma", {}).items()
         })
 
-    def subalgebra(self, A, name):
-        named = self.doc.get("subalgebras", {})
-        if name not in named:
-            raise InvalidInput(f"unknown subalgebra {name!r}")
-        R = A.ring
-        gens = [R.element(entry) for entry in named[name]]
-        return subalgebra_closure(R, gens, include=A.base_subalgebra().basis)
-
-
-def _field(sec):
-    try:
-        return make_field(sec["p"], sec.get("k", 1), sec.get("modulus"))
-    except (NonPrimeCharacteristic, DegreeMismatch, ReducibleModulus) as err:
-        raise InvalidInput(str(err)) from None
-
 
 # Each subcommand adds its checks to a report once run_command has built
 # and reported the groupoid G, the ring R and the action A.
 
 def cmd_check(report, problem, args, G, R, A):
-    for name in problem.doc.get("gsets", {}):
-        try:
-            problem.gset(G, name)
-            report.add(f"gset {name}", True)
-        except ValidationError as err:
-            report.add(f"gset {name}", False, str(err))
-    for name in problem.doc.get("subgroupoids", {}):
-        try:
-            problem.subgroupoid(G, name)
-            report.add(f"subgroupoid {name}", True)
-        except ValidationError as err:
-            report.add(f"subgroupoid {name}", False, str(err))
-    for name in problem.doc.get("subalgebras", {}):
-        try:
-            T = problem.subalgebra(A, name)
-            report.add(f"subalgebra {name}", True, f"{T.size} elements")
-        except ValidationError as err:
-            report.add(f"subalgebra {name}", False, str(err))
+    for kind, section, build in (
+        ("gset", "gsets", lambda spec: problem.gset(G, spec)),
+        ("subgroupoid", "subgroupoids", lambda spec: make_subgroupoid(G, spec)),
+        ("subalgebra", "subalgebras", lambda spec: subalgebra_closure(
+            R, [R.element(x) for x in spec], include=A.base_subalgebra().basis)),
+    ):
+        for name, spec in problem.named(section).items():
+            try:
+                built = build(spec)
+            except ValidationError as err:
+                report.add(f"{kind} {name}", False, str(err))
+            else:
+                report.add(f"{kind} {name}", True,
+                           f"{built.size} elements" if kind == "subalgebra" else None)
 
 
 def cmd_galois(report, problem, args, G, R, A):
@@ -219,8 +276,7 @@ def cmd_subgroupoids(report, problem, args, G, R, A):
 
 
 def cmd_invariants(report, problem, args, G, R, A):
-    H = problem.subgroupoid(G, args.sub)
-    T = invariants(A, H)
+    T = invariants(A, make_subgroupoid(G, problem.entry("subgroupoids", args.sub)))
     report.add(
         "invariants computed (oracle checked)",
         True,
@@ -252,12 +308,7 @@ def cmd_skew(report, problem, args, G, R, A):
 
 
 def cmd_grothendieck(report, problem, args, G, R, A):
-    X = problem.gset(G, args.gset)
-    try:
-        rep = mapalg.grothendieck_set_check(A, X)
-    except HypothesisFailure as err:
-        report.hypothesis_failure("equivalence hypotheses", _witness_str(R, err))
-        return
+    rep = mapalg.grothendieck_set_check(A, problem.gset(G, problem.entry("gsets", args.gset)))
     report.add("points biject with evaluation maps", rep.eval_iso.isomorphism)
     report.add("independent isomorphism search", rep.independent_iso_found)
     for g, srep in rep.splits.items():
@@ -266,11 +317,7 @@ def cmd_grothendieck(report, problem, args, G, R, A):
 
 
 def cmd_correspondence(report, problem, args, G, R, A):
-    try:
-        table = galois_mod.galois_correspondence(A, max_elements=args.max_size)
-    except HypothesisFailure as err:
-        report.hypothesis_failure("correspondence hypotheses", _witness_str(R, err))
-        return
+    table = galois_mod.galois_correspondence(A, max_elements=args.max_size)
     for row in table.rows:
         report.note(
             "row",
@@ -289,32 +336,12 @@ def cmd_correspondence(report, problem, args, G, R, A):
 def _witness_str(R, err: HypothesisFailure) -> str:
     if not err.witness:
         return str(err)
-    g, outside, annihilator = err.witness
+    g, outside, annihilator = err.witness  # an unfaithful ideal has an annihilator
     parts = [f"ideal of {g} unfaithful"]
     if outside is not None:
         parts.append(f"identity {outside} not connected to r({g})")
-    if annihilator is not None:
-        parts.append(f"annihilator {R.format(annihilator)}")
+    parts.append(f"annihilator {R.format(annihilator)}")
     return "; ".join(parts)
-
-
-def run_command(problem: Problem, args) -> Report:
-    """Build the groupoid, the ring and the action, one reported step
-    each, then run the subcommand's checks; a structural failure ends the
-    report."""
-    report = Report(args.command)
-    try:
-        G = problem.groupoid()
-        report.add("groupoid axioms", True)
-        R = problem.ring(G)
-        report.add("ring blocks partition", True)
-        A = problem.action(G, R)
-        report.add("action axioms", True)
-    except ValidationError as err:
-        report.add("structural validation", False, str(err))
-        return report
-    COMMANDS[args.command](report, problem, args, G, R, A)
-    return report
 
 
 COMMANDS = {
@@ -327,6 +354,54 @@ COMMANDS = {
     "grothendieck": cmd_grothendieck,
     "correspondence": cmd_correspondence,
 }
+
+# The status of each error category, the first match winning, the name
+# of the line that ends a report with it, and the exit code.
+STATUSES = (
+    (InvalidInput, "invalid-input", "input", 2),
+    (ValidationError, "fail", "structural validation", 1),
+    (SizeBoundExceeded, "bound-exceeded", "size bound", 3),
+    (OracleMismatch, "oracle-mismatch", "oracle cross-check", 4),
+    (HypothesisFailure, "hypothesis-failure", "hypotheses", 1),
+)
+EXIT_CODES = {"pass": 0, **{status: code for _, status, _, code in STATUSES}}
+HYPOTHESES = {"grothendieck": "equivalence hypotheses",
+              "correspondence": "correspondence hypotheses"}
+
+
+def _load(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError: not JSON, or not text
+        raise InvalidInput(str(err)) from None
+
+
+def run_command(args) -> Report:
+    """Read the problem file, build and report G, R and A, one line each,
+    then run the subcommand's checks.  An error ends the report with the
+    status of its category (STATUSES), on a last line with its message:
+    the only line for invalid input, else after the lines so far.  While
+    G, R and A are built, InvalidInput is a structural failure like any
+    ValidationError: building them is the check of the document itself.
+    """
+    report = Report(args.command)
+    problem = A = None
+    try:
+        problem = Problem(_load(args.file))
+        G, R, A = problem.build(lambda line: report.add(line, True))
+        COMMANDS[args.command](report, problem, args, G, R, A)
+    except (ValidationError, SizeBoundExceeded, OracleMismatch, HypothesisFailure) as err:
+        # while G, R and A are built, InvalidInput falls through to ValidationError
+        statuses = STATUSES[1:] if problem and A is None else STATUSES
+        _, status, line, _ = next(s for s in statuses if isinstance(err, s[0]))
+        if status == "invalid-input":
+            report.checks.clear()  # the lines before it are not a report
+        if status == "hypothesis-failure":
+            report.end(status, HYPOTHESES.get(args.command, line), _witness_str(R, err))
+        else:
+            report.end(status, line, str(err))
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,14 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        with open(args.file) as fh:
-            doc = json.load(fh)
-        problem = Problem(doc)
-        report = run_command(problem, args)
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, InvalidInput) as err:
-        report = Report(args.command, status="invalid-input")
-        report.checks.append(Check("input", "fail", str(err)))
+    report = run_command(args)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:

@@ -1,158 +1,44 @@
-"""Exception vocabulary shared by all modules.
+"""Exception vocabulary shared by all modules: five categories, each with
+the status the CLI gives it (see gpdgalois.cli).
 
-Every validation failure carries enough payload (a witness) to reproduce
-the offending computation by hand.
+Every error carries a message and, where one helps, a witness: enough
+payload to reproduce the offending computation by hand.
 """
 
 
-class ValidationError(Exception):
-    """Base class for structural validation failures."""
-
+class _Error(Exception):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class ValidationError(_Error):
+    """Property: well-formed input that breaks an axiom or a stated
+    property (a groupoid, G-set or action axiom, a subgroupoid or
+    subalgebra that is not closed)."""
+
+    @classmethod
+    def axiom(cls, axiom, witness):
+        """A groupoid axiom that fails, with its witness."""
+        return cls(f"axiom {axiom} violated (witness: {witness})", witness)
 
 
 class InvalidInput(ValidationError):
-    """Malformed or inconsistent raw input (labels, sections, formats)."""
+    """Input: malformed or unknown data (a missing key, an unknown label,
+    a non-prime characteristic, an element of the wrong length)."""
 
 
-class SizeBoundExceeded(ValidationError):
-    """An exhaustive enumeration was requested beyond its configured bound."""
+class SizeBoundExceeded(_Error):
+    """Bound: an exhaustive enumeration was asked for beyond its bound."""
 
 
-class UnknownLabel(ValidationError):
-    """A label does not resolve in its context."""
+class HypothesisFailure(_Error):
+    """Hypothesis: the input is well-formed, but a theorem's hypothesis
+    fails on it, so the claimed result does not apply.  Never conflated
+    with a property failure."""
 
 
-class OracleMismatch(ValidationError):
-    """A structural computation disagreed with its brute-force cross-check."""
-
-
-# scalar ---------------------------------------------------------------
-
-class NonPrimeCharacteristic(ValidationError):
-    pass
-
-
-class ReducibleModulus(ValidationError):
-    pass
-
-
-class DegreeMismatch(ValidationError):
-    pass
-
-
-class ExponentOutOfRange(ValidationError):
-    pass
-
-
-# groupoid -------------------------------------------------------------
-
-class AxiomViolation(ValidationError):
-    def __init__(self, axiom, witness=None):
-        super().__init__(f"axiom {axiom} violated (witness: {witness})", witness)
-        self.axiom = axiom
-
-
-class MissingIdentity(ValidationError):
-    pass
-
-
-class MissingInverse(ValidationError):
-    pass
-
-
-class NonUniqueInverse(ValidationError):
-    pass
-
-
-class NotWide(ValidationError):
-    pass
-
-
-class NotSubgroupoid(ValidationError):
-    pass
-
-
-# G-sets ---------------------------------------------------------------
-
-class FiberMismatch(ValidationError):
-    pass
-
-
-class NotIdentityOnFiber(ValidationError):
-    pass
-
-
-class CompositionFailure(ValidationError):
-    pass
-
-
-class NotSplit(ValidationError):
-    pass
-
-
-class CarrierMismatch(ValidationError):
-    pass
-
-
-class UnknownPoint(ValidationError):
-    pass
-
-
-# block rings and actions ---------------------------------------------
-
-class BlockMismatch(ValidationError):
-    pass
-
-
-class SupportMismatch(ValidationError):
-    pass
-
-
-class SupportViolation(ValidationError):
-    pass
-
-
-class NotBijective(ValidationError):
-    pass
-
-
-class IdentityNotTrivial(ValidationError):
-    pass
-
-
-class NotAModule(ValidationError):
-    pass
-
-
-# hom machinery --------------------------------------------------------
-
-class TargetMismatch(ValidationError):
-    pass
-
-
-class NotSeparable(ValidationError):
-    pass
-
-
-class NoSuchIdempotent(ValidationError):
-    pass
-
-
-class KBlockNotField(ValidationError):
-    pass
-
-
-class HypothesisFailure(Exception):
-    """A theorem's hypothesis fails on the given instance.
-
-    Distinct from ValidationError: the input is well-formed, but a claimed
-    result does not apply to it.  Never conflated with a property failure,
-    which would indicate a bug.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class OracleMismatch(_Error):
+    """Library fault: a structural computation disagreed with its
+    brute-force cross-check, or a result failed its own verification.
+    Never a verdict on the input."""

@@ -22,13 +22,7 @@ from .action import (
     trace,
 )
 from .blockring import ideal_fp_basis, slotwise_matrix
-from .errors import (
-    InvalidInput,
-    NoSuchIdempotent,
-    NotSeparable,
-    OracleMismatch,
-    TargetMismatch,
-)
+from .errors import InvalidInput, OracleMismatch, ValidationError
 from .groupoid import enumerate_wide_subgroupoids
 from .mapalg import (
     HomGSetReport,
@@ -62,9 +56,9 @@ __all__ = [
 
 def _require_same_frame(f: HomRecord, g: HomRecord):
     if f.target_support != g.target_support:
-        raise TargetMismatch("homomorphisms target different ideals")
+        raise InvalidInput("homomorphisms target different ideals")
     if f.source is not g.source and f.source.basis != g.source.basis:
-        raise TargetMismatch("homomorphisms have different sources")
+        raise InvalidInput("homomorphisms have different sources")
 
 
 def _equalising_block(R, support, xs, ys):
@@ -185,7 +179,7 @@ def tri_equivalence_check(family, K: Subalgebra) -> TriEquivalenceReport:
         return TriEquivalenceReport(True, True, True)
     T = family[0].source
     if separability_idempotent(T, K) is None:
-        raise NotSeparable("source algebra is not separable over the base")
+        raise ValidationError("source algebra is not separable over the base")
     groups: dict = {}
     for h in family:
         groups.setdefault(h.target_support, []).append(h)
@@ -340,7 +334,7 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
         if f_apply(space.mul(a, b)) != space.mul(f_apply(a), f_apply(b)):
             raise InvalidInput("f is not multiplicative")
     if separability_idempotent(T, base) is None:
-        raise NotSeparable("algebra is not separable over the base")
+        raise ValidationError("algebra is not separable over the base")
 
     # The column of b_i's coefficient in pi: (x - f(x)) b_i per x, then f(b_i).
     diffs = [space.sub(x, f_apply(x)) for x in T.basis]
@@ -353,7 +347,7 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
     ]
     coords = span.coords(flatten(space.zero()) * len(diffs) + flatten(space.one()))
     if coords is None:
-        raise NoSuchIdempotent("the defining system is inconsistent")
+        raise ValidationError("the defining system is inconsistent")
     if not all(independent):
         raise OracleMismatch("the idempotent of a consistent system is not unique")
     pi = T.combine(coords)
@@ -508,7 +502,7 @@ def strong_subalgebra_check(T, A: AlgebraAction, invariants_of=None) -> StrongSu
     splits: dict = {}
     hom_report = None
     if sep and bs and equals:
-        hom_report = hom_gset_check(T, A, invariants_of)
+        hom_report = hom_gset_check(T, A, invariants_of, H)
         splits = splits_per_target(A, T, K, hom_report.families.__getitem__)
     return StrongSubalgebraReport(sep, bs, witness, H.labels, equals, splits, hom_report)
 

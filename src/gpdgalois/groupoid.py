@@ -24,18 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gset as gset_mod
-from .errors import (
-    AxiomViolation,
-    InvalidInput,
-    MissingIdentity,
-    MissingInverse,
-    NonUniqueInverse,
-    NotSubgroupoid,
-    NotWide,
-    OracleMismatch,
-    SizeBoundExceeded,
-    UnknownLabel,
-)
+from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -59,10 +48,7 @@ class Groupoid:
         try:
             return self._index[g]
         except KeyError:
-            raise UnknownLabel(f"unknown element {g!r}") from None
-
-    def is_identity(self, g) -> bool:
-        return g in self._index and self.d[g] == g == self.r[g]
+            raise InvalidInput(f"unknown element {g!r}") from None
 
     def __repr__(self):
         return f"Groupoid({list(self.elements)})"
@@ -108,7 +94,7 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
         a, b, ab = triple
         for lbl in (a, b, ab):
             if lbl not in index:
-                raise UnknownLabel(f"product triple references unknown label {lbl!r}")
+                raise InvalidInput(f"product triple references unknown label {lbl!r}")
         if (a, b) in product and product[(a, b)] != ab:
             raise InvalidInput(f"conflicting products for ({a!r}, {b!r})")
         product[(a, b)] = ab
@@ -128,9 +114,9 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
     for g in elements:
         rights, lefts = in_order(right_units[g]), in_order(left_units[g])
         if not rights or not lefts:
-            raise MissingIdentity(f"no d/r identities for {g!r}")
+            raise ValidationError(f"no d/r identities for {g!r}")
         if len(rights) > 1 or len(lefts) > 1:
-            raise AxiomViolation("unique-identities", (g, rights, lefts))
+            raise ValidationError.axiom("unique-identities", (g, rights, lefts))
         d[g], r[g] = rights[0], lefts[0]
     with_d = {g: [] for g in elements}
     with_r = {g: [] for g in elements}
@@ -142,15 +128,15 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
     # entry matches, and there are as many entries as matching pairs.
     for a, b in product:
         if d[a] != r[b]:
-            raise AxiomViolation("composability", (a, b))
+            raise ValidationError.axiom("composability", (a, b))
     if len(product) != sum(len(with_d[e]) * len(with_r[e]) for e in elements):
         missing = next(
             (g, h) for g in elements for h in with_r[d[g]] if (g, h) not in product
         )
-        raise AxiomViolation("composability", missing)
+        raise ValidationError.axiom("composability", missing)
     for (a, b), ab in product.items():
         if d[ab] != d[b] or r[ab] != r[a]:
-            raise AxiomViolation("product-endpoints", (a, b))
+            raise ValidationError.axiom("product-endpoints", (a, b))
 
     # Associativity on composable triples, in (g, h, l) element order.
     for g in elements:
@@ -158,7 +144,7 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
             gh = product[(g, h)]
             for l in with_r[d[h]]:
                 if product[(gh, l)] != product[(g, product[(h, l)])]:
-                    raise AxiomViolation("associativity", (g, h, l))
+                    raise ValidationError.axiom("associativity", (g, h, l))
 
     # x is the inverse of g when xg = d g and gx = r g.
     left_inverses = {g: set() for g in elements}
@@ -172,16 +158,16 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
     for g in elements:
         cands = in_order(left_inverses[g] & right_inverses[g])
         if not cands:
-            raise MissingInverse(f"no inverse for {g!r}")
+            raise ValidationError(f"no inverse for {g!r}")
         if len(cands) > 1:
-            raise NonUniqueInverse(f"multiple inverses for {g!r}: {cands}")
+            raise ValidationError(f"multiple inverses for {g!r}: {cands}")
         inverse[g] = cands[0]
     if inverses:
         for g, gi in inverses.items():
             if g not in index or gi not in index:
-                raise UnknownLabel("inverse map references unknown label")
+                raise InvalidInput("inverse map references unknown label")
             if inverse[g] != gi:
-                raise AxiomViolation("user-inverse", (g, gi, inverse[g]))
+                raise ValidationError.axiom("user-inverse", (g, gi, inverse[g]))
 
     endpoints = set(d.values()) | set(r.values())
     identities = [g for g in elements if g in endpoints]
@@ -190,19 +176,19 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
     for g in elements:
         gi = inverse[g]
         if d[gi] != r[g] or r[gi] != d[g]:
-            raise AxiomViolation("inverse-endpoints", g)
+            raise ValidationError.axiom("inverse-endpoints", g)
         if inverse[gi] != g:
-            raise AxiomViolation("double-inverse", g)
+            raise ValidationError.axiom("double-inverse", g)
     for (g, h), gh in product.items():
         if (inverse[h], inverse[g]) not in product:
-            raise AxiomViolation("inverse-pair", (g, h))
+            raise ValidationError.axiom("inverse-pair", (g, h))
         if product[(inverse[h], inverse[g])] != inverse[gh]:
-            raise AxiomViolation("antihomomorphism", (g, h))
+            raise ValidationError.axiom("antihomomorphism", (g, h))
         if (gh in endpoints) != (g == inverse[h]):
-            raise AxiomViolation("identity-product", (g, h))
+            raise ValidationError.axiom("identity-product", (g, h))
     for e in identities:
         if d[e] != e or r[e] != e or inverse[e] != e:
-            raise AxiomViolation("identity-fixed", e)
+            raise ValidationError.axiom("identity-fixed", e)
     # Division: g = hl for some l iff r g = r h, and g = lh for some l iff
     # d g = d h.  Each product set is compared with its endpoint class.
     row = {g: set() for g in elements}
@@ -217,7 +203,7 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
         ):
             if got != set(want):
                 g = in_order(got.symmetric_difference(want))[0]
-                raise AxiomViolation(axiom, (g, h))
+                raise ValidationError.axiom(axiom, (g, h))
 
     return Groupoid(elements, product, inverse, d, r, identities)
 
@@ -236,9 +222,8 @@ class SubgroupoidSpec:
 
 
 def _closure_certificate(G: Groupoid, subset) -> str | None:
+    """Why a subset of G's elements is not closed, or None if it is."""
     sset = set(subset)
-    for g in subset:
-        G.index(g)
     for g, h in itertools.product(subset, repeat=2):
         gh = G.product.get((g, h))
         if gh is not None and gh not in sset:
@@ -253,12 +238,12 @@ def make_subgroupoid(G: Groupoid, labels) -> SubgroupoidSpec:
     wanted = set(labels)
     ordered = tuple(g for g in G.elements if g in wanted)
     if len(ordered) != len(wanted):
-        raise UnknownLabel("subgroupoid references unknown labels")
+        raise InvalidInput("subgroupoid references unknown labels")
     cert = _closure_certificate(G, ordered)
     if cert:
-        raise NotSubgroupoid(cert)
+        raise ValidationError(cert)
     if not ordered:
-        raise NotSubgroupoid("empty subset")
+        raise ValidationError("empty subset")
     return SubgroupoidSpec(ordered)
 
 
@@ -267,7 +252,7 @@ def is_wide_subgroupoid(G: Groupoid, labels) -> tuple[bool, str | None]:
     subset = tuple(g for g in G.elements if g in set(labels))
     unknown = set(labels) - set(G.elements)
     if unknown:
-        raise UnknownLabel(f"unknown labels {sorted(map(str, unknown))}")
+        raise InvalidInput(f"unknown labels {sorted(map(str, unknown))}")
     cert = _closure_certificate(G, subset)
     if cert:
         return False, cert
@@ -358,7 +343,7 @@ def coset_space(G: Groupoid, H) -> CosetSpace:
     labels = H.labels if isinstance(H, SubgroupoidSpec) else tuple(H)
     wide, cert = is_wide_subgroupoid(G, labels)
     if not wide:
-        raise NotWide(cert)
+        raise ValidationError(cert)
     hset = set(labels)
 
     def related(a, b):

@@ -9,17 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    CarrierMismatch,
-    CompositionFailure,
-    FiberMismatch,
-    InvalidInput,
-    NotIdentityOnFiber,
-    NotSplit,
-    OracleMismatch,
-    SizeBoundExceeded,
-    UnknownPoint,
-)
+from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
 
 DEFAULT_MAX_POINTS = 20
 
@@ -35,15 +25,6 @@ class GSet:
 
     def fiber_points(self, e) -> tuple:
         return tuple(x for x in self.carrier if self.fiber[x] == e)
-
-    def points_of(self, g) -> tuple:
-        """The fiber X_g = X_{r(g)}."""
-        return self.fiber_points(self.groupoid.r[g])
-
-    def apply(self, g, x):
-        if x not in self.fiber:
-            raise UnknownPoint(f"unknown point {x!r}")
-        return self.gamma[g][x]
 
     def __repr__(self):
         return f"GSet({len(self.carrier)} points over {len(self.groupoid.elements)} elements)"
@@ -62,12 +43,12 @@ def validate_gset(groupoid, carrier, fiber, gamma) -> GSet:
     identities = set(G.identities)
     for x in carrier:
         if x not in fiber:
-            raise NotSplit(f"point {x!r} lies in no fiber")
+            raise ValidationError(f"point {x!r} lies in no fiber")
         if fiber[x] not in identities:
-            raise NotSplit(f"point {x!r} assigned to non-identity {fiber[x]!r}")
+            raise ValidationError(f"point {x!r} assigned to non-identity {fiber[x]!r}")
     for x in fiber:
         if x not in set(carrier):
-            raise UnknownPoint(f"fiber entry for unknown point {x!r}")
+            raise InvalidInput(f"fiber entry for unknown point {x!r}")
 
     fibers = {e: tuple(x for x in carrier if fiber[x] == e) for e in G.identities}
     full_gamma = {}
@@ -81,23 +62,23 @@ def validate_gset(groupoid, carrier, fiber, gamma) -> GSet:
             raise InvalidInput(f"missing gamma for {g!r}")
         m = dict(gamma[g])
         if set(m) != set(src):
-            raise FiberMismatch(
+            raise ValidationError(
                 f"gamma[{g!r}] defined on {sorted(map(str, m))}, expected fiber of {G.d[g]!r}"
             )
         if set(m.values()) != tgt:
-            raise FiberMismatch(f"gamma[{g!r}] is not onto the fiber of {G.r[g]!r}")
+            raise ValidationError(f"gamma[{g!r}] is not onto the fiber of {G.r[g]!r}")
         if len(set(m.values())) != len(m):
-            raise FiberMismatch(f"gamma[{g!r}] is not injective")
+            raise ValidationError(f"gamma[{g!r}] is not injective")
         full_gamma[g] = m
     for e in G.identities:
         for x in fibers[e]:
             if full_gamma[e][x] != x:
-                raise NotIdentityOnFiber(f"gamma[{e!r}] moves {x!r}")
+                raise ValidationError(f"gamma[{e!r}] moves {x!r}")
     for g, h in G.composable:
         gh = G.product[(g, h)]
         for x in fibers[G.d[h]]:
             if full_gamma[g][full_gamma[h][x]] != full_gamma[gh][x]:
-                raise CompositionFailure(
+                raise ValidationError(
                     f"gamma[{g!r}] o gamma[{h!r}] != gamma[{gh!r}] at {x!r}",
                     witness=(g, h, x),
                 )
@@ -124,12 +105,12 @@ def check_gmap(psi: GMap) -> GMapReport:
     """Equivariance and fiber preservation; flags isomorphisms."""
     src, tgt = psi.source, psi.target
     if src.groupoid is not tgt.groupoid and src.groupoid.elements != tgt.groupoid.elements:
-        raise CarrierMismatch("source and target live over different groupoids")
+        raise InvalidInput("source and target live over different groupoids")
     if set(psi.mapping) != set(src.carrier):
-        raise CarrierMismatch("mapping domain differs from source carrier")
+        raise InvalidInput("mapping domain differs from source carrier")
     for x, y in psi.mapping.items():
         if y not in tgt.fiber:
-            raise UnknownPoint(f"image {y!r} not in target carrier")
+            raise InvalidInput(f"image {y!r} not in target carrier")
     G = src.groupoid
     for x, y in psi.mapping.items():
         if src.fiber[x] != tgt.fiber[y]:
@@ -151,7 +132,7 @@ def gset_isomorphic(a: GSet, b: GSet, max_points: int = DEFAULT_MAX_POINTS):
             f"carrier larger than {max_points}; raise the bound to proceed"
         )
     if a.groupoid is not b.groupoid and a.groupoid.elements != b.groupoid.elements:
-        raise CarrierMismatch("G-sets over different groupoids")
+        raise InvalidInput("G-sets over different groupoids")
     G = a.groupoid
     if len(a.carrier) != len(b.carrier):
         return None

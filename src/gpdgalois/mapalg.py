@@ -29,13 +29,10 @@ from .blockring import (
     is_faithful_ideal,
 )
 from .errors import (
-    CarrierMismatch,
     HypothesisFailure,
-    NotIdentityOnFiber,
+    InvalidInput,
     OracleMismatch,
     SizeBoundExceeded,
-    SupportViolation,
-    UnknownPoint,
     ValidationError,
 )
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
@@ -73,7 +70,7 @@ class MapSpace(BlockRing):
     def value_at(self, f, point) -> tuple:
         """The ring element f(point)."""
         if point not in self.gset.fiber:
-            raise UnknownPoint(f"unknown point {point!r}")
+            raise InvalidInput(f"unknown point {point!r}")
         coords = {}
         for (x, b), v in zip(self.slots, f):
             if x == point:
@@ -83,17 +80,16 @@ class MapSpace(BlockRing):
     def from_values(self, values: dict) -> tuple:
         """Build a function from point -> ring element, enforcing the
         fiber support constraint."""
-        out = []
         zero = self.ring.zero()
         vals = {x: values.get(x, zero) for x in self.gset.carrier}
-        for x, v in values.items():
+        for x in values:
             if x not in self.gset.fiber:
-                raise UnknownPoint(f"unknown point {x!r}")
+                raise InvalidInput(f"unknown point {x!r}")
         for x, v in vals.items():
             allowed = set(self.ring.ideal(self.gset.fiber[x]).support)
             for s in self.ring.support_of(v):
                 if s not in allowed:
-                    raise SupportViolation(
+                    raise ValidationError(
                         f"value at {x!r} leaves the fiber ideal", witness=(x, s)
                     )
         return tuple(vals[x][self.ring.slot_index(b)] for x, b in self.slots)
@@ -136,12 +132,12 @@ def function_algebra(X: GSet, A: AlgebraAction) -> MapAlgebra:
     identity with no twist mod k, and check_composition holds."""
     G = A.groupoid
     if X.groupoid is not G and X.groupoid.elements != G.elements:
-        raise CarrierMismatch("G-set and action live over different groupoids")
+        raise InvalidInput("G-set and action live over different groupoids")
     M = MapAlgebra(MapSpace(X, A.ring), A)
     k = M.ring.field.k
     for e in G.identities:
         if any(M.sigma[e][s] != s or M.frob[e][s] % k for s in M.source_ideal(e)):
-            raise NotIdentityOnFiber(f"alpha[{e!r}] is not the identity")
+            raise ValidationError(f"alpha[{e!r}] is not the identity")
     check_composition(M, "alpha")
     return M
 
@@ -195,7 +191,7 @@ def evaluation_hom(AX: InvariantAlgebra, x) -> HomRecord:
     """rho_x: f -> f(x), landing in the fiber ideal of x."""
     space = AX.space
     if x not in AX.gset.fiber:
-        raise UnknownPoint(f"unknown point {x!r}")
+        raise InvalidInput(f"unknown point {x!r}")
     ring = space.ring
     support = ring.ideal(AX.gset.fiber[x]).support
     images = [space.value_at(f, x) for f in AX.basis]
@@ -264,9 +260,10 @@ class EvalIsoReport:
     certificate: str | None = None
 
 
-def eval_iso_check(X: GSet, AX: InvariantAlgebra) -> EvalIsoReport:
-    """The point -> evaluation map as a candidate G-set isomorphism."""
-    ev = build_eval_gset(AX)
+def eval_iso_check(X: GSet, AX: InvariantAlgebra, ev: EvalGSet | None = None) -> EvalIsoReport:
+    """The point -> evaluation map as a candidate G-set isomorphism; ev,
+    when given, must be build_eval_gset(AX)."""
+    ev = build_eval_gset(AX) if ev is None else ev
     bijective = len(ev.gset.carrier) == len(X.carrier)
     psi = GMap(X, ev.gset, dict(ev.point_label))
     rep = check_gmap(psi)
@@ -493,18 +490,19 @@ class HomGSetReport:
         return self.gset_valid and self.equivalent
 
 
-def hom_gset_check(B, A: AlgebraAction, invariants_of=None) -> HomGSetReport:
+def hom_gset_check(B, A: AlgebraAction, invariants_of=None, H=None) -> HomGSetReport:
     """Build the canonical hom family of an invariant subalgebra (one map
     per coset of its stabilizer), let beta act on it, and test both
     characterizations of V(B) being a G-set.
 
-    invariants_of(H), when given, must return invariants(A, H); it lets a
-    caller share invariants it has already computed."""
+    invariants_of(H), when given, must return invariants(A, H), and H,
+    when given, must be stabilizer(B, A); they let a caller share what it
+    has already computed."""
     from .action import stabilizer
     from . import galois as galois_mod
 
     G = A.groupoid
-    H = stabilizer(B, A)
+    H = stabilizer(B, A) if H is None else H
     T_check = invariants(A, H) if invariants_of is None else invariants_of(H)
     if T_check.key() != B.key():
         return HomGSetReport(
@@ -525,7 +523,7 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of=None) -> HomGSetReport:
     gamma: dict = {}
     for g in G.elements:
         m = {}
-        for idx, rep in enumerate(cs.representatives):
+        for rep in cs.representatives:
             if G.r[rep] != G.d[g]:
                 continue
             target_rep = cs.representatives[cs.class_of[G.product[(g, rep)]]]
@@ -684,7 +682,7 @@ def quotient_iso_pair(A: AlgebraAction, H) -> QuotientIsoReport:
 
     expand_well_defined = True
     for r in T.basis:
-        for idx, members in enumerate(cs.classes):
+        for members in cs.classes:
             vals = {A.apply(l, r, truncate=True) for l in members}
             if len(vals) != 1:
                 expand_well_defined = False
@@ -766,14 +764,14 @@ def grothendieck_set_check(A: AlgebraAction, X: GSet) -> SetRoundTripReport:
     G-set of evaluation homomorphisms of A(X), and each fiber family splits
     the corresponding ideal tensor A(X)."""
     require_faithful_hypotheses(A)
-    G = A.groupoid
     AX = invariant_algebra(X, A)
     K = A.base_subalgebra()
-    ev = eval_iso_check(X, AX)
-    indep = gset_isomorphic(X, build_eval_gset(AX).gset) is not None
+    ev = build_eval_gset(AX)
+    iso = eval_iso_check(X, AX, ev)
+    indep = gset_isomorphic(X, ev.gset) is not None
     splits = splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
     proof_identity = all(rep.components_match for rep in splits.values())
-    return SetRoundTripReport(ev, indep, splits, proof_identity)
+    return SetRoundTripReport(iso, indep, splits, proof_identity)
 
 
 @dataclass

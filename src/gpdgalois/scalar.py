@@ -15,12 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import (
-    DegreeMismatch,
-    ExponentOutOfRange,
-    NonPrimeCharacteristic,
-    ReducibleModulus,
-)
+from .errors import InvalidInput
 
 Scalar = tuple[int, ...]
 
@@ -127,7 +122,7 @@ class FieldSpec:
         cs = [c % self.p for c in coeffs]
         if len(cs) > self.k:
             if any(cs[self.k:]):
-                raise DegreeMismatch(f"coefficient vector longer than k={self.k}")
+                raise InvalidInput(f"coefficient vector longer than k={self.k}")
             cs = cs[: self.k]
         cs += [0] * (self.k - len(cs))
         return tuple(cs)
@@ -140,9 +135,6 @@ class FieldSpec:
                 for n in range(self.order)
             )
         return self._elements
-
-    def index(self, x: Scalar) -> int:
-        return sum(c * self.p**i for i, c in enumerate(x))
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         return tuple((a + b) % self.p for a, b in zip(x, y))
@@ -163,10 +155,6 @@ class FieldSpec:
         self._mul_cache[(x, y)] = out
         return out
 
-    def scale(self, n: int, x: Scalar) -> Scalar:
-        n %= self.p
-        return tuple((n * a) % self.p for a in x)
-
     def power(self, x: Scalar, n: int) -> Scalar:
         out = self.one
         base = x
@@ -186,9 +174,6 @@ class FieldSpec:
             self._inv_cache[x] = got
         return got
 
-    def div(self, x: Scalar, y: Scalar) -> Scalar:
-        return self.mul(x, self.inv(y))
-
     def frobenius_table(self, q: int) -> dict[Scalar, Scalar]:
         """x -> x^q for a Frobenius power q = p^t, as a dict that fills
         itself on first lookup of each x and is kept for the next caller."""
@@ -199,7 +184,7 @@ class FieldSpec:
 
     def frobenius(self, x: Scalar, e: int) -> Scalar:
         if not 0 <= e < self.k:
-            raise ExponentOutOfRange(f"exponent {e} outside [0, {self.k})")
+            raise InvalidInput(f"exponent {e} outside [0, {self.k})")
         return self.frobenius_table(self.p**e)[x]
 
     def format(self, x: Scalar) -> str:
@@ -225,22 +210,24 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     ignored (and may be omitted) when k = 1.
     """
     if not isinstance(p, int) or not _is_prime(p):
-        raise NonPrimeCharacteristic(f"{p} is not prime")
+        raise InvalidInput(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
-        raise DegreeMismatch(f"extension degree must be >= 1, got {k}")
+        raise InvalidInput(f"extension degree must be >= 1, got {k}")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
     if modulus is None:
-        raise DegreeMismatch("modulus required when k > 1")
+        raise InvalidInput("modulus required when k > 1")
+    if not isinstance(modulus, (list, tuple)) or not all(isinstance(c, int) for c in modulus):
+        raise InvalidInput(f"modulus must be a list of integers, got {modulus!r}")
     mod = [c % p for c in modulus]
     if len(mod) != k + 1:
-        raise DegreeMismatch(f"modulus must have length k+1={k + 1}, got {len(mod)}")
+        raise InvalidInput(f"modulus must have length k+1={k + 1}, got {len(mod)}")
     if mod[-1] != 1:
-        raise DegreeMismatch("modulus must be monic")
+        raise InvalidInput("modulus must be monic")
     for d in range(1, k // 2 + 1):
         for cand in _monic_polys(p, d):
             if not _ptrim(_pmod(p, mod, cand)):
-                raise ReducibleModulus(
+                raise InvalidInput(
                     f"modulus has factor of degree {d}", witness=tuple(cand)
                 )
     return FieldSpec(p, k, tuple(mod))
@@ -366,7 +353,7 @@ class Elimination:
         self.nrows = len(matrix)
         self.ncols = ncols = len(matrix[0]) if matrix else 0
         if any(len(row) != ncols for row in matrix):
-            raise DegreeMismatch("ragged matrix")
+            raise InvalidInput("ragged matrix")
         powers = fp_basis_scalars(F)[1:]
         self._span = FpSpan(F.p)
         self._pivots = []
@@ -393,7 +380,7 @@ class Elimination:
         system is inconsistent.  The nullspace is computed on the first
         consistent solve and kept."""
         if len(rhs) != self.nrows:
-            raise DegreeMismatch("rhs length differs from row count")
+            raise InvalidInput("rhs length differs from row count")
         coords = self._span.coords(flatten(rhs))
         if coords is None:
             return LinearSolution(None, [])

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import Subalgebra, span_elements
-from .errors import KBlockNotField, NotAModule
+from .errors import ValidationError
 from .scalar import FpSpan, Scalar, make_field
 
 
@@ -30,7 +30,7 @@ class KBlock:
         span = FpSpan(space.field.p)
         for pw in self.kappa_pows:
             if not span.insert(space.flat(pw)):
-                raise KBlockNotField("generator powers are dependent")
+                raise ValidationError("generator powers are dependent")
 
     @property
     def degree(self) -> int:
@@ -64,10 +64,10 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     for u in primitive:
         for w in primitive:
             if w != u and space.mul(u, w) != space.zero():
-                raise KBlockNotField("primitive idempotents not orthogonal")
+                raise ValidationError("primitive idempotents not orthogonal")
         total = space.add(total, u)
     if total != space.one():
-        raise KBlockNotField("primitive idempotents do not sum to one")
+        raise ValidationError("primitive idempotents do not sum to one")
 
     out = []
     for u in primitive:
@@ -92,7 +92,7 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
                 minpoly_coords = deg_span.coords(space.flat(power))
                 break
         if kappa is None:
-            raise KBlockNotField("no field generator found; K block is not a field")
+            raise ValidationError("no field generator found; K block is not a field")
         p = space.field.p
         if d == 1:
             afield = make_field(p, 1)
@@ -129,12 +129,12 @@ class BlockModuleBasis:
             for pw in kblock.kappa_pows:
                 vv = space.k_scale(pw, v)
                 if not ku_span.insert(space.flat(vv)):
-                    raise NotAModule("block not free over its base field")
+                    raise ValidationError("block not free over its base field")
                 if not fp_span.contains(space.flat(vv)):
-                    raise NotAModule("module not closed under base multiplication")
+                    raise ValidationError("module not closed under base multiplication")
                 self._decomp.insert(space.flat(vv))
         if len(self.basis) * kblock.degree != len(fp_vecs):
-            raise NotAModule("block dimension not divisible by the field degree")
+            raise ValidationError("block dimension not divisible by the field degree")
 
     @property
     def rank(self) -> int:
@@ -144,7 +144,7 @@ class BlockModuleBasis:
         """K·u-coordinates of z over the basis, as abstract scalars."""
         coords = self._decomp.coords(self.space.flat(z))
         if coords is None:
-            raise NotAModule("element outside the block span")
+            raise ValidationError("element outside the block span")
         d = self.kblock.degree
         return tuple(
             tuple(coords[i * d : (i + 1) * d]) for i in range(len(self.basis))
@@ -168,14 +168,14 @@ def rank_profile(T, K: Subalgebra, parts=None) -> RankProfile:
     """dim over K·u of T·u for every primitive idempotent u of K.
 
     parts, when given, are T's BlockModuleBasis per block of kblocks(K),
-    already built by the caller.  Raises NotAModule when T is not closed
+    already built by the caller.  Raises ValidationError when T is not closed
     under multiplication by K.
     """
     space = T.space
     for c in K.basis:
         for b in T.basis:
             if not T.contains(space.k_scale(c, b)):
-                raise NotAModule("module not closed under base multiplication")
+                raise ValidationError("module not closed under base multiplication")
     if parts is None:
         parts = [BlockModuleBasis(space, blk, T.basis) for blk in kblocks(K)]
     ranks = tuple(part.rank for part in parts)

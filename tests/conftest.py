@@ -22,15 +22,10 @@ from gpdgalois.action import (
 )
 from gpdgalois.blockring import IdealRef, ideal_fp_basis
 from gpdgalois.errors import (
-    AxiomViolation,
-    CompositionFailure,
     InvalidInput,
-    MissingIdentity,
-    MissingInverse,
-    NonUniqueInverse,
     OracleMismatch,
     SizeBoundExceeded,
-    UnknownLabel,
+    ValidationError,
 )
 from gpdgalois.galois import (
     CorrespondenceRow,
@@ -560,9 +555,7 @@ def problem_doc(source):
 
 def doc_action(doc):
     """The validated action of a problem document."""
-    problem = cli.Problem(doc)
-    G = problem.groupoid()
-    return problem.action(G, problem.ring(G))
+    return cli.Problem(doc).build()[2]
 
 
 def problem_action(source):
@@ -639,7 +632,7 @@ def oracle_validate_groupoid(elements, products, inverses=None) -> Groupoid:
         a, b, ab = triple
         for lbl in (a, b, ab):
             if lbl not in known:
-                raise UnknownLabel(f"product triple references unknown label {lbl!r}")
+                raise InvalidInput(f"product triple references unknown label {lbl!r}")
         if (a, b) in product and product[(a, b)] != ab:
             raise InvalidInput(f"conflicting products for ({a!r}, {b!r})")
         product[(a, b)] = ab
@@ -649,9 +642,9 @@ def oracle_validate_groupoid(elements, products, inverses=None) -> Groupoid:
         right_units = [x for x in elements if product.get((g, x)) == g]
         left_units = [x for x in elements if product.get((x, g)) == g]
         if not right_units or not left_units:
-            raise MissingIdentity(f"no d/r identities for {g!r}")
+            raise ValidationError(f"no d/r identities for {g!r}")
         if len(right_units) > 1 or len(left_units) > 1:
-            raise AxiomViolation("unique-identities", (g, right_units, left_units))
+            raise ValidationError.axiom("unique-identities", (g, right_units, left_units))
         d[g], r[g] = right_units[0], left_units[0]
 
     for g, h, l in itertools.product(elements, repeat=3):
@@ -661,15 +654,15 @@ def oracle_validate_groupoid(elements, products, inverses=None) -> Groupoid:
         rhs = product.get((g, hl)) if hl is not None else None
         both_factors = gh is not None and hl is not None
         if (rhs is not None) != both_factors:
-            raise AxiomViolation("existence", (g, h, l))
+            raise ValidationError.axiom("existence", (g, h, l))
         if (rhs is not None) != (lhs is not None):
-            raise AxiomViolation("existence", (g, h, l))
+            raise ValidationError.axiom("existence", (g, h, l))
         if rhs is not None and lhs != rhs:
-            raise AxiomViolation("associativity", (g, h, l))
+            raise ValidationError.axiom("associativity", (g, h, l))
 
     for g, h in itertools.product(elements, repeat=2):
         if ((g, h) in product) != (d[g] == r[h]):
-            raise AxiomViolation("composability", (g, h))
+            raise ValidationError.axiom("composability", (g, h))
 
     inverse = {}
     for g in elements:
@@ -679,44 +672,44 @@ def oracle_validate_groupoid(elements, products, inverses=None) -> Groupoid:
             if product.get((x, g)) == d[g] and product.get((g, x)) == r[g]
         ]
         if not cands:
-            raise MissingInverse(f"no inverse for {g!r}")
+            raise ValidationError(f"no inverse for {g!r}")
         if len(cands) > 1:
-            raise NonUniqueInverse(f"multiple inverses for {g!r}: {cands}")
+            raise ValidationError(f"multiple inverses for {g!r}: {cands}")
         inverse[g] = cands[0]
     if inverses:
         for g, gi in inverses.items():
             if g not in known or gi not in known:
-                raise UnknownLabel("inverse map references unknown label")
+                raise InvalidInput("inverse map references unknown label")
             if inverse[g] != gi:
-                raise AxiomViolation("user-inverse", (g, gi, inverse[g]))
+                raise ValidationError.axiom("user-inverse", (g, gi, inverse[g]))
 
     identities = [g for g in elements if any(d[x] == g or r[x] == g for x in elements)]
 
     for g in elements:
         gi = inverse[g]
         if d[gi] != r[g] or r[gi] != d[g]:
-            raise AxiomViolation("inverse-endpoints", g)
+            raise ValidationError.axiom("inverse-endpoints", g)
         if inverse[gi] != g:
-            raise AxiomViolation("double-inverse", g)
+            raise ValidationError.axiom("double-inverse", g)
     for (g, h), gh in product.items():
         if d[gh] != d[h] or r[gh] != r[g]:
-            raise AxiomViolation("product-endpoints", (g, h))
+            raise ValidationError.axiom("product-endpoints", (g, h))
         if ((inverse[h], inverse[g]) in product) != ((g, h) in product):
-            raise AxiomViolation("inverse-pair", (g, h))
+            raise ValidationError.axiom("inverse-pair", (g, h))
         if product[(inverse[h], inverse[g])] != inverse[gh]:
-            raise AxiomViolation("antihomomorphism", (g, h))
+            raise ValidationError.axiom("antihomomorphism", (g, h))
         if (gh in identities) != (g == inverse[h]):
-            raise AxiomViolation("identity-product", (g, h))
+            raise ValidationError.axiom("identity-product", (g, h))
     for e in identities:
         if d[e] != e or r[e] != e or inverse[e] != e:
-            raise AxiomViolation("identity-fixed", e)
+            raise ValidationError.axiom("identity-fixed", e)
     for g, h in itertools.product(elements, repeat=2):
         right_div = any(product.get((h, l)) == g for l in elements)
         if right_div != (r[g] == r[h]):
-            raise AxiomViolation("right-division", (g, h))
+            raise ValidationError.axiom("right-division", (g, h))
         left_div = any(product.get((l, h)) == g for l in elements)
         if left_div != (d[g] == d[h]):
-            raise AxiomViolation("left-division", (g, h))
+            raise ValidationError.axiom("left-division", (g, h))
 
     return Groupoid(elements, product, inverse, d, r, identities)
 
@@ -729,7 +722,7 @@ def elementwise_validate_action(G, R, sigma, frob=None) -> AlgebraAction:
         gh = G.product[(g, h)]
         for x in ideal_fp_basis(R, R.ideal(G.d[h]).support):
             if action.apply(g, action.apply(h, x)) != action.apply(gh, x):
-                raise CompositionFailure(
+                raise ValidationError(
                     f"beta[{g!r}] o beta[{h!r}] != beta[{gh!r}]",
                     witness=(g, h, R.format(x)),
                 )

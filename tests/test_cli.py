@@ -1,10 +1,12 @@
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 
 from conftest import pair_cyclic_doc
-from gpdgalois.cli import main
+from gpdgalois import action as action_mod
+from gpdgalois.cli import EXIT_CODES, main
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -214,3 +216,133 @@ def test_bad_field_is_invalid_input(capsys, tmp_path, field, message):
         report = json.loads(out)
         assert code == 2 and report["status"] == "invalid-input"
         assert report["checks"] == [{"name": "input", "verdict": "fail", "witness": message}]
+
+
+def _fix1_with(tmp_path, corrupt):
+    doc = json.loads(pathlib.Path(FIX1).read_text())
+    doc["gsets"]["explicit"] = {
+        "carrier": ["x1", "x2", "x3", "x4"],
+        "fibers": {"x1": "e1", "x2": "e1", "x3": "e2", "x4": "e2"},
+        "gamma": {"g": {"x1": "x3", "x2": "x4"}, "gi": {"x3": "x1", "x4": "x2"}},
+    }
+    corrupt(doc)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _delete(*keys):
+    def corrupt(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return corrupt
+
+
+def _number(*keys):
+    def corrupt(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = 7
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_delete("field", "p"), "section 'field' is missing key 'p'"),
+    (_delete("groupoid", "elements"), "section 'groupoid' is missing key 'elements'"),
+    (_delete("groupoid", "products"), "section 'groupoid' is missing key 'products'"),
+    (_delete("ring", "blocks"), "section 'ring' is missing key 'blocks'"),
+    (_delete("ring", "ideals"), "section 'ring' is missing key 'ideals'"),
+    (_delete("gsets", "explicit", "carrier"), "G-set 'explicit' is missing key 'carrier'"),
+    (_delete("gsets", "explicit", "fibers"), "G-set 'explicit' is missing key 'fibers'"),
+    (_number("field"), "section 'field' must be a JSON object"),
+    (_number("groupoid"), "section 'groupoid' must be a JSON object"),
+    (_number("ring"), "section 'ring' must be a JSON object"),
+    (_number("action"), "section 'action' must be a JSON object"),
+    (_number("subgroupoids"), "section 'subgroupoids' must be a JSON object"),
+    (_number("gsets"), "section 'gsets' must be a JSON object"),
+    (_number("subalgebras"), "section 'subalgebras' must be a JSON object"),
+    (_number("groupoid", "products"),
+     "section 'groupoid' key 'products' must be a JSON array"),
+    (_number("groupoid", "products", 0),
+     "section 'groupoid' key 'products' item 0 must be a JSON array"),
+    (_number("ring", "ideals", "e1"),
+     "section 'ring' key 'ideals' entry 'e1' must be a JSON array"),
+    (_number("action", "g"), "action entry 'g' must be a JSON object"),
+    (_number("action", "g", "sigma"), "action entry 'g' key 'sigma' must be a JSON object"),
+    (_number("subgroupoids", "G0"), "subgroupoid 'G0' must be a JSON array"),
+    (_number("gsets", "explicit", "carrier"),
+     "G-set 'explicit' key 'carrier' must be a JSON array"),
+    (_number("subalgebras", "full"), "subalgebra 'full' must be a JSON array"),
+    (_number("subalgebras", "full", 0),
+     "subalgebra 'full' item 0 must be a JSON object or a JSON array"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_document_is_invalid_input(capsys, tmp_path, corrupt, message):
+    code, out = run(capsys, "check", _fix1_with(tmp_path, corrupt), "--json")
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "invalid-input"
+    assert report["checks"] == [{"name": "input", "verdict": "fail", "witness": message}]
+
+
+def _gset_change(**spec):
+    def corrupt(doc):
+        doc["gsets"]["bad"] = {**doc["gsets"]["explicit"], **spec}
+    return corrupt
+
+
+def test_check_reports_a_bad_gset_on_its_line(capsys, tmp_path):
+    path = _fix1_with(tmp_path, _gset_change(gamma={"g": {"x1": "x3", "x2": "x3"}}))
+    code, out = run(capsys, "check", path)
+    assert code == 1
+    assert "[FAIL] gset bad  [gamma['g'] is not onto the fiber of 'e2']" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, corrupt, status, last", [
+    # a property failure of the named structure is the structural
+    # validation FAIL, as in the build phase; malformed data is invalid input
+    (["grothendieck", "--gset", "bad"], _gset_change(gamma={"g": {"x1": "x3", "x2": "x3"}}),
+     "fail", "[FAIL] structural validation  [gamma['g'] is not onto the fiber of 'e2']"),
+    (["grothendieck", "--gset", "bad"],
+     _gset_change(fibers={"x1": "g", "x2": "e1", "x3": "e2", "x4": "e2"}),
+     "fail", "[FAIL] structural validation  [point 'x1' assigned to non-identity 'g']"),
+    (["grothendieck", "--gset", "bad"], _gset_change(gamma={}), "invalid-input",
+     "[FAIL] input  [missing gamma for 'g']"),
+    (["invariants", "--sub", "bad"],
+     lambda doc: doc["subgroupoids"].update(bad=["e1", "e2", "zz"]), "invalid-input",
+     "[FAIL] input  [subgroupoid references unknown labels]"),
+    (["invariants", "--sub", "bad"],
+     lambda doc: doc["subgroupoids"].update(bad=["e1", "e2", "g"]), "fail",
+     "[FAIL] structural validation  [not closed under inverse: 'g']"),
+], ids=["grothendieck-not-onto", "grothendieck-non-identity-fiber",
+        "grothendieck-missing-gamma", "invariants-unknown-label", "invariants-not-closed"])
+def test_bad_named_structure_ends_the_report(capsys, tmp_path, argv, corrupt, status, last):
+    path = _fix1_with(tmp_path, corrupt)
+    code, out = run(capsys, argv[0], path, *argv[1:])
+    lines = out.splitlines()
+    assert code == EXIT_CODES[status] and lines[-1] == f"status: {status}"
+    assert lines[-2] == last
+
+
+def test_subgroupoids_above_the_bound_is_bound_exceeded(capsys, tmp_path):
+    path = tmp_path / "p4c4.json"
+    path.write_text(json.dumps(pair_cyclic_doc("shift", 4, 4)))
+    code, out = run(capsys, "subgroupoids", str(path))
+    assert code == 3
+    assert out.splitlines()[-3:] == [
+        "[PASS] action axioms",
+        "[BOUND-EXCEEDED] size bound  [|G|=64 exceeds bound 20]",
+        "status: bound-exceeded",
+    ]
+
+
+def test_invariants_oracle_mismatch_is_reported(capsys):
+    # a structural basis with one vector dropped disagrees with brute force
+    orig = action_mod.twisted_invariant_basis
+    with mock.patch.object(action_mod, "twisted_invariant_basis",
+                           lambda *args: orig(*args)[1:]):
+        code, out = run(capsys, "invariants", FIX1, "--sub", "H1")
+    assert code == 4
+    assert out.splitlines()[-2:] == [
+        "[ORACLE-MISMATCH] oracle cross-check  [structural invariants disagree with brute force]",
+        "status: oracle-mismatch",
+    ]

@@ -22,9 +22,9 @@ from gpdgalois.action import Submodule, invariants, stabilizer, subalgebra_closu
 from gpdgalois.blockring import ideal_fp_basis
 from gpdgalois.errors import (
     HypothesisFailure,
-    NotAModule,
     OracleMismatch,
     SizeBoundExceeded,
+    ValidationError,
 )
 from gpdgalois.galois import (
     associated_idempotent,
@@ -267,7 +267,7 @@ def test_rank_profile_rejects_non_module(fix1):
     R = fix1.ring
     K = fix1.action.base_subalgebra()
     T = Submodule(R, [R.one(), R.element({"v1": 1})])
-    with pytest.raises(NotAModule):
+    with pytest.raises(ValidationError, match="module not closed under base multiplication"):
         rank_profile(T, K)
 
 
@@ -641,6 +641,26 @@ def test_correspondence_matches_candidate_loop(source):
             galois_correspondence(problem_action(source))
         return
     table = galois_correspondence(problem_action(source))
+    assert _table_summary(table) == _table_summary(expected)
+
+
+def test_correspondence_computes_each_stabilizer_once():
+    # strong_subalgebra_check hands the stabilizer it computed to
+    # hom_gset_check: on twisted P_2 x C_2 over F_4 one stabilizer per
+    # distinct subalgebra (7 rows, 8 other candidates), and the table of
+    # solving every row and candidate afresh
+    source = ("twisted", 2, 2, 2)
+    asked = []
+
+    def counting(T, A):
+        asked.append(T.key())
+        return stabilizer(T, A)
+
+    with mock.patch.object(action_mod, "stabilizer", counting), \
+            mock.patch.object(galois_mod, "stabilizer", counting):
+        table = galois_correspondence(problem_action(source))
+    assert len(asked) == len(set(asked)) == 15
+    expected = candidate_loop_correspondence(problem_action(source))
     assert _table_summary(table) == _table_summary(expected)
 
 

@@ -14,14 +14,7 @@ from conftest import (
     subset_wide_subgroupoids,
     wide_subgroupoid_count,
 )
-from gpdgalois.errors import (
-    AxiomViolation,
-    NotSubgroupoid,
-    NotWide,
-    SizeBoundExceeded,
-    UnknownLabel,
-    ValidationError,
-)
+from gpdgalois.errors import InvalidInput, SizeBoundExceeded, ValidationError
 from gpdgalois.groupoid import (
     coset_space,
     enumerate_wide_subgroupoids,
@@ -60,7 +53,7 @@ def test_broken_inverse_rejected():
         ("gi", "e2", "gi"), ("e1", "gi", "gi"),
         ("gi", "g", "e2"), ("g", "gi", "e2"),
     ]
-    with pytest.raises(AxiomViolation):
+    with pytest.raises(ValidationError, match=r"axiom \S+ violated \(witness: "):
         validate_groupoid(elements, products)
 
 
@@ -96,12 +89,12 @@ def test_wide_subgroupoid_queries(fix1, fix2):
     assert not ok and "e3" in cert
     ok, cert = is_wide_subgroupoid(fix1.groupoid, ["e1", "e2", "g"])
     assert not ok and "inverse" in cert
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(InvalidInput, match=r"unknown labels \['nope'\]"):
         is_wide_subgroupoid(fix1.groupoid, ["nope"])
 
 
 def test_make_subgroupoid_requires_closure(fix1):
-    with pytest.raises(NotSubgroupoid):
+    with pytest.raises(ValidationError, match="not closed under inverse: 'g'"):
         make_subgroupoid(fix1.groupoid, ["e1", "e2", "g"])
 
 
@@ -218,7 +211,7 @@ def test_left_transversal(fix1, fixc2):
     assert left_transversal(G, make_subgroupoid(G, G.elements)) == ["e1", "e2"]
     Gc = fixc2.groupoid
     assert left_transversal(Gc, make_subgroupoid(Gc, Gc.elements)) == ["e"]
-    with pytest.raises(NotWide):
+    with pytest.raises(ValidationError, match=r"missing identities: \['e2'\]"):
         left_transversal(G, ["e1"])
 
 
@@ -345,6 +338,5 @@ def _moufang_loop_table():
 def test_moufang_loop_rejected_by_associativity():
     elements, products = _moufang_loop_table()
     for validate in (validate_groupoid, oracle_validate_groupoid):
-        with pytest.raises(AxiomViolation) as err:
+        with pytest.raises(ValidationError, match=r"^axiom associativity violated "):
             validate(elements, products)
-        assert err.value.axiom == "associativity"

@@ -23,7 +23,7 @@ from gpdgalois.action import (
     subalgebra_closure,
 )
 from gpdgalois.blockring import fixed_elements
-from gpdgalois.errors import CompositionFailure, HypothesisFailure, SupportViolation
+from gpdgalois.errors import HypothesisFailure, ValidationError
 from gpdgalois.galois import strong_subalgebra_check
 from gpdgalois.groupoid import make_subgroupoid, quotient_gset, regular_gset
 from gpdgalois.gset import validate_gset
@@ -73,7 +73,7 @@ def test_function_algebra_rejects_broken_composition(fix1):
     G, R = fix1.groupoid, fix1.ring
     sigma = {"g": {"v1": "v3", "v2": "v4"}, "gi": {"v3": "v2", "v4": "v1"}}
     A = AlgebraAction(G, R, *_complete_maps(G, R, sigma, {}))
-    with pytest.raises(CompositionFailure, match=r"alpha\["):
+    with pytest.raises(ValidationError, match=r"alpha\[.+\] o alpha\[.+\] != alpha\["):
         function_algebra(regular_gset(G), A)
 
 
@@ -94,7 +94,7 @@ def test_gset_with_empty_fiber(fix2):
 def test_map_space_support_constraint(fix1):
     M = function_algebra(regular_gset(fix1.groupoid), fix1.action)
     R = fix1.ring
-    with pytest.raises(SupportViolation):
+    with pytest.raises(ValidationError, match="value at 'e1' leaves the fiber ideal"):
         M.space.from_values({"e1": R.element({"v3": 1})})
 
 
@@ -274,6 +274,23 @@ def test_grothendieck_set_side(fix1):
     ):
         rep = grothendieck_set_check(fix1.action, X)
         assert rep.ok
+
+
+def test_grothendieck_set_check_builds_the_evaluation_gset_once(fix1):
+    # eval_iso_check and the independent isomorphism search share one
+    # evaluation G-set
+    G = fix1.groupoid
+    calls = []
+
+    def counting(AX):
+        calls.append(AX)
+        return build_eval_gset(AX)
+
+    for X in (regular_gset(G), quotient_gset(G, fix1.wide_subgroupoids["G0"])):
+        calls.clear()
+        with mock.patch.object(mapalg, "build_eval_gset", counting):
+            rep = grothendieck_set_check(fix1.action, X)
+        assert len(calls) == 1 and rep.ok
 
 
 def test_grothendieck_algebra_side(fix1):
