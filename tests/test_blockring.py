@@ -53,9 +53,9 @@ def test_ring_axioms_exhaustive(fix1):
 
 def test_make_ring_rejects_bad_tables():
     F = make_field(2)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="block 'v1' assigned to two ideals"):
         make_ring(F, ["v1"], {"e1": ["v1"], "e2": ["v1"]})
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=r"blocks \['v2'\] belong to no ideal"):
         make_ring(F, ["v1", "v2"], {"e1": ["v1"]})
     with pytest.raises(InvalidInput, match="unknown block 'v9' in ideal of 'e1'"):
         make_ring(F, ["v1"], {"e1": ["v9"]})

@@ -367,7 +367,7 @@ def test_associated_idempotent_rejects_non_hom(fix1):
     K = A.base_subalgebra()
     base = subalgebra_closure(R, [])
     u1, u2 = K.basis
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="f is not unital"):
         associated_idempotent(K, {u1: R.one(), u2: R.one()}, base)
 
 
