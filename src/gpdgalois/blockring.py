@@ -220,7 +220,9 @@ def is_faithful_ideal(K, E: IdealRef) -> tuple[bool, tuple | None]:
     unit = space.unit(E.support)
     zero = space.zero()
     for x in K.elements:
-        if x != zero and space.mul(x, unit) == zero:
+        if x == zero:
+            continue
+        if space.mul(x, unit) == zero:
             return False, x
     return True, None
 

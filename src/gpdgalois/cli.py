@@ -27,7 +27,6 @@ import json
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, repeat
 
 from . import galois as galois_mod
 from . import mapalg
@@ -64,7 +63,10 @@ class Check:
     witness: str | None = None
 
     def as_dict(self):
-        return {key: value for key, value in vars(self).items() if value is not None}
+        out = {"name": self.name, "verdict": self.verdict}
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
 @dataclass
@@ -88,13 +90,21 @@ class Report:
         self.status = status
 
     def as_dict(self):
-        return {**vars(self), "checks": [c.as_dict() for c in self.checks]}
+        return {
+            "command": self.command,
+            "status": self.status,
+            "checks": [c.as_dict() for c in self.checks],
+        }
 
     def render(self) -> str:
         lines = [f"command: {self.command}"]
         for c in self.checks:
+            tag = {"pass": "PASS", "fail": "FAIL", "info": "INFO",
+                   "hypothesis-failure": "HYPOTHESIS-FAILURE",
+                   "bound-exceeded": "BOUND-EXCEEDED",
+                   "oracle-mismatch": "ORACLE-MISMATCH"}[c.verdict]
             suffix = f"  [{c.witness}]" if c.witness else ""
-            lines.append(f"[{c.verdict.upper()}] {c.name}{suffix}")
+            lines.append(f"[{tag}] {c.name}{suffix}")
         lines.append(f"status: {self.status}")
         return "\n".join(lines)
 
@@ -132,36 +142,38 @@ NAMES = {dict: "a JSON object", list: "a JSON array", str: "a string", int: "an 
 
 def _conform(value, shape, where):
     """Return value if it has the shape, else raise InvalidInput naming
-    where it fails: the section, then each key, entry and item."""
+    where it fails: the section, then each key, entry and item (see
+    _where)."""
     shapes = shape if isinstance(shape, OneOf) else (shape,)
-    shape = next((s for s in shapes if isinstance(value, _type(s))), None)
-    if shape is None:
-        raise InvalidInput(f"{where} must be {' or '.join(NAMES[_type(s)] for s in shapes)}")
+    for shape in shapes:
+        if isinstance(value, _type(shape)):
+            break
+    else:
+        raise InvalidInput(f"{_where(where)} must be "
+                           f"{' or '.join(NAMES[_type(s)] for s in shapes)}")
     if isinstance(shape, dict):
         for key, sub in shape.items():
             name = key.rstrip("?")
             if name in value:
-                _conform(value[name], sub, f"{where} key {name!r}")
+                _conform(value[name], sub, (where, "{} key {!r}", name))
             elif name == key:
-                raise InvalidInput(f"{where} is missing key {name!r}")
+                raise InvalidInput(f"{_where(where)} is missing key {name!r}")
     elif isinstance(shape, (list, Each)):
         item = shape[0] if isinstance(shape, list) else shape.shape
-        if not _plain(value if isinstance(shape, list) else value.values(), item):
-            for name, x in enumerate(value) if isinstance(shape, list) else value.items():
-                _conform(x, item, f"{where} item {name}" if isinstance(shape, list) else
-                         f"{shape.kind} {name!r}" if shape.kind else f"{where} entry {name!r}")
+        place = ("{} item {}" if isinstance(shape, list) else
+                 shape.kind + " {1!r}" if shape.kind else "{} entry {!r}")
+        leaf = type(item) in (type, tuple)  # nothing inside to check
+        for name, x in enumerate(value) if isinstance(shape, list) else value.items():
+            if not (leaf and isinstance(x, item)):  # a call only to recurse or raise
+                _conform(x, item, (where, place, name))
     return value
 
 
-def _plain(values, shape) -> bool:
-    """Whether each of values has shape, when that is a leaf or an array
-    of leaves: the bulk of a document, checked at once."""
-    if isinstance(shape, list):
-        values = list(values)
-        return (all(map(isinstance, values, repeat(list)))
-                and _plain(chain.from_iterable(values), shape[0]))
-    leaf = isinstance(shape, type) or shape is LABEL
-    return leaf and all(map(isinstance, values, repeat(shape)))
+def _where(where) -> str:
+    """A place in a document: a section's name, or (the place of a
+    container, how to name a key or index in it, that key or index),
+    spelled out only when an error names it."""
+    return where if isinstance(where, str) else where[1].format(_where(where[0]), where[2])
 
 
 def _type(shape):
@@ -196,7 +208,7 @@ class Problem:
         for section in ("groupoid", "ring"):
             _conform(doc[section], SHAPES[section], f"section {section!r}")
 
-    def build(self, built=lambda line: None):
+    def build(self, built):
         """Build and validate G, R and A; built(line) reports each."""
         grp, ring = self.doc["groupoid"], self.doc["ring"]
         G = validate_groupoid(grp["elements"], grp["products"], grp.get("inverses"))

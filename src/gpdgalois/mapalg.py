@@ -260,10 +260,9 @@ class EvalIsoReport:
     certificate: str | None = None
 
 
-def eval_iso_check(X: GSet, AX: InvariantAlgebra, ev: EvalGSet | None = None) -> EvalIsoReport:
-    """The point -> evaluation map as a candidate G-set isomorphism; ev,
-    when given, must be build_eval_gset(AX)."""
-    ev = build_eval_gset(AX) if ev is None else ev
+def eval_iso_check(X: GSet, ev: EvalGSet) -> EvalIsoReport:
+    """The point -> evaluation map as a candidate G-set isomorphism; ev
+    is the evaluation G-set of A(X)."""
     bijective = len(ev.gset.carrier) == len(X.carrier)
     psi = GMap(X, ev.gset, dict(ev.point_label))
     rep = check_gmap(psi)
@@ -767,7 +766,7 @@ def grothendieck_set_check(A: AlgebraAction, X: GSet) -> SetRoundTripReport:
     AX = invariant_algebra(X, A)
     K = A.base_subalgebra()
     ev = build_eval_gset(AX)
-    iso = eval_iso_check(X, AX, ev)
+    iso = eval_iso_check(X, ev)
     indep = gset_isomorphic(X, ev.gset) is not None
     splits = splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
     proof_identity = all(rep.components_match for rep in splits.values())

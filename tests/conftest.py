@@ -555,7 +555,7 @@ def problem_doc(source):
 
 def doc_action(doc):
     """The validated action of a problem document."""
-    return cli.Problem(doc).build()[2]
+    return cli.Problem(doc).build(lambda line: None)[2]
 
 
 def problem_action(source):

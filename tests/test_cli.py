@@ -239,11 +239,11 @@ def _delete(*keys):
     return corrupt
 
 
-def _number(*keys):
+def _number(*keys, value=7):
     def corrupt(doc):
         for key in keys[:-1]:
             doc = doc[key]
-        doc[keys[-1]] = 7
+        doc[keys[-1]] = value
     return corrupt
 
 
@@ -276,6 +276,12 @@ def _number(*keys):
     (_number("subalgebras", "full"), "subalgebra 'full' must be a JSON array"),
     (_number("subalgebras", "full", 0),
      "subalgebra 'full' item 0 must be a JSON object or a JSON array"),
+    (_number("groupoid", "products", 0, 1, value={}),
+     "section 'groupoid' key 'products' item 0 item 1 must be a label"),
+    (_number("action", "g", "sigma", "v1", value=[]),
+     "action entry 'g' key 'sigma' entry 'v1' must be a label"),
+    (_number("subalgebras", "full", 0, "v1", value="1"),
+     "subalgebra 'full' item 0 entry 'v1' must be an integer or a JSON array"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_document_is_invalid_input(capsys, tmp_path, corrupt, message):
     code, out = run(capsys, "check", _fix1_with(tmp_path, corrupt), "--json")

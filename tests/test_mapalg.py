@@ -148,7 +148,7 @@ def test_omega_isomorphism(fix1, fix2):
             quotient_gset(G, fix.wide_subgroupoids["G0"]),
         ):
             AX = invariant_algebra(X, fix.action)
-            rep = eval_iso_check(X, AX)
+            rep = eval_iso_check(X, build_eval_gset(AX))
             assert rep.isomorphism
 
 
