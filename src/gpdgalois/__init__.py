@@ -9,7 +9,6 @@ from .groupoid import (
     validate_groupoid,
     is_wide_subgroupoid,
     enumerate_wide_subgroupoids,
-    left_transversal,
     quotient_gset,
     regular_gset,
 )
@@ -36,7 +35,6 @@ from .action import (
     skew_mul,
     skew_identity,
     verify_skew_ring,
-    module_invariants_check,
     stabilizer,
     subalgebra_closure,
 )
@@ -45,6 +43,7 @@ from .mapalg import (
     MapAlgebra,
     InvariantAlgebra,
     HomRecord,
+    strongly_distinct,
     function_algebra,
     invariant_algebra,
     evaluation_hom,
@@ -62,13 +61,10 @@ from .mapalg import (
     require_faithful_hypotheses,
 )
 from .galois import (
-    strongly_distinct,
     pairwise_strongly_distinct,
     dual_basis_solve,
     freeness_check,
     tri_equivalence_check,
-    rank_profile,
-    RankProfile,
     separability_idempotent,
     SeparabilityIdempotent,
     associated_idempotent,
@@ -78,6 +74,7 @@ from .galois import (
     galois_correspondence,
     CorrespondenceTable,
 )
+from .tensor import rank_profile, RankProfile
 from .errors import HypothesisFailure, ValidationError
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .blockring import (
     slotwise_matrix,
 )
 from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
-from .groupoid import Groupoid, SubgroupoidSpec, make_subgroupoid
+from .groupoid import Groupoid, SubgroupoidSpec, is_wide_subgroupoid, make_subgroupoid
 from .scalar import FpSpan, fp_basis_scalars, solve_linear
 
 
@@ -480,8 +480,6 @@ def stabilizer(T, A: AlgebraAction) -> SubgroupoidSpec:
     """All g acting trivially on T: beta_g(t 1_{g^{-1}}) = t 1_g for every
     t (the basis suffices by linearity).  Always a wide subgroupoid, which
     is verified rather than assumed."""
-    from .groupoid import is_wide_subgroupoid
-
     G, R = A.groupoid, A.ring
     labels = []
     for g in G.elements:
@@ -610,34 +608,3 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
         if skew_mul(A, one, u) != u or skew_mul(A, u, one) != u:
             return SkewReport(False, True, False, witness=(u,))
     return SkewReport(True, True, True)
-
-
-@dataclass
-class ModuleInvariantsReport:
-    map_side_equal: bool
-    ring_side_equal: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.map_side_equal and self.ring_side_equal
-
-
-def module_invariants_check(A: AlgebraAction, X) -> ModuleInvariantsReport:
-    """The module invariants of Map(X, R) under the delta-action coincide
-    with the invariant function algebra, and the ring invariants under the
-    delta-action coincide with the base algebra.  Fully enumerated.
-
-    f is delta-invariant when alpha_g(f) = 1'_g f for every g, and x when
-    beta_g(x 1_{d g}) = x 1_{r g}.  Each is the condition `fixed_elements`
-    tests on the moves of every alpha_g or beta_g, as `invariants` shows."""
-    from . import mapalg
-
-    G = A.groupoid
-    AX = mapalg.invariant_algebra(X, A)
-    M = AX.mapalgebra
-    delta_invariant = fixed_elements(M.ring, [M._moves[g] for g in G.elements])
-    map_side = delta_invariant == set(AX.elements)
-
-    base = set(A.base_subalgebra().elements)
-    ring_invariant = fixed_elements(A.ring, [A._moves[g] for g in G.elements])
-    return ModuleInvariantsReport(map_side, ring_invariant == base)

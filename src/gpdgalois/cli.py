@@ -47,6 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .groupoid import (
+    DEFAULT_MAX_ELEMENTS,
     enumerate_wide_subgroupoids,
     make_subgroupoid,
     quotient_gset,
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("file", help="problem description (JSON)")
         p.add_argument("--json", action="store_true", help="emit the structured report")
-        p.add_argument("--max-size", type=int, default=20, dest="max_size",
+        p.add_argument("--max-size", type=int, default=DEFAULT_MAX_ELEMENTS, dest="max_size",
                        help="bound for exhaustive enumerations")
         if name == "invariants":
             p.add_argument("--sub", required=True, help="named subgroupoid")

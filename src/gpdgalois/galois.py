@@ -23,68 +23,18 @@ from .action import (
 )
 from .blockring import ideal_fp_basis, slotwise_matrix
 from .errors import InvalidInput, OracleMismatch, ValidationError
-from .groupoid import enumerate_wide_subgroupoids
+from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
 from .mapalg import (
     HomGSetReport,
-    HomRecord,
+    _equalising_block,
+    _require_same_frame,
+    hom_gset_check,
     require_faithful_hypotheses,
     splits_per_target,
+    strongly_distinct,
 )
 from .scalar import Elimination, FpSpan, flatten, solve_linear
-from .tensor import BlockModuleBasis, RankProfile, TensorOverK, kblocks, rank_profile
-
-__all__ = [
-    "strongly_distinct",
-    "pairwise_strongly_distinct",
-    "dual_basis_solve",
-    "freeness_check",
-    "tri_equivalence_check",
-    "rank_profile",
-    "RankProfile",
-    "separability_idempotent",
-    "separability_idempotent_from_structure",
-    "SeparabilityIdempotent",
-    "associated_idempotent",
-    "coords_from_separability",
-    "stabilizer",
-    "is_beta_strong",
-    "strong_subalgebra_check",
-    "galois_correspondence",
-    "CorrespondenceTable",
-]
-
-
-def _require_same_frame(f: HomRecord, g: HomRecord):
-    if f.target_support != g.target_support:
-        raise InvalidInput("homomorphisms target different ideals")
-    if f.source is not g.source and f.source.basis != g.source.basis:
-        raise InvalidInput("homomorphisms have different sources")
-
-
-def _equalising_block(R, support, xs, ys):
-    """The unit 1_b of the first block b of the support with
-    x 1_b = y 1_b for every pair of the two lists, or None.
-
-    This decides whether some nonzero idempotent of the ideal equalises
-    the lists.  Those idempotents are the units 1_S of the nonempty block
-    subsets S, and x 1_S = y 1_S gives x 1_b = y 1_b for each b in S after
-    multiplying by 1_b.  So some 1_S equalises exactly when a single block
-    does, and the first such block is the first equalising idempotent in
-    the order by size, then position."""
-    for b in support:
-        i = R.slot_index(b)
-        if all(x[i] == y[i] for x, y in zip(xs, ys)):
-            return R.unit([b])
-    return None
-
-
-def strongly_distinct(f: HomRecord, g: HomRecord) -> tuple[bool, tuple | None]:
-    """No nonzero idempotent of the target equalizes f and g; the failing
-    idempotent is the witness otherwise.  Scanning the source basis
-    suffices because both maps are linear."""
-    _require_same_frame(f, g)
-    pi = _equalising_block(f.ring, f.target_support, f.images, g.images)
-    return pi is None, pi
+from .tensor import BlockModuleBasis, TensorOverK, kblocks
 
 
 def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
@@ -491,8 +441,6 @@ def strong_subalgebra_check(T, A: AlgebraAction, invariants_of=None) -> StrongSu
 
     invariants_of(H), when given, must return invariants(A, H); it lets a
     caller share invariants it has already computed."""
-    from .mapalg import hom_gset_check
-
     K = A.base_subalgebra()
     sep = separability_idempotent(T, K) is not None
     H = stabilizer(T, A)
@@ -540,7 +488,7 @@ class CorrespondenceTable:
 
 
 def galois_correspondence(
-    A: AlgebraAction, max_generators: int = 3, max_elements: int = 20
+    A: AlgebraAction, max_generators: int = 3, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> CorrespondenceTable:
     """Map every wide subgroupoid to its invariants and compare against an
     independent enumeration of the separable beta-strong subalgebras.
@@ -562,8 +510,6 @@ def galois_correspondence(
       Algebras over Commutative Rings, 1971), and the stabilizer and the
       equalising-block test are linear conditions checked on a basis.
     """
-    from .groupoid import coset_space
-
     require_faithful_hypotheses(A)
     G, R = A.groupoid, A.ring
     K = A.base_subalgebra()

@@ -234,11 +234,18 @@ def _closure_certificate(G: Groupoid, subset) -> str | None:
     return None
 
 
-def make_subgroupoid(G: Groupoid, labels) -> SubgroupoidSpec:
+def _known_subset(G: Groupoid, labels) -> tuple:
+    """The labels in G's element order; InvalidInput names any label that
+    is not an element of G."""
     wanted = set(labels)
-    ordered = tuple(g for g in G.elements if g in wanted)
-    if len(ordered) != len(wanted):
-        raise InvalidInput("subgroupoid references unknown labels")
+    unknown = wanted - set(G.elements)
+    if unknown:
+        raise InvalidInput(f"unknown labels {sorted(map(str, unknown))}")
+    return tuple(g for g in G.elements if g in wanted)
+
+
+def make_subgroupoid(G: Groupoid, labels) -> SubgroupoidSpec:
+    ordered = _known_subset(G, labels)
     cert = _closure_certificate(G, ordered)
     if cert:
         raise ValidationError(cert)
@@ -249,10 +256,7 @@ def make_subgroupoid(G: Groupoid, labels) -> SubgroupoidSpec:
 
 def is_wide_subgroupoid(G: Groupoid, labels) -> tuple[bool, str | None]:
     """True iff the subset is a subgroupoid containing every identity."""
-    subset = tuple(g for g in G.elements if g in set(labels))
-    unknown = set(labels) - set(G.elements)
-    if unknown:
-        raise InvalidInput(f"unknown labels {sorted(map(str, unknown))}")
+    subset = _known_subset(G, labels)
     cert = _closure_certificate(G, subset)
     if cert:
         return False, cert
@@ -370,11 +374,6 @@ def coset_space(G: Groupoid, H) -> CosetSpace:
         if related(a, b) != (class_of[a] == class_of[b]):
             raise OracleMismatch(f"coset relation not an equivalence at ({a!r}, {b!r})")
     return CosetSpace(G, SubgroupoidSpec(labels), tuple(classes), tuple(reps), class_of)
-
-
-def left_transversal(G: Groupoid, H) -> list:
-    """One representative per left coset, smallest label in input order."""
-    return list(coset_space(G, H).representatives)
 
 
 def _coset_label(rep) -> str:

@@ -20,6 +20,7 @@ from .action import (
     check_composition,
     invariants,
     span_elements,
+    stabilizer,
 )
 from .blockring import (
     BlockRing,
@@ -113,18 +114,6 @@ class MapAlgebra(AlgebraAction):
         self.space = space
         self.action = action
 
-    def one_prime(self, g) -> tuple:
-        """The indicator function of the fiber X_g with value 1_g."""
-        return self.space.unit(self.support[g].support)
-
-    def ideal_slots(self, g) -> tuple:
-        return self.support[g].support
-
-    def alpha(self, g, f) -> tuple:
-        """alpha_g(f 1'_{g^{-1}}): transport f along gamma_g and beta_g,
-        supported on the fiber X_g."""
-        return self.apply(g, f, truncate=True)
-
 
 def function_algebra(X: GSet, A: AlgebraAction) -> MapAlgebra:
     """Construct Map(X, R) with alpha and verify alpha is an action, as
@@ -154,7 +143,9 @@ class InvariantAlgebra(Subalgebra):
 
 def invariant_algebra(X: GSet, A: AlgebraAction) -> InvariantAlgebra:
     """A(X): the invariants of alpha, computed and oracle-checked by
-    `invariants` on the MapAlgebra."""
+    `invariants` on the MapAlgebra.  delta_g acts on Map(X, R) as alpha_g,
+    so these are also the invariants of Map(X, R) as a module over the
+    skew groupoid ring."""
     M = function_algebra(X, A)
     return InvariantAlgebra(M, invariants(M).basis)
 
@@ -185,6 +176,39 @@ class HomRecord:
 
     def __repr__(self):
         return f"HomRecord({self.label or self.images})"
+
+
+def _require_same_frame(f: HomRecord, g: HomRecord):
+    if f.target_support != g.target_support:
+        raise InvalidInput("homomorphisms target different ideals")
+    if f.source is not g.source and f.source.basis != g.source.basis:
+        raise InvalidInput("homomorphisms have different sources")
+
+
+def _equalising_block(R, support, xs, ys):
+    """The unit 1_b of the first block b of the support with
+    x 1_b = y 1_b for every pair of the two lists, or None.
+
+    This decides whether some nonzero idempotent of the ideal equalises
+    the lists.  Those idempotents are the units 1_S of the nonempty block
+    subsets S, and x 1_S = y 1_S gives x 1_b = y 1_b for each b in S after
+    multiplying by 1_b.  So some 1_S equalises exactly when a single block
+    does, and the first such block is the first equalising idempotent in
+    the order by size, then position."""
+    for b in support:
+        i = R.slot_index(b)
+        if all(x[i] == y[i] for x, y in zip(xs, ys)):
+            return R.unit([b])
+    return None
+
+
+def strongly_distinct(f: HomRecord, g: HomRecord) -> tuple[bool, tuple | None]:
+    """No nonzero idempotent of the target equalizes f and g; the failing
+    idempotent is the witness otherwise.  Scanning the source basis
+    suffices because both maps are linear."""
+    _require_same_frame(f, g)
+    pi = _equalising_block(f.ring, f.target_support, f.images, g.images)
+    return pi is None, pi
 
 
 def evaluation_hom(AX: InvariantAlgebra, x) -> HomRecord:
@@ -497,9 +521,6 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of=None, H=None) -> HomGSetRe
     invariants_of(H), when given, must return invariants(A, H), and H,
     when given, must be stabilizer(B, A); they let a caller share what it
     has already computed."""
-    from .action import stabilizer
-    from . import galois as galois_mod
-
     G = A.groupoid
     H = stabilizer(B, A) if H is None else H
     T_check = invariants(A, H) if invariants_of is None else invariants_of(H)
@@ -555,7 +576,7 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of=None, H=None) -> HomGSetRe
                 )
         homs = list(transported_set.values())
         for f1, f2 in itertools.combinations(homs, 2):
-            ok, _ = galois_mod.strongly_distinct(f1, f2)
+            ok, _ = strongly_distinct(f1, f2)
             if not ok:
                 sd_ok = False
     equivalent = gset_valid == sd_ok

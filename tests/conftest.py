@@ -4,11 +4,12 @@ import itertools
 import json
 import os
 import tempfile
+from collections import namedtuple
 from unittest import mock
 
 import pytest
 
-from gpdgalois import cli, fixtures
+from gpdgalois import cli
 from gpdgalois.action import (
     AlgebraAction,
     SkewReport,
@@ -49,27 +50,27 @@ from gpdgalois.tensor import TensorOverK, rank_profile
 
 @pytest.fixture(scope="session")
 def fix1():
-    return fixtures.fixture_one()
+    return load_fixture("fix1.json")
 
 
 @pytest.fixture(scope="session")
 def fix2():
-    return fixtures.fixture_two()
+    return load_fixture("fix2.json")
 
 
 @pytest.fixture(scope="session")
 def fixc2():
-    return fixtures.fixture_c2()
+    return load_fixture("fixc2.json")
 
 
 @pytest.fixture(scope="session")
 def fixf4():
-    return fixtures.fixture_f4()
+    return load_fixture("fixf4.json")
 
 
 @pytest.fixture(scope="session")
 def fixf4swap():
-    return fixtures.fixture_f4_swap()
+    return load_fixture("fixf4swap.json")
 
 
 @pytest.fixture(scope="session")
@@ -509,9 +510,14 @@ def pair_cyclic_doc(family, n, m, k=1):
     }
 
 
-def fixture_doc(name):
+def read_fixture(name):
+    """The whole document of a shipped fixture file."""
     with open(os.path.join(FIXTURE_DIR, name)) as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def fixture_doc(name):
+    doc = read_fixture(name)
     return {key: doc[key] for key in ("field", "groupoid", "ring", "action")}
 
 
@@ -561,6 +567,20 @@ def doc_action(doc):
 def problem_action(source):
     """The validated action of problem_doc(source)."""
     return doc_action(problem_doc(source))
+
+
+Fixture = namedtuple("Fixture", "name groupoid ring action wide_subgroupoids")
+
+
+def load_fixture(name):
+    """A shipped fixture file built through doc_action, with the file's
+    named subgroupoids as wide_subgroupoids.  "all" names the whole
+    groupoid when the file has no entry of that name (fix1 calls it H1)."""
+    doc = read_fixture(name)
+    A = doc_action(doc)
+    subs = {key: tuple(labels) for key, labels in doc["subgroupoids"].items()}
+    subs.setdefault("all", tuple(A.groupoid.elements))
+    return Fixture(name, A.groupoid, A.ring, A, subs)
 
 
 # Corrupted structural bases ----------------------------------------------

@@ -27,7 +27,6 @@ from gpdgalois.galois import (
     coords_from_separability,
     galois_correspondence,
     pairwise_strongly_distinct,
-    rank_profile,
     tri_equivalence_check,
 )
 from gpdgalois.groupoid import (
@@ -44,6 +43,7 @@ from gpdgalois.mapalg import (
     quotient_iso_pair,
     transversal_hom_family,
 )
+from gpdgalois.tensor import rank_profile
 
 
 @contextmanager

@@ -315,7 +315,7 @@ def test_check_reports_a_bad_gset_on_its_line(capsys, tmp_path):
      "[FAIL] input  [missing gamma for 'g']"),
     (["invariants", "--sub", "bad"],
      lambda doc: doc["subgroupoids"].update(bad=["e1", "e2", "zz"]), "invalid-input",
-     "[FAIL] input  [subgroupoid references unknown labels]"),
+     "[FAIL] input  [unknown labels ['zz']]"),
     (["invariants", "--sub", "bad"],
      lambda doc: doc["subgroupoids"].update(bad=["e1", "e2", "g"]), "fail",
      "[FAIL] structural validation  [not closed under inverse: 'g']"),

@@ -34,11 +34,9 @@ from gpdgalois.galois import (
     galois_correspondence,
     is_beta_strong,
     pairwise_strongly_distinct,
-    rank_profile,
     separability_idempotent,
     separability_idempotent_from_structure,
     strong_subalgebra_check,
-    strongly_distinct,
     tri_equivalence_check,
 )
 from gpdgalois.groupoid import enumerate_wide_subgroupoids, regular_gset
@@ -48,10 +46,11 @@ from gpdgalois.mapalg import (
     hom_set,
     invariant_algebra,
     splits_per_target,
+    strongly_distinct,
     transversal_hom_family,
 )
 from gpdgalois.scalar import Elimination, FpSpan, make_field
-from gpdgalois.tensor import TensorOverK
+from gpdgalois.tensor import TensorOverK, rank_profile
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from gpdgalois.groupoid import (
     coset_space,
     enumerate_wide_subgroupoids,
     is_wide_subgroupoid,
-    left_transversal,
     make_subgroupoid,
     quotient_gset,
     regular_gset,
@@ -206,14 +205,14 @@ def test_coset_space_oracle(fix1):
 
 def test_left_transversal(fix1, fixc2):
     G = fix1.groupoid
-    assert left_transversal(G, make_subgroupoid(G, ["e1", "e2"])) == [
+    assert coset_space(G, make_subgroupoid(G, ["e1", "e2"])).representatives == (
         "e1", "e2", "g", "gi",
-    ]
-    assert left_transversal(G, make_subgroupoid(G, G.elements)) == ["e1", "e2"]
+    )
+    assert coset_space(G, make_subgroupoid(G, G.elements)).representatives == ("e1", "e2")
     Gc = fixc2.groupoid
-    assert left_transversal(Gc, make_subgroupoid(Gc, Gc.elements)) == ["e"]
+    assert coset_space(Gc, make_subgroupoid(Gc, Gc.elements)).representatives == ("e",)
     with pytest.raises(ValidationError, match=r"missing identities: \['e2'\]"):
-        left_transversal(G, ["e1"])
+        coset_space(G, ["e1"])
 
 
 def test_quotient_gset_values(fix1, fixc2):

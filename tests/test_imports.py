@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and none
+imports a package module inside a function or method.
 
-Only module-level imports are checked.  ``__init__.py`` re-exports by
-design, and a name a module lists in ``__all__`` is a re-export too;
-``from __future__`` imports are compiler directives, not names.
+Only module-level imports are checked for use.  ``__init__.py`` re-exports
+by design, and a name a module lists in ``__all__`` is a re-export too;
+``from __future__`` imports are compiler directives, not names.  An import
+inside a function body is how an import cycle between two modules hides,
+so the package has none.
 """
 
 import ast
@@ -38,4 +41,30 @@ def test_no_unused_imports():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def nested_package_imports(path):
+    """(line, module) for each import of a gpdgalois module, relative or
+    absolute, inside a function or method body."""
+    tree = ast.parse(path.read_text())
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if name.startswith(".") or name.split(".")[0] == "gpdgalois":
+                    found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_no_function_level_package_imports():
+    found = {path.name: nested_package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
