@@ -15,7 +15,6 @@ from .groupoid import (
 from .gset import GSet, GMap, validate_gset, check_gmap, gset_isomorphic
 from .blockring import (
     BlockRing,
-    IdealRef,
     make_ring,
     is_faithful_ideal,
     faithfulness_criterion,

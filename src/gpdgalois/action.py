@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .blockring import (
     BRUTE_FORCE_BOUND,
     BlockRing,
-    IdealRef,
     fixed_elements,
     ideal_fp_basis,
     slotwise_matrix,
@@ -144,37 +143,20 @@ class AlgebraAction:
             )
             for g, src in self._source.items()
         }
-        self._source_slots = {
-            g: frozenset(i for i, _, _ in moves) for g, moves in self._moves.items()
-        }
         self._base: Subalgebra | None = None
         self._coords = None
         self._coords_known = False
 
-    def source_ideal(self, g) -> IdealRef:
+    def source_ideal(self, g) -> tuple:
         return self._source[g]
 
-    def apply(self, g, x, truncate: bool = False) -> tuple:
-        """Transport x along beta_g; x must have one coordinate per block
-        and live in E_{g^{-1}}, unless truncate multiplies it into that
-        ideal first."""
+    def apply(self, g, x) -> tuple:
+        """beta_g(x 1_{g^{-1}}): x, with one coordinate per block, is
+        multiplied into the source ideal E_{g^{-1}} and transported."""
         R = self.ring
-        moves = self._moves[g]
         R._check(x)
-        if not truncate:
-            src = self._source_slots[g]
-            outside = tuple(
-                s
-                for i, (s, v) in enumerate(zip(R.slots, x))
-                if v != R.field.zero and i not in src
-            )
-            if outside:
-                raise ValidationError(
-                    f"element not supported in the source ideal of {g!r}",
-                    witness=outside,
-                )
         out = [R.field.zero] * len(R.blocks)
-        for i, j, q in moves:
+        for i, j, q in self._moves[g]:
             out[j] = x[i] if q == 1 else R.field.frobenius_table(q)[x[i]]
         return tuple(out)
 
@@ -204,7 +186,7 @@ def _complete_maps(G: Groupoid, R: BlockRing, sigma, frob) -> tuple[dict, dict]:
     for b, e in R.owner.items():
         if e not in idset:
             raise InvalidInput(f"block {b!r} owned by non-identity {e!r}")
-    blocks_of = {e: R.ideal(e).support for e in idset}
+    blocks_of = {e: R.ideal(e) for e in idset}
 
     full_sigma, full_frob = {}, {}
     for g in G.elements:
@@ -375,7 +357,7 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
 
     edges = []
     for h in labels:
-        for b in A.source_ideal(h).support:
+        for b in A.source_ideal(h):
             edges.append((b, A.sigma[h][b], A.frob[h][b]))
     vec_basis = twisted_invariant_basis(R.field, R.blocks, edges)
     basis = [R.element(vec) for vec in vec_basis]
@@ -392,7 +374,7 @@ def trace(A: AlgebraAction, x) -> tuple:
     R = A.ring
     out = R.zero()
     for g in A.groupoid.elements:
-        out = R.add(out, A.apply(g, x, truncate=True))
+        out = R.add(out, A.apply(g, x))
     return out
 
 
@@ -429,8 +411,8 @@ def check_galois_coordinates(A: AlgebraAction, pairs) -> tuple[bool, tuple | Non
     for g in G.elements:
         total = R.zero()
         for x, y in pairs:
-            total = R.add(total, R.mul(x, A.apply(g, y, truncate=True)))
-        expected = R.unit(A.support[g].support) if g in idset else R.zero()
+            total = R.add(total, R.mul(x, A.apply(g, y)))
+        expected = R.unit(A.support[g]) if g in idset else R.zero()
         if total != expected:
             return False, (g, total)
     return True, None
@@ -459,12 +441,12 @@ def find_galois_coordinates(A: AlgebraAction) -> GaloisCoordinates | None:
     idset = set(G.identities)
     matrix = slotwise_matrix(
         R,
-        [[A.apply(g, y, truncate=True) for y in ybasis] for g in G.elements],
+        [[A.apply(g, y) for y in ybasis] for g in G.elements],
         range(nslots),
     )
     rhs = []
     for g in G.elements:
-        rhs.extend(R.unit(A.support[g].support) if g in idset else R.zero())
+        rhs.extend(R.unit(A.support[g]) if g in idset else R.zero())
     sol = solve_linear(R.field, matrix, rhs)
     if sol.solution is None:
         return None
@@ -483,8 +465,8 @@ def stabilizer(T, A: AlgebraAction) -> SubgroupoidSpec:
     G, R = A.groupoid, A.ring
     labels = []
     for g in G.elements:
-        tgt = R.unit(A.support[g].support)
-        if all(A.apply(g, t, truncate=True) == R.mul(t, tgt) for t in T.basis):
+        tgt = R.unit(A.support[g])
+        if all(A.apply(g, t) == R.mul(t, tgt) for t in T.basis):
             labels.append(g)
     wide, cert = is_wide_subgroupoid(G, labels)
     if not wide:
@@ -499,7 +481,7 @@ def skew_element(A: AlgebraAction, terms: dict) -> dict:
     R = A.ring
     out = {}
     for g, x in terms.items():
-        sup = set(A.support[g].support)
+        sup = set(A.support[g])
         if any(s not in sup for s in R.support_of(x)):
             raise ValidationError(f"coefficient of delta_{g!r} outside E_{g!r}")
         if x != R.zero():
@@ -525,13 +507,13 @@ def skew_mul(A: AlgebraAction, u: dict, w: dict) -> dict:
             gh = G.product.get((g, h))
             if gh is None:
                 continue
-            contrib = R.mul(x, A.apply(g, y, truncate=True))
+            contrib = R.mul(x, A.apply(g, y))
             out[gh] = R.add(out.get(gh, R.zero()), contrib)
     return {g: x for g, x in out.items() if x != R.zero()}
 
 
 def skew_identity(A: AlgebraAction) -> dict:
-    return {e: A.ring.unit(A.support[e].support) for e in A.groupoid.identities}
+    return {e: A.ring.unit(A.support[e]) for e in A.groupoid.identities}
 
 
 @dataclass
@@ -567,7 +549,7 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
     monomials = []
     index = {}
     for g in G.elements:
-        for b in A.support[g].support:
+        for b in A.support[g]:
             for t, s in enumerate(fp_basis_scalars(R.field)):
                 index[(g, R.slot_index(b), t)] = len(monomials)
                 monomials.append({g: R.element({b: s})})

@@ -8,7 +8,6 @@ and every idempotent is a 0/1 block vector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvalidInput, SizeBoundExceeded
 from .scalar import FieldSpec, Scalar, flatten, fp_basis_scalars
@@ -99,10 +98,11 @@ class ProductSpace:
     def flat(self, x) -> tuple[int, ...]:
         return flatten(x)
 
-    def all_elements(self, bound: int = BRUTE_FORCE_BOUND):
-        """Every element, little-endian in the slot coordinates."""
+    def all_elements(self):
+        """Every element, little-endian in the slot coordinates; a space of
+        more than BRUTE_FORCE_BOUND elements refuses."""
         total = self.field.order ** len(self.slots)
-        if total > bound:
+        if total > BRUTE_FORCE_BOUND:
             raise SizeBoundExceeded(f"product space has {total} elements")
         scalars = self.field.elements()
         for combo in itertools.product(scalars, repeat=len(self.slots)):
@@ -121,19 +121,6 @@ class ProductSpace:
         return "+".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class IdealRef:
-    """A unital ideal of R, identified with its block support."""
-
-    support: tuple
-
-    def __iter__(self):
-        return iter(self.support)
-
-    def __len__(self):
-        return len(self.support)
-
-
 class BlockRing(ProductSpace):
     """R = direct sum of E_e over identities e, one field block at a time."""
 
@@ -142,11 +129,12 @@ class BlockRing(ProductSpace):
         self.blocks = self.slots
         self.owner = dict(owner)
 
-    def ideal(self, e) -> IdealRef:
+    def ideal(self, e) -> tuple:
+        """The unital ideal E_e, as its block support."""
         sup = tuple(b for b in self.blocks if self.owner[b] == e)
         if not sup:
             raise InvalidInput(f"no blocks owned by {e!r}")
-        return IdealRef(sup)
+        return sup
 
     def k_scale(self, c, x) -> tuple:
         """Coordinatewise action of a ring element c on x (same slot set)."""
@@ -210,14 +198,14 @@ def fixed_elements(space: ProductSpace, tables) -> set:
     return out
 
 
-def is_faithful_ideal(K, E: IdealRef) -> tuple[bool, tuple | None]:
+def is_faithful_ideal(K, E) -> tuple[bool, tuple | None]:
     """No nonzero element of K annihilates the ideal; witness otherwise.
 
     K is a subalgebra of R (typically the invariants); the first
     annihilator in the order of K.elements is the witness.
     """
     space = K.space
-    unit = space.unit(E.support)
+    unit = space.unit(E)
     zero = space.zero()
     for x in K.elements:
         if x == zero:
@@ -235,6 +223,23 @@ def ideal_fp_basis(R: BlockRing, support) -> list:
         for s in fp_basis_scalars(R.field):
             out.append(R.element({b: s}))
     return out
+
+
+def equalising_block(R, support, xs, ys):
+    """The unit 1_b of the first block b of the support with
+    x 1_b = y 1_b for every pair of the two lists, or None.
+
+    This decides whether some nonzero idempotent of the ideal equalises
+    the lists.  Those idempotents are the units 1_S of the nonempty block
+    subsets S, and x 1_S = y 1_S gives x 1_b = y 1_b for each b in S after
+    multiplying by 1_b.  So some 1_S equalises exactly when a single block
+    does, and the first such block is the first equalising idempotent in
+    the order by size, then position."""
+    for b in support:
+        i = R.slot_index(b)
+        if all(x[i] == y[i] for x, y in zip(xs, ys)):
+            return R.unit([b])
+    return None
 
 
 def slotwise_matrix(R: BlockRing, images, slot_ids) -> list:

@@ -21,20 +21,18 @@ from .action import (
     subalgebra_closure,
     trace,
 )
-from .blockring import ideal_fp_basis, slotwise_matrix
+from .blockring import equalising_block, ideal_fp_basis, slotwise_matrix
 from .errors import InvalidInput, OracleMismatch, ValidationError
 from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
 from .mapalg import (
     HomGSetReport,
-    _equalising_block,
-    _require_same_frame,
     hom_gset_check,
     require_faithful_hypotheses,
     splits_per_target,
     strongly_distinct,
 )
 from .scalar import Elimination, FpSpan, flatten, solve_linear
-from .tensor import BlockModuleBasis, TensorOverK, kblocks
+from .tensor import TensorOverK
 
 
 def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
@@ -50,7 +48,7 @@ def _frame_matrix(family) -> list:
     rhs asks sum x_i u(y_i) = rhs_u for every u in the family and source
     basis element y_i, and D^T c = 0 asks sum c_u u = 0."""
     for h in family[1:]:
-        _require_same_frame(family[0], h)
+        family[0].require_same_frame(h)
     ring = family[0].ring
     slot_ids = [ring.slot_index(b) for b in family[0].target_support]
     return slotwise_matrix(ring, [u.images for u in family], slot_ids)
@@ -190,15 +188,13 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
 
     Cross-validated structurally: the returned pairs are re-encoded in
     tensor coordinates and all three defining properties are re-checked.
-    One block basis of T per K-block serves the solve and both factors of
-    the tensor.
+    The tensor's block bases of T, one per K-block, serve the solve and
+    both factors of the tensor.
     """
     space = T.space
-    parts = []
+    tens = TensorOverK(space, space, K, T.basis, T.basis)
     all_pairs = []
-    for blk in kblocks(K):
-        bmb = BlockModuleBasis(space, blk, T.basis)
-        parts.append(bmb)
+    for blk, bmb in zip(tens.blocks, tens.m_parts):
         if bmb.rank == 0:
             continue
         unit_u = space.k_scale(blk.u, space.one())
@@ -219,7 +215,6 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
                 all_pairs.append((x, bj))
 
     pairs = tuple(all_pairs)
-    tens = TensorOverK(space, space, K, T.basis, T.basis, m_parts=parts, n_parts=parts)
     coords = tens.from_pairs(pairs)
     total = space.zero()
     for x, y in pairs:
@@ -352,21 +347,21 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
     for g in G.elements:
         total = R.zero()
         for x, y in sep.pairs:
-            total = R.add(total, R.mul(x, A.apply(g, y, truncate=True)))
+            total = R.add(total, R.mul(x, A.apply(g, y)))
         values[g] = total
     idset = set(G.identities)
     hset = set(H.labels)
     all_idem = all(R.is_idempotent(v) for v in values.values())
-    unit_ids = all(values[e] == R.unit(A.support[e].support) for e in idset)
+    unit_ids = all(values[e] == R.unit(A.support[e]) for e in idset)
     zero_out_stab = all(values[g] == R.zero() for g in G.elements if g not in hset)
     unit_on_stab = all(
-        values[g] == R.unit(A.support[g].support) for g in hset
+        values[g] == R.unit(A.support[g]) for g in hset
     )
     zero_out_ids = all(values[g] == R.zero() for g in G.elements if g not in idset)
 
     stab_unit_sum = R.zero()
     for h in H.labels:
-        stab_unit_sum = R.add(stab_unit_sum, R.unit(A.support[h].support))
+        stab_unit_sum = R.add(stab_unit_sum, R.unit(A.support[h]))
     recon_exact = True
     recon_formula = True
     for t in T.elements:
@@ -383,18 +378,17 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
     )
 
 
-def is_beta_strong(T, A: AlgebraAction, H=None) -> tuple[bool, tuple | None]:
-    """For every pair g, h with the same target and g^{-1}h outside the
+def is_beta_strong(T, A: AlgebraAction, H) -> tuple[bool, tuple | None]:
+    """For every pair g, h with the same target and g^{-1}h outside H, the
     stabilizer of T, every nonzero idempotent of E_g must separate the
     transported copies of T; witness (g, h, idempotent) otherwise."""
     G, R = A.groupoid, A.ring
-    H = H if H is not None else stabilizer(T, A)
     hset = set(H.labels)
 
     @functools.cache
     def moved(g):
         """beta_g of T's basis, computed once per g."""
-        return [A.apply(g, t, truncate=True) for t in T.basis]
+        return [A.apply(g, t) for t in T.basis]
 
     for gi_idx, g in enumerate(G.elements):
         for h in G.elements[gi_idx + 1 :]:
@@ -403,7 +397,7 @@ def is_beta_strong(T, A: AlgebraAction, H=None) -> tuple[bool, tuple | None]:
             q = G.product.get((G.inverse[g], h))
             if q is None or q in hset:
                 continue
-            pi = _equalising_block(R, A.support[g].support, moved(g), moved(h))
+            pi = equalising_block(R, A.support[g], moved(g), moved(h))
             if pi is not None:
                 return False, (g, h, pi)
     return True, None
@@ -435,18 +429,17 @@ class StrongSubalgebraReport:
         )
 
 
-def strong_subalgebra_check(T, A: AlgebraAction, invariants_of=None) -> StrongSubalgebraReport:
+def strong_subalgebra_check(T, A: AlgebraAction, invariants_of) -> StrongSubalgebraReport:
     """Evaluate both sides of the characterization independently and, when
     they hold, verify the split structure of T.
 
-    invariants_of(H), when given, must return invariants(A, H); it lets a
-    caller share invariants it has already computed."""
+    invariants_of(H) must return invariants(A, H); a caller passes it so
+    that invariants it has already computed are shared."""
     K = A.base_subalgebra()
     sep = separability_idempotent(T, K) is not None
     H = stabilizer(T, A)
     bs, witness = is_beta_strong(T, A, H)
-    inv = invariants(A, H) if invariants_of is None else invariants_of(H)
-    equals = inv.key() == T.key()
+    equals = invariants_of(H).key() == T.key()
     splits: dict = {}
     hom_report = None
     if sep and bs and equals:
@@ -559,7 +552,8 @@ def galois_correspondence(
         if key in row_verdicts:
             ok = all(row_verdicts[key])
         else:
-            ok = separability_idempotent(T, K) is not None and is_beta_strong(T, A)[0]
+            ok = (separability_idempotent(T, K) is not None
+                  and is_beta_strong(T, A, stabilizer(T, A))[0])
         if ok:
             strong.append(T)
     image_ok = set(keys) == {T.key() for T in strong}

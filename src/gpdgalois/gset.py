@@ -123,13 +123,13 @@ def check_gmap(psi: GMap) -> GMapReport:
     return GMapReport(True, bijective, None)
 
 
-def gset_isomorphic(a: GSet, b: GSet, max_points: int = DEFAULT_MAX_POINTS):
+def gset_isomorphic(a: GSet, b: GSet):
     """Search for a G-set isomorphism by backtracking over fiber-respecting
     bijections; returns a GMap or None.  Deterministic: points are tried in
-    carrier order."""
-    if len(a.carrier) > max_points or len(b.carrier) > max_points:
+    carrier order.  Carriers of more than DEFAULT_MAX_POINTS refuse."""
+    if len(a.carrier) > DEFAULT_MAX_POINTS or len(b.carrier) > DEFAULT_MAX_POINTS:
         raise SizeBoundExceeded(
-            f"carrier larger than {max_points}; raise the bound to proceed"
+            f"carrier larger than {DEFAULT_MAX_POINTS}; raise the bound to proceed"
         )
     if a.groupoid is not b.groupoid and a.groupoid.elements != b.groupoid.elements:
         raise InvalidInput("G-sets over different groupoids")
@@ -148,7 +148,8 @@ def gset_isomorphic(a: GSet, b: GSet, max_points: int = DEFAULT_MAX_POINTS):
         for g in G.elements:
             if a.fiber[x] == G.d[g]:
                 xx = a.gamma[g][x]
-                if xx in assignment and assignment[xx] != b.gamma[g][y]:
+                # a point g fixes is x itself, to be mapped to y: not yet assigned
+                if (xx == x or xx in assignment) and assignment.get(xx, y) != b.gamma[g][y]:
                     return False
             if a.fiber[x] == G.r[g]:
                 for w, ww in assignment.items():

@@ -10,6 +10,7 @@ inverse maps between A(G/H) and the H-invariants all live here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -24,8 +25,8 @@ from .action import (
 )
 from .blockring import (
     BlockRing,
-    IdealRef,
     disconnected_identity,
+    equalising_block,
     ideal_fp_basis,
     is_faithful_ideal,
 )
@@ -39,7 +40,7 @@ from .errors import (
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
 from .groupoid import coset_space, quotient_gset
 from .scalar import FpSpan, flatten
-from .tensor import RankProfile, TensorOverK, rank_profile
+from .tensor import RankProfile, TensorOverK
 
 HOM_SEARCH_BOUND = 1 << 20
 
@@ -51,15 +52,16 @@ class MapSpace(BlockRing):
 
     def __init__(self, X: GSet, ring: BlockRing):
         slots = [
-            (x, b) for x in X.carrier for b in ring.ideal(X.fiber[x]).support
+            (x, b) for x in X.carrier for b in ring.ideal(X.fiber[x])
         ]
         super().__init__(ring.field, slots, {(x, b): X.fiber[x] for x, b in slots})
         self.gset = X
         self.ring = ring
 
-    def ideal(self, e) -> IdealRef:
-        """The functions supported on the fiber X_e; empty when X_e is."""
-        return IdealRef(tuple(s for s in self.slots if self.owner[s] == e))
+    def ideal(self, e) -> tuple:
+        """The functions supported on the fiber X_e, as their slots; empty
+        when X_e is."""
+        return tuple(s for s in self.slots if self.owner[s] == e)
 
     def k_scale(self, c, x) -> tuple:
         """Pointwise action of a ring element on a function."""
@@ -87,7 +89,7 @@ class MapSpace(BlockRing):
             if x not in self.gset.fiber:
                 raise InvalidInput(f"unknown point {x!r}")
         for x, v in vals.items():
-            allowed = set(self.ring.ideal(self.gset.fiber[x]).support)
+            allowed = set(self.ring.ideal(self.gset.fiber[x]))
             for s in self.ring.support_of(v):
                 if s not in allowed:
                     raise ValidationError(
@@ -99,15 +101,15 @@ class MapSpace(BlockRing):
 class MapAlgebra(AlgebraAction):
     """Map(X, R) with the lifted action alpha, a block action on the slots
     of the MapSpace: sigma'_g(y, b) = (gamma_g y, sigma_g b) with the twist
-    frob'_g(y, b) = frob_g(b).  So alpha_g(f 1'_{g^{-1}}) is `apply` with
-    truncate: the value at (y, b) goes to (gamma_g y, sigma_g b) raised to
-    p^t, supported on the fiber X_g."""
+    frob'_g(y, b) = frob_g(b).  So `apply` is alpha_g(f 1'_{g^{-1}}): the
+    value at (y, b) goes to (gamma_g y, sigma_g b) raised to p^t, supported
+    on the fiber X_g."""
 
     def __init__(self, space: MapSpace, action: AlgebraAction):
         G, X = action.groupoid, space.gset
         sigma, frob = {}, {}
         for g in G.elements:
-            src = space.ideal(G.d[g]).support
+            src = space.ideal(G.d[g])
             sigma[g] = {(y, b): (X.gamma[g][y], action.sigma[g][b]) for y, b in src}
             frob[g] = {(y, b): action.frob[g][b] for y, b in src}
         super().__init__(G, space, sigma, frob)
@@ -177,37 +179,21 @@ class HomRecord:
     def __repr__(self):
         return f"HomRecord({self.label or self.images})"
 
-
-def _require_same_frame(f: HomRecord, g: HomRecord):
-    if f.target_support != g.target_support:
-        raise InvalidInput("homomorphisms target different ideals")
-    if f.source is not g.source and f.source.basis != g.source.basis:
-        raise InvalidInput("homomorphisms have different sources")
-
-
-def _equalising_block(R, support, xs, ys):
-    """The unit 1_b of the first block b of the support with
-    x 1_b = y 1_b for every pair of the two lists, or None.
-
-    This decides whether some nonzero idempotent of the ideal equalises
-    the lists.  Those idempotents are the units 1_S of the nonempty block
-    subsets S, and x 1_S = y 1_S gives x 1_b = y 1_b for each b in S after
-    multiplying by 1_b.  So some 1_S equalises exactly when a single block
-    does, and the first such block is the first equalising idempotent in
-    the order by size, then position."""
-    for b in support:
-        i = R.slot_index(b)
-        if all(x[i] == y[i] for x, y in zip(xs, ys)):
-            return R.unit([b])
-    return None
+    def require_same_frame(self, other: HomRecord):
+        """Raise InvalidInput unless both maps share a source and a target
+        ideal."""
+        if self.target_support != other.target_support:
+            raise InvalidInput("homomorphisms target different ideals")
+        if self.source is not other.source and self.source.basis != other.source.basis:
+            raise InvalidInput("homomorphisms have different sources")
 
 
 def strongly_distinct(f: HomRecord, g: HomRecord) -> tuple[bool, tuple | None]:
     """No nonzero idempotent of the target equalizes f and g; the failing
     idempotent is the witness otherwise.  Scanning the source basis
     suffices because both maps are linear."""
-    _require_same_frame(f, g)
-    pi = _equalising_block(f.ring, f.target_support, f.images, g.images)
+    f.require_same_frame(g)
+    pi = equalising_block(f.ring, f.target_support, f.images, g.images)
     return pi is None, pi
 
 
@@ -217,7 +203,7 @@ def evaluation_hom(AX: InvariantAlgebra, x) -> HomRecord:
     if x not in AX.gset.fiber:
         raise InvalidInput(f"unknown point {x!r}")
     ring = space.ring
-    support = ring.ideal(AX.gset.fiber[x]).support
+    support = ring.ideal(AX.gset.fiber[x])
     images = [space.value_at(f, x) for f in AX.basis]
     return HomRecord(AX, ring, support, images, label=f"rho_{x}")
 
@@ -266,7 +252,7 @@ def build_eval_gset(AX: InvariantAlgebra) -> EvalGSet:
     for g in G.elements:
         for x in X.fiber_points(G.d[g]):
             transported = [
-                A.apply(g, img, truncate=True)
+                A.apply(g, img)
                 for img in hom_of_label[point_label[x]].images
             ]
             if tuple(transported) != hom_of_label[point_label[X.gamma[g][x]]].images:
@@ -293,17 +279,17 @@ def eval_iso_check(X: GSet, ev: EvalGSet) -> EvalIsoReport:
     return EvalIsoReport(bijective, rep.valid, rep.isomorphism and bijective, rep.certificate)
 
 
-def hom_set(B, K: Subalgebra, E: IdealRef, ring: BlockRing,
-            max_candidates: int = HOM_SEARCH_BOUND) -> list[HomRecord]:
+def hom_set(B, K: Subalgebra, E, ring: BlockRing) -> list[HomRecord]:
     """All unital K-linear multiplicative maps B -> E, by exhaustive
-    assignment of basis images with filtering; deterministic order."""
-    targets = span_elements(ring, ideal_fp_basis(ring, E.support))
+    assignment of basis images with filtering; deterministic order.  At
+    most HOM_SEARCH_BOUND assignments are tried."""
+    targets = span_elements(ring, ideal_fp_basis(ring, E))
     dim = len(B.basis)
-    if len(targets) ** dim > max_candidates:
+    if len(targets) ** dim > HOM_SEARCH_BOUND:
         raise SizeBoundExceeded(
             f"{len(targets)}^{dim} candidate assignments exceed the bound"
         )
-    unit = ring.unit(E.support)
+    unit = ring.unit(E)
     one_coords = B.coords(B.space.one())
     prod_coords = {}
     for i, j in itertools.combinations_with_replacement(range(dim), 2):
@@ -329,7 +315,7 @@ def hom_set(B, K: Subalgebra, E: IdealRef, ring: BlockRing,
                 ok = False
                 break
         if ok:
-            out.append(HomRecord(B, ring, E.support, images))
+            out.append(HomRecord(B, ring, E, images))
     return out
 
 
@@ -341,9 +327,9 @@ def transversal_hom_family(B, A: AlgebraAction, H) -> dict:
     families: dict = {e: [] for e in G.identities}
     for rep in cs.representatives:
         e = G.r[rep]
-        images = [A.apply(rep, b, truncate=True) for b in B.basis]
+        images = [A.apply(rep, b) for b in B.basis]
         families[e].append(
-            HomRecord(B, A.ring, A.ring.ideal(e).support, images, label=f"phi_{rep}")
+            HomRecord(B, A.ring, A.ring.ideal(e), images, label=f"phi_{rep}")
         )
     return families
 
@@ -373,7 +359,7 @@ class SplitReport:
         )
 
 
-def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
+def tensor_split_check(E, B, K: Subalgebra, family,
                        A: AlgebraAction) -> SplitReport:
     """Materialize (r tensor b) -> (r * f_i(b))_i as a prime-field matrix
     and check it is a bijective unital multiplicative map onto the product
@@ -383,10 +369,10 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
     once per tensor basis vector; the matrix columns and the right-hand
     sides of the multiplicativity check both read those images."""
     R = A.ring
-    E_mod = Submodule(R, ideal_fp_basis(R, E.support))
+    E_mod = Submodule(R, ideal_fp_basis(R, E))
     tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
 
-    slot_ids = [R.slot_index(b) for b in E.support]
+    slot_ids = [R.slot_index(b) for b in E]
     hom_images: dict = {}
 
     def images_of(y):
@@ -407,7 +393,7 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
             )
         )
 
-    target_dim = len(family) * len(E.support) * R.field.k
+    target_dim = len(family) * len(E) * R.field.k
     square = tens.dim == target_dim
 
     columns = []
@@ -430,8 +416,8 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
                     total[i] = (total[i] + c * v) % R.field.p
         return tuple(total)
 
-    unital = flat_tuple(phi_tuple(R.unit(E.support), B.space.one())) == flat_tuple(
-        tuple(R.unit(E.support) for _ in family)
+    unital = flat_tuple(phi_tuple(R.unit(E), B.space.one())) == flat_tuple(
+        tuple(R.unit(E) for _ in family)
     )
 
     multiplicative = True
@@ -448,9 +434,9 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
             break
 
     components_match = True
-    width = len(E.support) * R.field.k
+    width = len(E) * R.field.k
     for b in B.basis:
-        img = matrix_apply(tens.pure(R.unit(E.support), b))
+        img = matrix_apply(tens.pure(R.unit(E), b))
         for i, hom_b in enumerate(images_of(b)):
             expected = flatten(hom_b[s] for s in slot_ids)
             if img[i * width : (i + 1) * width] != expected:
@@ -459,7 +445,7 @@ def tensor_split_check(E: IdealRef, B, K: Subalgebra, family,
         if not components_match:
             break
 
-    ranks = rank_profile(B, K, parts=tens.n_parts)
+    ranks = RankProfile.of(tens.n_parts)
     return SplitReport(
         square,
         bijective,
@@ -513,18 +499,15 @@ class HomGSetReport:
         return self.gset_valid and self.equivalent
 
 
-def hom_gset_check(B, A: AlgebraAction, invariants_of=None, H=None) -> HomGSetReport:
+def hom_gset_check(B, A: AlgebraAction, invariants_of, H) -> HomGSetReport:
     """Build the canonical hom family of an invariant subalgebra (one map
     per coset of its stabilizer), let beta act on it, and test both
     characterizations of V(B) being a G-set.
 
-    invariants_of(H), when given, must return invariants(A, H), and H,
-    when given, must be stabilizer(B, A); they let a caller share what it
-    has already computed."""
+    H must be stabilizer(B, A), and invariants_of(H) must return
+    invariants(A, H), so that a caller passes what it has computed."""
     G = A.groupoid
-    H = stabilizer(B, A) if H is None else H
-    T_check = invariants(A, H) if invariants_of is None else invariants_of(H)
-    if T_check.key() != B.key():
+    if invariants_of(H).key() != B.key():
         return HomGSetReport(
             False, False, False, False, True,
             certificate="not the invariants of its own stabilizer",
@@ -548,7 +531,7 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of=None, H=None) -> HomGSetRe
                 continue
             target_rep = cs.representatives[cs.class_of[G.product[(g, rep)]]]
             transported = tuple(
-                A.apply(g, img, truncate=True) for img in hom_by_label[label_of_rep[rep]].images
+                A.apply(g, img) for img in hom_by_label[label_of_rep[rep]].images
             )
             if transported != hom_by_label[label_of_rep[target_rep]].images:
                 transport_consistent = False
@@ -570,9 +553,9 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of=None, H=None) -> HomGSetRe
             if G.r[h] != e:
                 continue
             for hom in families[G.d[h]]:
-                moved = tuple(A.apply(h, img, truncate=True) for img in hom.images)
+                moved = tuple(A.apply(h, img) for img in hom.images)
                 transported_set[moved] = HomRecord(
-                    B, A.ring, A.ring.ideal(e).support, moved
+                    B, A.ring, A.ring.ideal(e), moved
                 )
         homs = list(transported_set.values())
         for f1, f2 in itertools.combinations(homs, 2):
@@ -613,7 +596,7 @@ class DoubleDualReport:
 def double_dual_check(B, A: AlgebraAction) -> DoubleDualReport:
     """Evaluate every element of B on the canonical hom G-set and compare
     with the invariant algebra of that G-set, elementwise."""
-    hg = hom_gset_check(B, A)
+    hg = hom_gset_check(B, A, functools.partial(invariants, A), stabilizer(B, A))
     if not hg.gset_valid:
         return DoubleDualReport(False, False, False, False, False, False, hg)
     V = hg.gset
@@ -703,14 +686,14 @@ def quotient_iso_pair(A: AlgebraAction, H) -> QuotientIsoReport:
     expand_well_defined = True
     for r in T.basis:
         for members in cs.classes:
-            vals = {A.apply(l, r, truncate=True) for l in members}
+            vals = {A.apply(l, r) for l in members}
             if len(vals) != 1:
                 expand_well_defined = False
 
     def expand(r):
         return space.from_values(
             {
-                label_of_class[i]: A.apply(rep, r, truncate=True)
+                label_of_class[i]: A.apply(rep, r)
                 for i, rep in enumerate(cs.representatives)
             }
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .action import Subalgebra, span_elements
-from .errors import ValidationError
+from .errors import OracleMismatch, ValidationError
 from .scalar import FpSpan, Scalar, make_field
 
 
@@ -30,7 +30,7 @@ class KBlock:
         span = FpSpan(space.field.p)
         for pw in self.kappa_pows:
             if not span.insert(space.flat(pw)):
-                raise ValidationError("generator powers are dependent")
+                raise OracleMismatch("generator powers are dependent")
 
     @property
     def degree(self) -> int:
@@ -45,8 +45,10 @@ def kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     the idempotents first appear in K's element enumeration.
 
     They are a function of the subspace K, so they are computed once per K
-    and kept on it, as Submodule.elements is, and freed with it.  A K that
-    is not a product of fields keeps nothing and raises each time."""
+    and kept on it, as Submodule.elements is, and freed with it.  Every K
+    here is a subalgebra of a product of fields, finite and reduced, so a
+    product of fields: a failed self-check raises OracleMismatch, a fault
+    of this library, and keeps nothing."""
     blocks = getattr(K, "_kblocks", None)
     if blocks is None:
         blocks = K._kblocks = _find_kblocks(K)
@@ -64,10 +66,10 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     for u in primitive:
         for w in primitive:
             if w != u and space.mul(u, w) != space.zero():
-                raise ValidationError("primitive idempotents not orthogonal")
+                raise OracleMismatch("primitive idempotents not orthogonal")
         total = space.add(total, u)
     if total != space.one():
-        raise ValidationError("primitive idempotents do not sum to one")
+        raise OracleMismatch("primitive idempotents do not sum to one")
 
     out = []
     for u in primitive:
@@ -92,7 +94,7 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
                 minpoly_coords = deg_span.coords(space.flat(power))
                 break
         if kappa is None:
-            raise ValidationError("no field generator found; K block is not a field")
+            raise OracleMismatch("no field generator found; K block is not a field")
         p = space.field.p
         if d == 1:
             afield = make_field(p, 1)
@@ -108,7 +110,9 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
 
 class BlockModuleBasis:
     """A K·u-basis of M·u for a K-module M inside some product space,
-    with exact decomposition of arbitrary elements of M·u."""
+    with exact decomposition of arbitrary elements of M·u.  K·u is a
+    field, so M·u is free over it, and a failed freeness or degree check
+    is a fault of this library (OracleMismatch)."""
 
     def __init__(self, space, kblock: KBlock, module_basis):
         self.space = space
@@ -129,12 +133,12 @@ class BlockModuleBasis:
             for pw in kblock.kappa_pows:
                 vv = space.k_scale(pw, v)
                 if not ku_span.insert(space.flat(vv)):
-                    raise ValidationError("block not free over its base field")
+                    raise OracleMismatch("block not free over its base field")
                 if not fp_span.contains(space.flat(vv)):
                     raise ValidationError("module not closed under base multiplication")
                 self._decomp.insert(space.flat(vv))
         if len(self.basis) * kblock.degree != len(fp_vecs):
-            raise ValidationError("block dimension not divisible by the field degree")
+            raise OracleMismatch("block dimension not divisible by the field degree")
 
     @property
     def rank(self) -> int:
@@ -163,24 +167,23 @@ class RankProfile:
     def value(self) -> int | None:
         return self.ranks[0] if self.constant and self.ranks else None
 
+    @classmethod
+    def of(cls, parts) -> RankProfile:
+        """The profile of a module from its BlockModuleBasis per K-block."""
+        ranks = tuple(part.rank for part in parts)
+        return cls(ranks, len(set(ranks)) <= 1, all(r >= 1 for r in ranks))
 
-def rank_profile(T, K: Subalgebra, parts=None) -> RankProfile:
-    """dim over K·u of T·u for every primitive idempotent u of K.
 
-    parts, when given, are T's BlockModuleBasis per block of kblocks(K),
-    already built by the caller.  Raises ValidationError when T is not closed
-    under multiplication by K.
+def rank_profile(T, K: Subalgebra) -> RankProfile:
+    """dim over K·u of T·u for every primitive idempotent u of K.  Raises
+    ValidationError when T is not closed under multiplication by K.
     """
     space = T.space
     for c in K.basis:
         for b in T.basis:
             if not T.contains(space.k_scale(c, b)):
                 raise ValidationError("module not closed under base multiplication")
-    if parts is None:
-        parts = [BlockModuleBasis(space, blk, T.basis) for blk in kblocks(K)]
-    ranks = tuple(part.rank for part in parts)
-    constant = len(set(ranks)) <= 1
-    return RankProfile(ranks, constant, all(r >= 1 for r in ranks))
+    return RankProfile.of(BlockModuleBasis(space, blk, T.basis) for blk in kblocks(K))
 
 
 class TensorOverK:
@@ -189,10 +192,9 @@ class TensorOverK:
     Elements are prime-field coordinate vectors over the basis
     kappa^m (m_i tensor n_j), enumerated block-major.
 
-    m_parts and n_parts, when given, are the BlockModuleBasis of M and of
-    N per block of kblocks(K), already built by the caller; they are built
-    here otherwise.  One list passed as both means M = N, and both sides
-    then share their kept coordinates.
+    m_parts and n_parts are the BlockModuleBasis of M and of N per block
+    of kblocks(K).  When M and N are one space with one basis, they are
+    one list, and both sides share their kept coordinates.
 
     The tensor keeps, for as long as it lives, the per-block coordinates
     of every element it has decomposed and the coordinates of every pure
@@ -201,19 +203,18 @@ class TensorOverK:
     give.
     """
 
-    def __init__(self, space_m, space_n, K: Subalgebra, m_basis, n_basis,
-                 m_parts=None, n_parts=None):
+    def __init__(self, space_m, space_n, K: Subalgebra, m_basis, n_basis):
         self.space_m = space_m
         self.space_n = space_n
         self.p = K.space.field.p
         self.blocks = kblocks(K)
-        if m_parts is None:
-            m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
-        if n_parts is None:
-            n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
-        self.m_parts, self.n_parts = m_parts, n_parts
+        self.m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
         self._m_coords: dict = {}
-        self._n_coords = self._m_coords if n_parts is m_parts else {}
+        if space_n is space_m and tuple(n_basis) == tuple(m_basis):
+            self.n_parts, self._n_coords = self.m_parts, self._m_coords
+        else:
+            self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
+            self._n_coords = {}
         self._pure: dict = {}
         self.layout = []
         off = 0

@@ -19,9 +19,10 @@ from gpdgalois.action import (
     skew_identity,
     skew_mul,
     span_elements,
+    stabilizer,
     subalgebra_closure,
 )
-from gpdgalois.blockring import IdealRef, ideal_fp_basis
+from gpdgalois.blockring import ideal_fp_basis
 from gpdgalois.errors import (
     InvalidInput,
     OracleMismatch,
@@ -84,8 +85,8 @@ def brute_invariants(action, labels):
     out = set()
     for x in R.all_elements():
         if all(
-            action.apply(h, x, truncate=True)
-            == R.mul(x, R.unit(action.support[h].support))
+            action.apply(h, x)
+            == R.mul(x, R.unit(action.support[h]))
             for h in labels
         ):
             out.add(x)
@@ -103,7 +104,7 @@ def brute_invariant_functions(X, action):
         ok = True
         for g in G.elements:
             for y in X.fiber_points(G.d[g]):
-                lhs = action.apply(g, space.value_at(f, y), truncate=True)
+                lhs = action.apply(g, space.value_at(f, y))
                 if lhs != space.value_at(f, X.gamma[g][y]):
                     ok = False
                     break
@@ -133,8 +134,11 @@ def elementwise_alpha(M, g, f):
 
 def brute_subalgebras(R, K):
     """Oracle: every unital K-closed multiplicatively closed subspace of a
-    small ring, found as spans of the K-basis plus up to two vectors."""
-    elems = list(R.all_elements(bound=16))
+    small ring, found as spans of the K-basis plus up to two vectors.  A
+    ring of more than 16 elements refuses."""
+    if R.field.order ** len(R.slots) > 16:
+        raise SizeBoundExceeded(f"ring has {R.field.order ** len(R.slots)} elements")
+    elems = list(R.all_elements())
     found = {}
     for extra in itertools.chain(
         [()], itertools.product(elems, repeat=1), itertools.product(elems, repeat=2)
@@ -160,7 +164,7 @@ def direct_verify_skew_ring(A):
     R, G = A.ring, A.groupoid
     monomials = []
     for g in G.elements:
-        for b in A.support[g].support:
+        for b in A.support[g]:
             for s in fp_basis_scalars(R.field):
                 monomials.append({g: R.element({b: s})})
     for u, v, w in itertools.product(monomials, repeat=3):
@@ -179,9 +183,9 @@ def pairwise_tensor_split_check(E, B, K, family, A):
     """Oracle: the tensor split check with phi(x tensor y) recomputed, hom
     images included, for the columns and for both factors of every pair."""
     R = A.ring
-    E_mod = Submodule(R, ideal_fp_basis(R, E.support))
+    E_mod = Submodule(R, ideal_fp_basis(R, E))
     tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
-    slot_ids = [R.slot_index(b) for b in E.support]
+    slot_ids = [R.slot_index(b) for b in E]
 
     def phi_tuple(x, y):
         return tuple(R.mul(x, hom.apply(y)) for hom in family)
@@ -193,7 +197,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
             )
         )
 
-    target_dim = len(family) * len(E.support) * R.field.k
+    target_dim = len(family) * len(E) * R.field.k
     square = tens.dim == target_dim
     columns = []
     span = FpSpan(R.field.p)
@@ -213,7 +217,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
                     total[i] = (total[i] + c * v) % R.field.p
         return tuple(total)
 
-    unit = R.unit(E.support)
+    unit = R.unit(E)
     unital = flat_tuple(phi_tuple(unit, B.space.one())) == flat_tuple(
         tuple(unit for _ in family)
     )
@@ -228,7 +232,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
             multiplicative = False
             break
     components_match = True
-    width = len(E.support) * R.field.k
+    width = len(E) * R.field.k
     for i, hom in enumerate(family):
         for b in B.basis:
             img = matrix_apply(tens.pure(unit, b))
@@ -273,7 +277,7 @@ def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_
     rows, partitions = [], set()
     for H in enumerate_wide_subgroupoids(G, max_elements):
         T = invariants(A, H)
-        report = strong_subalgebra_check(T, A)
+        report = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
         rows.append(CorrespondenceRow(
             H.labels, T, report.stabilizer_labels, report.separable,
             report.beta_strong, report.r_split,
@@ -288,7 +292,8 @@ def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_
     strong = []
     for key in sorted(seen, key=lambda k: (len(k), k)):
         T = seen[key]
-        if separability_idempotent(T, K) is not None and is_beta_strong(T, A)[0]:
+        if (separability_idempotent(T, K) is not None
+                and is_beta_strong(T, A, stabilizer(T, A))[0]):
             strong.append(T)
     return CorrespondenceTable(
         rows, strong, len(set(keys)) == len(keys), len(partitions) == len(rows),
@@ -394,7 +399,7 @@ def wide_subgroupoid_count(n, m):
 def idempotents_of(R, E, max_support=16):
     """Oracle: the supports of every nonzero idempotent of a unital ideal,
     that is, every nonempty block subset, by size, then position."""
-    sup = tuple(E.support)
+    sup = tuple(E)
     for b in sup:
         R.slot_index(b)
     if len(sup) > max_support:
@@ -407,7 +412,7 @@ def idempotents_of(R, E, max_support=16):
 
 
 def _equalising_idempotent(R, support, xs, ys):
-    for sub in idempotents_of(R, IdealRef(support)):
+    for sub in idempotents_of(R, support):
         pi = R.unit(sub)
         if all(R.mul(x, pi) == R.mul(y, pi) for x, y in zip(xs, ys)):
             return pi
@@ -431,9 +436,9 @@ def idempotent_is_beta_strong(T, A, H):
             if G.r[g] != G.r[h] or q is None or q in hset:
                 continue
             pi = _equalising_idempotent(
-                A.ring, A.support[g].support,
-                [A.apply(g, t, truncate=True) for t in T.basis],
-                [A.apply(h, t, truncate=True) for t in T.basis],
+                A.ring, A.support[g],
+                [A.apply(g, t) for t in T.basis],
+                [A.apply(h, t) for t in T.basis],
             )
             if pi is not None:
                 return False, (g, h, pi)
@@ -581,6 +586,13 @@ def load_fixture(name):
     subs = {key: tuple(labels) for key, labels in doc["subgroupoids"].items()}
     subs.setdefault("all", tuple(A.groupoid.elements))
     return Fixture(name, A.groupoid, A.ring, A, subs)
+
+
+def distinct_subgroupoids(fix):
+    """The fixture's named wide subgroupoids, each label set once: fix1
+    names its whole groupoid twice, as H1 and as all."""
+    named = fix.wide_subgroupoids.values()
+    return list({frozenset(labels): labels for labels in named}.values())
 
 
 # Corrupted structural bases ----------------------------------------------
@@ -740,7 +752,7 @@ def elementwise_validate_action(G, R, sigma, frob=None) -> AlgebraAction:
     action = AlgebraAction(G, R, *_complete_maps(G, R, sigma, frob or {}))
     for g, h in G.composable:
         gh = G.product[(g, h)]
-        for x in ideal_fp_basis(R, R.ideal(G.d[h]).support):
+        for x in ideal_fp_basis(R, R.ideal(G.d[h])):
             if action.apply(g, action.apply(h, x)) != action.apply(gh, x):
                 raise ValidationError(
                     f"beta[{g!r}] o beta[{h!r}] != beta[{gh!r}]",

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import brute_invariant_functions, brute_invariants
+from conftest import brute_invariant_functions, brute_invariants, distinct_subgroupoids
 from gpdgalois.action import (
     AlgebraAction,
     check_galois_coordinates,
@@ -224,13 +224,13 @@ def test_c07_separability_transport_base_algebra(fix1):
 def test_c08_oracle_equivalence(all_galois_fixtures):
     with criterion("C8 structural vs brute force"):
         for fix in all_galois_fixtures:
-            for labels in fix.wide_subgroupoids.values():
+            for labels in distinct_subgroupoids(fix):
                 structural = set(invariants(fix.action, labels).elements)
                 assert structural == brute_invariants(fix.action, labels)
             X = regular_gset(fix.groupoid)
             structural = set(invariant_algebra(X, fix.action).elements)
             assert structural == brute_invariant_functions(X, fix.action)
-            for labels in fix.wide_subgroupoids.values():
+            for labels in distinct_subgroupoids(fix):
                 Xq = quotient_gset(fix.groupoid, labels)
                 structural = set(invariant_algebra(Xq, fix.action).elements)
                 assert structural == brute_invariant_functions(Xq, fix.action)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import PAIR_CYCLIC_SPECS, disjoint_union, idempotents_of, pair_cyclic_doc
 from gpdgalois.action import validate_action
 from gpdgalois.blockring import (
-    IdealRef,
     disconnected_identity,
     faithfulness_criterion,
     is_faithful_ideal,
@@ -67,7 +66,7 @@ def test_idempotents_enumeration(fix1, fix2):
     R = fix1.ring
     out = idempotents_of(R, R.ideal("e2"))
     assert out == [("v3",), ("v4",), ("v3", "v4")]
-    single = idempotents_of(R, IdealRef(("v1",)))
+    single = idempotents_of(R, ("v1",))
     assert single == [("v1",)]
     out2 = idempotents_of(fix2.ring, fix2.ring.ideal("e3"))
     assert out2 == [("v5",), ("v6",), ("v5", "v6")]
@@ -82,7 +81,7 @@ def test_idempotents_match_bruteforce(fix1):
 
     brute = {
         x
-        for x in span_elements(R, ideal_fp_basis(R, E.support))
+        for x in span_elements(R, ideal_fp_basis(R, E))
         if x != R.zero() and R.mul(x, x) == x
     }
     assert {R.unit(sup) for sup in idempotents_of(R, E)} == brute
@@ -103,7 +102,7 @@ def test_faithful_ideal_direct(fix1, fix2):
     assert not ok
     assert witness == fix2.ring.element({"v1": 1, "v3": 1})
 
-    ok, _ = is_faithful_ideal(K2, IdealRef(fix2.ring.blocks))
+    ok, _ = is_faithful_ideal(K2, fix2.ring.blocks)
     assert ok
 
 

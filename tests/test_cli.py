@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from conftest import pair_cyclic_doc
-from gpdgalois import action as action_mod
+from gpdgalois import action as action_mod, tensor
 from gpdgalois.cli import EXIT_CODES, main
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -352,3 +352,14 @@ def test_invariants_oracle_mismatch_is_reported(capsys):
         "[ORACLE-MISMATCH] oracle cross-check  [structural invariants disagree with brute force]",
         "status: oracle-mismatch",
     ]
+
+
+def test_tensor_self_check_is_an_oracle_mismatch(capsys):
+    # a K-block self-check that fails is a fault of the library, not a
+    # verdict on the input: with no field generator to find, galois ends in
+    # oracle-mismatch, not fail
+    with mock.patch.object(tensor, "span_elements", lambda space, basis: (space.zero(),)):
+        code, out = run(capsys, "galois", FIX1, "--json")
+    report = json.loads(out)
+    assert (code, report["status"]) == (4, "oracle-mismatch")
+    assert report["checks"][-1]["witness"] == "no field generator found; K block is not a field"

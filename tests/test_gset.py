@@ -1,10 +1,17 @@
 import itertools
 import re
+from unittest import mock
 
 import pytest
 
+from gpdgalois import gset
 from gpdgalois.errors import SizeBoundExceeded, ValidationError
-from gpdgalois.groupoid import make_subgroupoid, quotient_gset, regular_gset
+from gpdgalois.groupoid import (
+    make_subgroupoid,
+    quotient_gset,
+    regular_gset,
+    validate_groupoid,
+)
 from gpdgalois.gset import GMap, check_gmap, gset_isomorphic, validate_gset
 
 
@@ -89,6 +96,34 @@ def test_isomorphism_search(fix1):
     assert not _brute_isomorphic(collapsed, reg)
 
 
+def _c2_gset(G, carrier, swapped):
+    """The G-set of the group G = C_2 = {e, s} on the carrier in which s
+    swaps each given pair and fixes every other point."""
+    s = {x: x for x in carrier}
+    for x, y in swapped:
+        s[x], s[y] = y, x
+    return validate_gset(G, carrier, {x: "e" for x in carrier}, {"s": s})
+
+
+def test_isomorphism_search_backtracks_and_exhausts():
+    # a's first point is fixed by s and b's first point is not, so the
+    # search first maps one onto the other and has to backtrack.  c has the
+    # fiber sizes of a but no fixed point, so the search exhausts every
+    # fiber-respecting bijection and returns None.
+    G = validate_groupoid(
+        ["e", "s"], [["e", "e", "e"], ["e", "s", "s"], ["s", "e", "s"], ["s", "s", "e"]]
+    )
+    a = _c2_gset(G, ["f1", "m1", "m2", "f2"], [("m1", "m2")])
+    b = _c2_gset(G, ["n1", "n2", "g1", "g2"], [("n1", "n2")])
+    c = _c2_gset(G, ["p1", "p2", "q1", "q2"], [("p1", "p2"), ("q1", "q2")])
+    found = gset_isomorphic(a, b)
+    assert found is not None and check_gmap(found).isomorphism
+    assert found.mapping == {"f1": "g1", "m1": "n1", "m2": "n2", "f2": "g2"}
+    assert _brute_isomorphic(a, b)
+    assert gset_isomorphic(a, c) is None
+    assert not _brute_isomorphic(a, c)
+
+
 def test_isomorphism_reflexive_symmetric(fix1, fix2, fixc2):
     for fix in (fix1, fix2, fixc2):
         G = fix.groupoid
@@ -102,8 +137,9 @@ def test_isomorphism_reflexive_symmetric(fix1, fix2, fixc2):
 
 def test_isomorphism_bound(fix1):
     reg = regular_gset(fix1.groupoid)
-    with pytest.raises(SizeBoundExceeded):
-        gset_isomorphic(reg, reg, max_points=2)
+    with mock.patch.object(gset, "DEFAULT_MAX_POINTS", 2), \
+            pytest.raises(SizeBoundExceeded, match="carrier larger than 2"):
+        gset_isomorphic(reg, reg)
 
 
 def test_split_fiber_count(fix1, fix2):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and none
-imports a package module inside a function or method.
+"""No module of the package imports a name it never uses, none imports
+a package module inside a function or method, and none imports another
+package module's underscore (private) name.
 
 Only module-level imports are checked for use.  ``__init__.py`` re-exports
 by design, and a name a module lists in ``__all__`` is a re-export too;
@@ -67,4 +68,24 @@ def nested_package_imports(path):
 
 def test_no_function_level_package_imports():
     found = {path.name: nested_package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def private_package_imports(path):
+    """(line, module, name) for each underscore name the module imports
+    from another module of the package, relative or absolute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if not (module.startswith(".") or module.split(".")[0] == "gpdgalois"):
+            continue
+        found += [(node.lineno, module, alias.name)
+                  for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_names_across_package_modules():
+    found = {path.name: private_package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
