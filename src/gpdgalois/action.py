@@ -476,27 +476,6 @@ def stabilizer(T, A: AlgebraAction) -> SubgroupoidSpec:
 
 # Skew groupoid ring ---------------------------------------------------
 
-def skew_element(A: AlgebraAction, terms: dict) -> dict:
-    """Normalize a delta-expansion; each coefficient must lie in E_g."""
-    R = A.ring
-    out = {}
-    for g, x in terms.items():
-        sup = set(A.support[g])
-        if any(s not in sup for s in R.support_of(x)):
-            raise ValidationError(f"coefficient of delta_{g!r} outside E_{g!r}")
-        if x != R.zero():
-            out[g] = x
-    return out
-
-
-def skew_add(A: AlgebraAction, u: dict, w: dict) -> dict:
-    R = A.ring
-    out = dict(u)
-    for g, x in w.items():
-        out[g] = R.add(out.get(g, R.zero()), x)
-    return {g: x for g, x in out.items() if x != R.zero()}
-
-
 def skew_mul(A: AlgebraAction, u: dict, w: dict) -> dict:
     """Bilinear extension of (x delta_g)(y delta_h) = x beta_g(y) delta_{gh},
     zero on non-composable pairs."""

@@ -92,9 +92,6 @@ class ProductSpace:
     def support_of(self, x) -> tuple:
         return tuple(s for s, v in zip(self.slots, x) if v != self.field.zero)
 
-    def is_idempotent(self, x) -> bool:
-        return self.mul(x, x) == x
-
     def flat(self, x) -> tuple[int, ...]:
         return flatten(x)
 

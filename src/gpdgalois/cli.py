@@ -427,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("file", help="problem description (JSON)")
         p.add_argument("--json", action="store_true", help="emit the structured report")
-        p.add_argument("--max-size", type=int, default=DEFAULT_MAX_ELEMENTS, dest="max_size",
-                       help="bound for exhaustive enumerations")
+        if name in ("subgroupoids", "correspondence"):
+            p.add_argument("--max-size", type=int, default=DEFAULT_MAX_ELEMENTS, dest="max_size",
+                           help="bound on |G| for the enumeration of wide subgroupoids")
         if name == "invariants":
             p.add_argument("--sub", required=True, help="named subgroupoid")
         if name == "grothendieck":

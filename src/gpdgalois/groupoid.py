@@ -214,12 +214,6 @@ class SubgroupoidSpec:
 
     labels: tuple
 
-    def __contains__(self, g):
-        return g in self.labels
-
-    def __len__(self):
-        return len(self.labels)
-
 
 def _closure_certificate(G: Groupoid, subset) -> str | None:
     """Why a subset of G's elements is not closed, or None if it is."""

@@ -145,17 +145,17 @@ def gset_isomorphic(a: GSet, b: GSet):
     used: set = set()
 
     def consistent(x, y) -> bool:
+        """x -> y agrees with the assignment under every g with d(g) the
+        fiber of x.  That covers an assigned w -> ww with gamma_g(w) = x,
+        which needs b.gamma_g(ww) = y: g^{-1} starts at x and sends it to
+        w, and b is a G-set, so b.gamma_g(ww) = y exactly when
+        ww = b.gamma_{g^{-1}}(y)."""
         for g in G.elements:
             if a.fiber[x] == G.d[g]:
                 xx = a.gamma[g][x]
                 # a point g fixes is x itself, to be mapped to y: not yet assigned
                 if (xx == x or xx in assignment) and assignment.get(xx, y) != b.gamma[g][y]:
                     return False
-            if a.fiber[x] == G.r[g]:
-                for w, ww in assignment.items():
-                    if a.fiber[w] == G.d[g] and a.gamma[g][w] == x:
-                        if b.gamma[g][ww] != y:
-                            return False
         return True
 
     def extend(i: int) -> bool:

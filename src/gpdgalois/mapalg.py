@@ -4,13 +4,12 @@ sets and algebras.
 Map(X, R) is again a product of field blocks, one slot per (point, block)
 pair with the block drawn from the point's fiber ideal, and the lifted
 action alpha is a block action on it.  Its invariants A(X), evaluation
-homomorphisms, the G-set of homomorphisms of an algebra, and the mutually
-inverse maps between A(G/H) and the H-invariants all live here.
+homomorphisms, strongly distinct hom families, the tensor split and the
+G-set of homomorphisms of an algebra all live here.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -20,8 +19,6 @@ from .action import (
     Submodule,
     check_composition,
     invariants,
-    span_elements,
-    stabilizer,
 )
 from .blockring import (
     BlockRing,
@@ -34,15 +31,12 @@ from .errors import (
     HypothesisFailure,
     InvalidInput,
     OracleMismatch,
-    SizeBoundExceeded,
     ValidationError,
 )
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
-from .groupoid import coset_space, quotient_gset
+from .groupoid import coset_space
 from .scalar import FpSpan, flatten
 from .tensor import RankProfile, TensorOverK
-
-HOM_SEARCH_BOUND = 1 << 20
 
 
 class MapSpace(BlockRing):
@@ -79,23 +73,6 @@ class MapSpace(BlockRing):
             if x == point:
                 coords[b] = v
         return self.ring.element(coords)
-
-    def from_values(self, values: dict) -> tuple:
-        """Build a function from point -> ring element, enforcing the
-        fiber support constraint."""
-        zero = self.ring.zero()
-        vals = {x: values.get(x, zero) for x in self.gset.carrier}
-        for x in values:
-            if x not in self.gset.fiber:
-                raise InvalidInput(f"unknown point {x!r}")
-        for x, v in vals.items():
-            allowed = set(self.ring.ideal(self.gset.fiber[x]))
-            for s in self.ring.support_of(v):
-                if s not in allowed:
-                    raise ValidationError(
-                        f"value at {x!r} leaves the fiber ideal", witness=(x, s)
-                    )
-        return tuple(vals[x][self.ring.slot_index(b)] for x, b in self.slots)
 
 
 class MapAlgebra(AlgebraAction):
@@ -170,12 +147,6 @@ class HomRecord:
     def key(self) -> tuple:
         return (self.target_support, self.images)
 
-    def __eq__(self, other):
-        return isinstance(other, HomRecord) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return f"HomRecord({self.label or self.images})"
 
@@ -195,6 +166,16 @@ def strongly_distinct(f: HomRecord, g: HomRecord) -> tuple[bool, tuple | None]:
     f.require_same_frame(g)
     pi = equalising_block(f.ring, f.target_support, f.images, g.images)
     return pi is None, pi
+
+
+def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
+    """Every two members are strongly distinct; the witness of the first
+    pair that is not otherwise."""
+    for f, g in itertools.combinations(family, 2):
+        ok, pi = strongly_distinct(f, g)
+        if not ok:
+            return False, pi
+    return True, None
 
 
 def evaluation_hom(AX: InvariantAlgebra, x) -> HomRecord:
@@ -277,46 +258,6 @@ def eval_iso_check(X: GSet, ev: EvalGSet) -> EvalIsoReport:
     psi = GMap(X, ev.gset, dict(ev.point_label))
     rep = check_gmap(psi)
     return EvalIsoReport(bijective, rep.valid, rep.isomorphism and bijective, rep.certificate)
-
-
-def hom_set(B, K: Subalgebra, E, ring: BlockRing) -> list[HomRecord]:
-    """All unital K-linear multiplicative maps B -> E, by exhaustive
-    assignment of basis images with filtering; deterministic order.  At
-    most HOM_SEARCH_BOUND assignments are tried."""
-    targets = span_elements(ring, ideal_fp_basis(ring, E))
-    dim = len(B.basis)
-    if len(targets) ** dim > HOM_SEARCH_BOUND:
-        raise SizeBoundExceeded(
-            f"{len(targets)}^{dim} candidate assignments exceed the bound"
-        )
-    unit = ring.unit(E)
-    one_coords = B.coords(B.space.one())
-    prod_coords = {}
-    for i, j in itertools.combinations_with_replacement(range(dim), 2):
-        prod_coords[(i, j)] = B.coords(B.space.mul(B.basis[i], B.basis[j]))
-    k_source = {}
-    for ci, c in enumerate(K.basis):
-        for i, b in enumerate(B.basis):
-            k_source[(ci, i)] = B.coords(B.space.k_scale(c, b))
-
-    out = []
-    for images in itertools.product(targets, repeat=dim):
-        if ring.int_combine(one_coords, images) != unit:
-            continue
-        ok = True
-        for (i, j), coords in prod_coords.items():
-            if ring.int_combine(coords, images) != ring.mul(images[i], images[j]):
-                ok = False
-                break
-        if not ok:
-            continue
-        for (ci, i), coords in k_source.items():
-            if ring.int_combine(coords, images) != ring.mul(K.basis[ci], images[i]):
-                ok = False
-                break
-        if ok:
-            out.append(HomRecord(B, ring, E, images))
-    return out
 
 
 def transversal_hom_family(B, A: AlgebraAction, H) -> dict:
@@ -557,167 +498,12 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of, H) -> HomGSetReport:
                 transported_set[moved] = HomRecord(
                     B, A.ring, A.ring.ideal(e), moved
                 )
-        homs = list(transported_set.values())
-        for f1, f2 in itertools.combinations(homs, 2):
-            ok, _ = strongly_distinct(f1, f2)
-            if not ok:
-                sd_ok = False
+        if not pairwise_strongly_distinct(transported_set.values())[0]:
+            sd_ok = False
     equivalent = gset_valid == sd_ok
     return HomGSetReport(
         True, transport_consistent, gset_valid, sd_ok, equivalent,
         gset=V, families=families, labels=label_of_rep,
-    )
-
-
-@dataclass
-class DoubleDualReport:
-    """Is b -> (f -> f(b)) an isomorphism of B onto A(V(B))?"""
-
-    well_defined: bool
-    injective: bool
-    surjective: bool
-    multiplicative: bool
-    unital: bool
-    k_linear: bool
-    hom_gset: HomGSetReport | None = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.well_defined
-            and self.injective
-            and self.surjective
-            and self.multiplicative
-            and self.unital
-            and self.k_linear
-        )
-
-
-def double_dual_check(B, A: AlgebraAction) -> DoubleDualReport:
-    """Evaluate every element of B on the canonical hom G-set and compare
-    with the invariant algebra of that G-set, elementwise."""
-    hg = hom_gset_check(B, A, functools.partial(invariants, A), stabilizer(B, A))
-    if not hg.gset_valid:
-        return DoubleDualReport(False, False, False, False, False, False, hg)
-    V = hg.gset
-    AX = invariant_algebra(V, A)
-    space = AX.space
-    hom_by_label = {}
-    for homs in hg.families.values():
-        for hom in homs:
-            hom_by_label[hom.label] = hom
-
-    def nu(b):
-        return space.from_values(
-            {label: hom_by_label[label].apply(b) for label in V.carrier}
-        )
-
-    images = {}
-    well_defined = True
-    for b in B.elements:
-        img = nu(b)
-        if not AX.contains(img):
-            well_defined = False
-        images[b] = img
-    injective = len(set(images.values())) == len(B.elements)
-    surjective = set(images.values()) == set(AX.elements)
-    multiplicative = all(
-        images[B.space.mul(a, b)] == space.mul(images[a], images[b])
-        for a, b in itertools.combinations_with_replacement(B.basis, 2)
-    )
-    unital = images[B.space.one()] == space.one()
-    K = A.base_subalgebra()
-    k_linear = all(
-        images[B.space.k_scale(c, b)] == space.k_scale(c, images[b])
-        for c in K.basis
-        for b in B.basis
-    )
-    return DoubleDualReport(
-        well_defined, injective, surjective, multiplicative, unital, k_linear, hg
-    )
-
-
-@dataclass
-class QuotientIsoReport:
-    """The mutually inverse maps between A(G/H) and the H-invariants."""
-
-    expand_well_defined: bool
-    collapse_lands_in_invariants: bool
-    expand_lands_in_functions: bool
-    round_trip_on_invariants: bool
-    round_trip_on_functions: bool
-    algebra_maps: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            (
-                self.expand_well_defined,
-                self.collapse_lands_in_invariants,
-                self.expand_lands_in_functions,
-                self.round_trip_on_invariants,
-                self.round_trip_on_functions,
-                self.algebra_maps,
-            )
-        )
-
-
-def quotient_iso_pair(A: AlgebraAction, H) -> QuotientIsoReport:
-    """collapse(f) = sum of f over the identity cosets; expand(r) sends a
-    coset lH to beta_l(r 1_{l^{-1}}).  Both are verified elementwise."""
-    G, R = A.groupoid, A.ring
-    cs = coset_space(G, H)
-    X = quotient_gset(G, H)
-    AX = invariant_algebra(X, A)
-    T = invariants(A, H)
-    space = AX.space
-
-    label_of_class = {i: f"{rep}H" for i, rep in enumerate(cs.representatives)}
-    identity_labels = []
-    for e in G.identities:
-        identity_labels.append(label_of_class[cs.class_of[e]])
-
-    def collapse(f):
-        out = R.zero()
-        for label in identity_labels:
-            out = R.add(out, space.value_at(f, label))
-        return out
-
-    expand_well_defined = True
-    for r in T.basis:
-        for members in cs.classes:
-            vals = {A.apply(l, r) for l in members}
-            if len(vals) != 1:
-                expand_well_defined = False
-
-    def expand(r):
-        return space.from_values(
-            {
-                label_of_class[i]: A.apply(rep, r)
-                for i, rep in enumerate(cs.representatives)
-            }
-        )
-
-    collapse_ok = all(T.contains(collapse(f)) for f in AX.elements)
-    expand_ok = all(AX.contains(expand(r)) for r in T.elements)
-    round_inv = all(collapse(expand(r)) == r for r in T.elements)
-    round_fun = all(expand(collapse(f)) == f for f in AX.elements)
-
-    K = A.base_subalgebra()
-    algebra_maps = (
-        collapse(space.one()) == R.one()
-        and all(
-            collapse(space.mul(f1, f2)) == R.mul(collapse(f1), collapse(f2))
-            for f1, f2 in itertools.combinations_with_replacement(AX.basis, 2)
-        )
-        and all(
-            collapse(space.k_scale(c, f)) == R.mul(c, collapse(f))
-            for c in K.basis
-            for f in AX.basis
-        )
-    )
-    return QuotientIsoReport(
-        expand_well_defined, collapse_ok, expand_ok, round_inv, round_fun, algebra_maps
     )
 
 
@@ -775,21 +561,3 @@ def grothendieck_set_check(A: AlgebraAction, X: GSet) -> SetRoundTripReport:
     splits = splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
     proof_identity = all(rep.components_match for rep in splits.values())
     return SetRoundTripReport(iso, indep, splits, proof_identity)
-
-
-@dataclass
-class AlgebraRoundTripReport:
-    hom_gset: HomGSetReport
-    double_dual: DoubleDualReport
-
-    @property
-    def ok(self) -> bool:
-        return self.hom_gset.ok and self.double_dual.ok
-
-
-def grothendieck_algebra_check(A: AlgebraAction, B) -> AlgebraRoundTripReport:
-    """Object-level round trip on the algebra side: B is isomorphic to the
-    invariant algebra of its hom G-set."""
-    require_faithful_hypotheses(A)
-    dd = double_dual_check(B, A)
-    return AlgebraRoundTripReport(dd.hom_gset, dd)

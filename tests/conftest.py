@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -470,8 +471,8 @@ def _pair_cyclic_specs():
 PAIR_CYCLIC_SPECS = _pair_cyclic_specs()
 
 
-def pair_cyclic_doc(family, n, m, k=1):
-    """P_n x C_m over F_{2^k}: element g{j}_{i}_{a} is an arrow from object
+def pair_cyclic_doc(family, n, m, k=1, p=2):
+    """P_n x C_m over F_{p^k}: element g{j}_{i}_{a} is an arrow from object
     i to object j labelled a in Z_m.  "shift" and "twisted" send block
     v{i}_{t} to v{j}_{t+a}, twisted with Frobenius exponent a mod k;
     "frobenius" sends the one block v{i} to v{j} with exponent a (m = k)."""
@@ -501,8 +502,8 @@ def pair_cyclic_doc(family, n, m, k=1):
                     sigma = {f"v{i}_{t}": f"v{j}_{(t + a) % m}" for t in range(m)}
                     frob = {b: a % k for b in sigma}
                 action[label(j, i, a)] = {"sigma": sigma, "frob": frob}
-    field = {"p": 2, "k": k}
-    if k > 1:
+    field = {"p": p, "k": k}
+    if k > 1:  # MODULI are over F_2
         field["modulus"] = MODULI[k]
     return {
         "field": field,
@@ -781,3 +782,17 @@ def cli_outcome(doc, oracle=False):
             code = cli.main(["check", path, "--json"])
     report = json.loads(out.getvalue())
     return code, report["status"], [(c["name"], c["verdict"]) for c in report["checks"]]
+
+
+# The benchmark's traced points ---------------------------------------------
+
+SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+
+
+def layer_points():
+    """bench/spans.py's LAYER_POINTS: (module, function or Class.method,
+    metric) for every point a traced benchmark run wraps."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYER_POINTS

@@ -22,13 +22,7 @@ from gpdgalois.action import (
 )
 from gpdgalois.blockring import faithfulness_criterion, is_faithful_ideal
 from gpdgalois.errors import HypothesisFailure
-from gpdgalois.galois import (
-    associated_idempotent,
-    coords_from_separability,
-    galois_correspondence,
-    pairwise_strongly_distinct,
-    tri_equivalence_check,
-)
+from gpdgalois.galois import galois_correspondence
 from gpdgalois.groupoid import (
     enumerate_wide_subgroupoids,
     quotient_gset,
@@ -36,14 +30,20 @@ from gpdgalois.groupoid import (
 )
 from gpdgalois.mapalg import (
     eval_hom_family,
-    grothendieck_algebra_check,
     grothendieck_set_check,
-    hom_set,
     invariant_algebra,
-    quotient_iso_pair,
+    pairwise_strongly_distinct,
     transversal_hom_family,
 )
 from gpdgalois.tensor import rank_profile
+from theorems import (
+    associated_idempotent,
+    coords_from_separability,
+    grothendieck_algebra_check,
+    hom_set,
+    quotient_iso_pair,
+    tri_equivalence_check,
+)
 
 
 @contextmanager

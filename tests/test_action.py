@@ -25,8 +25,6 @@ from gpdgalois.action import (
     check_galois_coordinates,
     find_galois_coordinates,
     invariants,
-    skew_add,
-    skew_element,
     skew_identity,
     skew_mul,
     span_elements,
@@ -44,6 +42,7 @@ from gpdgalois.groupoid import (
     validate_groupoid,
 )
 from gpdgalois.scalar import make_field
+from theorems import skew_add, skew_element
 
 TWISTED_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[3] > 1]
 

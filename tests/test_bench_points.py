@@ -3,21 +3,12 @@ renaming or deleting one fails here instead of crashing a traced
 benchmark run (bench/run.py --trace 1)."""
 
 import importlib
-import importlib.util
-import pathlib
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-
-
-def _layer_points():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYER_POINTS
+from conftest import layer_points
 
 
 def test_every_traced_point_resolves():
-    points = _layer_points()
+    points = layer_points()
     assert points
     missing = []
     for mod_name, path, _ in points:

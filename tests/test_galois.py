@@ -28,30 +28,33 @@ from gpdgalois.errors import (
     ValidationError,
 )
 from gpdgalois.galois import (
-    associated_idempotent,
-    coords_from_separability,
-    dual_basis_solve,
-    freeness_check,
     galois_correspondence,
     is_beta_strong,
-    pairwise_strongly_distinct,
     separability_idempotent,
     separability_idempotent_from_structure,
     strong_subalgebra_check,
-    tri_equivalence_check,
 )
 from gpdgalois.groupoid import enumerate_wide_subgroupoids, regular_gset
 from gpdgalois.mapalg import (
     HomRecord,
     eval_hom_family,
-    hom_set,
     invariant_algebra,
+    pairwise_strongly_distinct,
     splits_per_target,
     strongly_distinct,
     transversal_hom_family,
 )
 from gpdgalois.scalar import Elimination, FpSpan, make_field
 from gpdgalois.tensor import TensorOverK, rank_profile
+import theorems
+from theorems import (
+    associated_idempotent,
+    coords_from_separability,
+    dual_basis_solve,
+    freeness_check,
+    hom_set,
+    tri_equivalence_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +203,7 @@ def test_dual_basis_eliminates_each_frame_once(fix1, fixf4):
             built.append(args)
             super().__init__(*args)
 
-    with mock.patch.object(galois_mod, "Elimination", Counting):
+    with mock.patch.object(theorems, "Elimination", Counting):
         for family in families:
             before = len(built)
             certs = dual_basis_solve(family)
@@ -355,7 +358,7 @@ def test_associated_idempotent_dependent_column_is_oracle_mismatch(fix1):
         def insert(self, vec):
             return super().insert(vec) and self.count < len(K.basis)
 
-    with mock.patch.object(galois_mod, "FpSpan", LastColumnDependent):
+    with mock.patch.object(theorems, "FpSpan", LastColumnDependent):
         with pytest.raises(OracleMismatch):
             associated_idempotent(K, proj, base)
 
@@ -422,12 +425,13 @@ def test_strong_subalgebra_equivalence(fix1):
         rep = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
         assert rep.separable and rep.beta_strong
         assert rep.equals_invariants_of_stabilizer
-        assert rep.equivalence_holds and rep.r_split
+        assert (rep.separable and rep.beta_strong) == rep.equals_invariants_of_stabilizer
+        assert rep.r_split
     T = subalgebra_closure(R, [R.element({"v1": 1})], include=K.basis)
     rep = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
     assert not rep.beta_strong
     assert not rep.equals_invariants_of_stabilizer
-    assert rep.equivalence_holds
+    assert (rep.separable and rep.beta_strong) == rep.equals_invariants_of_stabilizer
 
 
 def test_correspondence_fixture_one(fix1):

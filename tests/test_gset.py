@@ -122,6 +122,15 @@ def test_isomorphism_search_backtracks_and_exhausts():
     assert _brute_isomorphic(a, b)
     assert gset_isomorphic(a, c) is None
     assert not _brute_isomorphic(a, c)
+    # x1 -> y1 is kept, then z -> y2 is assigned.  x2, which s swaps with
+    # x1, then has no image: y1 and y2 are used, and s swaps u1 and u2, not
+    # u1 and y1.  So the search undoes z -> y2 and maps z into u1's orbit.
+    x = _c2_gset(G, ["x1", "z", "x2", "w"], [("x1", "x2"), ("z", "w")])
+    y = _c2_gset(G, ["y1", "y2", "u1", "u2"], [("y1", "y2"), ("u1", "u2")])
+    found = gset_isomorphic(x, y)
+    assert found is not None and check_gmap(found).isomorphism
+    assert found.mapping == {"x1": "y1", "z": "u1", "x2": "y2", "w": "u2"}
+    assert _brute_isomorphic(x, y)
 
 
 def test_isomorphism_reflexive_symmetric(fix1, fix2, fixc2):

@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses, none imports
 a package module inside a function or method, and none imports another
-package module's underscore (private) name.
+package module's underscore (private) name.  Every public module-level
+name of the package is reached from the CLI or from a point the benchmark
+traces, so code that only tests run lives beside the tests.
 
 Only module-level imports are checked for use.  ``__init__.py`` re-exports
 by design, and a name a module lists in ``__all__`` is a re-export too;
@@ -11,6 +13,8 @@ so the package has none.
 
 import ast
 import pathlib
+
+from conftest import layer_points
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gpdgalois"
 
@@ -89,3 +93,56 @@ def private_package_imports(path):
 def test_no_private_names_across_package_modules():
     found = {path.name: private_package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def defined_names(node) -> list:
+    """The names a module-level statement defines: a function, a class,
+    or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def referenced_names(node) -> set:
+    """Every name and attribute name read anywhere inside node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached_public_names(src) -> list:
+    """(module, name) for each public module-level name of the package at
+    src that no chain of references reaches from the roots: the names
+    cli.py reads and the functions, classes and methods that
+    bench/spans.py traces.  A name reaches every module-level statement
+    that defines it, and a statement reaches every name its body reads;
+    a class's body includes its methods."""
+    defs: dict = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for name in defined_names(node):
+                defs.setdefault(name, []).append((path.name, node))
+    todo = referenced_names(ast.parse((src / "cli.py").read_text()))
+    todo |= {part for _, point, _ in layer_points() for part in point.split(".")}
+    reached: set = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _, node in defs.get(name, []):
+            todo |= referenced_names(node) - reached
+    return sorted((module, name) for name, sites in defs.items() for module, _ in sites
+                  if not name.startswith("_") and name not in reached)
+
+
+def test_every_public_name_is_reached_from_cli_or_bench():
+    assert unreached_public_names(SRC) == []
+
+
+def test_reachability_guard_names_an_unreached_function(tmp_path):
+    (tmp_path / "cli.py").write_text("from .m import used\n\nused()\n")
+    (tmp_path / "m.py").write_text(
+        "LIMIT = 3\n_HIDDEN = 1\n\n\ndef used():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\ndef unused():\n    return LIMIT\n"
+    )
+    assert unreached_public_names(tmp_path) == [("m.py", "LIMIT"), ("m.py", "unused")]

@@ -1,0 +1,542 @@
+"""Checks of the paper's results that only the tests run.
+
+No CLI subcommand reaches these, so they live beside the acceptance tests
+that use them, not in the package.  Each is exact: the skew-ring element
+helpers, the three characterisations of a strongly distinct hom family
+(strong distinctness, dual bases, freeness), the idempotent associated with
+an algebra map, the transport of a separability idempotent along beta,
+every algebra map into an ideal (`hom_set`), and the algebra-side round
+trips of the set/algebra equivalence.  `hom_set`, `double_dual_check` and
+`grothendieck_algebra_check` move back into the package together with their
+first CLI caller (ROADMAP item 8).
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from dataclasses import dataclass
+
+from gpdgalois.action import (
+    AlgebraAction,
+    Subalgebra,
+    invariants,
+    span_elements,
+    stabilizer,
+    trace,
+)
+from gpdgalois.blockring import BlockRing, ideal_fp_basis, slotwise_matrix
+from gpdgalois.errors import (
+    InvalidInput,
+    OracleMismatch,
+    SizeBoundExceeded,
+    ValidationError,
+)
+from gpdgalois.galois import is_beta_strong, separability_idempotent
+from gpdgalois.groupoid import coset_space, quotient_gset
+from gpdgalois.mapalg import (
+    HomGSetReport,
+    HomRecord,
+    hom_gset_check,
+    invariant_algebra,
+    pairwise_strongly_distinct,
+    require_faithful_hypotheses,
+)
+from gpdgalois.scalar import Elimination, FpSpan, flatten, solve_linear
+
+HOM_SEARCH_BOUND = 1 << 20
+
+
+# Skew groupoid ring elements ------------------------------------------
+
+def skew_element(A: AlgebraAction, terms: dict) -> dict:
+    """Normalize a delta-expansion; each coefficient must lie in E_g."""
+    R = A.ring
+    out = {}
+    for g, x in terms.items():
+        sup = set(A.support[g])
+        if any(s not in sup for s in R.support_of(x)):
+            raise ValidationError(f"coefficient of delta_{g!r} outside E_{g!r}")
+        if x != R.zero():
+            out[g] = x
+    return out
+
+
+def skew_add(A: AlgebraAction, u: dict, w: dict) -> dict:
+    R = A.ring
+    out = dict(u)
+    for g, x in w.items():
+        out[g] = R.add(out.get(g, R.zero()), x)
+    return {g: x for g, x in out.items() if x != R.zero()}
+
+
+# Functions on a G-set -------------------------------------------------
+
+def from_values(space, values: dict) -> tuple:
+    """Build a function of the MapSpace space from point -> ring element,
+    enforcing the fiber support constraint."""
+    zero = space.ring.zero()
+    vals = {x: values.get(x, zero) for x in space.gset.carrier}
+    for x in values:
+        if x not in space.gset.fiber:
+            raise InvalidInput(f"unknown point {x!r}")
+    for x, v in vals.items():
+        allowed = set(space.ring.ideal(space.gset.fiber[x]))
+        for s in space.ring.support_of(v):
+            if s not in allowed:
+                raise ValidationError(
+                    f"value at {x!r} leaves the fiber ideal", witness=(x, s)
+                )
+    return tuple(vals[x][space.ring.slot_index(b)] for x, b in space.slots)
+
+
+# Hom families: strongly distinct, dual bases, free ---------------------
+
+def _frame_matrix(family) -> list:
+    """The slotwise matrix D of a frame on the target ideal's slots: D x =
+    rhs asks sum x_i u(y_i) = rhs_u for every u in the family and source
+    basis element y_i, and D^T c = 0 asks sum c_u u = 0."""
+    for h in family[1:]:
+        family[0].require_same_frame(h)
+    ring = family[0].ring
+    slot_ids = [ring.slot_index(b) for b in family[0].target_support]
+    return slotwise_matrix(ring, [u.images for u in family], slot_ids)
+
+
+def dual_basis_solve(family):
+    """For each u in the family, elements x_i of the target ideal and y_i
+    of the source with sum x_i u'(y_i) = delta_{u,u'} 1_v for every u'.
+
+    The y side ranges over the source basis (a spanning set suffices by
+    linearity); the x side is solved per u.  Only the right-hand side
+    depends on u, so the frame matrix is eliminated once and each system
+    is read off that elimination.  Returns one pair list per family
+    member, or None when some system is inconsistent.
+    """
+    if not family:
+        return []
+    ring = family[0].ring
+    F = ring.field
+    system = Elimination(F, _frame_matrix(family))
+    support = family[0].target_support
+    ns = len(support)
+    unit = ring.unit(support)
+
+    certificates = []
+    for ui in range(len(family)):
+        rhs = [F.one if upi == ui else F.zero
+               for upi in range(len(family)) for _ in support]
+        sol = system.solve(rhs)
+        if sol.solution is None:
+            return None
+        pairs = [
+            (ring.element(dict(zip(support, sol.solution[i * ns : (i + 1) * ns]))), y)
+            for i, y in enumerate(family[0].source.basis)
+        ]
+        for upi, uprime in enumerate(family):
+            total = ring.zero()
+            for x, y in pairs:
+                total = ring.add(total, ring.mul(x, uprime.apply(y)))
+            expected = unit if upi == ui else ring.zero()
+            if total != expected:
+                raise OracleMismatch("dual basis certificate failed substitution")
+        certificates.append(pairs)
+    return certificates
+
+
+def freeness_check(family) -> bool:
+    """The family is free over its target ideal inside the linear maps
+    from the source: only the zero combination vanishes."""
+    if not family:
+        return True
+    transposed = [list(col) for col in zip(*_frame_matrix(family))]
+    F = family[0].ring.field
+    return not solve_linear(F, transposed, [F.zero] * len(transposed)).nullspace
+
+
+@dataclass
+class TriEquivalenceReport:
+    strongly_distinct: bool
+    dual_basis: bool
+    free: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.strongly_distinct == self.dual_basis == self.free
+
+    @property
+    def values(self) -> tuple:
+        return (self.strongly_distinct, self.dual_basis, self.free)
+
+
+def tri_equivalence_check(family, K: Subalgebra) -> TriEquivalenceReport:
+    """Evaluate the three equivalent characterizations of a hom family
+    independently; the source must be separable over K."""
+    if not family:
+        return TriEquivalenceReport(True, True, True)
+    T = family[0].source
+    if separability_idempotent(T, K) is None:
+        raise ValidationError("source algebra is not separable over the base")
+    groups: dict = {}
+    for h in family:
+        groups.setdefault(h.target_support, []).append(h)
+    sd = all(pairwise_strongly_distinct(grp)[0] for grp in groups.values())
+    dual = all(dual_basis_solve(grp) is not None for grp in groups.values())
+    free = all(freeness_check(grp) for grp in groups.values())
+    return TriEquivalenceReport(sd, dual, free)
+
+
+# Idempotents from algebra maps and separability -----------------------
+
+def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
+    """The unique idempotent pi of a separable algebra with f(pi) = 1 and
+    x pi = f(x) pi for all x, for an algebra map f from T onto the unital
+    copy of the base.
+
+    f_on_basis maps every basis element of T to its image inside the base
+    subalgebra; the idempotent is found by an exact linear solve and its
+    uniqueness is part of the verification.
+
+    The solve is over T's basis: (x - f(x)) pi = 0 for every basis x, and
+    f(pi) = 1.  By linearity these are the defining conditions.  Once the
+    system is consistent its solution is unique.  If pi and pi' both
+    solve it, then pi pi' = f(pi) pi' = pi' and pi' pi = f(pi') pi = pi,
+    and T is commutative, so pi = pi'.  So every column is independent,
+    and a dependent column would be a fault of this library, not of the
+    input: it raises OracleMismatch.
+    """
+    space = T.space
+    for b in base.basis:
+        if not T.contains(b):
+            raise InvalidInput("base is not contained in the algebra")
+    images = {}
+    for b in T.basis:
+        if b not in f_on_basis:
+            raise InvalidInput("f must be given on every basis element")
+        if not base.contains(f_on_basis[b]):
+            raise InvalidInput("f must map into the base subalgebra")
+        images[b] = f_on_basis[b]
+
+    def f_apply(x):
+        coords = T.coords(x)
+        out = space.zero()
+        for c, b in zip(coords, T.basis):
+            out = space.add(out, space.int_combine([c], [images[b]]))
+        return out
+
+    if f_apply(space.one()) != space.one():
+        raise InvalidInput("f is not unital")
+    for a, b in itertools.combinations_with_replacement(T.basis, 2):
+        if f_apply(space.mul(a, b)) != space.mul(f_apply(a), f_apply(b)):
+            raise InvalidInput("f is not multiplicative")
+    if separability_idempotent(T, base) is None:
+        raise ValidationError("algebra is not separable over the base")
+
+    # The column of b_i's coefficient in pi: (x - f(x)) b_i per x, then f(b_i).
+    diffs = [space.sub(x, f_apply(x)) for x in T.basis]
+    span = FpSpan(space.field.p)
+    independent = [
+        span.insert(
+            flatten(c for d in diffs for c in space.mul(d, b)) + flatten(f_apply(b))
+        )
+        for b in T.basis
+    ]
+    coords = span.coords(flatten(space.zero()) * len(diffs) + flatten(space.one()))
+    if coords is None:
+        raise ValidationError("the defining system is inconsistent")
+    if not all(independent):
+        raise OracleMismatch("the idempotent of a consistent system is not unique")
+    pi = T.combine(coords)
+    if space.mul(pi, pi) != pi:
+        raise OracleMismatch("solved element is not idempotent")
+    for x in T.elements:
+        if space.mul(x, pi) != space.mul(f_apply(x), pi):
+            raise OracleMismatch("solved idempotent fails the absorption law")
+    if f_apply(pi) != space.one():
+        raise OracleMismatch("solved idempotent is not mapped to one")
+    return pi
+
+
+@dataclass
+class SeparabilityTransportReport:
+    """The idempotents v_g = sum x_i beta_g(y_i 1_{g^{-1}}) derived from a
+    separability idempotent, with their support pattern."""
+
+    galois: bool
+    separable: bool
+    beta_strong: bool
+    values: dict
+    all_idempotent: bool
+    unit_on_identities: bool
+    zero_outside_stabilizer: bool
+    unit_on_stabilizer: bool
+    zero_outside_identities: bool
+    reconstruction_exact: bool
+    reconstruction_formula: bool
+    stabilizer_labels: tuple
+
+
+def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport:
+    """Transport a separability idempotent of T along every beta_g and
+    report the resulting support pattern and the dual-map reconstruction.
+
+    The exact dichotomy is: v_g is the ideal unit 1_g for g in the
+    stabilizer of T and zero outside it.
+    """
+    R, G = A.ring, A.groupoid
+    K = A.base_subalgebra()
+    galois = A.is_galois()
+    sep = separability_idempotent(T, K)
+    H = stabilizer(T, A)
+    bs, _ = is_beta_strong(T, A, H)
+    if sep is None:
+        return SeparabilityTransportReport(
+            galois, False, bs, {}, False, False, False, False, False, False, False,
+            H.labels,
+        )
+    values = {}
+    for g in G.elements:
+        total = R.zero()
+        for x, y in sep.pairs:
+            total = R.add(total, R.mul(x, A.apply(g, y)))
+        values[g] = total
+    idset = set(G.identities)
+    hset = set(H.labels)
+    all_idem = all(R.mul(v, v) == v for v in values.values())
+    unit_ids = all(values[e] == R.unit(A.support[e]) for e in idset)
+    zero_out_stab = all(values[g] == R.zero() for g in G.elements if g not in hset)
+    unit_on_stab = all(
+        values[g] == R.unit(A.support[g]) for g in hset
+    )
+    zero_out_ids = all(values[g] == R.zero() for g in G.elements if g not in idset)
+
+    stab_unit_sum = R.zero()
+    for h in H.labels:
+        stab_unit_sum = R.add(stab_unit_sum, R.unit(A.support[h]))
+    recon_exact = True
+    recon_formula = True
+    for t in T.elements:
+        total = R.zero()
+        for x, y in sep.pairs:
+            total = R.add(total, R.mul(trace(A, R.mul(y, t)), x))
+        if total != t:
+            recon_exact = False
+        if total != R.mul(t, stab_unit_sum):
+            recon_formula = False
+    return SeparabilityTransportReport(
+        galois, True, bs, values, all_idem, unit_ids, zero_out_stab,
+        unit_on_stab, zero_out_ids, recon_exact, recon_formula, H.labels,
+    )
+
+
+# Algebra maps and the algebra side of the equivalence -----------------
+
+def hom_set(B, K: Subalgebra, E, ring: BlockRing) -> list[HomRecord]:
+    """All unital K-linear multiplicative maps B -> E, by exhaustive
+    assignment of basis images with filtering; deterministic order.  At
+    most HOM_SEARCH_BOUND assignments are tried."""
+    targets = span_elements(ring, ideal_fp_basis(ring, E))
+    dim = len(B.basis)
+    if len(targets) ** dim > HOM_SEARCH_BOUND:
+        raise SizeBoundExceeded(
+            f"{len(targets)}^{dim} candidate assignments exceed the bound"
+        )
+    unit = ring.unit(E)
+    one_coords = B.coords(B.space.one())
+    prod_coords = {}
+    for i, j in itertools.combinations_with_replacement(range(dim), 2):
+        prod_coords[(i, j)] = B.coords(B.space.mul(B.basis[i], B.basis[j]))
+    k_source = {}
+    for ci, c in enumerate(K.basis):
+        for i, b in enumerate(B.basis):
+            k_source[(ci, i)] = B.coords(B.space.k_scale(c, b))
+
+    out = []
+    for images in itertools.product(targets, repeat=dim):
+        if ring.int_combine(one_coords, images) != unit:
+            continue
+        ok = True
+        for (i, j), coords in prod_coords.items():
+            if ring.int_combine(coords, images) != ring.mul(images[i], images[j]):
+                ok = False
+                break
+        if not ok:
+            continue
+        for (ci, i), coords in k_source.items():
+            if ring.int_combine(coords, images) != ring.mul(K.basis[ci], images[i]):
+                ok = False
+                break
+        if ok:
+            out.append(HomRecord(B, ring, E, images))
+    return out
+
+
+@dataclass
+class DoubleDualReport:
+    """Is b -> (f -> f(b)) an isomorphism of B onto A(V(B))?"""
+
+    well_defined: bool
+    injective: bool
+    surjective: bool
+    multiplicative: bool
+    unital: bool
+    k_linear: bool
+    hom_gset: HomGSetReport | None = None
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.well_defined
+            and self.injective
+            and self.surjective
+            and self.multiplicative
+            and self.unital
+            and self.k_linear
+        )
+
+
+def double_dual_check(B, A: AlgebraAction) -> DoubleDualReport:
+    """Evaluate every element of B on the canonical hom G-set and compare
+    with the invariant algebra of that G-set, elementwise."""
+    hg = hom_gset_check(B, A, functools.partial(invariants, A), stabilizer(B, A))
+    if not hg.gset_valid:
+        return DoubleDualReport(False, False, False, False, False, False, hg)
+    V = hg.gset
+    AX = invariant_algebra(V, A)
+    space = AX.space
+    hom_by_label = {}
+    for homs in hg.families.values():
+        for hom in homs:
+            hom_by_label[hom.label] = hom
+
+    def nu(b):
+        return from_values(
+            space, {label: hom_by_label[label].apply(b) for label in V.carrier}
+        )
+
+    images = {}
+    well_defined = True
+    for b in B.elements:
+        img = nu(b)
+        if not AX.contains(img):
+            well_defined = False
+        images[b] = img
+    injective = len(set(images.values())) == len(B.elements)
+    surjective = set(images.values()) == set(AX.elements)
+    multiplicative = all(
+        images[B.space.mul(a, b)] == space.mul(images[a], images[b])
+        for a, b in itertools.combinations_with_replacement(B.basis, 2)
+    )
+    unital = images[B.space.one()] == space.one()
+    K = A.base_subalgebra()
+    k_linear = all(
+        images[B.space.k_scale(c, b)] == space.k_scale(c, images[b])
+        for c in K.basis
+        for b in B.basis
+    )
+    return DoubleDualReport(
+        well_defined, injective, surjective, multiplicative, unital, k_linear, hg
+    )
+
+
+@dataclass
+class QuotientIsoReport:
+    """The mutually inverse maps between A(G/H) and the H-invariants."""
+
+    expand_well_defined: bool
+    collapse_lands_in_invariants: bool
+    expand_lands_in_functions: bool
+    round_trip_on_invariants: bool
+    round_trip_on_functions: bool
+    algebra_maps: bool
+
+    @property
+    def ok(self) -> bool:
+        return all(
+            (
+                self.expand_well_defined,
+                self.collapse_lands_in_invariants,
+                self.expand_lands_in_functions,
+                self.round_trip_on_invariants,
+                self.round_trip_on_functions,
+                self.algebra_maps,
+            )
+        )
+
+
+def quotient_iso_pair(A: AlgebraAction, H) -> QuotientIsoReport:
+    """collapse(f) = sum of f over the identity cosets; expand(r) sends a
+    coset lH to beta_l(r 1_{l^{-1}}).  Both are verified elementwise."""
+    G, R = A.groupoid, A.ring
+    cs = coset_space(G, H)
+    X = quotient_gset(G, H)
+    AX = invariant_algebra(X, A)
+    T = invariants(A, H)
+    space = AX.space
+
+    label_of_class = {i: f"{rep}H" for i, rep in enumerate(cs.representatives)}
+    identity_labels = []
+    for e in G.identities:
+        identity_labels.append(label_of_class[cs.class_of[e]])
+
+    def collapse(f):
+        out = R.zero()
+        for label in identity_labels:
+            out = R.add(out, space.value_at(f, label))
+        return out
+
+    expand_well_defined = True
+    for r in T.basis:
+        for members in cs.classes:
+            vals = {A.apply(l, r) for l in members}
+            if len(vals) != 1:
+                expand_well_defined = False
+
+    def expand(r):
+        return from_values(
+            space,
+            {
+                label_of_class[i]: A.apply(rep, r)
+                for i, rep in enumerate(cs.representatives)
+            },
+        )
+
+    collapse_ok = all(T.contains(collapse(f)) for f in AX.elements)
+    expand_ok = all(AX.contains(expand(r)) for r in T.elements)
+    round_inv = all(collapse(expand(r)) == r for r in T.elements)
+    round_fun = all(expand(collapse(f)) == f for f in AX.elements)
+
+    K = A.base_subalgebra()
+    algebra_maps = (
+        collapse(space.one()) == R.one()
+        and all(
+            collapse(space.mul(f1, f2)) == R.mul(collapse(f1), collapse(f2))
+            for f1, f2 in itertools.combinations_with_replacement(AX.basis, 2)
+        )
+        and all(
+            collapse(space.k_scale(c, f)) == R.mul(c, collapse(f))
+            for c in K.basis
+            for f in AX.basis
+        )
+    )
+    return QuotientIsoReport(
+        expand_well_defined, collapse_ok, expand_ok, round_inv, round_fun, algebra_maps
+    )
+
+
+@dataclass
+class AlgebraRoundTripReport:
+    hom_gset: HomGSetReport
+    double_dual: DoubleDualReport
+
+    @property
+    def ok(self) -> bool:
+        return self.hom_gset.ok and self.double_dual.ok
+
+
+def grothendieck_algebra_check(A: AlgebraAction, B) -> AlgebraRoundTripReport:
+    """Object-level round trip on the algebra side: B is isomorphic to the
+    invariant algebra of its hom G-set."""
+    require_faithful_hypotheses(A)
+    dd = double_dual_check(B, A)
+    return AlgebraRoundTripReport(dd.hom_gset, dd)
