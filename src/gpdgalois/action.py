@@ -21,7 +21,7 @@ from .blockring import (
     slotwise_matrix,
 )
 from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
-from .groupoid import Groupoid, SubgroupoidSpec, is_wide_subgroupoid, make_subgroupoid
+from .groupoid import Groupoid, is_wide_subgroupoid, make_subgroupoid
 from .scalar import FpSpan, fp_basis_scalars, solve_linear
 
 
@@ -79,9 +79,6 @@ class Submodule:
         if got is None:
             raise ValidationError("element outside the submodule")
         return got
-
-    def combine(self, coeffs) -> tuple:
-        return self.space.int_combine(coeffs, self.basis)
 
 
 class Subalgebra(Submodule):
@@ -144,8 +141,6 @@ class AlgebraAction:
             for g, src in self._source.items()
         }
         self._base: Subalgebra | None = None
-        self._coords = None
-        self._coords_known = False
 
     def source_ideal(self, g) -> tuple:
         return self._source[g]
@@ -165,15 +160,6 @@ class AlgebraAction:
         if self._base is None:
             self._base = invariants(self, None)
         return self._base
-
-    def galois_coordinates(self):
-        if not self._coords_known:
-            self._coords = find_galois_coordinates(self)
-            self._coords_known = True
-        return self._coords
-
-    def is_galois(self) -> bool:
-        return self.galois_coordinates() is not None
 
 
 def _complete_maps(G: Groupoid, R: BlockRing, sigma, frob) -> tuple[dict, dict]:
@@ -349,11 +335,7 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
     the edge list solved above.
     """
     G, R = A.groupoid, A.ring
-    if H is None:
-        H = G.elements
-    elif isinstance(H, SubgroupoidSpec):
-        H = H.labels
-    labels = make_subgroupoid(G, H).labels  # raises ValidationError on junk
+    labels = make_subgroupoid(G, G.elements if H is None else H)
 
     edges = []
     for h in labels:
@@ -458,7 +440,7 @@ def find_galois_coordinates(A: AlgebraAction) -> GaloisCoordinates | None:
     return GaloisCoordinates(pairs, "linear-solve")
 
 
-def stabilizer(T, A: AlgebraAction) -> SubgroupoidSpec:
+def stabilizer(T, A: AlgebraAction) -> tuple:
     """All g acting trivially on T: beta_g(t 1_{g^{-1}}) = t 1_g for every
     t (the basis suffices by linearity).  Always a wide subgroupoid, which
     is verified rather than assumed."""

@@ -70,9 +70,6 @@ class ProductSpace:
         self._check(x), self._check(y)
         return tuple(self.field.add(a, b) for a, b in zip(x, y))
 
-    def sub(self, x, y) -> tuple:
-        return tuple(self.field.sub(a, b) for a, b in zip(x, y))
-
     def mul(self, x, y) -> tuple:
         self._check(x), self._check(y)
         return tuple(self.field.mul(a, b) for a, b in zip(x, y))
@@ -88,9 +85,6 @@ class ProductSpace:
             if c % self.field.p:
                 out = self.add(out, self.scale(self.field.element(c), x))
         return out
-
-    def support_of(self, x) -> tuple:
-        return tuple(s for s, v in zip(self.slots, x) if v != self.field.zero)
 
     def flat(self, x) -> tuple[int, ...]:
         return flatten(x)

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .groupoid import (
     DEFAULT_MAX_ELEMENTS,
+    coset_space,
     enumerate_wide_subgroupoids,
     make_subgroupoid,
     quotient_gset,
@@ -237,7 +238,7 @@ class Problem:
             return regular_gset(G)
         if isinstance(spec, str) and spec.startswith("quotient:"):
             H = make_subgroupoid(G, self.entry("subgroupoids", spec.split(":", 1)[1]))
-            return quotient_gset(G, H)
+            return quotient_gset(coset_space(G, H))
         if isinstance(spec, str):
             raise InvalidInput(f"unknown G-set shorthand {spec!r}")
         return validate_gset(G, spec["carrier"], spec["fibers"], {
@@ -284,7 +285,7 @@ def cmd_galois(report, problem, args, G, R, A):
 def cmd_subgroupoids(report, problem, args, G, R, A):
     subs = enumerate_wide_subgroupoids(G, args.max_size)
     for H in subs:
-        report.note("wide subgroupoid", "{" + ", ".join(map(str, H.labels)) + "}")
+        report.note("wide subgroupoid", "{" + ", ".join(map(str, H)) + "}")
     report.add("enumeration complete", True, f"{len(subs)} found")
 
 

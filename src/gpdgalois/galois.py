@@ -137,7 +137,7 @@ def is_beta_strong(T, A: AlgebraAction, H) -> tuple[bool, tuple | None]:
     stabilizer of T, every nonzero idempotent of E_g must separate the
     transported copies of T; witness (g, h, idempotent) otherwise."""
     G, R = A.groupoid, A.ring
-    hset = set(H.labels)
+    hset = set(H)
 
     @functools.cache
     def moved(g):
@@ -193,7 +193,7 @@ def strong_subalgebra_check(T, A: AlgebraAction, invariants_of) -> StrongSubalge
     if sep and bs and equals:
         hom_report = hom_gset_check(T, A, invariants_of, H)
         splits = splits_per_target(A, T, K, hom_report.families.__getitem__)
-    return StrongSubalgebraReport(sep, bs, witness, H.labels, equals, splits, hom_report)
+    return StrongSubalgebraReport(sep, bs, witness, H, equals, splits, hom_report)
 
 
 @dataclass
@@ -240,7 +240,7 @@ def galois_correspondence(
     ideal is unfaithful or the action is not Galois.
 
     Two things are kept for the length of this call, and no longer:
-    - invariants(A, H) per subgroupoid H (as a set of labels), shared by
+    - invariants(A, H) per subgroupoid H, by its label tuple, shared by
       the rows, strong_subalgebra_check and hom_gset_check.  It is a
       function of A and H, and A does not change during the call.
     - each row's separable and beta-strong verdicts, by the row's key.  A
@@ -258,10 +258,9 @@ def galois_correspondence(
     kept_invariants: dict = {}
 
     def invariants_of(H):
-        labels = frozenset(H.labels)
-        if labels not in kept_invariants:
-            kept_invariants[labels] = invariants(A, H)
-        return kept_invariants[labels]
+        if H not in kept_invariants:
+            kept_invariants[H] = invariants(A, H)
+        return kept_invariants[H]
 
     rows = []
     partitions = set()
@@ -270,7 +269,7 @@ def galois_correspondence(
         report = strong_subalgebra_check(T, A, invariants_of)
         rows.append(
             CorrespondenceRow(
-                H.labels,
+                H,
                 T,
                 report.stabilizer_labels,
                 report.separable,

@@ -21,7 +21,6 @@ The cost is O(|G| + |products| + composable triples); see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import gset as gset_mod
 from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
@@ -208,13 +207,6 @@ def validate_groupoid(elements, products, inverses=None) -> Groupoid:
     return Groupoid(elements, product, inverse, d, r, identities)
 
 
-@dataclass(frozen=True)
-class SubgroupoidSpec:
-    """A product- and inverse-closed subset, in ambient element order."""
-
-    labels: tuple
-
-
 def _closure_certificate(G: Groupoid, subset) -> str | None:
     """Why a subset of G's elements is not closed, or None if it is."""
     sset = set(subset)
@@ -238,14 +230,17 @@ def _known_subset(G: Groupoid, labels) -> tuple:
     return tuple(g for g in G.elements if g in wanted)
 
 
-def make_subgroupoid(G: Groupoid, labels) -> SubgroupoidSpec:
+def make_subgroupoid(G: Groupoid, labels) -> tuple:
+    """A subgroupoid as the tuple of its labels in G's element order, the
+    one form every function here takes.  Raises InvalidInput on an
+    unknown label and ValidationError on an empty or unclosed subset."""
     ordered = _known_subset(G, labels)
     cert = _closure_certificate(G, ordered)
     if cert:
         raise ValidationError(cert)
     if not ordered:
         raise ValidationError("empty subset")
-    return SubgroupoidSpec(ordered)
+    return ordered
 
 
 def is_wide_subgroupoid(G: Groupoid, labels) -> tuple[bool, str | None]:
@@ -281,9 +276,9 @@ def _closure(G: Groupoid, members: frozenset, g) -> frozenset:
 
 def enumerate_wide_subgroupoids(
     G: Groupoid, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> list[SubgroupoidSpec]:
-    """All wide subgroupoids, ordered by size, then lexicographically by
-    the element indices of their non-identities.
+) -> list[tuple]:
+    """All wide subgroupoids as label tuples, ordered by size, then
+    lexicographically by the element indices of their non-identities.
 
     Closure search (cyclic extension; Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, ch. 10): start from the identities and
@@ -328,9 +323,8 @@ def enumerate_wide_subgroupoids(
 class CosetSpace:
     """Left cosets gH of a wide subgroupoid, with fixed representatives."""
 
-    def __init__(self, groupoid, subgroupoid, classes, representatives, class_of):
+    def __init__(self, groupoid, classes, representatives, class_of):
         self.groupoid = groupoid
-        self.subgroupoid = subgroupoid
         self.classes = classes
         self.representatives = representatives
         self.class_of = class_of
@@ -338,11 +332,10 @@ class CosetSpace:
 
 def coset_space(G: Groupoid, H) -> CosetSpace:
     """Partition G into left cosets; a ~ b iff b^{-1}a exists and lies in H."""
-    labels = H.labels if isinstance(H, SubgroupoidSpec) else tuple(H)
-    wide, cert = is_wide_subgroupoid(G, labels)
+    wide, cert = is_wide_subgroupoid(G, H)
     if not wide:
         raise ValidationError(cert)
-    hset = set(labels)
+    hset = set(H)
 
     def related(a, b):
         prod = G.product.get((G.inverse[b], a))
@@ -367,16 +360,19 @@ def coset_space(G: Groupoid, H) -> CosetSpace:
     for a, b in itertools.product(G.elements, repeat=2):
         if related(a, b) != (class_of[a] == class_of[b]):
             raise OracleMismatch(f"coset relation not an equivalence at ({a!r}, {b!r})")
-    return CosetSpace(G, SubgroupoidSpec(labels), tuple(classes), tuple(reps), class_of)
+    return CosetSpace(G, tuple(classes), tuple(reps), class_of)
 
 
 def _coset_label(rep) -> str:
     return f"{rep}H"
 
 
-def quotient_gset(G: Groupoid, H) -> gset_mod.GSet:
-    """The coset space G/H as a split G-set with gamma_g(lH) = (gl)H."""
-    cs = coset_space(G, H)
+def quotient_gset(cs: CosetSpace) -> gset_mod.GSet:
+    """The coset space G/H as a split G-set with gamma_g(lH) = (gl)H, its
+    points in the order of the representatives.  The coset action of a
+    wide subgroupoid is always a G-set, so a failed validation is a fault
+    of this library and raises OracleMismatch."""
+    G = cs.groupoid
     carrier = [_coset_label(rep) for rep in cs.representatives]
     fiber = {
         _coset_label(rep): G.r[rep] for rep in cs.representatives
@@ -392,7 +388,10 @@ def quotient_gset(G: Groupoid, H) -> gset_mod.GSet:
                 raise OracleMismatch(f"coset action ill-defined at ({g!r}, {rep!r}H)")
             m[_coset_label(rep)] = _coset_label(cs.representatives[targets.pop()])
         gamma[g] = m
-    return gset_mod.validate_gset(G, carrier, fiber, gamma)
+    try:
+        return gset_mod.validate_gset(G, carrier, fiber, gamma)
+    except ValidationError as err:
+        raise OracleMismatch(f"coset action is not a G-set: {err}") from err
 
 
 def regular_gset(G: Groupoid) -> gset_mod.GSet:

@@ -18,6 +18,7 @@ from .action import (
     Subalgebra,
     Submodule,
     check_composition,
+    find_galois_coordinates,
     invariants,
 )
 from .blockring import (
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
-from .groupoid import coset_space
+from .groupoid import CosetSpace, coset_space, quotient_gset
 from .scalar import FpSpan, flatten
 from .tensor import RankProfile, TensorOverK
 
@@ -260,11 +261,11 @@ def eval_iso_check(X: GSet, ev: EvalGSet) -> EvalIsoReport:
     return EvalIsoReport(bijective, rep.valid, rep.isomorphism and bijective, rep.certificate)
 
 
-def transversal_hom_family(B, A: AlgebraAction, H) -> dict:
+def transversal_hom_family(B, A: AlgebraAction, cs: CosetSpace) -> dict:
     """For an invariant subalgebra B of R: the coset-transversal maps
-    t -> beta_l(t 1_{l^{-1}}), grouped by target identity r(l)."""
+    phi_l: t -> beta_l(t 1_{l^{-1}}), one per representative l of the
+    coset space, grouped by target identity r(l) in representative order."""
     G = A.groupoid
-    cs = coset_space(G, H)
     families: dict = {e: [] for e in G.identities}
     for rep in cs.representatives:
         e = G.r[rep]
@@ -427,83 +428,63 @@ class HomGSetReport:
 
     is_invariant_subalgebra: bool
     transport_consistent: bool
-    gset_valid: bool
     families_strongly_distinct: bool
     equivalent: bool
     gset: GSet | None = None
     families: dict = dc_field(default_factory=dict)
-    labels: dict = dc_field(default_factory=dict)
     certificate: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.gset_valid and self.equivalent
+        return self.transport_consistent and self.equivalent
 
 
 def hom_gset_check(B, A: AlgebraAction, invariants_of, H) -> HomGSetReport:
-    """Build the canonical hom family of an invariant subalgebra (one map
-    per coset of its stabilizer), let beta act on it, and test both
-    characterizations of V(B) being a G-set.
+    """Build the canonical hom family of an invariant subalgebra, one map
+    phi_l per coset lH of its stabilizer H, and test both characterizations
+    of V(B) being a G-set.
+
+    V(B) is read as the quotient G/H, phi_l the point lH.  Condition one
+    (transport_consistent) asks that beta agree with the coset action:
+    beta_g phi_l = phi_{gl} for every g and l with d g = r l.  The coset
+    action is always a G-set, so V(B) is one exactly when that holds.
+    Condition two asks, for each identity e, that the transports
+    beta_h phi_l with r h = e be pairwise strongly distinct.  Both read
+    the same transports, each computed once.
 
     H must be stabilizer(B, A), and invariants_of(H) must return
     invariants(A, H), so that a caller passes what it has computed."""
-    G = A.groupoid
+    G, R = A.groupoid, A.ring
     if invariants_of(H).key() != B.key():
         return HomGSetReport(
-            False, False, False, False, True,
+            False, False, False, True,
             certificate="not the invariants of its own stabilizer",
         )
     cs = coset_space(G, H)
-    families = transversal_hom_family(B, A, H)
-    label_of_rep = {rep: f"phi_{rep}" for rep in cs.representatives}
-    carrier = [label_of_rep[rep] for rep in cs.representatives]
-    fiber = {label_of_rep[rep]: G.r[rep] for rep in cs.representatives}
-    hom_by_label = {}
-    for e, homs in families.items():
-        for hom in homs:
-            hom_by_label[hom.label] = hom
-
-    transport_consistent = True
-    gamma: dict = {}
-    for g in G.elements:
-        m = {}
-        for rep in cs.representatives:
-            if G.r[rep] != G.d[g]:
-                continue
-            target_rep = cs.representatives[cs.class_of[G.product[(g, rep)]]]
-            transported = tuple(
-                A.apply(g, img) for img in hom_by_label[label_of_rep[rep]].images
-            )
-            if transported != hom_by_label[label_of_rep[target_rep]].images:
-                transport_consistent = False
-            m[label_of_rep[rep]] = label_of_rep[target_rep]
-        gamma[g] = m
-    gset_valid = False
-    V = None
-    if transport_consistent:
-        try:
-            V = validate_gset(G, carrier, fiber, gamma)
-            gset_valid = True
-        except ValidationError:
-            gset_valid = False
-
-    sd_ok = True
-    for e in G.identities:
-        transported_set: dict = {}
-        for h in G.elements:
-            if G.r[h] != e:
-                continue
-            for hom in families[G.d[h]]:
-                moved = tuple(A.apply(h, img) for img in hom.images)
-                transported_set[moved] = HomRecord(
-                    B, A.ring, A.ring.ideal(e), moved
-                )
-        if not pairwise_strongly_distinct(transported_set.values())[0]:
-            sd_ok = False
-    equivalent = gset_valid == sd_ok
+    V = quotient_gset(cs)
+    families = transversal_hom_family(B, A, cs)
+    # V and each family list the cosets in representative order
+    hom_at = {
+        x: hom for e, homs in families.items() for x, hom in zip(V.fiber_points(e), homs)
+    }
+    moved = {
+        (g, x): tuple(A.apply(g, y) for y in hom_at[x].images)
+        for g in G.elements
+        for x in V.fiber_points(G.d[g])
+    }
+    transport_consistent = all(
+        images == hom_at[V.gamma[g][x]].images for (g, x), images in moved.items()
+    )
+    sd_ok = all(
+        pairwise_strongly_distinct([
+            HomRecord(B, R, R.ideal(e), images)
+            for images in dict.fromkeys(m for (g, _), m in moved.items() if G.r[g] == e)
+        ])[0]
+        for e in G.identities
+    )
     return HomGSetReport(
-        True, transport_consistent, gset_valid, sd_ok, equivalent,
-        gset=V, families=families, labels=label_of_rep,
+        True, transport_consistent, sd_ok, transport_consistent == sd_ok,
+        gset=V if transport_consistent else None, families=families,
     )
 
 
@@ -518,7 +499,7 @@ def require_faithful_hypotheses(A: AlgebraAction):
     annihilator from the base algebra.
     """
     G = A.groupoid
-    if not A.is_galois():
+    if find_galois_coordinates(A) is None:
         raise HypothesisFailure("action admits no Galois coordinates")
     K = A.base_subalgebra()
     for g in G.elements:

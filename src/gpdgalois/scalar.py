@@ -82,10 +82,10 @@ class _PowerTable(dict):
 class FieldSpec:
     """A finite field F_{p^k}; build through :func:`make_field`.
 
-    Products, inverses and the Frobenius powers x -> x^q (q = p^t) are
-    kept on the field object, each computed on its first use.  They are
-    functions of their arguments, so reading a kept value is exact, and
-    they are freed with the field, which every problem builds afresh.
+    Products and the Frobenius powers x -> x^q (q = p^t) are kept on the
+    field object, each computed on its first use.  They are functions of
+    their arguments, so reading a kept value is exact, and they are freed
+    with the field, which every problem builds afresh.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -96,7 +96,6 @@ class FieldSpec:
         self.one: Scalar = (1,) + (0,) * (k - 1)
         self._elements: tuple[Scalar, ...] | None = None
         self._mul_cache: dict[tuple[Scalar, Scalar], Scalar] = {}
-        self._inv_cache: dict[Scalar, Scalar] = {}
         self._frobenius_tables: dict[int, _PowerTable] = {}
 
     @property
@@ -164,15 +163,6 @@ class FieldSpec:
             base = self.mul(base, base)
             n >>= 1
         return out
-
-    def inv(self, x: Scalar) -> Scalar:
-        if x == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        got = self._inv_cache.get(x)
-        if got is None:
-            got = self.power(x, self.order - 2)
-            self._inv_cache[x] = got
-        return got
 
     def frobenius_table(self, q: int) -> dict[Scalar, Scalar]:
         """x -> x^q for a Frobenius power q = p^t, as a dict that fills
@@ -328,16 +318,16 @@ class LinearSolution:
     nullspace: list = field(default_factory=list)
 
 
-class Elimination:
-    """A matrix over F_{p^k}, restricted to F_p and eliminated once.
+def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
+    """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to
+    F_p; no solution and no nullspace when the system is inconsistent.
 
     Unknown j becomes the k F_p columns flatten(a_ij t^m over rows i),
     m = 0..k-1, inserted into one FpSpan in the order (j, m).  The unknowns
-    with independent columns are the pivots.  solve(rhs) reads the
-    particular solution, free variables zero, off FpSpan.coords(flatten(rhs)),
-    so one elimination serves every right-hand side; each other unknown j
-    gives the nullspace vector e_j minus the coordinates of its column over
-    the pivots.
+    with independent columns are the pivots.  The particular solution,
+    free variables zero, is read off FpSpan.coords(flatten(rhs)); each
+    other unknown j gives the nullspace vector e_j minus the coordinates
+    of its column over the pivots.
 
     This is the answer of row reduction directly over F_{p^k}, leftmost
     pivot column first.  The F_{p^k}-span W of columns 0..j-1 is the F_p-
@@ -347,55 +337,37 @@ class Elimination:
     pivots, only the m = 0 column needs testing, and as coordinates over
     the pivots are unique, both give the same solution and nullspace.
     """
+    F = field_
+    ncols = len(matrix[0]) if matrix else 0
+    if any(len(row) != ncols for row in matrix):
+        raise InvalidInput("ragged matrix")
+    if len(rhs) != len(matrix):
+        raise InvalidInput("rhs length differs from row count")
+    powers = fp_basis_scalars(F)[1:]
+    span = FpSpan(F.p)
+    pivots = []
+    dependent = {}  # unknown j -> its m = 0 column
+    for j in range(ncols):
+        col = flatten(row[j] for row in matrix)
+        if span.insert(col):
+            pivots.append(j)
+            for t in powers:
+                span.insert(flatten(F.mul(row[j], t) for row in matrix))
+        else:
+            dependent[j] = col
+    coords = span.coords(flatten(rhs))
+    if coords is None:
+        return LinearSolution(None, [])
 
-    def __init__(self, field_: FieldSpec, matrix):
-        F = self.field = field_
-        self.nrows = len(matrix)
-        self.ncols = ncols = len(matrix[0]) if matrix else 0
-        if any(len(row) != ncols for row in matrix):
-            raise InvalidInput("ragged matrix")
-        powers = fp_basis_scalars(F)[1:]
-        self._span = FpSpan(F.p)
-        self._pivots = []
-        self._dependent = {}  # unknown j -> its m = 0 column
-        for j in range(ncols):
-            col = flatten(row[j] for row in matrix)
-            if self._span.insert(col):
-                self._pivots.append(j)
-                for t in powers:
-                    self._span.insert(flatten(F.mul(row[j], t) for row in matrix))
-            else:
-                self._dependent[j] = col
-        self._nullspace = None
-
-    def _assemble(self, coords) -> list:
-        F = self.field
-        vec = [F.zero] * self.ncols
-        for n, j in enumerate(self._pivots):
+    def assemble(coords) -> list:
+        vec = [F.zero] * ncols
+        for n, j in enumerate(pivots):
             vec[j] = tuple(coords[n * F.k : (n + 1) * F.k])
         return vec
 
-    def solve(self, rhs) -> LinearSolution:
-        """Solve matrix · x = rhs; no solution and no nullspace when the
-        system is inconsistent.  The nullspace is computed on the first
-        consistent solve and kept."""
-        if len(rhs) != self.nrows:
-            raise InvalidInput("rhs length differs from row count")
-        coords = self._span.coords(flatten(rhs))
-        if coords is None:
-            return LinearSolution(None, [])
-        if self._nullspace is None:
-            F = self.field
-            self._nullspace = []
-            for j, col in self._dependent.items():
-                vec = [F.neg(x) for x in self._assemble(self._span.coords(col))]
-                vec[j] = F.one
-                self._nullspace.append(vec)
-        return LinearSolution(self._assemble(coords), list(self._nullspace))
-
-
-def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
-    """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to F_p
-    (see Elimination, which callers with many right-hand sides for one
-    matrix build once)."""
-    return Elimination(field_, matrix).solve(rhs)
+    nullspace = []
+    for j, col in dependent.items():
+        vec = [F.neg(x) for x in assemble(span.coords(col))]
+        vec[j] = F.one
+        nullspace.append(vec)
+    return LinearSolution(assemble(coords), nullspace)

@@ -163,10 +163,6 @@ class RankProfile:
     constant: bool
     faithful: bool
 
-    @property
-    def value(self) -> int | None:
-        return self.ranks[0] if self.constant and self.ranks else None
-
     @classmethod
     def of(cls, parts) -> RankProfile:
         """The profile of a module from its BlockModuleBasis per K-block."""

@@ -40,10 +40,8 @@ from gpdgalois.galois import (
 from gpdgalois.groupoid import (
     DEFAULT_MAX_ELEMENTS,
     Groupoid,
-    _closure_certificate,
     coset_space,
     enumerate_wide_subgroupoids,
-    make_subgroupoid,
 )
 from gpdgalois.mapalg import SplitReport, require_faithful_hypotheses
 from gpdgalois.scalar import FpSpan, flatten, fp_basis_scalars
@@ -280,7 +278,7 @@ def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_
         T = invariants(A, H)
         report = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
         rows.append(CorrespondenceRow(
-            H.labels, T, report.stabilizer_labels, report.separable,
+            H, T, report.stabilizer_labels, report.separable,
             report.beta_strong, report.r_split,
         ))
         partitions.add(frozenset(frozenset(c) for c in coset_space(G, H).classes))
@@ -322,7 +320,7 @@ def gauss_jordan_solve(F, matrix, rhs):
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        inv = F.inv(mat[r][c])
+        inv = F.power(mat[r][c], F.order - 2)
         mat[r] = [F.mul(inv, v) for v in mat[r]]
         rhs[r] = F.mul(inv, rhs[r])
         for i in range(nrows):
@@ -355,8 +353,9 @@ def gauss_jordan_solve(F, matrix, rhs):
 # Oracles for the enumerations ---------------------------------------------
 
 def subset_wide_subgroupoids(G, max_elements=DEFAULT_MAX_ELEMENTS):
-    """Oracle: every wide subgroupoid, found by certifying every subset that
-    contains the identities, in itertools.combinations order over the
+    """Oracle: every wide subgroupoid as a label tuple in element order,
+    found by testing every subset that contains the identities for closure
+    under product and inverse, in itertools.combinations order over the
     non-identities (by size, then lexicographically by index)."""
     if len(G.elements) > max_elements:
         raise SizeBoundExceeded(
@@ -366,9 +365,14 @@ def subset_wide_subgroupoids(G, max_elements=DEFAULT_MAX_ELEMENTS):
     out = []
     for size in range(len(non_identities) + 1):
         for combo in itertools.combinations(range(len(non_identities)), size):
-            subset = list(G.identities) + [non_identities[i] for i in combo]
-            if _closure_certificate(G, subset) is None:
-                out.append(make_subgroupoid(G, subset))
+            subset = set(G.identities) | {non_identities[i] for i in combo}
+            closed = all(
+                G.product[(a, b)] in subset
+                for a, b in itertools.product(subset, repeat=2)
+                if (a, b) in G.product
+            ) and all(G.inverse[a] in subset for a in subset)
+            if closed:
+                out.append(tuple(g for g in G.elements if g in subset))
     return out
 
 
@@ -430,7 +434,7 @@ def idempotent_strongly_distinct(f, g):
 def idempotent_is_beta_strong(T, A, H):
     """Oracle: is_beta_strong scanning every nonzero idempotent of E_g."""
     G = A.groupoid
-    hset = set(H.labels)
+    hset = set(H)
     for gi_idx, g in enumerate(G.elements):
         for h in G.elements[gi_idx + 1:]:
             q = G.product.get((G.inverse[g], h))

@@ -24,6 +24,7 @@ from gpdgalois.blockring import faithfulness_criterion, is_faithful_ideal
 from gpdgalois.errors import HypothesisFailure
 from gpdgalois.galois import galois_correspondence
 from gpdgalois.groupoid import (
+    coset_space,
     enumerate_wide_subgroupoids,
     quotient_gset,
     regular_gset,
@@ -93,7 +94,7 @@ def test_c03_quotient_round_trips(fix1, fix2, fixc2):
         for fix in (fix1, fix2, fixc2):
             for H in enumerate_wide_subgroupoids(fix.groupoid):
                 report = quotient_iso_pair(fix.action, H)
-                assert report.ok, (fix.name, H.labels)
+                assert report.ok, (fix.name, H)
                 total += 1
         assert total == 8
 
@@ -115,8 +116,8 @@ def test_c05_equivalence_object_level(fix1):
         G = fix1.groupoid
         for X in (
             regular_gset(G),
-            quotient_gset(G, fix1.wide_subgroupoids["G0"]),
-            quotient_gset(G, fix1.wide_subgroupoids["all"]),
+            quotient_gset(coset_space(G, fix1.wide_subgroupoids["G0"])),
+            quotient_gset(coset_space(G, fix1.wide_subgroupoids["all"])),
         ):
             report = grothendieck_set_check(A, X)
             assert report.eval_iso.isomorphism
@@ -131,19 +132,19 @@ def test_c05_equivalence_object_level(fix1):
 
 def test_c06_hom_family_suite(fix1, fixc2, fixf4):
     with criterion("C6 hom family suite"):
-        A, R = fix1.action, fix1.ring
+        A, R, G = fix1.action, fix1.ring, fix1.groupoid
         K = A.base_subalgebra()
         R1 = invariants(A, fix1.wide_subgroupoids["G0"])
-        fam = transversal_hom_family(R1, A, fix1.wide_subgroupoids["G0"])["e2"]
+        fam = transversal_hom_family(R1, A, coset_space(G, fix1.wide_subgroupoids["G0"]))["e2"]
         full = hom_set(R1, K, A.support["g"], R)
-        AX = invariant_algebra(regular_gset(fix1.groupoid), A)
+        AX = invariant_algebra(regular_gset(G), A)
         evals = eval_hom_family(AX, "g")
-        singleK = transversal_hom_family(K, A, fix1.wide_subgroupoids["all"])["e1"]
+        singleK = transversal_hom_family(K, A, coset_space(G, fix1.wide_subgroupoids["all"]))["e1"]
         Ac = fixc2.action
         famc = transversal_hom_family(
             invariants(Ac, fixc2.wide_subgroupoids["G0"]),
             Ac,
-            fixc2.wide_subgroupoids["G0"],
+            coset_space(Ac.groupoid, fixc2.wide_subgroupoids["G0"]),
         )["e"]
         Af = fixf4.action
         Kf = Af.base_subalgebra()
@@ -231,7 +232,7 @@ def test_c08_oracle_equivalence(all_galois_fixtures):
             structural = set(invariant_algebra(X, fix.action).elements)
             assert structural == brute_invariant_functions(X, fix.action)
             for labels in distinct_subgroupoids(fix):
-                Xq = quotient_gset(fix.groupoid, labels)
+                Xq = quotient_gset(coset_space(fix.groupoid, labels))
                 structural = set(invariant_algebra(Xq, fix.action).elements)
                 assert structural == brute_invariant_functions(Xq, fix.action)
 

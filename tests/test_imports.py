@@ -2,7 +2,8 @@
 a package module inside a function or method, and none imports another
 package module's underscore (private) name.  Every public module-level
 name of the package is reached from the CLI or from a point the benchmark
-traces, so code that only tests run lives beside the tests.
+traces, and the package reads the name of every method of its classes,
+so code that only tests run lives beside the tests.
 
 Only module-level imports are checked for use.  ``__init__.py`` re-exports
 by design, and a name a module lists in ``__all__`` is a re-export too;
@@ -146,3 +147,43 @@ def test_reachability_guard_names_an_unreached_function(tmp_path):
         "def helper():\n    return 1\n\n\ndef unused():\n    return LIMIT\n"
     )
     assert unreached_public_names(tmp_path) == [("m.py", "LIMIT"), ("m.py", "unused")]
+
+
+# FieldSpec.frobenius(x, e) is the field's Frobenius x -> x^(p^e) with its
+# exponent range checked: the one named form of the maps the package reads
+# through frobenius_table, and the one the field tests check them against.
+UNREAD_METHODS_KEPT = {("scalar.py", "FieldSpec", "frobenius")}
+
+
+def unread_methods(src) -> list:
+    """(module, class, name) for each method or property of a class of the
+    package at src whose name no module of the package reads as an
+    attribute.  Python calls the dunder methods itself, so they are not
+    listed.  A name read on any object counts, so a method that shares
+    its name with one that is read passes unseen."""
+    read, methods = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        methods += [
+            (path.name, cls.name, fn.name)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+    return [(module, cls, name) for module, cls, name in methods
+            if not (name.startswith("__") and name.endswith("__")) and name not in read]
+
+
+def test_every_method_is_read_in_the_package():
+    assert [m for m in unread_methods(SRC) if m not in UNREAD_METHODS_KEPT] == []
+
+
+def test_method_guard_names_an_unread_method(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Ring:\n    def mul(self, x):\n        return x\n\n"
+        "    def unused(self):\n        return 1\n\n"
+        "    @property\n    def size(self):\n        return 2\n\n"
+        "    def __len__(self):\n        return 3\n\n\n"
+        "def square(R, x):\n    return R.mul(x)\n"
+    )
+    assert unread_methods(tmp_path) == [("m.py", "Ring", "unused"), ("m.py", "Ring", "size")]

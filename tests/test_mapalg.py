@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from unittest import mock
@@ -27,7 +28,7 @@ from gpdgalois.action import (
 from gpdgalois.blockring import fixed_elements
 from gpdgalois.errors import HypothesisFailure, ValidationError
 from gpdgalois.galois import strong_subalgebra_check
-from gpdgalois.groupoid import make_subgroupoid, quotient_gset, regular_gset
+from gpdgalois.groupoid import coset_space, make_subgroupoid, quotient_gset, regular_gset
 from gpdgalois.gset import validate_gset
 from gpdgalois.mapalg import (
     HomRecord,
@@ -67,7 +68,7 @@ def test_function_algebra_structure(fix1):
 
 def test_function_algebra_one_point(fixc2):
     G = fixc2.groupoid
-    X = quotient_gset(G, make_subgroupoid(G, G.elements))
+    X = quotient_gset(coset_space(G, make_subgroupoid(G, G.elements)))
     M = function_algebra(X, fixc2.action)
     assert len(M.space.slots) == len(fixc2.ring.blocks)
 
@@ -105,9 +106,9 @@ def test_map_space_support_constraint(fix1):
 def test_invariant_algebra_counts(fix1, fixc2):
     G = fix1.groupoid
     A = fix1.action
-    quot_full = quotient_gset(G, fix1.wide_subgroupoids["all"])
+    quot_full = quotient_gset(coset_space(G, fix1.wide_subgroupoids["all"]))
     assert len(invariant_algebra(quot_full, A).elements) == 4
-    quot_ids = quotient_gset(G, fix1.wide_subgroupoids["G0"])
+    quot_ids = quotient_gset(coset_space(G, fix1.wide_subgroupoids["G0"]))
     assert len(invariant_algebra(quot_ids, A).elements) == 16
     reg_c2 = regular_gset(fixc2.groupoid)
     assert len(invariant_algebra(reg_c2, fixc2.action).elements) == 4
@@ -148,7 +149,7 @@ def test_omega_isomorphism(fix1, fix2):
         G = fix.groupoid
         for X in (
             regular_gset(G),
-            quotient_gset(G, fix.wide_subgroupoids["G0"]),
+            quotient_gset(coset_space(G, fix.wide_subgroupoids["G0"])),
         ):
             AX = invariant_algebra(X, fix.action)
             rep = eval_iso_check(X, build_eval_gset(AX))
@@ -213,10 +214,10 @@ def test_tensor_split_rejects_forced_duplicate(fix1):
 def test_transversal_families(fix1):
     A = fix1.action
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
-    fams = transversal_hom_family(R1, A, fix1.wide_subgroupoids["G0"])
+    fams = transversal_hom_family(R1, A, coset_space(A.groupoid, fix1.wide_subgroupoids["G0"]))
     assert [h.label for h in fams["e2"]] == ["phi_e2", "phi_g"]
     K = A.base_subalgebra()
-    famK = transversal_hom_family(K, A, fix1.wide_subgroupoids["all"])
+    famK = transversal_hom_family(K, A, coset_space(A.groupoid, fix1.wide_subgroupoids["all"]))
     assert [h.label for h in famK["e1"]] == ["phi_e1"]
 
 
@@ -226,7 +227,7 @@ def test_hom_gset_check(fix1, fixc2):
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
     for B in (R1, K):
         rep = hom_gset_check(B, A, lambda H: invariants(A, H), stabilizer(B, A))
-        assert rep.ok and rep.gset_valid and rep.families_strongly_distinct
+        assert rep.ok and rep.transport_consistent and rep.families_strongly_distinct
         assert len(rep.gset.carrier) == (2 if B is K else 4)
 
     A = fixc2.action
@@ -240,7 +241,35 @@ def test_hom_gset_check_non_invariant(fix1):
         R, [R.element({"v1": 1})], include=A.base_subalgebra().basis
     )
     rep = hom_gset_check(T, A, lambda H: invariants(A, H), stabilizer(T, A))
-    assert not rep.is_invariant_subalgebra and not rep.gset_valid
+    assert not rep.is_invariant_subalgebra and not rep.transport_consistent
+
+
+def test_hom_gset_check_builds_one_coset_space_and_transports_once():
+    # twisted P_2 x C_2 over F_4 and H its C_2 at both objects: B = R^H
+    # has H as its stabilizer, four cosets and F_2-dimension four
+    A = problem_action(("twisted", 2, 2, 2))
+    G = A.groupoid
+    H = ("g0_0_0", "g0_0_1", "g1_1_0", "g1_1_1")
+    B = invariants(A, H)
+    assert stabilizer(B, A) == H
+    cs = coset_space(G, H)
+    transports = sum(
+        1 for g in G.elements for rep in cs.representatives if G.r[rep] == G.d[g]
+    )
+    with mock.patch.object(mapalg, "coset_space", wraps=coset_space) as spaces, \
+            mock.patch.object(A, "apply", wraps=A.apply) as applied:
+        rep = hom_gset_check(B, A, lambda _: B, H)
+    assert spaces.call_count == 1
+    # one beta_l per representative builds phi_l; one beta_g per transport
+    assert applied.call_count == (len(cs.representatives) + transports) * B.dim
+    assert (len(cs.representatives), transports, B.dim) == (4, 16, 4)
+    assert rep.ok and rep.transport_consistent and rep.families_strongly_distinct
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "is_invariant_subalgebra", "transport_consistent",
+        "families_strongly_distinct", "equivalent", "gset", "families", "certificate",
+    ]
+    V = quotient_gset(cs)
+    assert (rep.gset.carrier, rep.gset.gamma) == (V.carrier, V.gamma)
 
 
 def test_double_dual(fix1):
@@ -274,8 +303,8 @@ def test_grothendieck_set_side(fix1):
     G = fix1.groupoid
     for X in (
         regular_gset(G),
-        quotient_gset(G, fix1.wide_subgroupoids["G0"]),
-        quotient_gset(G, fix1.wide_subgroupoids["all"]),
+        quotient_gset(coset_space(G, fix1.wide_subgroupoids["G0"])),
+        quotient_gset(coset_space(G, fix1.wide_subgroupoids["all"])),
     ):
         rep = grothendieck_set_check(fix1.action, X)
         assert rep.ok
@@ -291,7 +320,7 @@ def test_grothendieck_set_check_builds_the_evaluation_gset_once(fix1):
         calls.append(AX)
         return build_eval_gset(AX)
 
-    for X in (regular_gset(G), quotient_gset(G, fix1.wide_subgroupoids["G0"])):
+    for X in (regular_gset(G), quotient_gset(coset_space(G, fix1.wide_subgroupoids["G0"]))):
         calls.clear()
         with mock.patch.object(mapalg, "build_eval_gset", counting):
             rep = grothendieck_set_check(fix1.action, X)
@@ -327,7 +356,7 @@ def test_hypothesis_gate_requires_galois():
 
 def small_gsets(G):
     """The regular G-set and the quotient by the whole groupoid."""
-    return {"regular": regular_gset(G), "by-all": quotient_gset(G, G.elements)}
+    return {"regular": regular_gset(G), "by-all": quotient_gset(coset_space(G, G.elements))}
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,7 +451,7 @@ def split_families(A):
     out = [("eval", AX, lambda g: eval_hom_family(AX, g))]
     for name, H in (("R", G.identities), ("K", G.elements)):
         T = invariants(A, H)
-        fams = transversal_hom_family(T, A, make_subgroupoid(G, H))
+        fams = transversal_hom_family(T, A, coset_space(G, make_subgroupoid(G, H)))
         out.append((name, T, lambda g, fams=fams: fams[G.r[g]]))
     return out
 
@@ -460,7 +489,9 @@ def test_split_reports_per_target_match_pairwise_oracle(source):
     for H in (G.identities, G.elements):
         T = invariants(A, H)
         report = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
-        fams = transversal_hom_family(T, A, make_subgroupoid(G, report.stabilizer_labels))
+        fams = transversal_hom_family(
+            T, A, coset_space(G, make_subgroupoid(G, report.stabilizer_labels))
+        )
         assert list(report.splits) == list(G.elements)
         for g in G.elements:
             assert report.splits[g] == pairwise_tensor_split_check(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from gpdgalois.action import (
     AlgebraAction,
     Subalgebra,
+    find_galois_coordinates,
     invariants,
     span_elements,
     stabilizer,
@@ -42,7 +43,7 @@ from gpdgalois.mapalg import (
     pairwise_strongly_distinct,
     require_faithful_hypotheses,
 )
-from gpdgalois.scalar import Elimination, FpSpan, flatten, solve_linear
+from gpdgalois.scalar import FpSpan, flatten, solve_linear
 
 HOM_SEARCH_BOUND = 1 << 20
 
@@ -55,7 +56,7 @@ def skew_element(A: AlgebraAction, terms: dict) -> dict:
     out = {}
     for g, x in terms.items():
         sup = set(A.support[g])
-        if any(s not in sup for s in R.support_of(x)):
+        if any(v != R.field.zero and s not in sup for s, v in zip(R.slots, x)):
             raise ValidationError(f"coefficient of delta_{g!r} outside E_{g!r}")
         if x != R.zero():
             out[g] = x
@@ -82,8 +83,8 @@ def from_values(space, values: dict) -> tuple:
             raise InvalidInput(f"unknown point {x!r}")
     for x, v in vals.items():
         allowed = set(space.ring.ideal(space.gset.fiber[x]))
-        for s in space.ring.support_of(v):
-            if s not in allowed:
+        for s, c in zip(space.ring.slots, v):
+            if c != space.ring.field.zero and s not in allowed:
                 raise ValidationError(
                     f"value at {x!r} leaves the fiber ideal", witness=(x, s)
                 )
@@ -108,16 +109,15 @@ def dual_basis_solve(family):
     of the source with sum x_i u'(y_i) = delta_{u,u'} 1_v for every u'.
 
     The y side ranges over the source basis (a spanning set suffices by
-    linearity); the x side is solved per u.  Only the right-hand side
-    depends on u, so the frame matrix is eliminated once and each system
-    is read off that elimination.  Returns one pair list per family
-    member, or None when some system is inconsistent.
+    linearity); the x side is solved per u, each system sharing the
+    frame matrix and differing in its right-hand side.  Returns one pair
+    list per family member, or None when some system is inconsistent.
     """
     if not family:
         return []
     ring = family[0].ring
     F = ring.field
-    system = Elimination(F, _frame_matrix(family))
+    matrix = _frame_matrix(family)
     support = family[0].target_support
     ns = len(support)
     unit = ring.unit(support)
@@ -126,7 +126,7 @@ def dual_basis_solve(family):
     for ui in range(len(family)):
         rhs = [F.one if upi == ui else F.zero
                for upi in range(len(family)) for _ in support]
-        sol = system.solve(rhs)
+        sol = solve_linear(F, matrix, rhs)
         if sol.solution is None:
             return None
         pairs = [
@@ -233,7 +233,9 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
         raise ValidationError("algebra is not separable over the base")
 
     # The column of b_i's coefficient in pi: (x - f(x)) b_i per x, then f(b_i).
-    diffs = [space.sub(x, f_apply(x)) for x in T.basis]
+    diffs = [
+        tuple(space.field.sub(u, v) for u, v in zip(x, f_apply(x))) for x in T.basis
+    ]
     span = FpSpan(space.field.p)
     independent = [
         span.insert(
@@ -246,7 +248,7 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
         raise ValidationError("the defining system is inconsistent")
     if not all(independent):
         raise OracleMismatch("the idempotent of a consistent system is not unique")
-    pi = T.combine(coords)
+    pi = space.int_combine(coords, T.basis)
     if space.mul(pi, pi) != pi:
         raise OracleMismatch("solved element is not idempotent")
     for x in T.elements:
@@ -285,14 +287,14 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
     """
     R, G = A.ring, A.groupoid
     K = A.base_subalgebra()
-    galois = A.is_galois()
+    galois = find_galois_coordinates(A) is not None
     sep = separability_idempotent(T, K)
     H = stabilizer(T, A)
     bs, _ = is_beta_strong(T, A, H)
     if sep is None:
         return SeparabilityTransportReport(
             galois, False, bs, {}, False, False, False, False, False, False, False,
-            H.labels,
+            H,
         )
     values = {}
     for g in G.elements:
@@ -301,7 +303,7 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
             total = R.add(total, R.mul(x, A.apply(g, y)))
         values[g] = total
     idset = set(G.identities)
-    hset = set(H.labels)
+    hset = set(H)
     all_idem = all(R.mul(v, v) == v for v in values.values())
     unit_ids = all(values[e] == R.unit(A.support[e]) for e in idset)
     zero_out_stab = all(values[g] == R.zero() for g in G.elements if g not in hset)
@@ -311,7 +313,7 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
     zero_out_ids = all(values[g] == R.zero() for g in G.elements if g not in idset)
 
     stab_unit_sum = R.zero()
-    for h in H.labels:
+    for h in H:
         stab_unit_sum = R.add(stab_unit_sum, R.unit(A.support[h]))
     recon_exact = True
     recon_formula = True
@@ -325,7 +327,7 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
             recon_formula = False
     return SeparabilityTransportReport(
         galois, True, bs, values, all_idem, unit_ids, zero_out_stab,
-        unit_on_stab, zero_out_ids, recon_exact, recon_formula, H.labels,
+        unit_on_stab, zero_out_ids, recon_exact, recon_formula, H,
     )
 
 
@@ -399,20 +401,18 @@ def double_dual_check(B, A: AlgebraAction) -> DoubleDualReport:
     """Evaluate every element of B on the canonical hom G-set and compare
     with the invariant algebra of that G-set, elementwise."""
     hg = hom_gset_check(B, A, functools.partial(invariants, A), stabilizer(B, A))
-    if not hg.gset_valid:
+    if not hg.transport_consistent:
         return DoubleDualReport(False, False, False, False, False, False, hg)
     V = hg.gset
     AX = invariant_algebra(V, A)
     space = AX.space
-    hom_by_label = {}
-    for homs in hg.families.values():
-        for hom in homs:
-            hom_by_label[hom.label] = hom
+    # V and each family list the cosets in representative order
+    hom_at = {
+        x: hom for e, homs in hg.families.items() for x, hom in zip(V.fiber_points(e), homs)
+    }
 
     def nu(b):
-        return from_values(
-            space, {label: hom_by_label[label].apply(b) for label in V.carrier}
-        )
+        return from_values(space, {x: hom.apply(b) for x, hom in hom_at.items()})
 
     images = {}
     well_defined = True
@@ -469,7 +469,7 @@ def quotient_iso_pair(A: AlgebraAction, H) -> QuotientIsoReport:
     coset lH to beta_l(r 1_{l^{-1}}).  Both are verified elementwise."""
     G, R = A.groupoid, A.ring
     cs = coset_space(G, H)
-    X = quotient_gset(G, H)
+    X = quotient_gset(cs)
     AX = invariant_algebra(X, A)
     T = invariants(A, H)
     space = AX.space
