@@ -177,12 +177,15 @@ class StrongSubalgebraReport:
         )
 
 
-def strong_subalgebra_check(T, A: AlgebraAction, invariants_of) -> StrongSubalgebraReport:
+def strong_subalgebra_check(
+    T, A: AlgebraAction, invariants_of, cosets_of
+) -> StrongSubalgebraReport:
     """Evaluate both sides of the characterization independently and, when
     they hold, verify the split structure of T.
 
-    invariants_of(H) must return invariants(A, H); a caller passes it so
-    that invariants it has already computed are shared."""
+    invariants_of(H) must return invariants(A, H) and cosets_of(H) must
+    return coset_space(A.groupoid, H); a caller passes them so that what
+    it has already computed is shared."""
     K = A.base_subalgebra()
     sep = separability_idempotent(T, K) is not None
     H = stabilizer(T, A)
@@ -191,7 +194,7 @@ def strong_subalgebra_check(T, A: AlgebraAction, invariants_of) -> StrongSubalge
     splits: dict = {}
     hom_report = None
     if sep and bs and equals:
-        hom_report = hom_gset_check(T, A, invariants_of, H)
+        hom_report = hom_gset_check(T, A, invariants_of, cosets_of, H)
         splits = splits_per_target(A, T, K, hom_report.families.__getitem__)
     return StrongSubalgebraReport(sep, bs, witness, H, equals, splits, hom_report)
 
@@ -239,10 +242,13 @@ def galois_correspondence(
     base algebra; the hypothesis gate raises HypothesisFailure when some
     ideal is unfaithful or the action is not Galois.
 
-    Two things are kept for the length of this call, and no longer:
+    Three things are kept for the length of this call, and no longer:
     - invariants(A, H) per subgroupoid H, by its label tuple, shared by
       the rows, strong_subalgebra_check and hom_gset_check.  It is a
       function of A and H, and A does not change during the call.
+    - coset_space(G, H) per subgroupoid H, shared in the same way: a row
+      reads the partition of its own H, and hom_gset_check the cosets of
+      the row's stabilizer, which is H wherever closure holds.
     - each row's separable and beta-strong verdicts, by the row's key.  A
       candidate with the same key takes them instead of solving again.
       Equal keys mean equal spans, and both verdicts depend on the span
@@ -256,17 +262,23 @@ def galois_correspondence(
     K = A.base_subalgebra()
 
     kept_invariants: dict = {}
+    kept_cosets: dict = {}
 
     def invariants_of(H):
         if H not in kept_invariants:
             kept_invariants[H] = invariants(A, H)
         return kept_invariants[H]
 
+    def cosets_of(H):
+        if H not in kept_cosets:
+            kept_cosets[H] = coset_space(G, H)
+        return kept_cosets[H]
+
     rows = []
     partitions = set()
     for H in enumerate_wide_subgroupoids(G, max_elements):
         T = invariants_of(H)
-        report = strong_subalgebra_check(T, A, invariants_of)
+        report = strong_subalgebra_check(T, A, invariants_of, cosets_of)
         rows.append(
             CorrespondenceRow(
                 H,
@@ -277,7 +289,7 @@ def galois_correspondence(
                 report.r_split,
             )
         )
-        partitions.add(frozenset(frozenset(c) for c in coset_space(G, H).classes))
+        partitions.add(frozenset(frozenset(c) for c in cosets_of(H).classes))
 
     keys = [row.subalgebra.key() for row in rows]
     injective = len(set(keys)) == len(keys)

@@ -30,16 +30,12 @@ class GSet:
         return f"GSet({len(self.carrier)} points over {len(self.groupoid.elements)} elements)"
 
 
-def validate_gset(groupoid, carrier, fiber, gamma) -> GSet:
-    """Exhaustively check the action axioms and splitness.
-
-    gamma maps each non-identity g to a point map on the fiber of d(g);
-    identity entries are filled in (and cross-checked when supplied).
-    """
-    carrier = tuple(carrier)
+def _complete_gamma(G, carrier, fiber, gamma) -> tuple[dict, dict]:
+    """Check the carrier, the fibers and each gamma_g on its own and fill
+    in the identity components; returns the fibers by identity and the
+    full gamma table."""
     if len(set(carrier)) != len(carrier):
         raise InvalidInput("duplicate carrier points")
-    G = groupoid
     identities = set(G.identities)
     for x in carrier:
         if x not in fiber:
@@ -74,14 +70,45 @@ def validate_gset(groupoid, carrier, fiber, gamma) -> GSet:
         for x in fibers[e]:
             if full_gamma[e][x] != x:
                 raise ValidationError(f"gamma[{e!r}] moves {x!r}")
-    for g, h in G.composable:
-        gh = G.product[(g, h)]
-        for x in fibers[G.d[h]]:
-            if full_gamma[g][full_gamma[h][x]] != full_gamma[gh][x]:
-                raise ValidationError(
-                    f"gamma[{g!r}] o gamma[{h!r}] != gamma[{gh!r}] at {x!r}",
-                    witness=(g, h, x),
-                )
+    return fibers, full_gamma
+
+
+def validate_gset(groupoid, carrier, fiber, gamma) -> GSet:
+    """Check the action axioms and splitness exactly.
+
+    gamma maps each non-identity g to a point map on the fiber of d(g);
+    identity entries are filled in (and cross-checked when supplied).
+    Each gamma_g is checked on its own by _complete_gamma.  Composition,
+    gamma_g o gamma_h = gamma_gh, is compared only on the composable
+    pairs with h in the generating set Gamma of the groupoid, which
+    decides it on every composable pair.  Call h good when
+    gamma_g o gamma_h = gamma_gh for every g with d g = r h.  If a and b
+    are good and ab is defined, then for every g with d g = r a,
+    gamma_g gamma_ab = gamma_g gamma_a gamma_b = gamma_ga gamma_b
+    = gamma_(ga)b = gamma_g(ab), using b (with a), a, b (with ga) and the
+    associativity of G, which validate_groupoid has decided.  So every
+    left-normed product of Gamma is good, and these are all of G.  When
+    the comparison on Gamma fails, the composable pairs are scanned in
+    G.composable order and the first failing pair and point is the
+    witness.
+    """
+    G = groupoid
+    carrier = tuple(carrier)
+    fibers, full_gamma = _complete_gamma(G, carrier, fiber, gamma)
+
+    def failures(pairs):
+        for g, h in pairs:
+            gh = G.product[(g, h)]
+            for x in fibers[G.d[h]]:
+                if full_gamma[g][full_gamma[h][x]] != full_gamma[gh][x]:
+                    yield g, h, x
+
+    if next(failures(G.generator_pairs), None):
+        g, h, x = next(failures(G.composable))
+        raise ValidationError(
+            f"gamma[{g!r}] o gamma[{h!r}] != gamma[{G.product[(g, h)]!r}] at {x!r}",
+            witness=(g, h, x),
+        )
     return GSet(groupoid, carrier, fiber, full_gamma)
 
 

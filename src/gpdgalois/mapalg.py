@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .gset import GMap, GSet, check_gmap, gset_isomorphic, validate_gset
-from .groupoid import CosetSpace, coset_space, quotient_gset
+from .groupoid import CosetSpace, quotient_gset
 from .scalar import FpSpan, flatten
 from .tensor import RankProfile, TensorOverK
 
@@ -439,7 +439,7 @@ class HomGSetReport:
         return self.transport_consistent and self.equivalent
 
 
-def hom_gset_check(B, A: AlgebraAction, invariants_of, H) -> HomGSetReport:
+def hom_gset_check(B, A: AlgebraAction, invariants_of, cosets_of, H) -> HomGSetReport:
     """Build the canonical hom family of an invariant subalgebra, one map
     phi_l per coset lH of its stabilizer H, and test both characterizations
     of V(B) being a G-set.
@@ -452,15 +452,16 @@ def hom_gset_check(B, A: AlgebraAction, invariants_of, H) -> HomGSetReport:
     beta_h phi_l with r h = e be pairwise strongly distinct.  Both read
     the same transports, each computed once.
 
-    H must be stabilizer(B, A), and invariants_of(H) must return
-    invariants(A, H), so that a caller passes what it has computed."""
+    H must be stabilizer(B, A), invariants_of(H) must return
+    invariants(A, H) and cosets_of(H) must return coset_space(G, H), so
+    that a caller passes what it has computed."""
     G, R = A.groupoid, A.ring
     if invariants_of(H).key() != B.key():
         return HomGSetReport(
             False, False, False, True,
             certificate="not the invariants of its own stabilizer",
         )
-    cs = coset_space(G, H)
+    cs = cosets_of(H)
     V = quotient_gset(cs)
     families = transversal_hom_family(B, A, cs)
     # V and each family list the cosets in representative order

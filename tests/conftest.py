@@ -43,6 +43,7 @@ from gpdgalois.groupoid import (
     coset_space,
     enumerate_wide_subgroupoids,
 )
+from gpdgalois.gset import GSet, _complete_gamma
 from gpdgalois.mapalg import SplitReport, require_faithful_hypotheses
 from gpdgalois.scalar import FpSpan, flatten, fp_basis_scalars
 from gpdgalois.tensor import TensorOverK, rank_profile
@@ -276,7 +277,9 @@ def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_
     rows, partitions = [], set()
     for H in enumerate_wide_subgroupoids(G, max_elements):
         T = invariants(A, H)
-        report = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
+        report = strong_subalgebra_check(
+            T, A, lambda H: invariants(A, H), lambda H: coset_space(G, H)
+        )
         rows.append(CorrespondenceRow(
             H, T, report.stabilizer_labels, report.separable,
             report.beta_strong, report.r_split,
@@ -653,6 +656,48 @@ def corrupted_basis_outcomes(module, compute, space):
 
 # Oracles for the validators ----------------------------------------------
 
+def left_normed_closure(product, generators) -> set:
+    """Every left-normed product (...((g1 g2) g3) ... gk) of the
+    generators that the product table defines."""
+    reached = set(generators)
+    frontier = list(reached)
+    while frontier:
+        frontier = [
+            xg for x in frontier for g in generators
+            if (xg := product.get((x, g))) is not None and xg not in reached
+        ]
+        reached.update(frontier)
+    return reached
+
+
+def greedy_generators(elements, product) -> tuple:
+    """Each element, in order, that is not a left-normed product of the
+    elements taken before it, with the closure recomputed from scratch
+    for every element."""
+    generators = []
+    for g in elements:
+        if g not in left_normed_closure(product, generators):
+            generators.append(g)
+    return tuple(generators)
+
+
+def first_nonassociative_triple(elements, products):
+    """The first (g, h, l) in element order with gh and hl defined and
+    (gh)l != g(hl): the associativity loop over composable triples that
+    validate_groupoid used before Light's test, kept as the reference for
+    its witness.  None when there is no such triple."""
+    product = {(a, b): ab for a, b, ab in products}
+    for g in elements:
+        for h in elements:
+            if (g, h) not in product:
+                continue
+            gh = product[(g, h)]
+            for l in elements:
+                if (h, l) in product and product[(gh, l)] != product[(g, product[(h, l)])]:
+                    return g, h, l
+    return None
+
+
 def oracle_validate_groupoid(elements, products, inverses=None) -> Groupoid:
     """The exhaustive validator: every axiom and consequence tested on
     every element, pair and triple of G, in O(|G|^3)."""
@@ -748,7 +793,8 @@ def oracle_validate_groupoid(elements, products, inverses=None) -> Groupoid:
         if left_div != (d[g] == d[h]):
             raise ValidationError.axiom("left-division", (g, h))
 
-    return Groupoid(elements, product, inverse, d, r, identities)
+    return Groupoid(elements, product, inverse, d, r, identities,
+                    greedy_generators(elements, product))
 
 
 def elementwise_validate_action(G, R, sigma, frob=None) -> AlgebraAction:
@@ -764,6 +810,22 @@ def elementwise_validate_action(G, R, sigma, frob=None) -> AlgebraAction:
                     witness=(g, h, R.format(x)),
                 )
     return action
+
+
+def pairwise_validate_gset(G, carrier, fiber, gamma) -> GSet:
+    """The G-set validator with gamma_g o gamma_h = gamma_gh compared on
+    every composable pair, in G.composable order."""
+    carrier = tuple(carrier)
+    fibers, full_gamma = _complete_gamma(G, carrier, fiber, gamma)
+    for g, h in G.composable:
+        gh = G.product[(g, h)]
+        for x in fibers[G.d[h]]:
+            if full_gamma[g][full_gamma[h][x]] != full_gamma[gh][x]:
+                raise ValidationError(
+                    f"gamma[{g!r}] o gamma[{h!r}] != gamma[{gh!r}] at {x!r}",
+                    witness=(g, h, x),
+                )
+    return GSet(G, carrier, fiber, full_gamma)
 
 
 def cli_outcome(doc, oracle=False):

@@ -403,15 +403,19 @@ def test_beta_strong_values(fix1):
 def test_strong_subalgebra_equivalence(fix1):
     A, R = fix1.action, fix1.ring
     K = A.base_subalgebra()
+
+    def cosets_of(H):
+        return coset_space(A.groupoid, H)
+
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
     for T in (K, R1):
-        rep = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
+        rep = strong_subalgebra_check(T, A, lambda H: invariants(A, H), cosets_of)
         assert rep.separable and rep.beta_strong
         assert rep.equals_invariants_of_stabilizer
         assert (rep.separable and rep.beta_strong) == rep.equals_invariants_of_stabilizer
         assert rep.r_split
     T = subalgebra_closure(R, [R.element({"v1": 1})], include=K.basis)
-    rep = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
+    rep = strong_subalgebra_check(T, A, lambda H: invariants(A, H), cosets_of)
     assert not rep.beta_strong
     assert not rep.equals_invariants_of_stabilizer
     assert (rep.separable and rep.beta_strong) == rep.equals_invariants_of_stabilizer
@@ -644,6 +648,17 @@ def test_correspondence_computes_each_stabilizer_once():
     assert len(asked) == len(set(asked)) == 15
     expected = candidate_loop_correspondence(problem_action(source))
     assert _table_summary(table) == _table_summary(expected)
+
+
+def test_correspondence_builds_one_coset_space_per_row():
+    # a row's partition and hom_gset_check's cosets of the row's
+    # stabilizer, which is the row's subgroupoid wherever closure holds,
+    # are one coset space: on twisted P_2 x C_2 over F_4, 7 rows
+    with mock.patch.object(galois_mod, "coset_space", wraps=coset_space) as spaces:
+        table = galois_correspondence(problem_action(("twisted", 2, 2, 2)))
+    assert len(table.rows) == 7 and table.closure_holds
+    built = [c.args[1] for c in spaces.call_args_list]
+    assert built == [row.subgroupoid for row in table.rows]
 
 
 def test_invariants_oracle_live_after_correspondence():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from unittest import mock
 
@@ -10,7 +11,10 @@ from conftest import (
     PAIR_CYCLIC_SPECS,
     cli_outcome,
     disjoint_union,
+    first_nonassociative_triple,
     fixture_doc,
+    greedy_generators,
+    left_normed_closure,
     oracle_validate_groupoid,
     pair_cyclic_doc,
     subset_wide_subgroupoids,
@@ -294,7 +298,7 @@ def test_validate_groupoid_matches_exhaustive_oracle(doc):
     assert isinstance(new, ValidationError) == isinstance(old, ValidationError)
     if not isinstance(new, ValidationError):
         for attr in ("elements", "product", "inverse", "d", "r", "identities",
-                     "composable"):
+                     "composable", "generators"):
             assert getattr(new, attr) == getattr(old, attr)
 
 
@@ -339,3 +343,98 @@ def test_moufang_loop_rejected_by_associativity():
     for validate in (validate_groupoid, oracle_validate_groupoid):
         with pytest.raises(ValidationError, match=r"^axiom associativity violated "):
             validate(elements, products)
+
+
+# The generating set and Light's associativity test --------------------------
+
+def _shuffled(doc, seed):
+    """The document with its element list in a seeded random order."""
+    elements = list(doc["groupoid"]["elements"])
+    random.Random(seed).shuffle(elements)
+    return {**doc, "groupoid": {**doc["groupoid"], "elements": elements}}
+
+
+GENERATED_SOURCES = (
+    [("fixture", name) for name in FIXTURE_FILES]
+    + [("pair-cyclic", spec) for spec in PAIR_CYCLIC_SPECS]
+    + [("union", pair) for pair in UNION_PAIRS]
+)
+
+
+def _generated_doc(kind, source):
+    if kind == "fixture":
+        return fixture_doc(source)
+    if kind == "pair-cyclic":
+        return pair_cyclic_doc(*source)
+    docs = [pair_cyclic_doc("shift", *source[0]), pair_cyclic_doc("shift", *source[1])]
+    return disjoint_union(docs, lambda c, x: f"c{c}.{x}")
+
+
+@pytest.mark.parametrize("kind,source", GENERATED_SOURCES, ids=str)
+def test_generators_generate_in_file_and_shuffled_order(kind, source):
+    doc = _generated_doc(kind, source)
+    for seed in (None, 1, 2):
+        G = _groupoid_of(doc if seed is None else _shuffled(doc, seed))
+        assert left_normed_closure(G.product, G.generators) == set(G.elements)
+        # each generator is missing from the closure of the ones before it
+        for i, g in enumerate(G.generators):
+            assert g not in left_normed_closure(G.product, G.generators[:i])
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (3, 1), (3, 2), (5, 4)])
+def test_pair_cyclic_generators_in_file_order(n, m):
+    # e_0 and g0_0_1, then g0_j_0 and gj_0_0 for each other object j
+    G = _groupoid_of(pair_cyclic_doc("shift", n, m))
+    expected = ["g0_0_0"] + (["g0_0_1"] if m > 1 else [])
+    expected += [f"g0_{j}_0" for j in range(1, n)] + [f"g{j}_0_0" for j in range(1, n)]
+    assert list(G.generators) == expected
+
+
+def _cyclic_loop_table():
+    """A loop of order 5 in which right multiplication by q1 is the cycle
+    q_i -> q_(i+1), so the left-normed powers of q1 are every element and
+    the generating set is (q0, q1).  It is not associative:
+    (q1 q1) q1 = q3 but q1 (q1 q1) = q0, so Light's test must compare the
+    triples whose middle factor is q1."""
+    rows = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
+    elements = [f"q{i}" for i in range(5)]
+    products = [(f"q{i}", f"q{j}", f"q{rows[i][j]}") for i in range(5) for j in range(5)]
+    return elements, products
+
+
+def _nonassociative_tables():
+    """The cyclic loop, and Chein's loop alone and in a disjoint union with
+    P_2 x C_2 or P_3 x C_2, its elements listed before, after or
+    interleaved with the other component's."""
+    yield "cyclic-loop", _cyclic_loop_table()
+    loop = _moufang_loop_table()
+    yield "moufang", loop
+    for n in (2, 3):
+        grp = pair_cyclic_doc("shift", n, 2)["groupoid"]
+        other = (grp["elements"], grp["products"])
+        products = loop[1] + [tuple(t) for t in other[1]]
+        interleaved = [x for pair in itertools.zip_longest(loop[0], other[0])
+                       for x in pair if x is not None]
+        for order, elements in (("before", loop[0] + other[0]),
+                                ("after", other[0] + loop[0]),
+                                ("interleaved", interleaved)):
+            yield f"moufang+P{n}xC2-{order}", (elements, products)
+
+
+def test_cyclic_loop_has_one_generator_besides_its_unit():
+    elements, products = _cyclic_loop_table()
+    product = {(a, b): ab for a, b, ab in products}
+    assert greedy_generators(elements, product) == ("q0", "q1")
+
+
+@pytest.mark.parametrize("name,table", list(_nonassociative_tables()),
+                         ids=[name for name, _ in _nonassociative_tables()])
+def test_associativity_witness_matches_composable_triple_loop(name, table):
+    elements, products = table
+    witness = first_nonassociative_triple(elements, products)
+    assert witness is not None
+    with pytest.raises(ValidationError) as err:
+        validate_groupoid(elements, products)
+    expected = ValidationError.axiom("associativity", witness)
+    assert (str(err.value), err.value.witness) == (str(expected), expected.witness)

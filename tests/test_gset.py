@@ -1,13 +1,17 @@
+import functools
 import itertools
 import re
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import PROBLEM_SOURCES, pairwise_validate_gset, problem_doc
 from gpdgalois import gset
 from gpdgalois.errors import SizeBoundExceeded, ValidationError
 from gpdgalois.groupoid import (
     coset_space,
+    enumerate_wide_subgroupoids,
     make_subgroupoid,
     quotient_gset,
     regular_gset,
@@ -167,3 +171,51 @@ def test_gamma_inverse_is_inverse_map(fix1, fix2):
             gi = G.inverse[g]
             for x in X.fiber_points(G.d[g]):
                 assert X.gamma[gi][X.gamma[g][x]] == x
+
+
+@functools.lru_cache(maxsize=None)
+def _gsets_of(source):
+    """The regular G-set and the quotient G-sets of a problem's groupoid:
+    by every wide subgroupoid when |G| <= 20, else by the identities and
+    by the whole groupoid."""
+    grp = problem_doc(source)["groupoid"]
+    G = validate_groupoid(grp["elements"], grp["products"])
+    if len(G.elements) <= 20:
+        subs = enumerate_wide_subgroupoids(G)
+    else:
+        subs = [G.identities, G.elements]
+    return G, [regular_gset(G)] + [quotient_gset(coset_space(G, H)) for H in subs]
+
+
+@st.composite
+def mutated_gsets(draw):
+    """A regular or quotient G-set of a fixture or generated problem with
+    at most one gamma_g changed: two images swapped, or one image moved
+    to any point of the carrier."""
+    G, gsets = _gsets_of(draw(st.sampled_from(PROBLEM_SOURCES)))
+    X = draw(st.sampled_from(gsets))
+    gamma = {g: dict(m) for g, m in X.gamma.items()}
+    g = draw(st.sampled_from(G.elements))
+    points = list(gamma[g])
+    x = draw(st.sampled_from(points))
+    kind = draw(st.sampled_from(["none", "swap", "retarget"]))
+    if kind == "swap" and len(points) > 1:
+        y = draw(st.sampled_from([y for y in points if y != x]))
+        gamma[g][x], gamma[g][y] = gamma[g][y], gamma[g][x]
+    elif kind == "retarget":
+        gamma[g][x] = draw(st.sampled_from(X.carrier))
+    return G, X.carrier, X.fiber, gamma
+
+
+def _gset_outcome(validate, G, carrier, fiber, gamma):
+    try:
+        X = validate(G, carrier, fiber, gamma)
+    except ValidationError as err:
+        return type(err), str(err), err.witness
+    return X.carrier, X.fiber, X.gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_gsets())
+def test_validate_gset_matches_pairwise_oracle(case):
+    assert _gset_outcome(validate_gset, *case) == _gset_outcome(pairwise_validate_gset, *case)

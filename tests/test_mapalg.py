@@ -225,14 +225,20 @@ def test_hom_gset_check(fix1, fixc2):
     A = fix1.action
     K = A.base_subalgebra()
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
+
+    def cosets_of(H):
+        return coset_space(A.groupoid, H)
+
     for B in (R1, K):
-        rep = hom_gset_check(B, A, lambda H: invariants(A, H), stabilizer(B, A))
+        rep = hom_gset_check(B, A, lambda H: invariants(A, H), cosets_of, stabilizer(B, A))
         assert rep.ok and rep.transport_consistent and rep.families_strongly_distinct
         assert len(rep.gset.carrier) == (2 if B is K else 4)
 
     A = fixc2.action
     full_c2 = invariants(A, fixc2.wide_subgroupoids["G0"])
-    assert hom_gset_check(full_c2, A, lambda H: invariants(A, H), stabilizer(full_c2, A)).ok
+    assert hom_gset_check(
+        full_c2, A, lambda H: invariants(A, H), cosets_of, stabilizer(full_c2, A)
+    ).ok
 
 
 def test_hom_gset_check_non_invariant(fix1):
@@ -240,7 +246,10 @@ def test_hom_gset_check_non_invariant(fix1):
     T = subalgebra_closure(
         R, [R.element({"v1": 1})], include=A.base_subalgebra().basis
     )
-    rep = hom_gset_check(T, A, lambda H: invariants(A, H), stabilizer(T, A))
+    rep = hom_gset_check(
+        T, A, lambda H: invariants(A, H), lambda H: coset_space(A.groupoid, H),
+        stabilizer(T, A),
+    )
     assert not rep.is_invariant_subalgebra and not rep.transport_consistent
 
 
@@ -256,10 +265,10 @@ def test_hom_gset_check_builds_one_coset_space_and_transports_once():
     transports = sum(
         1 for g in G.elements for rep in cs.representatives if G.r[rep] == G.d[g]
     )
-    with mock.patch.object(mapalg, "coset_space", wraps=coset_space) as spaces, \
-            mock.patch.object(A, "apply", wraps=A.apply) as applied:
-        rep = hom_gset_check(B, A, lambda _: B, H)
-    assert spaces.call_count == 1
+    spaces = mock.Mock(wraps=lambda labels: coset_space(G, labels))
+    with mock.patch.object(A, "apply", wraps=A.apply) as applied:
+        rep = hom_gset_check(B, A, lambda _: B, spaces, H)
+    assert spaces.call_args_list == [mock.call(H)]
     # one beta_l per representative builds phi_l; one beta_g per transport
     assert applied.call_count == (len(cs.representatives) + transports) * B.dim
     assert (len(cs.representatives), transports, B.dim) == (4, 16, 4)
@@ -488,7 +497,9 @@ def test_split_reports_per_target_match_pairwise_oracle(source):
         ), g
     for H in (G.identities, G.elements):
         T = invariants(A, H)
-        report = strong_subalgebra_check(T, A, lambda H: invariants(A, H))
+        report = strong_subalgebra_check(
+            T, A, lambda H: invariants(A, H), lambda H: coset_space(G, H)
+        )
         fams = transversal_hom_family(
             T, A, coset_space(G, make_subgroupoid(G, report.stabilizer_labels))
         )

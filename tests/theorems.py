@@ -400,7 +400,10 @@ class DoubleDualReport:
 def double_dual_check(B, A: AlgebraAction) -> DoubleDualReport:
     """Evaluate every element of B on the canonical hom G-set and compare
     with the invariant algebra of that G-set, elementwise."""
-    hg = hom_gset_check(B, A, functools.partial(invariants, A), stabilizer(B, A))
+    hg = hom_gset_check(
+        B, A, functools.partial(invariants, A),
+        functools.partial(coset_space, A.groupoid), stabilizer(B, A),
+    )
     if not hg.transport_consistent:
         return DoubleDualReport(False, False, False, False, False, False, hg)
     V = hg.gset
