@@ -323,7 +323,7 @@ def cmd_skew(report, problem, args, G, R, A):
 
 def cmd_grothendieck(report, problem, args, G, R, A):
     rep = mapalg.grothendieck_set_check(A, problem.gset(G, problem.entry("gsets", args.gset)))
-    report.add("points biject with evaluation maps", rep.eval_iso.isomorphism)
+    report.add("points biject with evaluation maps", rep.eval_bijective)
     report.add("independent isomorphism search", rep.independent_iso_found)
     for g, srep in rep.splits.items():
         report.add(f"ideal tensor split at {g}", srep.ok)

@@ -22,14 +22,13 @@ from .action import (
 from .blockring import equalising_block, ideal_fp_basis
 from .errors import OracleMismatch
 from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
-from .mapalg import (
-    HomGSetReport,
-    hom_gset_check,
-    require_faithful_hypotheses,
-    splits_per_target,
-)
+from .mapalg import hom_gset_check, require_faithful_hypotheses, splits_per_target
 from .scalar import solve_linear
 from .tensor import TensorOverK
+
+# galois_correspondence's candidate subalgebras are the closures over the
+# base algebra of at most this many prime-field block-basis vectors.
+MAX_GENERATORS = 3
 
 
 # Separability ---------------------------------------------------------
@@ -164,24 +163,23 @@ class StrongSubalgebraReport:
 
     separable: bool
     beta_strong: bool
-    strong_witness: tuple | None
     stabilizer_labels: tuple
     equals_invariants_of_stabilizer: bool
     splits: dict
-    hom_gset: HomGSetReport | None
 
     @property
     def r_split(self) -> bool:
-        return bool(self.splits) and all(s.ok for s in self.splits.values()) and (
-            self.hom_gset is not None and self.hom_gset.ok
-        )
+        return bool(self.splits) and all(s.ok for s in self.splits.values())
 
 
 def strong_subalgebra_check(
     T, A: AlgebraAction, invariants_of, cosets_of
 ) -> StrongSubalgebraReport:
     """Evaluate both sides of the characterization independently and, when
-    they hold, verify the split structure of T.
+    they hold, verify the split structure of T over its transversal
+    family, which hom_gset_check builds and self-checks.  The strong
+    distinctness of that family is the beta-strong verdict (see
+    hom_gset_check), so it is not decided twice.
 
     invariants_of(H) must return invariants(A, H) and cosets_of(H) must
     return coset_space(A.groupoid, H); a caller passes them so that what
@@ -189,14 +187,13 @@ def strong_subalgebra_check(
     K = A.base_subalgebra()
     sep = separability_idempotent(T, K) is not None
     H = stabilizer(T, A)
-    bs, witness = is_beta_strong(T, A, H)
+    bs = is_beta_strong(T, A, H)[0]
     equals = invariants_of(H).key() == T.key()
     splits: dict = {}
-    hom_report = None
     if sep and bs and equals:
-        hom_report = hom_gset_check(T, A, invariants_of, cosets_of, H)
-        splits = splits_per_target(A, T, K, hom_report.families.__getitem__)
-    return StrongSubalgebraReport(sep, bs, witness, H, equals, splits, hom_report)
+        families = hom_gset_check(T, A, cosets_of(H))
+        splits = splits_per_target(A, T, K, families.__getitem__)
+    return StrongSubalgebraReport(sep, bs, H, equals, splits)
 
 
 @dataclass
@@ -232,20 +229,20 @@ class CorrespondenceTable:
 
 
 def galois_correspondence(
-    A: AlgebraAction, max_generators: int = 3, max_elements: int = DEFAULT_MAX_ELEMENTS
+    A: AlgebraAction, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> CorrespondenceTable:
     """Map every wide subgroupoid to its invariants and compare against an
     independent enumeration of the separable beta-strong subalgebras.
 
     The candidate subalgebras are closures of generator subsets (of the
-    prime-field block basis) of size at most `max_generators` over the
+    prime-field block basis) of size at most MAX_GENERATORS over the
     base algebra; the hypothesis gate raises HypothesisFailure when some
     ideal is unfaithful or the action is not Galois.
 
     Three things are kept for the length of this call, and no longer:
     - invariants(A, H) per subgroupoid H, by its label tuple, shared by
-      the rows, strong_subalgebra_check and hom_gset_check.  It is a
-      function of A and H, and A does not change during the call.
+      the rows and strong_subalgebra_check.  It is a function of A and H,
+      and A does not change during the call.
     - coset_space(G, H) per subgroupoid H, shared in the same way: a row
       reads the partition of its own H, and hom_gset_check the cosets of
       the row's stabilizer, which is H wherever closure holds.
@@ -298,7 +295,7 @@ def galois_correspondence(
 
     family = ideal_fp_basis(R, R.blocks)
     seen: dict = {}
-    for size in range(max_generators + 1):
+    for size in range(MAX_GENERATORS + 1):
         for combo in itertools.combinations(family, size):
             T = subalgebra_closure(R, combo, include=K.basis)
             seen.setdefault(T.key(), T)

@@ -39,9 +39,11 @@ from gpdgalois.galois import (
 )
 from gpdgalois.groupoid import (
     DEFAULT_MAX_ELEMENTS,
+    CosetSpace,
     Groupoid,
     coset_space,
     enumerate_wide_subgroupoids,
+    is_wide_subgroupoid,
 )
 from gpdgalois.gset import GSet, _complete_gamma
 from gpdgalois.mapalg import SplitReport, require_faithful_hypotheses
@@ -244,7 +246,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
             break
     return SplitReport(
         square, square and independent, unital, multiplicative, components_match,
-        len(family), rank_profile(B, K), tens.dim, target_dim,
+        len(family), rank_profile(B, K),
     )
 
 
@@ -377,6 +379,40 @@ def subset_wide_subgroupoids(G, max_elements=DEFAULT_MAX_ELEMENTS):
             if closed:
                 out.append(tuple(g for g in G.elements if g in subset))
     return out
+
+
+def pairwise_coset_space(G, H):
+    """Oracle: the left cosets of a wide subgroupoid found by testing
+    a ~ b iff b^{-1}a exists and lies in H for every b against each new
+    a, then the partition checked on all |G|^2 ordered pairs."""
+    wide, cert = is_wide_subgroupoid(G, H)
+    if not wide:
+        raise ValidationError(cert)
+    hset = set(H)
+
+    def related(a, b):
+        prod = G.product.get((G.inverse[b], a))
+        return prod is not None and prod in hset
+
+    class_of = {}
+    classes = []
+    reps = []
+    for a in G.elements:
+        if a in class_of:
+            continue
+        members = tuple(b for b in G.elements if related(b, a))
+        if a not in members:
+            raise OracleMismatch(f"{a!r} not in its own coset")
+        for b in members:
+            if b in class_of:
+                raise OracleMismatch("cosets do not partition the groupoid")
+            class_of[b] = len(classes)
+        classes.append(members)
+        reps.append(a)
+    for a, b in itertools.product(G.elements, repeat=2):
+        if related(a, b) != (class_of[a] == class_of[b]):
+            raise OracleMismatch(f"coset relation not an equivalence at ({a!r}, {b!r})")
+    return CosetSpace(G, tuple(classes), tuple(reps), class_of)
 
 
 def set_partitions(items):

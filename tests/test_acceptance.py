@@ -33,7 +33,6 @@ from gpdgalois.mapalg import (
     eval_hom_family,
     grothendieck_set_check,
     invariant_algebra,
-    pairwise_strongly_distinct,
     transversal_hom_family,
 )
 from gpdgalois.tensor import rank_profile
@@ -42,6 +41,7 @@ from theorems import (
     coords_from_separability,
     grothendieck_algebra_check,
     hom_set,
+    pairwise_strongly_distinct,
     quotient_iso_pair,
     tri_equivalence_check,
 )
@@ -120,7 +120,7 @@ def test_c05_equivalence_object_level(fix1):
             quotient_gset(coset_space(G, fix1.wide_subgroupoids["all"])),
         ):
             report = grothendieck_set_check(A, X)
-            assert report.eval_iso.isomorphism
+            assert report.eval_bijective
             assert report.independent_iso_found
             assert report.proof_identity
             assert all(s.ok for s in report.splits.values())

@@ -39,9 +39,7 @@ from gpdgalois.mapalg import (
     HomRecord,
     eval_hom_family,
     invariant_algebra,
-    pairwise_strongly_distinct,
     splits_per_target,
-    strongly_distinct,
     transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, make_field
@@ -53,6 +51,8 @@ from theorems import (
     dual_basis_solve,
     freeness_check,
     hom_set,
+    pairwise_strongly_distinct,
+    strongly_distinct,
     tri_equivalence_check,
 )
 
@@ -631,10 +631,10 @@ def test_correspondence_matches_candidate_loop(source):
 
 
 def test_correspondence_computes_each_stabilizer_once():
-    # strong_subalgebra_check hands the stabilizer it computed to
-    # hom_gset_check: on twisted P_2 x C_2 over F_4 one stabilizer per
-    # distinct subalgebra (7 rows, 8 other candidates), and the table of
-    # solving every row and candidate afresh
+    # strong_subalgebra_check hands the cosets of the stabilizer it
+    # computed to hom_gset_check: on twisted P_2 x C_2 over F_4 one
+    # stabilizer per distinct subalgebra (7 rows, 8 other candidates), and
+    # the table of solving every row and candidate afresh
     source = ("twisted", 2, 2, 2)
     asked = []
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     FIXTURE_FILES,
     PAIR_CYCLIC_SPECS,
+    PROBLEM_SOURCES,
     cli_outcome,
     disjoint_union,
     first_nonassociative_triple,
@@ -17,6 +19,8 @@ from conftest import (
     left_normed_closure,
     oracle_validate_groupoid,
     pair_cyclic_doc,
+    pairwise_coset_space,
+    problem_doc,
     subset_wide_subgroupoids,
     wide_subgroupoid_count,
 )
@@ -72,6 +76,13 @@ def test_composable_matches_endpoint_rule(fix1, fix2):
             if G.d[g] == G.r[h]
         }
         assert set(G.composable) == oracle
+
+
+@pytest.mark.parametrize("source", PROBLEM_SOURCES, ids=str)
+def test_composable_is_the_product_in_element_order(source):
+    G = _groupoid_of(problem_doc(source))
+    index = {g: i for i, g in enumerate(G.elements)}
+    assert G.composable == tuple(sorted(G.product, key=lambda p: (index[p[0]], index[p[1]])))
 
 
 def test_standard_consequences_hold(fix1, fix2, fixc2):
@@ -193,6 +204,32 @@ def test_coset_space_oracle(fix1):
             if G.product.get((G.inverse[b], a)) in set(G.elements)
         }
         assert a in members
+
+
+@pytest.mark.parametrize("source", FIXTURE_FILES + SMALL_PAIR_CYCLIC, ids=str)
+def test_coset_space_matches_pairwise_oracle(source):
+    # every wide subgroupoid of the fixtures and of P_n x C_m, |G| <= 20
+    doc = fixture_doc(source) if isinstance(source, str) else pair_cyclic_doc("shift", *source)
+    G = _groupoid_of(doc)
+    for H in enumerate_wide_subgroupoids(G):
+        cs, ref = coset_space(G, H), pairwise_coset_space(G, H)
+        assert (cs.classes, cs.representatives, cs.class_of) == (
+            ref.classes, ref.representatives, ref.class_of), H
+
+
+def test_coset_space_self_checks_are_oracle_mismatches(fix1):
+    # a product table altered after validation: g e1 = gi puts g outside
+    # its own coset gH, H the identities; e2 g = gi puts gi, already in
+    # e1H, into e2H, H everything
+    G = copy.copy(fix1.groupoid)
+    G.product = dict(G.product)
+    G.product[("g", "e1")] = "gi"
+    with pytest.raises(OracleMismatch, match="'g' not in its own coset"):
+        coset_space(G, ("e1", "e2"))
+    G.product = dict(fix1.groupoid.product)
+    G.product[("e2", "g")] = "gi"
+    with pytest.raises(OracleMismatch, match="cosets do not partition the groupoid"):
+        coset_space(G, G.elements)
 
 
 def test_left_transversal(fix1, fixc2):

@@ -3,7 +3,9 @@ a package module inside a function or method, and none imports another
 package module's underscore (private) name.  Every public module-level
 name of the package is reached from the CLI or from a point the benchmark
 traces, and the package reads the name of every method of its classes,
-so code that only tests run lives beside the tests.
+so code that only tests run lives beside the tests.  Every annotated
+field of a package class is read by name somewhere in the package or its
+tests, so a report carries no field that nothing looks at.
 
 Only module-level imports are checked for use.  ``__init__.py`` re-exports
 by design, and a name a module lists in ``__all__`` is a re-export too;
@@ -18,6 +20,7 @@ import pathlib
 from conftest import layer_points
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gpdgalois"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def unused_imports(path):
@@ -187,3 +190,36 @@ def test_method_guard_names_an_unread_method(tmp_path):
         "def square(R, x):\n    return R.mul(x)\n"
     )
     assert unread_methods(tmp_path) == [("m.py", "Ring", "unused"), ("m.py", "Ring", "size")]
+
+
+def unread_fields(src, readers) -> list:
+    """(module, class, name) for each annotated field of a class of the
+    package at src whose name no module in the directories readers reads
+    as an attribute.  A name read on any object counts, as for methods."""
+    read, fields = set(), []
+    for directory in readers:
+        for path in sorted(directory.glob("*.py")):
+            read |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for path in sorted(src.glob("*.py")):
+        fields += [
+            (path.name, cls.name, node.target.id)
+            for cls in ast.parse(path.read_text()).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        ]
+    return [(module, cls, name) for module, cls, name in fields if name not in read]
+
+
+def test_every_field_is_read_in_the_package_or_its_tests():
+    assert unread_fields(SRC, [SRC, TESTS]) == []
+
+
+def test_field_guard_names_an_unread_field(tmp_path):
+    # a field that is only written is not read
+    (tmp_path / "m.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass Report:\n"
+        "    ok: bool\n    size: int\n    spare: int = 0\n\n\n"
+        "def check(rep):\n    rep.spare = rep.size\n    return rep.ok\n"
+    )
+    assert unread_fields(tmp_path, [tmp_path]) == [("m.py", "Report", "spare")]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 from unittest import mock
@@ -25,17 +24,23 @@ from gpdgalois.action import (
     stabilizer,
     subalgebra_closure,
 )
-from gpdgalois.blockring import fixed_elements
-from gpdgalois.errors import HypothesisFailure, ValidationError
-from gpdgalois.galois import strong_subalgebra_check
-from gpdgalois.groupoid import coset_space, make_subgroupoid, quotient_gset, regular_gset
-from gpdgalois.gset import validate_gset
+from gpdgalois.blockring import fixed_elements, make_ring
+from gpdgalois.errors import HypothesisFailure, OracleMismatch, ValidationError
+from gpdgalois.galois import is_beta_strong, strong_subalgebra_check
+from gpdgalois.groupoid import (
+    coset_space,
+    enumerate_wide_subgroupoids,
+    make_subgroupoid,
+    quotient_gset,
+    regular_gset,
+    validate_groupoid,
+)
+from gpdgalois.gset import GMap, check_gmap, validate_gset
 from gpdgalois.mapalg import (
     HomRecord,
     MapSpace,
     build_eval_gset,
     eval_hom_family,
-    eval_iso_check,
     evaluation_hom,
     function_algebra,
     grothendieck_set_check,
@@ -46,13 +51,14 @@ from gpdgalois.mapalg import (
     tensor_split_check,
     transversal_hom_family,
 )
-from gpdgalois.scalar import fp_basis_scalars
+from gpdgalois.scalar import fp_basis_scalars, make_field
 from theorems import (
     double_dual_check,
     from_values,
     grothendieck_algebra_check,
     hom_set,
     quotient_iso_pair,
+    two_sided_hom_gset_check,
 )
 
 
@@ -151,9 +157,10 @@ def test_omega_isomorphism(fix1, fix2):
             regular_gset(G),
             quotient_gset(coset_space(G, fix.wide_subgroupoids["G0"])),
         ):
-            AX = invariant_algebra(X, fix.action)
-            rep = eval_iso_check(X, build_eval_gset(AX))
-            assert rep.isomorphism
+            ev = build_eval_gset(invariant_algebra(X, fix.action))
+            # the map is a G-map by construction, so bijective is isomorphic
+            assert len(ev.gset.carrier) == len(X.carrier)
+            assert check_gmap(GMap(X, ev.gset, ev.point_label)).isomorphism
 
 
 def test_hom_set_counts(fix1):
@@ -221,24 +228,30 @@ def test_transversal_families(fix1):
     assert [h.label for h in famK["e1"]] == ["phi_e1"]
 
 
+def images_by_target(families):
+    """The hom images of each family, by target identity."""
+    return {e: [h.images for h in homs] for e, homs in families.items()}
+
+
 def test_hom_gset_check(fix1, fixc2):
     A = fix1.action
     K = A.base_subalgebra()
     R1 = invariants(A, fix1.wide_subgroupoids["G0"])
 
-    def cosets_of(H):
-        return coset_space(A.groupoid, H)
-
     for B in (R1, K):
-        rep = hom_gset_check(B, A, lambda H: invariants(A, H), cosets_of, stabilizer(B, A))
+        H = stabilizer(B, A)
+        families = hom_gset_check(B, A, coset_space(A.groupoid, H))
+        rep = two_sided_hom_gset_check(B, A)
         assert rep.ok and rep.transport_consistent and rep.families_strongly_distinct
-        assert len(rep.gset.carrier) == (2 if B is K else 4)
+        assert len(rep.gset.carrier) == sum(map(len, families.values())) == (
+            2 if B is K else 4
+        )
+        assert images_by_target(families) == images_by_target(rep.families)
 
     A = fixc2.action
     full_c2 = invariants(A, fixc2.wide_subgroupoids["G0"])
-    assert hom_gset_check(
-        full_c2, A, lambda H: invariants(A, H), cosets_of, stabilizer(full_c2, A)
-    ).ok
+    assert two_sided_hom_gset_check(full_c2, A).ok
+    assert hom_gset_check(full_c2, A, coset_space(A.groupoid, stabilizer(full_c2, A)))
 
 
 def test_hom_gset_check_non_invariant(fix1):
@@ -246,11 +259,11 @@ def test_hom_gset_check_non_invariant(fix1):
     T = subalgebra_closure(
         R, [R.element({"v1": 1})], include=A.base_subalgebra().basis
     )
-    rep = hom_gset_check(
-        T, A, lambda H: invariants(A, H), lambda H: coset_space(A.groupoid, H),
-        stabilizer(T, A),
-    )
+    rep = two_sided_hom_gset_check(T, A)
     assert not rep.is_invariant_subalgebra and not rep.transport_consistent
+    # the transport law needs only that the stabilizer fixes T, so the
+    # self-check passes on T too
+    hom_gset_check(T, A, coset_space(A.groupoid, stabilizer(T, A)))
 
 
 def test_hom_gset_check_builds_one_coset_space_and_transports_once():
@@ -265,20 +278,77 @@ def test_hom_gset_check_builds_one_coset_space_and_transports_once():
     transports = sum(
         1 for g in G.elements for rep in cs.representatives if G.r[rep] == G.d[g]
     )
-    spaces = mock.Mock(wraps=lambda labels: coset_space(G, labels))
     with mock.patch.object(A, "apply", wraps=A.apply) as applied:
-        rep = hom_gset_check(B, A, lambda _: B, spaces, H)
-    assert spaces.call_args_list == [mock.call(H)]
+        families = hom_gset_check(B, A, cs)
     # one beta_l per representative builds phi_l; one beta_g per transport
     assert applied.call_count == (len(cs.representatives) + transports) * B.dim
     assert (len(cs.representatives), transports, B.dim) == (4, 16, 4)
-    assert rep.ok and rep.transport_consistent and rep.families_strongly_distinct
-    assert [f.name for f in dataclasses.fields(rep)] == [
-        "is_invariant_subalgebra", "transport_consistent",
-        "families_strongly_distinct", "equivalent", "gset", "families", "certificate",
-    ]
-    V = quotient_gset(cs)
-    assert (rep.gset.carrier, rep.gset.gamma) == (V.carrier, V.gamma)
+    assert {e: [h.label for h in homs] for e, homs in families.items()} == {
+        "g0_0_0": ["phi_g0_0_0", "phi_g0_1_0"], "g1_1_0": ["phi_g1_0_0", "phi_g1_1_0"],
+    }
+    # strong_subalgebra_check asks for the cosets of B's stabilizer once
+    spaces = mock.Mock(wraps=lambda labels: coset_space(G, labels))
+    assert strong_subalgebra_check(B, A, lambda _: B, spaces).r_split
+    assert spaces.call_args_list == [mock.call(H)]
+
+
+@pytest.mark.parametrize("source", ["fix1.json", "fixc2.json", ("twisted", 2, 2, 2)], ids=str)
+def test_hom_gset_check_catches_corrupted_apply(source):
+    # beta_g replaced by zero for the first non-identity g, which is not a
+    # representative of G/G: the families are unchanged, and the transport
+    # law fails first at g and its one representative l with r l = d g
+    A = problem_action(source)
+    G = A.groupoid
+    g = next(x for x in G.elements if x not in G.identities)
+    apply = A.apply
+
+    def corrupted(h, x):
+        return A.ring.zero() if h == g else apply(h, x)
+
+    K = invariants(A, G.elements)
+    cs = coset_space(G, G.elements)
+    assert g not in cs.representatives
+    with mock.patch.object(A, "apply", corrupted):
+        with pytest.raises(OracleMismatch, match=f"beta_{g} phi_") as err:
+            hom_gset_check(K, A, cs)
+    assert err.value.witness == (g, cs.representatives[cs.class_of[G.d[g]]])
+
+
+def non_free_c2_action():
+    """C_2 over F_2 swapping the blocks v1 and v2 and fixing v3: a valid
+    action that is not free, so R is not beta-strong."""
+    G = validate_groupoid(
+        ["e", "s"],
+        [("e", "e", "e"), ("e", "s", "s"), ("s", "e", "s"), ("s", "s", "e")],
+    )
+    R = make_ring(make_field(2), ["v1", "v2", "v3"], {"e": ["v1", "v2", "v3"]})
+    return action_mod.validate_action(G, R, {"s": {"v1": "v2", "v2": "v1", "v3": "v3"}})
+
+
+STRONG_SOURCES = [s for s in PROBLEM_SOURCES
+                  if isinstance(s, str) or s[1] * s[1] * s[2] <= 20] + ["non-free C_2"]
+
+
+@pytest.mark.parametrize("source", STRONG_SOURCES, ids=str)
+def test_strong_distinctness_is_the_beta_strong_verdict(source):
+    # for B = R^H and every wide subgroupoid H: the two-sided reference's
+    # strong distinctness is is_beta_strong on B's stabilizer, and
+    # hom_gset_check passes and builds the reference's families
+    A = non_free_c2_action() if source == "non-free C_2" else problem_action(source)
+    G = A.groupoid
+    verdicts = {}
+    for H in enumerate_wide_subgroupoids(G):
+        B = invariants(A, H)
+        stab = stabilizer(B, A)
+        ref = two_sided_hom_gset_check(B, A)
+        assert ref.is_invariant_subalgebra and ref.transport_consistent, H
+        assert ref.families_strongly_distinct == is_beta_strong(B, A, stab)[0], H
+        families = hom_gset_check(B, A, coset_space(G, stab))
+        assert images_by_target(families) == images_by_target(ref.families), H
+        verdicts[H] = ref.families_strongly_distinct
+    if source == "non-free C_2":
+        # R = R^{identities} is not beta-strong: v3 equalises beta_e and beta_s
+        assert verdicts == {G.identities: False, G.elements: True}
 
 
 def test_double_dual(fix1):
@@ -320,7 +390,7 @@ def test_grothendieck_set_side(fix1):
 
 
 def test_grothendieck_set_check_builds_the_evaluation_gset_once(fix1):
-    # eval_iso_check and the independent isomorphism search share one
+    # the bijection check and the independent isomorphism search share one
     # evaluation G-set
     G = fix1.groupoid
     calls = []

@@ -6,16 +6,16 @@ helpers, the three characterisations of a strongly distinct hom family
 (strong distinctness, dual bases, freeness), the idempotent associated with
 an algebra map, the transport of a separability idempotent along beta,
 every algebra map into an ideal (`hom_set`), and the algebra-side round
-trips of the set/algebra equivalence.  `hom_set`, `double_dual_check` and
-`grothendieck_algebra_check` move back into the package together with their
-first CLI caller (ROADMAP item 8).
+trips of the set/algebra equivalence with the two-sided hom G-set check
+they read.  `hom_set`, `double_dual_check` and `grothendieck_algebra_check`
+move back into the package together with their first CLI caller (ROADMAP
+item 8).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from gpdgalois.action import (
     AlgebraAction,
@@ -26,7 +26,7 @@ from gpdgalois.action import (
     stabilizer,
     trace,
 )
-from gpdgalois.blockring import BlockRing, ideal_fp_basis, slotwise_matrix
+from gpdgalois.blockring import BlockRing, equalising_block, ideal_fp_basis, slotwise_matrix
 from gpdgalois.errors import (
     InvalidInput,
     OracleMismatch,
@@ -35,13 +35,12 @@ from gpdgalois.errors import (
 )
 from gpdgalois.galois import is_beta_strong, separability_idempotent
 from gpdgalois.groupoid import coset_space, quotient_gset
+from gpdgalois.gset import GSet
 from gpdgalois.mapalg import (
-    HomGSetReport,
     HomRecord,
-    hom_gset_check,
     invariant_algebra,
-    pairwise_strongly_distinct,
     require_faithful_hypotheses,
+    transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, flatten, solve_linear
 
@@ -93,12 +92,40 @@ def from_values(space, values: dict) -> tuple:
 
 # Hom families: strongly distinct, dual bases, free ---------------------
 
+def require_same_frame(f: HomRecord, g: HomRecord):
+    """Raise InvalidInput unless both maps share a source and a target
+    ideal."""
+    if f.target_support != g.target_support:
+        raise InvalidInput("homomorphisms target different ideals")
+    if f.source is not g.source and f.source.basis != g.source.basis:
+        raise InvalidInput("homomorphisms have different sources")
+
+
+def strongly_distinct(f: HomRecord, g: HomRecord) -> tuple[bool, tuple | None]:
+    """No nonzero idempotent of the target equalizes f and g; the failing
+    idempotent is the witness otherwise.  Scanning the source basis
+    suffices because both maps are linear."""
+    require_same_frame(f, g)
+    pi = equalising_block(f.ring, f.target_support, f.images, g.images)
+    return pi is None, pi
+
+
+def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
+    """Every two members are strongly distinct; the witness of the first
+    pair that is not otherwise."""
+    for f, g in itertools.combinations(family, 2):
+        ok, pi = strongly_distinct(f, g)
+        if not ok:
+            return False, pi
+    return True, None
+
+
 def _frame_matrix(family) -> list:
     """The slotwise matrix D of a frame on the target ideal's slots: D x =
     rhs asks sum x_i u(y_i) = rhs_u for every u in the family and source
     basis element y_i, and D^T c = 0 asks sum c_u u = 0."""
     for h in family[1:]:
-        family[0].require_same_frame(h)
+        require_same_frame(family[0], h)
     ring = family[0].ring
     slot_ids = [ring.slot_index(b) for b in family[0].target_support]
     return slotwise_matrix(ring, [u.images for u in family], slot_ids)
@@ -374,6 +401,70 @@ def hom_set(B, K: Subalgebra, E, ring: BlockRing) -> list[HomRecord]:
 
 
 @dataclass
+class HomGSetReport:
+    """V(B) as a split G-set (condition one) versus strong distinctness of
+    the transported families (condition two)."""
+
+    is_invariant_subalgebra: bool
+    transport_consistent: bool
+    families_strongly_distinct: bool
+    equivalent: bool
+    gset: GSet | None = None
+    families: dict = dc_field(default_factory=dict)
+    certificate: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.transport_consistent and self.equivalent
+
+
+def two_sided_hom_gset_check(B, A: AlgebraAction) -> HomGSetReport:
+    """Reference: build the canonical hom family of B, one map phi_l per
+    coset lH of its stabilizer H, and test both characterizations of V(B)
+    being a G-set, for any subalgebra B.
+
+    V(B) is read as the quotient G/H, phi_l the point lH.  Condition one
+    (transport_consistent) asks that beta agree with the coset action:
+    beta_g phi_l = phi_{gl} for every g and l with d g = r l.  Condition
+    two asks, for each identity e, that the distinct transports
+    beta_g phi_l with r g = e be pairwise strongly distinct.  When B is
+    not the invariants of its own stabilizer, neither is tested."""
+    G, R = A.groupoid, A.ring
+    H = stabilizer(B, A)
+    if invariants(A, H).key() != B.key():
+        return HomGSetReport(
+            False, False, False, True,
+            certificate="not the invariants of its own stabilizer",
+        )
+    cs = coset_space(G, H)
+    V = quotient_gset(cs)
+    families = transversal_hom_family(B, A, cs)
+    # V and each family list the cosets in representative order
+    hom_at = {
+        x: hom for e, homs in families.items() for x, hom in zip(V.fiber_points(e), homs)
+    }
+    moved = {
+        (g, x): tuple(A.apply(g, y) for y in hom_at[x].images)
+        for g in G.elements
+        for x in V.fiber_points(G.d[g])
+    }
+    transport_consistent = all(
+        images == hom_at[V.gamma[g][x]].images for (g, x), images in moved.items()
+    )
+    sd_ok = all(
+        pairwise_strongly_distinct([
+            HomRecord(B, R, R.ideal(e), images)
+            for images in dict.fromkeys(m for (g, _), m in moved.items() if G.r[g] == e)
+        ])[0]
+        for e in G.identities
+    )
+    return HomGSetReport(
+        True, transport_consistent, sd_ok, transport_consistent == sd_ok,
+        gset=V if transport_consistent else None, families=families,
+    )
+
+
+@dataclass
 class DoubleDualReport:
     """Is b -> (f -> f(b)) an isomorphism of B onto A(V(B))?"""
 
@@ -400,10 +491,7 @@ class DoubleDualReport:
 def double_dual_check(B, A: AlgebraAction) -> DoubleDualReport:
     """Evaluate every element of B on the canonical hom G-set and compare
     with the invariant algebra of that G-set, elementwise."""
-    hg = hom_gset_check(
-        B, A, functools.partial(invariants, A),
-        functools.partial(coset_space, A.groupoid), stabilizer(B, A),
-    )
+    hg = two_sided_hom_gset_check(B, A)
     if not hg.transport_consistent:
         return DoubleDualReport(False, False, False, False, False, False, hg)
     V = hg.gset
