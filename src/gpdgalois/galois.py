@@ -1,9 +1,9 @@
 """Separability, beta-strong subalgebras, and the subgroupoid/subalgebra
 correspondence.
 
-Everything is decided by exact linear algebra: separability idempotents
-are solved per K-block, and the correspondence is verified by enumerating
-both sides independently.
+Everything is decided by exact linear algebra: a separability idempotent
+is the inverse of the trace form on each K-block, and the correspondence
+is verified by enumerating both sides independently.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import OracleMismatch
 from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
 from .mapalg import hom_gset_check, require_faithful_hypotheses, splits_per_target
 from .scalar import solve_linear
-from .tensor import TensorOverK
+from .tensor import BlockModuleBasis, kblocks
 
 # galois_correspondence's candidate subalgebras are the closures over the
 # base algebra of at most this many prime-field block-basis vectors.
@@ -40,95 +40,98 @@ class SeparabilityIdempotent:
     pairs: tuple
 
 
-def separability_idempotent_from_structure(field, mult, unit_coords):
-    """Solve for a separability idempotent of an algebra presented by
-    structure constants over one field.
+def inverse_trace_form(field, mult):
+    """The inverse C of the Gram matrix G_ij = Tr(b_i b_j) of the trace
+    form of a commutative algebra over a finite field, solved column by
+    column; None when G is singular.  mult[i][j] is the coefficient vector
+    of b_i b_j, so Tr(b_m) = tau_m = sum_l mult[m][l][l] and
+    G_ij = sum_m mult[i][j][m] tau_m.
 
-    mult[i][j] is the coefficient vector of basis_i * basis_j; returns the
-    coefficient matrix c with v = sum c[i][j] basis_i tensor basis_j, or
-    None when the defining system is inconsistent (the algebra is not
-    separable).
+    v = sum C_ij b_i tensor b_j is the separability idempotent, and None
+    means that there is none (DeMeyer and Ingraham, Separable Algebras
+    over Commutative Rings, 1971):
+    - If G is invertible, y_j = sum_i C_ij b_i is the dual basis, so
+      z = sum_j Tr(z y_j) b_j = sum_j Tr(z b_j) y_j, and v = sum_j b_j
+      tensor y_j as C is symmetric.  mu(v) = 1: Tr(a) is the trace of
+      z -> az, sum_j Tr(a b_j y_j) = Tr(a mu(v)), and the form is
+      nondegenerate.  (t tensor 1)v = sum_jk Tr(t b_j y_k) b_k tensor y_j
+      = (1 tensor t)v, expanding t b_j over b and t y_k over y.
+    - A commutative finite algebra over a finite field is separable
+      exactly when it is reduced, and exactly then G is nondegenerate: a
+      nilpotent n has Tr(nz) = 0 for every z, and a product of separable
+      field extensions has an orthogonal sum of nondegenerate forms.
     """
     n = len(mult)
-    nv = n * n
-    matrix, rhs = [], []
-    for l in range(n):
-        matrix.append([mult[i][j][l] for i in range(n) for j in range(n)])
-        rhs.append(unit_coords[l])
-    for tau in range(n):
-        for a in range(n):
-            for b in range(n):
-                row = [field.zero] * nv
-                for i in range(n):
-                    row[i * n + b] = field.add(row[i * n + b], mult[tau][i][a])
-                for j in range(n):
-                    row[a * n + j] = field.sub(row[a * n + j], mult[tau][j][b])
-                matrix.append(row)
-                rhs.append(field.zero)
-    sol = solve_linear(field, matrix, rhs)
-    if sol.solution is None:
-        return None
-    if sol.nullspace:
-        raise OracleMismatch("separability idempotent is not unique")
-    return [
-        [sol.solution[i * n + j] for j in range(n)] for i in range(n)
-    ]
+    tau = [field.zero] * n
+    for m in range(n):
+        for l in range(n):
+            tau[m] = field.add(tau[m], mult[m][l][l])
+    gram = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                gram[i][j] = field.add(gram[i][j], field.mul(mult[i][j][m], tau[m]))
+    columns = []
+    for k in range(n):
+        # a singular G misses some unit vector, so G C = I proves C = G^-1
+        sol = solve_linear(field, gram, [field.one if i == k else field.zero
+                                         for i in range(n)])
+        if sol.solution is None:
+            return None
+        columns.append(sol.solution)
+    return columns  # C is symmetric, so its columns are its rows
 
 
 def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
     """The unique v in T tensor_K T with mu(v) = 1 and (t tensor 1)v =
-    (1 tensor t)v, solved blockwise over the K-blocks; None when some
-    block's system is inconsistent.
+    (1 tensor t)v, found per K-block as the inverse of the block's trace
+    form (inverse_trace_form); None when some block's trace form is
+    singular, which is exactly when no such v exists.
 
-    Cross-validated structurally: the returned pairs are re-encoded in
-    tensor coordinates and all three defining properties are re-checked.
-    The tensor's block bases of T, one per K-block, serve the solve and
-    both factors of the tensor.
+    The pairs are (c b_i, b_j), block by block, for each nonzero
+    coefficient c of b_i tensor b_j over the block's K·u-basis b.  Two
+    laws are self-checked: mu(v) = 1 in R, and the symmetry law for every
+    block basis element b_m on the block's structure constants, which by
+    K-linearity in t gives it for every t in T.  Idempotence follows from
+    the two, so it is not checked:
+    v v = sum_i (x_i tensor 1)(1 tensor y_i) v
+        = sum_i (x_i tensor 1)(y_i tensor 1) v = (mu(v) tensor 1) v = v.
     """
     space = T.space
-    tens = TensorOverK(space, space, K, T.basis, T.basis)
     all_pairs = []
-    for blk, bmb in zip(tens.blocks, tens.m_parts):
-        if bmb.rank == 0:
-            continue
-        unit_u = space.k_scale(blk.u, space.one())
+    for blk in kblocks(K):
+        F = blk.afield
+        bmb = BlockModuleBasis(space, blk, T.basis)
+        n = bmb.rank
         mult = [
             [bmb.decompose(space.mul(bi, bj)) for bj in bmb.basis]
             for bi in bmb.basis
         ]
-        unit_coords = bmb.decompose(unit_u)
-        coeffs = separability_idempotent_from_structure(blk.afield, mult, unit_coords)
+        coeffs = inverse_trace_form(F, mult)
         if coeffs is None:
             return None
+        # the coefficients of b_k tensor b_j in (b_m tensor 1)v and (1 tensor b_m)v
+        for by_m in mult:
+            for k, j in itertools.product(range(n), repeat=2):
+                left = right = F.zero
+                for i in range(n):
+                    left = F.add(left, F.mul(by_m[i][k], coeffs[i][j]))
+                    right = F.add(right, F.mul(coeffs[k][i], by_m[i][j]))
+                if left != right:
+                    raise OracleMismatch("separability idempotent fails the symmetry law")
         for i, bi in enumerate(bmb.basis):
             for j, bj in enumerate(bmb.basis):
                 c = coeffs[i][j]
-                if c == blk.afield.zero:
-                    continue
-                x = space.k_scale(blk.from_abstract(K.space, c), bi)
-                all_pairs.append((x, bj))
+                if c != F.zero:
+                    x = space.k_scale(blk.from_abstract(K.space, c), bi)
+                    all_pairs.append((x, bj))
 
-    pairs = tuple(all_pairs)
-    coords = tens.from_pairs(pairs)
     total = space.zero()
-    for x, y in pairs:
+    for x, y in all_pairs:
         total = space.add(total, space.mul(x, y))
     if total != space.one():
         raise OracleMismatch("separability idempotent fails mu(v) = 1")
-    for t in T.basis:
-        left = tens.from_pairs([(space.mul(t, x), y) for x, y in pairs])
-        right = tens.from_pairs([(x, space.mul(t, y)) for x, y in pairs])
-        if left != right:
-            raise OracleMismatch("separability idempotent fails the symmetry law")
-    square = tens.from_pairs(
-        [
-            (space.mul(x1, x2), space.mul(y1, y2))
-            for (x1, y1), (x2, y2) in itertools.product(pairs, repeat=2)
-        ]
-    )
-    if square != coords:
-        raise OracleMismatch("separability idempotent is not idempotent")
-    return SeparabilityIdempotent(pairs)
+    return SeparabilityIdempotent(tuple(all_pairs))
 
 
 def is_beta_strong(T, A: AlgebraAction, H) -> tuple[bool, tuple | None]:
@@ -247,10 +250,10 @@ def galois_correspondence(
       reads the partition of its own H, and hom_gset_check the cosets of
       the row's stabilizer, which is H wherever closure holds.
     - each row's separable and beta-strong verdicts, by the row's key.  A
-      candidate with the same key takes them instead of solving again.
+      candidate with the same key takes them instead of deciding again.
       Equal keys mean equal spans, and both verdicts depend on the span
       only: a separability idempotent is a property of the algebra, not
-      of the basis it is solved on (DeMeyer and Ingraham, Separable
+      of the basis it is computed on (DeMeyer and Ingraham, Separable
       Algebras over Commutative Rings, 1971), and the stabilizer and the
       equalising-block test are linear conditions checked on a basis.
     """

@@ -2,8 +2,8 @@
 
 The base algebra K (the invariants) is a product of finite fields; its
 primitive idempotents cut every K-module into blocks, each a vector space
-over one field.  Ranks, tensor products and separability questions are all
-settled per block by exact prime-field computation.
+over one field.  Ranks, tensor products and separability (galois.py) are
+all settled per block by exact prime-field computation.
 """
 
 from __future__ import annotations
@@ -189,8 +189,7 @@ class TensorOverK:
     kappa^m (m_i tensor n_j), enumerated block-major.
 
     m_parts and n_parts are the BlockModuleBasis of M and of N per block
-    of kblocks(K).  When M and N are one space with one basis, they are
-    one list, and both sides share their kept coordinates.
+    of kblocks(K).
 
     The tensor keeps, for as long as it lives, the per-block coordinates
     of every element it has decomposed and the coordinates of every pure
@@ -205,12 +204,9 @@ class TensorOverK:
         self.p = K.space.field.p
         self.blocks = kblocks(K)
         self.m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
+        self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
         self._m_coords: dict = {}
-        if space_n is space_m and tuple(n_basis) == tuple(m_basis):
-            self.n_parts, self._n_coords = self.m_parts, self._m_coords
-        else:
-            self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
-            self._n_coords = {}
+        self._n_coords: dict = {}
         self._pure: dict = {}
         self.layout = []
         off = 0
@@ -220,12 +216,6 @@ class TensorOverK:
                     self.layout.append(((bi, i, j), off, blk.degree))
                     off += blk.degree
         self.dim = off
-
-    def zero(self) -> tuple:
-        return (0,) * self.dim
-
-    def add(self, a, b) -> tuple:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def _block_coords(self, space, parts, kept, z) -> tuple:
         """The K·u-coordinates of z·u over each block's basis, kept."""
@@ -251,12 +241,6 @@ class TensorOverK:
                 coords[off + m] = (coords[off + m] + prod[m]) % self.p
         got = self._pure[(x, y)] = tuple(coords)
         return got
-
-    def from_pairs(self, pairs) -> tuple:
-        out = self.zero()
-        for x, y in pairs:
-            out = self.add(out, self.pure(x, y))
-        return out
 
     def basis_vectors(self):
         """(coords, x, y) for each basis tensor kappa^m (m_i tensor n_j)."""

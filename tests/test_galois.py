@@ -4,6 +4,7 @@ import itertools
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     PROBLEM_SOURCES,
@@ -19,7 +20,14 @@ from conftest import (
 from gpdgalois import action as action_mod
 from gpdgalois import galois as galois_mod
 from gpdgalois import mapalg
-from gpdgalois.action import Submodule, invariants, stabilizer, subalgebra_closure
+from gpdgalois.action import (
+    Subalgebra,
+    Submodule,
+    invariants,
+    stabilizer,
+    subalgebra_closure,
+    twisted_invariant_basis,
+)
 from gpdgalois.blockring import ideal_fp_basis
 from gpdgalois.errors import (
     HypothesisFailure,
@@ -30,8 +38,8 @@ from gpdgalois.errors import (
 from gpdgalois.galois import (
     galois_correspondence,
     is_beta_strong,
+    inverse_trace_form,
     separability_idempotent,
-    separability_idempotent_from_structure,
     strong_subalgebra_check,
 )
 from gpdgalois.groupoid import coset_space, enumerate_wide_subgroupoids, regular_gset
@@ -42,7 +50,7 @@ from gpdgalois.mapalg import (
     splits_per_target,
     transversal_hom_family,
 )
-from gpdgalois.scalar import FpSpan, make_field
+from gpdgalois.scalar import FpSpan, make_field, solve_linear
 from gpdgalois.tensor import TensorOverK, rank_profile
 import theorems
 from theorems import (
@@ -52,6 +60,8 @@ from theorems import (
     freeness_check,
     hom_set,
     pairwise_strongly_distinct,
+    reference_separability_pairs,
+    separability_idempotent_from_structure,
     strongly_distinct,
     tri_equivalence_check,
 )
@@ -284,23 +294,125 @@ def test_separability_structure_solver_nilpotent_case():
         [(one, zero), (zero, one)],
         [(zero, one), (zero, zero)],
     ]
-    unit = (one, zero)
-    assert separability_idempotent_from_structure(F, mult, unit) is None
+    assert inverse_trace_form(F, mult) is None
     # nilpotency oracle: the span contains x with x*x = 0
     assert mult[1][1] == (zero, zero)
 
 
 def test_separability_structure_solver_split_case():
-    # F_2 x F_2 with idempotent basis: the solver finds u1@u1 + u2@u2
+    # F_2 x F_2 with idempotent basis: the trace form is the identity, so
+    # the idempotent is u1@u1 + u2@u2
     F = make_field(2)
     one, zero = F.one, F.zero
     mult = [
         [(one, zero), (zero, zero)],
         [(zero, zero), (zero, one)],
     ]
-    unit = (one, one)
-    coeffs = separability_idempotent_from_structure(F, mult, unit)
+    coeffs = inverse_trace_form(F, mult)
     assert coeffs == [[one, zero], [zero, one]]
+
+
+ALGEBRA_FIELDS = [make_field(2), make_field(3), make_field(2, 2, [1, 1, 1])]
+
+
+def _mulmod(F, a, b, f):
+    """a * b mod f for polynomials over F, coefficients lowest first; f is
+    monic of degree d and a, b have d coefficients."""
+    d = len(f) - 1
+    prod = [F.zero] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
+        for i, fi in enumerate(f):
+            prod[top - d + i] = F.sub(prod[top - d + i], F.mul(c, fi))
+    return prod[:d]
+
+
+@st.composite
+def commutative_algebras(draw):
+    """(F, mult, unit, squared) for a product of F[x]/(f), f monic of
+    degree at most 3 over F_2, F_3 or F_4, at most 5 dimensions in all,
+    presented in a random basis.  Some factors are drawn as squares
+    (x - a)^2 or (x - a)^2 (x - b); squared says whether any was."""
+    F = draw(st.sampled_from(ALGEBRA_FIELDS))
+    scalar = st.sampled_from(F.elements())
+    factors, squared = [], False
+    while not factors or draw(st.booleans()):
+        room = 5 - sum(len(f) - 1 for f in factors)
+        if room < 1:
+            break
+        if room >= 2 and draw(st.integers(0, 3)) == 0:
+            a = draw(scalar)
+            f = [F.mul(a, a), F.neg(F.add(a, a)), F.one]  # (x - a)^2
+            if room >= 3 and draw(st.booleans()):
+                b = draw(scalar)  # times (x - b)
+                f = [F.sub(hi, F.mul(b, lo)) for hi, lo in zip([F.zero] + f, f + [F.zero])]
+            squared = True
+        else:
+            d = draw(st.integers(1, min(3, room)))
+            f = [draw(scalar) for _ in range(d)] + [F.one]
+        factors.append(f)
+    # the standard basis: x^k in each factor, factor by factor
+    std, offset = [], 0
+    n = sum(len(f) - 1 for f in factors)
+    for f in factors:
+        d = len(f) - 1
+        for k in range(d):
+            row = []
+            for l in range(n):
+                vec = [F.zero] * n
+                if offset <= l < offset + d:
+                    xk = [F.one if i == k else F.zero for i in range(d)]
+                    xl = [F.one if i == l - offset else F.zero for i in range(d)]
+                    vec[offset:offset + d] = _mulmod(F, xk, xl, f)
+                row.append(vec)
+            std.append(row)
+        offset += d
+    unit_std = [F.zero] * n
+    offset = 0
+    for f in factors:
+        unit_std[offset] = F.one
+        offset += len(f) - 1
+    # b_i = sum_k P[i][k] e_k with P = L U, L unit lower and U upper
+    # triangular with a nonzero diagonal, so P is invertible
+    nonzero = st.sampled_from(F.elements()[1:])
+    lower = [[F.one if i == k else draw(scalar) if k < i else F.zero
+              for k in range(n)] for i in range(n)]
+    upper = [[draw(nonzero) if i == k else draw(scalar) if k > i else F.zero
+              for k in range(n)] for i in range(n)]
+    P = [[functools.reduce(F.add, (F.mul(lower[i][m], upper[m][k]) for m in range(n)))
+          for k in range(n)] for i in range(n)]
+    PT = [[P[r][k] for r in range(n)] for k in range(n)]
+
+    def in_new_basis(vec):
+        return solve_linear(F, PT, vec).solution
+
+    def std_mul(x, y):
+        out = [F.zero] * n
+        for k, xk in enumerate(x):
+            for l, yl in enumerate(y):
+                c = F.mul(xk, yl)
+                out = [F.add(o, F.mul(c, s)) for o, s in zip(out, std[k][l])]
+        return out
+
+    mult = [[tuple(in_new_basis(std_mul(P[i], P[j]))) for j in range(n)]
+            for i in range(n)]
+    return F, mult, tuple(in_new_basis(unit_std)), squared
+
+
+@settings(max_examples=150, deadline=None)
+@given(commutative_algebras())
+def test_inverse_trace_form_matches_the_separability_system(algebra):
+    # the inverse Gram matrix of the trace form is the solution of the
+    # n^2-unknown defining system, and None exactly when that system is
+    # inconsistent; a square factor is never separable
+    F, mult, unit, squared = algebra
+    got = inverse_trace_form(F, mult)
+    assert got == separability_idempotent_from_structure(F, mult, unit)
+    if squared:
+        assert got is None
 
 
 def test_associated_idempotents_projection_family(fix1):
@@ -557,9 +669,8 @@ def test_single_block_scan_matches_idempotent_oracle(source):
 
 @pytest.mark.parametrize("source", EQUALISER_SOURCES, ids=str)
 def test_kept_tensor_coordinates_match_unmemoised(source):
-    # every tensor that separability_idempotent and tensor_split_check
-    # build: pure on the arguments it was asked about, asked again and
-    # scaled by K on either side, and from_pairs with a repeated pair,
+    # every tensor that tensor_split_check builds: pure on the arguments
+    # it was asked about, asked again and scaled by K on either side,
     # against pure recomputed with nothing kept
     A = problem_action(source)
     G = A.groupoid
@@ -576,13 +687,9 @@ def test_kept_tensor_coordinates_match_unmemoised(source):
             self.asked.append((x, y))
             return super().pure(x, y)
 
-    with mock.patch.object(galois_mod, "TensorOverK", Recording), \
-            mock.patch.object(mapalg, "TensorOverK", Recording):
-        for H in enumerate_wide_subgroupoids(G):
-            separability_idempotent(invariants(A, H), K)
+    with mock.patch.object(mapalg, "TensorOverK", Recording):
         AX = invariant_algebra(regular_gset(G), A)
         splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
-    assert any(t.space_m is t.space_n for t in built)
     assert any(t.space_m is not t.space_n for t in built)
     for tens in built:
         asked = list(dict.fromkeys(tens.asked))[:24]
@@ -594,11 +701,63 @@ def test_kept_tensor_coordinates_match_unmemoised(source):
                              (x, tens.space_n.k_scale(c, y)))
             ]:
                 assert tens.pure(a, b) == unmemoised_pure(tens, a, b)
-        pairs = asked[:4] + asked[:1]
-        expected = tens.zero()
-        for a, b in pairs:
-            expected = tens.add(expected, unmemoised_pure(tens, a, b))
-        assert tens.from_pairs(pairs) == expected
+
+
+def _separability_candidates(A):
+    """The invariants of every wide subgroupoid within the default size
+    bound, then the closures over K of at most two F_p-basis vectors of
+    R, one per subalgebra.  The invariants are the structural basis that
+    invariants() builds, without its brute-force cross-check, which the
+    invariants tests run."""
+    R, K = A.ring, A.base_subalgebra()
+    seen = {}
+    try:
+        for H in enumerate_wide_subgroupoids(A.groupoid):
+            edges = [(b, A.sigma[h][b], A.frob[h][b])
+                     for h in H for b in A.source_ideal(h)]
+            T = Subalgebra(R, [R.element(v) for v in
+                               twisted_invariant_basis(R.field, R.blocks, edges)])
+            seen.setdefault(T.key(), T)
+    except SizeBoundExceeded:
+        pass
+    family = ideal_fp_basis(R, R.blocks)
+    for size in range(3):
+        for combo in itertools.combinations(family, size):
+            T = subalgebra_closure(R, combo, include=K.basis)
+            seen.setdefault(T.key(), T)
+    return list(seen.values())
+
+
+def _tensor_sum(tens, pairs):
+    """The coordinates of sum x tensor y over pairs, from pure tensors."""
+    total = [0] * tens.dim
+    for x, y in pairs:
+        total = [(a + b) % tens.p for a, b in zip(total, tens.pure(x, y))]
+    return tuple(total)
+
+
+@pytest.mark.parametrize("source", PROBLEM_SOURCES, ids=str)
+def test_separability_idempotent_matches_the_separability_system(source):
+    # the trace-form inverse gives the pairs of the solved n^2-unknown
+    # system in the same order, and None exactly when it does; the
+    # idempotence the package proves rather than checks holds in
+    # T tensor_K T
+    A = problem_action(source)
+    K = A.base_subalgebra()
+    for T in _separability_candidates(A):
+        sep = separability_idempotent(T, K)
+        expected = reference_separability_pairs(T, K)
+        assert (sep is None) == (expected is None)
+        if sep is None:
+            continue
+        assert sep.pairs == expected
+        space = T.space
+        tens = TensorOverK(space, space, K, T.basis, T.basis)
+        square = [
+            (space.mul(x1, x2), space.mul(y1, y2))
+            for (x1, y1), (x2, y2) in itertools.product(sep.pairs, repeat=2)
+        ]
+        assert _tensor_sum(tens, square) == _tensor_sum(tens, sep.pairs)
 
 
 CORRESPONDENCE_SOURCES = [

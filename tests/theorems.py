@@ -4,7 +4,9 @@ No CLI subcommand reaches these, so they live beside the acceptance tests
 that use them, not in the package.  Each is exact: the skew-ring element
 helpers, the three characterisations of a strongly distinct hom family
 (strong distinctness, dual bases, freeness), the idempotent associated with
-an algebra map, the transport of a separability idempotent along beta,
+an algebra map, the defining linear system of a separability idempotent
+(the reference for the trace-form inverse the package computes), the
+transport of a separability idempotent along beta,
 every algebra map into an ideal (`hom_set`), and the algebra-side round
 trips of the set/algebra equivalence with the two-sided hom G-set check
 they read.  `hom_set`, `double_dual_check` and `grothendieck_algebra_check`
@@ -43,6 +45,7 @@ from gpdgalois.mapalg import (
     transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, flatten, solve_linear
+from gpdgalois.tensor import BlockModuleBasis, kblocks
 
 HOM_SEARCH_BOUND = 1 << 20
 
@@ -211,6 +214,68 @@ def tri_equivalence_check(family, K: Subalgebra) -> TriEquivalenceReport:
     dual = all(dual_basis_solve(grp) is not None for grp in groups.values())
     free = all(freeness_check(grp) for grp in groups.values())
     return TriEquivalenceReport(sd, dual, free)
+
+
+# The separability system, the reference for inverse_trace_form ----------
+
+def separability_idempotent_from_structure(field, mult, unit_coords):
+    """Solve for a separability idempotent of an algebra presented by
+    structure constants over one field.
+
+    mult[i][j] is the coefficient vector of basis_i * basis_j; returns the
+    coefficient matrix c with v = sum c[i][j] basis_i tensor basis_j, or
+    None when the defining system is inconsistent (the algebra is not
+    separable).
+    """
+    n = len(mult)
+    nv = n * n
+    matrix, rhs = [], []
+    for l in range(n):
+        matrix.append([mult[i][j][l] for i in range(n) for j in range(n)])
+        rhs.append(unit_coords[l])
+    for tau in range(n):
+        for a in range(n):
+            for b in range(n):
+                row = [field.zero] * nv
+                for i in range(n):
+                    row[i * n + b] = field.add(row[i * n + b], mult[tau][i][a])
+                for j in range(n):
+                    row[a * n + j] = field.sub(row[a * n + j], mult[tau][j][b])
+                matrix.append(row)
+                rhs.append(field.zero)
+    sol = solve_linear(field, matrix, rhs)
+    if sol.solution is None:
+        return None
+    if sol.nullspace:
+        raise OracleMismatch("separability idempotent is not unique")
+    return [
+        [sol.solution[i * n + j] for j in range(n)] for i in range(n)
+    ]
+
+
+def reference_separability_pairs(T, K: Subalgebra):
+    """The pairs of separability_idempotent(T, K), in its order, with each
+    K-block's coefficients solved by separability_idempotent_from_structure;
+    None when some block's system is inconsistent."""
+    space = T.space
+    pairs = []
+    for blk in kblocks(K):
+        bmb = BlockModuleBasis(space, blk, T.basis)
+        mult = [
+            [bmb.decompose(space.mul(bi, bj)) for bj in bmb.basis]
+            for bi in bmb.basis
+        ]
+        unit_coords = bmb.decompose(space.k_scale(blk.u, space.one()))
+        coeffs = separability_idempotent_from_structure(blk.afield, mult, unit_coords)
+        if coeffs is None:
+            return None
+        for i, bi in enumerate(bmb.basis):
+            for j, bj in enumerate(bmb.basis):
+                c = coeffs[i][j]
+                if c != blk.afield.zero:
+                    x = space.k_scale(blk.from_abstract(K.space, c), bi)
+                    pairs.append((x, bj))
+    return tuple(pairs)
 
 
 # Idempotents from algebra maps and separability -----------------------
