@@ -337,13 +337,13 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
     are A(X).
 
     Computed structurally from the block orbits and their accumulated
-    Frobenius twists, then cross-checked against brute-force filtering of
-    every ring element whenever the ring has at most BRUTE_FORCE_BOUND
-    elements.  The oracle compares its fixed set with the span of the
-    structural basis before the Subalgebra checks for the unit and for
-    closure run, so a wrong basis raises OracleMismatch.
+    Frobenius twists, then cross-checked against an exhaustive pruned
+    search of the ring whenever it has at most BRUTE_FORCE_BOUND elements.
+    The oracle compares its fixed set with the span of the structural
+    basis before the Subalgebra checks for the unit and for closure run,
+    so a wrong basis raises OracleMismatch.
 
-    The filter keeps x when beta_h(x 1_{d h}) = x 1_{r h} for every h.  It
+    The search keeps x when beta_h(x 1_{d h}) = x 1_{r h} for every h.  It
     runs on the moves (i, j, q) that `apply` runs on: x[j] = x[i]^q for
     each.  That is the same condition.  Both sides vanish off the blocks of
     r(h), and sigma_h maps the blocks of d(h) onto those of r(h), so the

@@ -7,8 +7,6 @@ and every idempotent is a 0/1 block vector.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import InvalidInput, SizeBoundExceeded
 from .scalar import FieldSpec, Scalar, flatten, fp_basis_scalars
 
@@ -89,15 +87,36 @@ class ProductSpace:
     def flat(self, x) -> tuple[int, ...]:
         return flatten(x)
 
-    def all_elements(self):
-        """Every element, little-endian in the slot coordinates; a space of
-        more than BRUTE_FORCE_BOUND elements refuses."""
+    def all_elements(self, moves=()):
+        """Every element x with x[j] = x[i]^q for each move (i, j, q), in
+        the order of itertools.product over the field's scalars: the first
+        slot varies slowest and the last fastest.  With no moves that is
+        every element.  A space of more than BRUTE_FORCE_BOUND elements
+        refuses.
+
+        The search is exhaustive and pruned.  Each move is indexed at slot
+        max(i, j), and prefixes are extended one slot at a time, each kept
+        only if it passes every move indexed at its last slot.  A move reads
+        no slot past its index, so a prefix that fails it fails it in every
+        completion: no dropped prefix extends to an element the full filter
+        keeps.  A full element has passed every move, each at its own slot.
+        Extending a list in product order slot by slot, and filtering it,
+        keeps product order, so the elements and their order are those of
+        filtering the whole product.
+        """
         total = self.field.order ** len(self.slots)
         if total > BRUTE_FORCE_BOUND:
             raise SizeBoundExceeded(f"product space has {total} elements")
+        by_slot = [[] for _ in self.slots]
+        for i, j, q in moves:
+            by_slot[max(i, j)].append((i, j, None if q == 1 else self.field.frobenius_table(q)))
         scalars = self.field.elements()
-        for combo in itertools.product(scalars, repeat=len(self.slots)):
-            yield combo
+        level = [()]
+        for checks in by_slot:
+            level = [p + (s,) for p in level for s in scalars]
+            for i, j, f in checks:
+                level = [x for x in level if x[j] == (x[i] if f is None else f[x[i]])]
+        yield from level
 
     def format(self, x) -> str:
         parts = []
@@ -164,29 +183,15 @@ def make_ring(field: FieldSpec, blocks, ideals, identities=None) -> BlockRing:
 
 
 def fixed_elements(space: ProductSpace, tables) -> set:
-    """Brute-force oracle: every element of the space that satisfies every
-    move of every table, found by enumerating the whole space (at most
-    BRUTE_FORCE_BOUND elements).
+    """Oracle: every element of the space that satisfies every move of
+    every table, found by an exhaustive pruned search of the whole space
+    (at most BRUTE_FORCE_BOUND elements; `ProductSpace.all_elements`).
 
     A move (i, j, q) asks x[j] = x[i]^q.  The tables are compiled maps, so
     an element passes exactly when each map carries it, restricted to the
-    map's source, onto its own restriction to the map's target.  Each
-    element is rejected at its first violated move.
+    map's source, onto its own restriction to the map's target.
     """
-    field = space.field
-    moves = [
-        (i, j, None if q == 1 else field.frobenius_table(q))
-        for table in tables
-        for i, j, q in table
-    ]
-    out = set()
-    for x in space.all_elements():
-        for i, j, frob in moves:
-            if x[j] != (x[i] if frob is None else frob[x[i]]):
-                break
-        else:
-            out.add(x)
-    return out
+    return set(space.all_elements([move for table in tables for move in table]))
 
 
 def is_faithful_ideal(K, E) -> tuple[bool, tuple | None]:

@@ -23,6 +23,7 @@ run_command gives each error category its status, in one place.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -418,7 +419,10 @@ def run_command(args) -> Report:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    one: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="gpdgalois",
         description="exact checks for groupoid actions on products of finite fields",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import PAIR_CYCLIC_SPECS, disjoint_union, idempotents_of, pair_cyclic_doc
 from gpdgalois.action import validate_action
 from gpdgalois.blockring import (
+    ProductSpace,
     disconnected_identity,
     faithfulness_criterion,
     is_faithful_ideal,
@@ -48,6 +49,47 @@ def test_ring_axioms_exhaustive(fix1):
         assert R.mul(x, R.add(y, z)) == R.add(R.mul(x, y), R.mul(x, z))
     for x, y in itertools.product(elems, repeat=2):
         assert R.mul(x, y) == R.mul(y, x)
+
+
+# (field, most slots): up to 8 slots, and at most 8192 elements per space
+# so that each example filters the whole product quickly
+SEARCH_FIELDS = [(make_field(2), 8), (make_field(3), 8),
+                 (make_field(2, 2, [1, 1, 1]), 6), (make_field(2, 3, [1, 1, 0, 1]), 4)]
+
+
+@st.composite
+def spaces_with_moves(draw):
+    field, most = draw(st.sampled_from(SEARCH_FIELDS))
+    n = draw(st.integers(0, most))
+    slot = st.integers(0, n - 1)
+    # (i, j, p^t): i = j, i > j and repeated or contradicting pairs all occur
+    move = st.tuples(slot, slot, st.integers(0, field.k - 1).map(lambda t: field.p**t))
+    moves = draw(st.lists(move, max_size=10)) if n else []
+    return ProductSpace(field, range(n)), moves
+
+
+def filtered_product(space, moves):
+    """The search's reference: every element of the product, in the order
+    of itertools.product, rejected at its first violated move."""
+    field = space.field
+    compiled = [(i, j, None if q == 1 else field.frobenius_table(q)) for i, j, q in moves]
+    out = []
+    for x in itertools.product(field.elements(), repeat=len(space.slots)):
+        for i, j, frob in compiled:
+            if x[j] != (x[i] if frob is None else frob[x[i]]):
+                break
+        else:
+            out.append(x)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaces_with_moves())
+def test_pruned_search_equals_the_filtered_product(case):
+    space, moves = case
+    product = list(itertools.product(space.field.elements(), repeat=len(space.slots)))
+    assert list(space.all_elements(())) == product
+    assert list(space.all_elements(moves)) == filtered_product(space, moves)
 
 
 def test_make_ring_rejects_bad_tables():

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from conftest import brute_invariants, doc_action, pair_cyclic_doc
-from gpdgalois import action as action_mod, tensor
+from gpdgalois import action as action_mod, cli, tensor
 from gpdgalois.action import invariants
 from gpdgalois.cli import EXIT_CODES, main
 
@@ -367,6 +367,36 @@ def test_max_size_is_a_usage_error_where_nothing_reads_it(capsys, argv):
         main([argv[0], FIX1, *argv[1:], "--max-size", "5"])
     assert stop.value.code == 2
     assert "unrecognized arguments: --max-size 5" in capsys.readouterr().err
+
+
+# One process, several calls: --max-size on one call and not on the next,
+# a usage error that ends in SystemExit, then valid calls, one with --json.
+MIXED_CALLS = [
+    ["subgroupoids", FIX1, "--max-size", "1"],
+    ["subgroupoids", FIX1],
+    ["invariants", FIX1, "--sub", "H1", "--max-size", "5"],
+    ["invariants", FIX1, "--sub", "H1", "--json"],
+    ["grothendieck", FIX1, "--gset", "reg"],
+]
+
+
+def call_outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = f"SystemExit({stop.code})"
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_gives_the_reports_of_a_fresh_parser(capsys):
+    # main builds its parser once; no call may leave anything for the next
+    assert cli.build_parser() is cli.build_parser()
+    shared = [call_outcome(capsys, argv) for argv in MIXED_CALLS]
+    with mock.patch.object(cli, "build_parser", cli.build_parser.__wrapped__):
+        fresh = [call_outcome(capsys, argv) for argv in MIXED_CALLS]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [3, 0, "SystemExit(2)", 0, 0]
 
 
 # Fields of odd characteristic: every fixture and every other generated
