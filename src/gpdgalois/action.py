@@ -294,40 +294,30 @@ def twisted_invariant_basis(field, nodes, edges) -> list[dict]:
         t %= field.k
         adj[a].append((b, t))
         adj[b].append((a, (-t) % field.k))
-    seen: dict = {}
+    seen: set = set()
     basis = []
     for root in nodes:
         if root in seen:
             continue
-        comp, w = [root], {root: 0}
-        seen[root] = True
-        queue = [root]
-        while queue:
-            a = queue.pop(0)
+        w, queue = {root: 0}, [root]
+        for a in queue:  # breadth first: the list grows as it is read
             for b, t in adj[a]:
                 if b not in w:
                     w[b] = (w[a] + t) % field.k
-                    seen[b] = True
-                    comp.append(b)
                     queue.append(b)
-        twist_gcd = field.k
+        seen.update(w)
+        sub_deg = field.k  # gcd(k, .) >= 1, so the subfield degree is never 0
         for a, b, t in edges:
             if a in w:
-                twist_gcd = math.gcd(twist_gcd, (w[a] + t - w[b]) % field.k)
-        sub_deg = twist_gcd if twist_gcd else field.k
-        sub_basis = []
-        sub_frob = field.frobenius_table(field.p**sub_deg)
-        span = FpSpan(field.p)
-        for x in field.elements():
-            if sub_frob[x] == x and span.insert(x):
-                sub_basis.append(x)
+                sub_deg = math.gcd(sub_deg, (w[a] + t - w[b]) % field.k)
+        sub_frob, span = field.frobenius_table(field.p**sub_deg), FpSpan(field.p)
+        sub_basis = [x for x in field.elements()
+                     if sub_frob[x] == x and span.insert(field.digits[x])]
         if len(sub_basis) != sub_deg:
             raise OracleMismatch("subfield dimension mismatch")
-        comp.sort(key=lambda n: idx[n])
-        for s in sub_basis:
-            basis.append(
-                {n: field.frobenius_table(field.p ** w[n])[s] for n in comp}
-            )
+        comp = sorted(w, key=idx.__getitem__)
+        basis += [{n: field.frobenius_table(field.p ** w[n])[s] for n in comp}
+                  for s in sub_basis]
     return basis
 
 
@@ -359,7 +349,7 @@ def invariants(A: AlgebraAction, H=None) -> Subalgebra:
         for b in A.source_ideal(h):
             edges.append((b, A.sigma[h][b], A.frob[h][b]))
     vec_basis = twisted_invariant_basis(R.field, R.blocks, edges)
-    basis = [R.element(vec) for vec in vec_basis]
+    basis = [R.embed(vec) for vec in vec_basis]
     if R.field.order ** len(R.blocks) <= BRUTE_FORCE_BOUND:
         brute = fixed_elements(R, [A._moves[h] for h in labels])
         if brute != set(Submodule(R, basis).elements):
@@ -518,19 +508,32 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
     and the M x M table of products m_u m_v, each computed once by
     skew_mul and expanded over the monomials, decides every triple exactly.
     The expansion is faithful: x beta_g(y) is a multiple of x, so it lies in
-    E_g = E_gh.  The triples run in the order of the direct triple loop, so
-    the first failing one and its witness are the same; where
-    m_u m_v = 0 and m_v m_w = 0, both sides are zero.
+    E_g = E_gh.  Where m_u m_v = 0 and m_v m_w = 0, both sides are zero.
+
+    The triples first run with w over a generating set only.  The set S
+    of w with (uv)w = u(vw) for all u, v is an F_p-subspace (both sides are
+    trilinear) closed under products: for a, b in S,
+    (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)).  When every
+    beta_g carries 1_{E_{d g}} to 1_{E_{r g}} (checked, |G| applies),
+    composable a, b and x in E_a give (x delta_a)(1_{E_{r b}} delta_b) =
+    x beta_a(1_{E_{d a}}) delta_ab = x delta_ab, and 1_{E_{r b}} delta_b is
+    a sum of monomials at b.  The left-normed products of Gamma
+    (G.generators) are all of G, so the monomials at Gamma and at the
+    identities generate the ring, and M^2 |gens| triples decide
+    associativity.  If the guard or a generator triple fails, all M^3
+    triples run in the order of the direct loop, so the first failing one
+    and its witness are the same.
     """
     R, G = A.ring, A.groupoid
-    p = R.field.p
-    monomials = []
-    index = {}
+    p, digits = R.field.p, R.field.digits
+    monomials, index = [], {}
     for g in G.elements:
         for b in A.support[g]:
             for t, s in enumerate(fp_basis_scalars(R.field)):
                 index[(g, R.slot_index(b), t)] = len(monomials)
-                monomials.append({g: R.element({b: s})})
+                monomials.append({g: R.embed({b: s})})
+    gens = set(G.generators) | set(G.identities)
+    at_gens = [n for (g, _, _), n in index.items() if g in gens]
 
     def expand(z):
         """(k, c) for every nonzero coefficient c of m_k in z."""
@@ -538,7 +541,7 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
             (index[(g, i, t)], c)
             for g, x in z.items()
             for i, v in enumerate(x)
-            for t, c in enumerate(v)
+            for t, c in enumerate(digits[v])
             if c
         )
 
@@ -553,16 +556,21 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
         return {j: c for j, c in acc.items() if c}
 
     columns = list(zip(*table))  # columns[k][u] = m_u m_k
-    M = len(monomials)
-    for u, v, w in itertools.product(range(M), repeat=3):
-        uv, vw = table[u][v], table[v][w]
-        if not uv and not vw:
-            continue
-        if combine(uv, table, w) != combine(vw, columns, u):
-            return SkewReport(
-                False, False, True,
-                witness=(monomials[u], monomials[v], monomials[w]),
-            )
+
+    def first_failure(triples):
+        for u, v, w in triples:
+            uv, vw = table[u][v], table[v][w]
+            if (uv or vw) and combine(uv, table, w) != combine(vw, columns, u):
+                return monomials[u], monomials[v], monomials[w]
+        return None
+
+    M = range(len(monomials))
+    unital_maps = all(A.apply(g, R.unit(A.source_ideal(g))) == R.unit(A.support[g])
+                      for g in G.elements)
+    if not unital_maps or first_failure(itertools.product(M, M, at_gens)):
+        witness = first_failure(itertools.product(M, repeat=3))
+        if witness:
+            return SkewReport(False, False, True, witness=witness)
     one = skew_identity(A)
     for u in monomials:
         if skew_mul(A, one, u) != u or skew_mul(A, u, one) != u:

@@ -8,7 +8,7 @@ and every idempotent is a 0/1 block vector.
 from __future__ import annotations
 
 from .errors import InvalidInput, SizeBoundExceeded
-from .scalar import FieldSpec, Scalar, flatten, fp_basis_scalars
+from .scalar import FieldSpec, Scalar, fp_basis_scalars
 
 BRUTE_FORCE_BOUND = 1 << 16
 
@@ -47,12 +47,9 @@ class ProductSpace:
         )
 
     def element(self, coords) -> tuple:
-        """Build an element from a slot->coefficient mapping or a full tuple."""
+        """An element from JSON coefficients: a slot->coefficient mapping or a list."""
         if isinstance(coords, dict):
-            out = [self.field.zero] * len(self.slots)
-            for slot, val in coords.items():
-                out[self.slot_index(slot)] = self.field.element(val)
-            return tuple(out)
+            return self.embed({s: self.field.element(v) for s, v in coords.items()})
         vals = tuple(self.field.element(v) for v in coords)
         if len(vals) != len(self.slots):
             raise InvalidInput(
@@ -60,32 +57,42 @@ class ProductSpace:
             )
         return vals
 
+    def embed(self, coords) -> tuple:
+        """The element with the scalar coords[s] at each slot s, else zero."""
+        out = [self.field.zero] * len(self.slots)
+        for slot, val in coords.items():
+            out[self.slot_index(slot)] = val
+        return tuple(out)
+
     def _check(self, x):
         if len(x) != len(self.slots):
             raise InvalidInput("element has wrong number of coordinates")
 
     def add(self, x, y) -> tuple:
         self._check(x), self._check(y)
-        return tuple(self.field.add(a, b) for a, b in zip(x, y))
+        table = self.field.add_table
+        return tuple([table[a][b] for a, b in zip(x, y)])
 
     def mul(self, x, y) -> tuple:
         self._check(x), self._check(y)
-        return tuple(self.field.mul(a, b) for a, b in zip(x, y))
+        table = self.field.mul_table
+        return tuple([table[a][b] for a, b in zip(x, y)])
 
     def scale(self, c: Scalar, x) -> tuple:
         """Multiply every coordinate by one field scalar."""
-        return tuple(self.field.mul(c, a) for a in x)
+        row = self.field.mul_table[c]
+        return tuple([row[a] for a in x])
 
     def int_combine(self, coeffs, elems) -> tuple:
-        """Prime-field linear combination sum(c_i * x_i)."""
+        """Prime-field linear combination sum(c_i * x_i), c_i taken mod p."""
         out = self.zero()
         for c, x in zip(coeffs, elems):
             if c % self.field.p:
-                out = self.add(out, self.scale(self.field.element(c), x))
+                out = self.add(out, self.scale(c % self.field.p, x))
         return out
 
     def flat(self, x) -> tuple[int, ...]:
-        return flatten(x)
+        return self.field.flatten(x)
 
     def all_elements(self, moves=()):
         """Every element x with x[j] = x[i]^q for each move (i, j, q), in
@@ -217,7 +224,7 @@ def ideal_fp_basis(R: BlockRing, support) -> list:
     out = []
     for b in support:
         for s in fp_basis_scalars(R.field):
-            out.append(R.element({b: s}))
+            out.append(R.embed({b: s}))
     return out
 
 

@@ -163,13 +163,24 @@ def _conform(value, shape, where):
                 raise InvalidInput(f"{_where(where)} is missing key {name!r}")
     elif isinstance(shape, (list, Each)):
         item = shape[0] if isinstance(shape, list) else shape.shape
+        if _leaves(value if isinstance(shape, list) else value.values(), item):
+            return value
         place = ("{} item {}" if isinstance(shape, list) else
                  shape.kind + " {1!r}" if shape.kind else "{} entry {!r}")
-        leaf = type(item) in (type, tuple)  # nothing inside to check
         for name, x in enumerate(value) if isinstance(shape, list) else value.items():
-            if not (leaf and isinstance(x, item)):  # a call only to recurse or raise
-                _conform(x, item, (where, place, name))
+            _conform(x, item, (where, place, name))
     return value
+
+
+def _leaves(values, item) -> bool:
+    """One isinstance pass: are the values all leaves of the shape item (a
+    type or a tuple of types), or all lists of leaves when item is [leaf]?"""
+    if isinstance(item, list):
+        item = item[0]
+        if type(item) not in (type, tuple) or not all(isinstance(x, list) for x in values):
+            return False
+        values = [y for x in values for y in x]
+    return type(item) in (type, tuple) and all(isinstance(x, item) for x in values)
 
 
 def _where(where) -> str:

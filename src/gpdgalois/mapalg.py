@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gset import GSet, gset_isomorphic, validate_gset
 from .groupoid import CosetSpace
-from .scalar import FpSpan, flatten
+from .scalar import FpSpan
 from .tensor import RankProfile, TensorOverK
 
 
@@ -51,6 +51,7 @@ class MapSpace(BlockRing):
         super().__init__(ring.field, slots, {(x, b): X.fiber[x] for x, b in slots})
         self.gset = X
         self.ring = ring
+        self._ring_slot = [ring.slot_index(b) for _, b in slots]
 
     def ideal(self, e) -> tuple:
         """The functions supported on the fiber X_e, as their slots; empty
@@ -59,20 +60,14 @@ class MapSpace(BlockRing):
 
     def k_scale(self, c, x) -> tuple:
         """Pointwise action of a ring element on a function."""
-        return tuple(
-            self.field.mul(c[self.ring.slot_index(s[1])], v)
-            for s, v in zip(self.slots, x)
-        )
+        table = self.field.mul_table
+        return tuple([table[c[i]][v] for i, v in zip(self._ring_slot, x)])
 
     def value_at(self, f, point) -> tuple:
         """The ring element f(point)."""
         if point not in self.gset.fiber:
             raise InvalidInput(f"unknown point {point!r}")
-        coords = {}
-        for (x, b), v in zip(self.slots, f):
-            if x == point:
-                coords[b] = v
-        return self.ring.element(coords)
+        return self.ring.embed({b: v for (x, b), v in zip(self.slots, f) if x == point})
 
 
 class MapAlgebra(AlgebraAction):
@@ -290,7 +285,7 @@ def tensor_split_check(E, B, K: Subalgebra, family,
 
     def flat_tuple(members):
         # restrict to the ideal's slots; every value lives inside E
-        return flatten(
+        return R.flat(
             itertools.chain.from_iterable(
                 (member[i] for i in slot_ids) for member in members
             )
@@ -324,14 +319,13 @@ def tensor_split_check(E, B, K: Subalgebra, family,
     )
 
     multiplicative = True
+    mul = R.field.mul_table
     terms = [(x, y, phi) for (_, x, y), phi in zip(basis_data, phis)]
     for (x1, y1, phi1), (x2, y2, phi2) in itertools.combinations_with_replacement(
         terms, 2
     ):
         lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
-        rhs = flatten(
-            R.field.mul(a[i], b[i]) for a, b in zip(phi1, phi2) for i in slot_ids
-        )
+        rhs = R.flat(mul[a[i]][b[i]] for a, b in zip(phi1, phi2) for i in slot_ids)
         if lhs != rhs:
             multiplicative = False
             break
@@ -341,7 +335,7 @@ def tensor_split_check(E, B, K: Subalgebra, family,
     for b in B.basis:
         img = matrix_apply(tens.pure(R.unit(E), b))
         for i, hom_b in enumerate(images_of(b)):
-            expected = flatten(hom_b[s] for s in slot_ids)
+            expected = R.flat(hom_b[s] for s in slot_ids)
             if img[i * width : (i + 1) * width] != expected:
                 components_match = False
                 break

@@ -1,9 +1,13 @@
 """Exact arithmetic in finite fields F_{p^k} and deterministic linear solving.
 
-A scalar is a length-k coefficient tuple over F_p in the power basis of the
-chosen modulus polynomial.  Every module downstream reduces its questions to
-the operations here, so determinism (fixed pivot order, fixed enumeration
-order) is part of the contract.
+A scalar of F_{p^k} is the integer n in [0, p^k) whose base-p digits are
+its coefficients in the power basis of the modulus, lowest power first
+(over F_4 = F_2[t]/(t^2+t+1), 2 is t and 3 is t+1).  Arithmetic reads
+tables that make_field builds.  Only FieldSpec.element (JSON coefficients)
+and format (reports) deal in coefficients; digits and flatten give the F_p
+coordinates that FpSpan works on.  Every module downstream reduces its
+questions to the operations here, so determinism (fixed pivot order, fixed
+enumeration order) is part of the contract.
 
 There is one elimination engine, FpSpan, over F_p.  Rank, membership,
 coordinates and canonical keys use it directly, and solve_linear restricts
@@ -15,9 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput
+from .errors import InvalidInput, SizeBoundExceeded
 
-Scalar = tuple[int, ...]
+Scalar = int
+
+# The largest field make_field builds: its two product tables have
+# FIELD_ORDER_BOUND^2 = 2^16 entries each.
+FIELD_ORDER_BOUND = 1 << 8
 
 
 def _is_prime(n: int) -> bool:
@@ -66,41 +74,30 @@ def _monic_polys(p, degree):
         yield list(tail) + [1]
 
 
-class _PowerTable(dict):
-    """x -> x^q, each entry computed by FieldSpec.power on its first lookup."""
-
-    def __init__(self, field_: FieldSpec, q: int):
-        super().__init__()
-        self.field = field_
-        self.q = q
-
-    def __missing__(self, x: Scalar) -> Scalar:
-        self[x] = y = self.field.power(x, self.q)
-        return y
-
-
 class FieldSpec:
     """A finite field F_{p^k}; build through :func:`make_field`.
 
-    Products and the Frobenius powers x -> x^q (q = p^t) are kept on the
-    field object, each computed on its first use.  They are functions of
-    their arguments, so reading a kept value is exact, and they are freed
-    with the field, which every problem builds afresh.
+    The tables are built here, once per field, and read by every operation:
+    add_table[x][y], mul_table[x][y] and neg_table[x] hold x + y, x y and
+    -x, digits[x] the coefficients of x, and frobenius_table(p^t) the map
+    x -> x^(p^t) for 0 <= t <= k.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.zero: Scalar = (0,) * k
-        self.one: Scalar = (1,) + (0,) * (k - 1)
-        self._elements: tuple[Scalar, ...] | None = None
-        self._mul_cache: dict[tuple[Scalar, Scalar], Scalar] = {}
-        self._frobenius_tables: dict[int, _PowerTable] = {}
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.k
+        self.p, self.k, self.modulus = p, k, modulus
+        self.order = q = p**k
+        self.zero, self.one = 0, 1
+        self.digits = [tuple(n // p**i % p for i in range(k)) for n in range(q)]
+        code = self.element
+        self.add_table = [[code([a + b for a, b in zip(x, y)]) for y in self.digits]
+                          for x in self.digits]
+        self.neg_table = [code([-a for a in x]) for x in self.digits]
+        self.mul_table = [[code(_pmod(p, _pmul(p, x, y), modulus)) for y in self.digits]
+                          for x in self.digits]
+        frob = [self.power(x, p) for x in range(q)]
+        self._frobenius_tables = tables = {1: list(range(q))}
+        for t in range(1, k + 1):
+            tables[p**t] = [frob[x] for x in tables[p ** (t - 1)]]
 
     def __eq__(self, other):
         return (
@@ -115,74 +112,64 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, k={self.k})"
 
     def element(self, coeffs) -> Scalar:
-        """Coerce an int or coefficient sequence to a reduced scalar."""
+        """The scalar with a JSON coefficient list, lowest power first, each
+        coefficient taken mod p; an int c is the F_p constant c mod p."""
         if isinstance(coeffs, int):
-            coeffs = [coeffs]
+            return coeffs % self.p
         cs = [c % self.p for c in coeffs]
-        if len(cs) > self.k:
-            if any(cs[self.k:]):
-                raise InvalidInput(f"coefficient vector longer than k={self.k}")
-            cs = cs[: self.k]
-        cs += [0] * (self.k - len(cs))
-        return tuple(cs)
+        if any(cs[self.k:]):
+            raise InvalidInput(f"coefficient vector longer than k={self.k}")
+        return sum(c * self.p**i for i, c in enumerate(cs))
 
-    def elements(self) -> tuple[Scalar, ...]:
-        """All p^k scalars; index n has base-p digits of n, lowest power first."""
-        if self._elements is None:
-            self._elements = tuple(
-                tuple(n // self.p**i % self.p for i in range(self.k))
-                for n in range(self.order)
-            )
-        return self._elements
+    def elements(self) -> range:
+        """All p^k scalars in order."""
+        return range(self.order)
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
-        return tuple((a + b) % self.p for a, b in zip(x, y))
+        return self.add_table[x][y]
 
     def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        return tuple((a - b) % self.p for a, b in zip(x, y))
+        return self.add_table[x][self.neg_table[y]]
 
     def neg(self, x: Scalar) -> Scalar:
-        return tuple((-a) % self.p for a in x)
+        return self.neg_table[x]
 
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
-        got = self._mul_cache.get((x, y))
-        if got is not None:
-            return got
-        prod = _pmod(self.p, _pmul(self.p, list(x), list(y)), list(self.modulus))
-        prod += [0] * (self.k - len(prod))
-        out = tuple(prod)
-        self._mul_cache[(x, y)] = out
-        return out
+        return self.mul_table[x][y]
 
     def power(self, x: Scalar, n: int) -> Scalar:
         out = self.one
         base = x
         while n:
             if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self.mul_table[out][base]
+            base = self.mul_table[base][base]
             n >>= 1
         return out
 
-    def frobenius_table(self, q: int) -> dict[Scalar, Scalar]:
-        """x -> x^q for a Frobenius power q = p^t, as a dict that fills
-        itself on first lookup of each x and is kept for the next caller."""
-        table = self._frobenius_tables.get(q)
-        if table is None:
-            table = self._frobenius_tables[q] = _PowerTable(self, q)
-        return table
+    def frobenius_table(self, q: int) -> list[Scalar]:
+        """x -> x^q for a Frobenius power q = p^t, 0 <= t <= k, as a list
+        indexed by scalars."""
+        return self._frobenius_tables[q]
 
     def frobenius(self, x: Scalar, e: int) -> Scalar:
         if not 0 <= e < self.k:
             raise InvalidInput(f"exponent {e} outside [0, {self.k})")
         return self.frobenius_table(self.p**e)[x]
 
+    def flatten(self, scalars) -> tuple[int, ...]:
+        """The F_p vector of a sequence of scalars: their digits, in order."""
+        if self.k == 1:
+            return tuple(scalars)
+        digits = self.digits
+        return tuple(c for s in scalars for c in digits[s])
+
     def format(self, x: Scalar) -> str:
         if self.k == 1:
-            return str(x[0])
+            return str(x)
         terms = []
         for i in range(self.k - 1, -1, -1):
-            c = x[i]
+            c = self.digits[x][i]
             if not c:
                 continue
             if i == 0:
@@ -203,6 +190,8 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
         raise InvalidInput(f"{p} is not prime")
     if not isinstance(k, int) or k < 1:
         raise InvalidInput(f"extension degree must be >= 1, got {k}")
+    if p**k > FIELD_ORDER_BOUND:
+        raise SizeBoundExceeded(f"field has {p}^{k} elements, above {FIELD_ORDER_BOUND}")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
     if modulus is None:
@@ -298,18 +287,8 @@ class FpSpan:
 
 
 def fp_basis_scalars(field_: FieldSpec) -> list[Scalar]:
-    """The power basis 1, t, ..., t^{k-1} as scalars."""
-    return [
-        tuple(1 if j == m else 0 for j in range(field_.k)) for m in range(field_.k)
-    ]
-
-
-def flatten(scalars) -> tuple[int, ...]:
-    """Concatenate scalar coefficient tuples into one F_p vector."""
-    out = []
-    for s in scalars:
-        out.extend(s)
-    return tuple(out)
+    """The power basis 1, t, ..., t^{k-1} as scalars: p^m has digit m set."""
+    return [field_.p**m for m in range(field_.k)]
 
 
 @dataclass
@@ -322,10 +301,10 @@ def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
     """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to
     F_p; no solution and no nullspace when the system is inconsistent.
 
-    Unknown j becomes the k F_p columns flatten(a_ij t^m over rows i),
+    Unknown j becomes the k F_p columns F.flatten(a_ij t^m over rows i),
     m = 0..k-1, inserted into one FpSpan in the order (j, m).  The unknowns
     with independent columns are the pivots.  The particular solution,
-    free variables zero, is read off FpSpan.coords(flatten(rhs)); each
+    free variables zero, is read off FpSpan.coords(F.flatten(rhs)); each
     other unknown j gives the nullspace vector e_j minus the coordinates
     of its column over the pivots.
 
@@ -348,21 +327,22 @@ def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
     pivots = []
     dependent = {}  # unknown j -> its m = 0 column
     for j in range(ncols):
-        col = flatten(row[j] for row in matrix)
+        col = F.flatten(row[j] for row in matrix)
         if span.insert(col):
             pivots.append(j)
             for t in powers:
-                span.insert(flatten(F.mul(row[j], t) for row in matrix))
+                times_t = F.mul_table[t]
+                span.insert(F.flatten(times_t[row[j]] for row in matrix))
         else:
             dependent[j] = col
-    coords = span.coords(flatten(rhs))
+    coords = span.coords(F.flatten(rhs))
     if coords is None:
         return LinearSolution(None, [])
 
     def assemble(coords) -> list:
         vec = [F.zero] * ncols
         for n, j in enumerate(pivots):
-            vec[j] = tuple(coords[n * F.k : (n + 1) * F.k])
+            vec[j] = F.element(coords[n * F.k : (n + 1) * F.k])
         return vec
 
     nullspace = []

@@ -37,7 +37,8 @@ class KBlock:
         return self.afield.k
 
     def from_abstract(self, space, s: Scalar) -> tuple:
-        return space.int_combine(s, self.kappa_pows)
+        """The element sum c_m kappa^m u for the digits c_m of s."""
+        return space.int_combine(self.afield.digits[s], self.kappa_pows)
 
 
 def kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
@@ -149,10 +150,8 @@ class BlockModuleBasis:
         coords = self._decomp.coords(self.space.flat(z))
         if coords is None:
             raise ValidationError("element outside the block span")
-        d = self.kblock.degree
-        return tuple(
-            tuple(coords[i * d : (i + 1) * d]) for i in range(len(self.basis))
-        )
+        d, F = self.kblock.degree, self.kblock.afield
+        return tuple(F.element(coords[i * d : (i + 1) * d]) for i in range(len(self.basis)))
 
 
 @dataclass
@@ -236,7 +235,8 @@ class TensorOverK:
         per_block_n = self._block_coords(self.space_n, self.n_parts, self._n_coords, y)
         coords = [0] * self.dim
         for (bi, i, j), off, d in self.layout:
-            prod = self.blocks[bi].afield.mul(per_block_m[bi][i], per_block_n[bi][j])
+            F = self.blocks[bi].afield
+            prod = F.digits[F.mul_table[per_block_m[bi][i]][per_block_n[bi][j]]]
             for m in range(d):
                 coords[off + m] = (coords[off + m] + prod[m]) % self.p
         got = self._pure[(x, y)] = tuple(coords)

@@ -47,7 +47,7 @@ from gpdgalois.groupoid import (
 )
 from gpdgalois.gset import GSet, _complete_gamma
 from gpdgalois.mapalg import SplitReport, require_faithful_hypotheses
-from gpdgalois.scalar import FpSpan, flatten, fp_basis_scalars
+from gpdgalois.scalar import FpSpan, fp_basis_scalars
 from gpdgalois.tensor import TensorOverK, rank_profile
 
 
@@ -168,7 +168,7 @@ def direct_verify_skew_ring(A):
     for g in G.elements:
         for b in A.support[g]:
             for s in fp_basis_scalars(R.field):
-                monomials.append({g: R.element({b: s})})
+                monomials.append({g: R.embed({b: s})})
     for u, v, w in itertools.product(monomials, repeat=3):
         lhs = skew_mul(A, skew_mul(A, u, v), w)
         rhs = skew_mul(A, u, skew_mul(A, v, w))
@@ -193,7 +193,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
         return tuple(R.mul(x, hom.apply(y)) for hom in family)
 
     def flat_tuple(members):
-        return flatten(
+        return R.field.flatten(
             itertools.chain.from_iterable(
                 (member[i] for i in slot_ids) for member in members
             )
@@ -238,7 +238,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
     for i, hom in enumerate(family):
         for b in B.basis:
             img = matrix_apply(tens.pure(unit, b))
-            expected = flatten(hom.apply(b)[s] for s in slot_ids)
+            expected = R.field.flatten(hom.apply(b)[s] for s in slot_ids)
             if img[i * width : (i + 1) * width] != expected:
                 components_match = False
                 break
@@ -263,7 +263,8 @@ def unmemoised_pure(tens, x, y):
         for part, blk in zip(tens.n_parts, tens.blocks)
     ]
     for (bi, i, j), off, d in tens.layout:
-        prod = tens.blocks[bi].afield.mul(per_block_m[bi][i], per_block_n[bi][j])
+        afield = tens.blocks[bi].afield
+        prod = afield.digits[afield.mul(per_block_m[bi][i], per_block_n[bi][j])]
         for m in range(d):
             coords[off + m] = (coords[off + m] + prod[m]) % tens.p
     return tuple(coords)
@@ -691,6 +692,35 @@ def corrupted_basis_outcomes(module, compute, space):
 
 
 # Oracles for the validators ----------------------------------------------
+
+def walk_conform(value, shape, where):
+    """Oracle: cli._conform as an item-by-item walk of the whole shape,
+    with no flat isinstance pass over lists and maps of leaves."""
+    shapes = shape if isinstance(shape, cli.OneOf) else (shape,)
+    for shape in shapes:
+        if isinstance(value, cli._type(shape)):
+            break
+    else:
+        raise InvalidInput(f"{cli._where(where)} must be "
+                           f"{' or '.join(cli.NAMES[cli._type(s)] for s in shapes)}")
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            name = key.rstrip("?")
+            if name in value:
+                walk_conform(value[name], sub, (where, "{} key {!r}", name))
+            elif name == key:
+                raise InvalidInput(f"{cli._where(where)} is missing key {name!r}")
+    elif isinstance(shape, (list, cli.Each)):
+        item = shape[0] if isinstance(shape, list) else shape.shape
+        place = ("{} item {}" if isinstance(shape, list) else
+                 shape.kind + " {1!r}" if shape.kind else "{} entry {!r}")
+        leaf = type(item) in (type, tuple)
+        for name, x in enumerate(value) if isinstance(shape, list) else value.items():
+            if not (leaf and isinstance(x, item)):
+                walk_conform(x, item, (where, place, name))
+    return value
+
+
 
 def left_normed_closure(product, generators) -> set:
     """Every left-normed product (...((g1 g2) g3) ... gk) of the

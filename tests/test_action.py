@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,7 @@ from gpdgalois.groupoid import (
     enumerate_wide_subgroupoids,
     validate_groupoid,
 )
-from gpdgalois.scalar import make_field
+from gpdgalois.scalar import FpSpan, fp_basis_scalars, make_field
 from theorems import skew_add, skew_element
 
 TWISTED_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[3] > 1]
@@ -385,6 +386,56 @@ def test_skew_table_reports_the_oracle_witness(fix1, fixf4):
         assert report == direct_verify_skew_ring(A)
 
 
+def skew_vector(A, z):
+    """The F_p coordinates of a skew ring element over every (g, slot)."""
+    R = A.ring
+    return R.flat(itertools.chain.from_iterable(z.get(g, R.zero()) for g in A.groupoid.elements))
+
+
+@pytest.mark.parametrize("source", SKEW_SOURCES, ids=str)
+def test_monomials_at_generators_and_identities_generate_the_skew_ring(source):
+    A = problem_action(source)
+    R, G = A.ring, A.groupoid
+    gens = set(G.generators) | set(G.identities)
+    span, basis = FpSpan(R.field.p), []
+    for g in [g for g in G.elements if g in gens]:
+        for b in A.support[g]:
+            for s in fp_basis_scalars(R.field):
+                m = {g: R.embed({b: s})}
+                if span.insert(skew_vector(A, m)):
+                    basis.append(m)
+    grown = True
+    while grown:
+        products = [skew_mul(A, u, w) for u in basis for w in basis]
+        grown = False
+        for z in products:
+            if span.insert(skew_vector(A, z)):
+                basis.append(z)
+                grown = True
+    assert span.dim == MONOMIALS[source]
+    # a valid action passes the unit guard, so only the generator triples run
+    with mock.patch.object(action_mod.itertools, "product", wraps=itertools.product) as prod:
+        assert verify_skew_ring(A).ok
+    assert [call.kwargs for call in prod.call_args_list] == [{}]
+
+
+@pytest.mark.parametrize("A", [
+    corrupted_action(problem_action(("shift", 2, 2, 1)), "g1_0_0", "retarget", "v0_1", "v1_0"),
+    corrupted_action(problem_action(("twisted", 2, 2, 2)), "g1_0_1", "retarget", "v0_0",
+                     "v1_0"),
+], ids=["F2", "F4"])
+def test_a_non_unital_corruption_takes_the_full_triple_loop(A):
+    # sigma_g sends two blocks onto one, so beta_g(1) misses a block of r(g)
+    R, G = A.ring, A.groupoid
+    assert any(A.apply(g, R.unit(A.source_ideal(g))) != R.unit(A.support[g])
+               for g in G.elements)
+    with mock.patch.object(action_mod.itertools, "product", wraps=itertools.product) as prod:
+        report = verify_skew_ring(A)
+    assert [call.kwargs for call in prod.call_args_list] == [{"repeat": 3}]
+    assert report == direct_verify_skew_ring(A)
+    assert not report.ok and report.witness is not None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 15), st.integers(0, 15), st.integers(0, 15))
 def test_skew_distributes(fix1, a, b, c):
@@ -566,8 +617,8 @@ def test_submodule_key_decides_equality_and_elements_are_lazy(case):
 def test_span_elements_is_little_endian(space):
     # element number sum c_i p^i is sum c_i b_i, over F_3 as well as F_2
     one, s = space.field.one, space.field.elements()[-1]
-    basis = [space.element({"a": one, "b": s}), space.element({"b": one}),
-             space.element({"c": s, "a": one})]
+    basis = [space.embed({"a": one, "b": s}), space.embed({"b": one}),
+             space.embed({"c": s, "a": one})]
     p = space.field.p
     listed = span_elements(space, basis)
     assert len(listed) == p ** len(basis)

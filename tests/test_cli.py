@@ -1,13 +1,15 @@
+import copy
 import json
 import pathlib
 from unittest import mock
 
 import pytest
 
-from conftest import brute_invariants, doc_action, pair_cyclic_doc
+from conftest import brute_invariants, doc_action, pair_cyclic_doc, walk_conform
 from gpdgalois import action as action_mod, cli, tensor
 from gpdgalois.action import invariants
 from gpdgalois.cli import EXIT_CODES, main
+from gpdgalois.errors import InvalidInput
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -289,6 +291,49 @@ def test_malformed_document_is_invalid_input(capsys, tmp_path, corrupt, message)
     report = json.loads(out)
     assert code == 2 and report["status"] == "invalid-input"
     assert report["checks"] == [{"name": "input", "verdict": "fail", "witness": message}]
+
+
+def leaf_places(value, shape, path=()):
+    """The path to every leaf of value under shape that a JSON value can
+    break: all but the leaves of shape object, which take any value."""
+    if isinstance(shape, cli.OneOf):
+        shape = next(s for s in shape if isinstance(value, cli._type(s)))
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            if key.rstrip("?") in value:
+                yield from leaf_places(value[key.rstrip("?")], sub, path + (key.rstrip("?"),))
+    elif isinstance(shape, (list, cli.Each)):
+        item = shape[0] if isinstance(shape, list) else shape.shape
+        for name, x in enumerate(value) if isinstance(shape, list) else value.items():
+            yield from leaf_places(x, item, path + (name,))
+    elif shape is not object:
+        yield path
+
+
+def conform_message(conform, value, shape, where):
+    with pytest.raises(InvalidInput) as err:
+        conform(value, shape, where)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("section", list(cli.SHAPES))
+def test_flat_pass_names_the_bad_leaf_of_the_walk(tmp_path, section):
+    # one bad leaf first, in the middle and last of each section, met by
+    # the flat pass over lists and maps of leaves or by the walk
+    doc = json.loads(pathlib.Path(_fix1_with(tmp_path, lambda doc: None)).read_text())
+    value, shape, where = doc[section], cli.SHAPES[section], f"section {section!r}"
+    assert cli._conform(value, shape, where) is value
+    places = list(leaf_places(value, shape))
+    assert len(places) >= 3
+    for place in (places[0], places[len(places) // 2], places[-1]):
+        bad = copy.deepcopy(value)
+        holder = bad
+        for key in place[:-1]:
+            holder = holder[key]
+        holder[place[-1]] = {}
+        message = conform_message(cli._conform, bad, shape, where)
+        assert message == conform_message(walk_conform, bad, shape, where)
+        assert str(place[-1]) in message
 
 
 def _gset_change(**spec):

@@ -143,7 +143,7 @@ def brute_free(family):
     R = family[0].ring
     support = family[0].target_support
     ideal = [
-        R.element(dict(zip(support, vals)))
+        R.embed(dict(zip(support, vals)))
         for vals in itertools.product(R.field.elements(), repeat=len(support))
     ]
     for cs in itertools.product(ideal, repeat=len(family)):
@@ -715,7 +715,7 @@ def _separability_candidates(A):
         for H in enumerate_wide_subgroupoids(A.groupoid):
             edges = [(b, A.sigma[h][b], A.frob[h][b])
                      for h in H for b in A.source_ideal(h)]
-            T = Subalgebra(R, [R.element(v) for v in
+            T = Subalgebra(R, [R.embed(v) for v in
                                twisted_invariant_basis(R.field, R.blocks, edges)])
             seen.setdefault(T.key(), T)
     except SizeBoundExceeded:

@@ -447,7 +447,7 @@ def test_compiled_alpha_matches_elementwise_oracle(source, gset, data):
     M = function_algebra(small_gsets(A.groupoid)[gset], A)
     space = M.space
     functions = [
-        space.element({slot: s})
+        space.embed({slot: s})
         for slot in space.slots
         for s in fp_basis_scalars(space.field)
     ]

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gauss_jordan_solve
-from gpdgalois.errors import InvalidInput
+from gpdgalois.errors import InvalidInput, SizeBoundExceeded
 from gpdgalois.scalar import (
+    FIELD_ORDER_BOUND,
     FpSpan,
-    flatten,
+    _pmod,
+    _pmul,
     make_field,
     solve_linear,
 )
@@ -24,7 +26,7 @@ T = F4.element([0, 1])
 
 def test_make_field_prime():
     assert F2.order == 2
-    assert F2.elements() == ((0,), (1,))
+    assert F2.elements() == range(2)
 
 
 def test_make_field_quartic():
@@ -60,8 +62,8 @@ def test_frobenius_identity_exponent():
 
 def test_frobenius_on_quartic_generator():
     # oracle: direct squaring, t^2 = t + 1 under x^2 + x + 1
-    assert F4.mul(T, T) == (1, 1)
-    assert F4.frobenius(T, 1) == (1, 1)
+    assert F4.mul(T, T) == F4.element([1, 1])
+    assert F4.frobenius(T, 1) == F4.element([1, 1])
     assert F4.frobenius(F4.add(T, F4.one), 1) == T
 
 
@@ -111,8 +113,8 @@ def test_field_axioms_exhaustive(field):
 
 
 def test_solve_linear_trivial():
-    out = solve_linear(F2, [[(1,)]], [(0,)])
-    assert out.solution == [(0,)]
+    out = solve_linear(F2, [[1]], [0])
+    assert out.solution == [0]
     assert out.nullspace == []
 
 
@@ -124,13 +126,13 @@ def test_solve_linear_underdetermined():
         if (a + b) % 2 == 1
     ]
     assert ((1, 0) in sols) and ((0, 1) in sols)
-    out = solve_linear(F2, [[(1,), (1,)]], [(1,)])
-    assert out.solution == [(1,), (0,)]
-    assert out.nullspace == [[(1,), (1,)]]
+    out = solve_linear(F2, [[1, 1]], [1])
+    assert out.solution == [1, 0]
+    assert out.nullspace == [[1, 1]]
 
 
 def test_solve_linear_inconsistent():
-    out = solve_linear(F2, [[(0,)]], [(1,)])
+    out = solve_linear(F2, [[0]], [1])
     assert out.solution is None
 
 
@@ -231,4 +233,95 @@ def test_fpspan_coords_roundtrip():
 
 
 def test_flatten_concatenates():
-    assert flatten([(1, 0), (0, 1)]) == (1, 0, 0, 1)
+    assert F4.flatten([1, T]) == (1, 0, 0, 1)
+    assert F2.flatten([1, 0, 1]) == (1, 0, 1)
+    assert F9.flatten([F9.element([2, 1])]) == (2, 1)
+
+
+def monic_irreducibles(p, k):
+    """Every monic irreducible polynomial of degree k over F_p: the monic
+    polynomials that are no product of two monic ones of lower degree."""
+    def monic(d):
+        return [list(tail) + [1] for tail in itertools.product(range(p), repeat=d)]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    reducible = {tuple(times(a, b)) for d in range(1, k) for a in monic(d) for b in monic(k - d)}
+    return [f for f in monic(k) if tuple(f) not in reducible]
+
+
+SMALL_FIELDS = [
+    (p, k, modulus)
+    for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1),
+                 (13, 1)]
+    for modulus in (monic_irreducibles(p, k) if k > 1 else [None])
+]
+
+
+@pytest.mark.parametrize("p,k,modulus", SMALL_FIELDS, ids=str)
+def test_tables_match_polynomial_arithmetic(p, k, modulus):
+    field = make_field(p, k, modulus)
+    mod = modulus or [0, 1]
+
+    def reduce(poly):
+        out = _pmod(p, poly, mod)
+        return tuple(out + [0] * (k - len(out)))
+
+    digits = list(itertools.product(range(p), repeat=k))
+    assert len(field.digits) == field.order == p**k
+    assert sorted(field.digits) == digits
+    for x, y in itertools.product(field.elements(), repeat=2):
+        dx, dy = field.digits[x], field.digits[y]
+        assert field.digits[field.add(x, y)] == tuple((a + b) % p for a, b in zip(dx, dy))
+        assert field.digits[field.sub(x, y)] == tuple((a - b) % p for a, b in zip(dx, dy))
+        assert field.digits[field.mul(x, y)] == reduce(_pmul(p, list(dx), list(dy)))
+    for x in field.elements():
+        dx = field.digits[x]
+        assert field.digits[field.neg(x)] == tuple(-a % p for a in dx)
+        for t in range(k + 1):
+            power = [1]
+            for _ in range(p**t):
+                power = list(reduce(_pmul(p, power, list(dx))))
+            assert field.digits[field.frobenius_table(p**t)[x]] == tuple(power)
+
+
+@pytest.mark.parametrize("p,k,modulus", SMALL_FIELDS, ids=str)
+def test_scalars_round_trip_through_coefficients(p, k, modulus):
+    field = make_field(p, k, modulus)
+    for x in field.elements():
+        cs = field.digits[x]
+        assert x == sum(c * p**i for i, c in enumerate(cs))  # base-p digits, lowest first
+        assert field.element(list(cs)) == x
+        assert field.flatten([x]) == cs
+        terms = field.format(x).split("+")
+        parsed = [0] * k
+        for term in terms:
+            coeff, _, power = term.partition("t")
+            if power or term.endswith("t"):
+                parsed[int(power.lstrip("^") or 1)] = int(coeff or 1)
+            else:
+                parsed[0] = int(coeff)
+        assert tuple(parsed) == cs
+
+
+def test_an_integer_coefficient_is_a_prime_field_constant():
+    # JSON's 2 over F_4 is 2 mod 2 = 0, while the scalar 2 is t
+    assert F4.element(2) == 0
+    assert F4.element(3) == 1
+    assert F4.element([0, 1]) == 2 == T
+    assert F4.format(2) == "t"
+    assert F9.element(5) == 2
+
+
+def test_a_field_above_the_table_bound_refuses():
+    assert FIELD_ORDER_BOUND == 256
+    make_field(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])  # F_256, the largest built
+    with pytest.raises(SizeBoundExceeded, match="field has 257\\^1 elements"):
+        make_field(257)
+    with pytest.raises(SizeBoundExceeded, match="field has 2\\^9 elements"):
+        make_field(2, 9, [1, 1] + [0] * 7 + [1])

@@ -44,7 +44,7 @@ from gpdgalois.mapalg import (
     require_faithful_hypotheses,
     transversal_hom_family,
 )
-from gpdgalois.scalar import FpSpan, flatten, solve_linear
+from gpdgalois.scalar import FpSpan, solve_linear
 from gpdgalois.tensor import BlockModuleBasis, kblocks
 
 HOM_SEARCH_BOUND = 1 << 20
@@ -160,7 +160,7 @@ def dual_basis_solve(family):
         if sol.solution is None:
             return None
         pairs = [
-            (ring.element(dict(zip(support, sol.solution[i * ns : (i + 1) * ns]))), y)
+            (ring.embed(dict(zip(support, sol.solution[i * ns : (i + 1) * ns]))), y)
             for i, y in enumerate(family[0].source.basis)
         ]
         for upi, uprime in enumerate(family):
@@ -331,11 +331,11 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
     span = FpSpan(space.field.p)
     independent = [
         span.insert(
-            flatten(c for d in diffs for c in space.mul(d, b)) + flatten(f_apply(b))
+            space.flat(c for d in diffs for c in space.mul(d, b)) + space.flat(f_apply(b))
         )
         for b in T.basis
     ]
-    coords = span.coords(flatten(space.zero()) * len(diffs) + flatten(space.one()))
+    coords = span.coords(space.flat(space.zero()) * len(diffs) + space.flat(space.one()))
     if coords is None:
         raise ValidationError("the defining system is inconsistent")
     if not all(independent):
