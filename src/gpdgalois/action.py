@@ -564,11 +564,11 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
                 return monomials[u], monomials[v], monomials[w]
         return None
 
-    M = range(len(monomials))
+    every = range(len(monomials))
     unital_maps = all(A.apply(g, R.unit(A.source_ideal(g))) == R.unit(A.support[g])
                       for g in G.elements)
-    if not unital_maps or first_failure(itertools.product(M, M, at_gens)):
-        witness = first_failure(itertools.product(M, repeat=3))
+    if not unital_maps or first_failure(itertools.product(every, every, at_gens)):
+        witness = first_failure(itertools.product(every, repeat=3))
         if witness:
             return SkewReport(False, False, True, witness=witness)
     one = skew_identity(A)

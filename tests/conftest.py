@@ -721,7 +721,6 @@ def walk_conform(value, shape, where):
     return value
 
 
-
 def left_normed_closure(product, generators) -> set:
     """Every left-normed product (...((g1 g2) g3) ... gk) of the
     generators that the product table defines."""
