@@ -221,6 +221,18 @@ def test_bad_field_is_invalid_input(capsys, tmp_path, field, message):
         assert report["checks"] == [{"name": "input", "verdict": "fail", "witness": message}]
 
 
+def test_a_field_above_the_table_bound_is_bound_exceeded(capsys, tmp_path):
+    doc = json.loads(pathlib.Path(FIX1).read_text())
+    doc["field"] = {"p": 257}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path), "--json")
+    report = json.loads(out)
+    assert code == 3 and report["status"] == "bound-exceeded"
+    assert report["checks"] == [{"name": "size bound", "verdict": "bound-exceeded",
+                                 "witness": "field has 257^1 elements, above 256"}]
+
+
 def _fix1_with(tmp_path, corrupt):
     doc = json.loads(pathlib.Path(FIX1).read_text())
     doc["gsets"]["explicit"] = {
