@@ -8,7 +8,7 @@ and every idempotent is a 0/1 block vector.
 from __future__ import annotations
 
 from .errors import InvalidInput, SizeBoundExceeded
-from .scalar import FieldSpec, Scalar, fp_basis_scalars
+from .scalar import FieldSpec, FpSpan, Scalar, fp_basis_scalars
 
 BRUTE_FORCE_BOUND = 1 << 16
 
@@ -204,17 +204,26 @@ def fixed_elements(space: ProductSpace, tables) -> set:
 def is_faithful_ideal(K, E) -> tuple[bool, tuple | None]:
     """No nonzero element of K annihilates the ideal; witness otherwise.
 
-    K is a subalgebra of R (typically the invariants); the first
-    annihilator in the order of K.elements is the witness.
+    K is a subalgebra of R (typically the invariants), and the witness is
+    the first annihilator in K's enumeration, where sum c_i b_i over
+    K.basis is number sum c_i p^i.  Take the b_j 1_E in basis order until
+    one is a combination sum c_i b_i 1_E of the earlier ones; then
+    x = b_j - sum c_i b_i annihilates E.  No nonzero annihilator has top
+    index below j, as the earlier b_i 1_E are independent.  So x is the
+    only one with top index j and top coefficient 1 (the difference of two
+    would be one), and every other has a larger top index or coefficient,
+    so a larger number.  If there is no such j, x -> x 1_E is injective on
+    K and E is faithful.
     """
     space = K.space
     unit = space.unit(E)
-    zero = space.zero()
-    for x in K.elements:
-        if x == zero:
-            continue
-        if space.mul(x, unit) == zero:
-            return False, x
+    span = FpSpan(space.field.p)
+    for b in K.basis:
+        v = space.flat(space.mul(b, unit))
+        coords = span.coords(v)
+        if coords is not None:
+            return False, space.add(b, space.int_combine([-c for c in coords], K.basis))
+        span.insert(v)
     return True, None
 
 

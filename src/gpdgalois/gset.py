@@ -1,4 +1,5 @@
-"""Finite split G-sets: validation, equivariant maps, isomorphism search.
+"""Finite split G-sets: validation, equivariant maps, isomorphism by orbit
+transport.
 
 A G-set here is always split: the carrier is the disjoint union of the
 fibers X_e over the identities e, and the bijections gamma_g map the fiber
@@ -9,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
-
-DEFAULT_MAX_POINTS = 20
+from .errors import InvalidInput, OracleMismatch, ValidationError
 
 
 class GSet:
@@ -151,61 +150,49 @@ def check_gmap(psi: GMap) -> GMapReport:
 
 
 def gset_isomorphic(a: GSet, b: GSet):
-    """Search for a G-set isomorphism by backtracking over fiber-respecting
-    bijections; returns a GMap or None.  Deterministic: points are tried in
-    carrier order.  Carriers of more than DEFAULT_MAX_POINTS refuse."""
-    if len(a.carrier) > DEFAULT_MAX_POINTS or len(b.carrier) > DEFAULT_MAX_POINTS:
-        raise SizeBoundExceeded(
-            f"carrier larger than {DEFAULT_MAX_POINTS}; raise the bound to proceed"
-        )
+    """A G-set isomorphism a -> b by orbit transport, or None.
+
+    Take the points x0 of a in carrier order, skipping mapped ones.  Let y0
+    be the first unused point of b over fiber(x0) with Stab(y0) =
+    Stab(x0), the loops at fiber(x0) fixing the point, and map g x0 -> g y0
+    for every g with d g = fiber(x0).  That is well defined and injective
+    on the orbit, as g x0 = h x0 iff h^-1 g fixes x0 iff it fixes y0 iff
+    g y0 = h y0.  It keeps fibers (r g) and is equivariant, k (g x0) =
+    (kg) x0.  Images are whole orbits, so the map is injective, and with
+    equal carrier sizes bijective.  No backtracking is needed.  An
+    isomorphism keeps fibers and stabilizers, so for each identity e and
+    group S, a and b have equally many points over e with stabilizer S.
+    Orbits of points with one stabilizer are both G/S, with equal such
+    counts, so the unmapped points of a and b keep equal counts, and an
+    isomorphic b always has a y0.  When none exists the counts differ, and
+    there is no isomorphism.  check_gmap checks the map found; a failure
+    there is a fault of this library.
+    """
     if a.groupoid is not b.groupoid and a.groupoid.elements != b.groupoid.elements:
         raise InvalidInput("G-sets over different groupoids")
-    G = a.groupoid
     if len(a.carrier) != len(b.carrier):
         return None
-    for e in G.identities:
-        if len(a.fiber_points(e)) != len(b.fiber_points(e)):
-            return None
+    G = a.groupoid
+    loops = [g for g in G.elements if G.d[g] == G.r[g]]
 
-    order = list(a.carrier)
-    assignment: dict = {}
+    def stabilizer(X, x):
+        return frozenset(g for g in loops if G.d[g] == X.fiber[x] and X.gamma[g][x] == x)
+
+    mapping: dict = {}
     used: set = set()
-
-    def consistent(x, y) -> bool:
-        """x -> y agrees with the assignment under every g with d(g) the
-        fiber of x.  That covers an assigned w -> ww with gamma_g(w) = x,
-        which needs b.gamma_g(ww) = y: g^{-1} starts at x and sends it to
-        w, and b is a G-set, so b.gamma_g(ww) = y exactly when
-        ww = b.gamma_{g^{-1}}(y)."""
+    for x0 in a.carrier:
+        if x0 in mapping:
+            continue
+        stab = stabilizer(a, x0)
+        y0 = next((y for y in b.fiber_points(a.fiber[x0])
+                   if y not in used and stabilizer(b, y) == stab), None)
+        if y0 is None:
+            return None
         for g in G.elements:
-            if a.fiber[x] == G.d[g]:
-                xx = a.gamma[g][x]
-                # a point g fixes is x itself, to be mapped to y: not yet assigned
-                if (xx == x or xx in assignment) and assignment.get(xx, y) != b.gamma[g][y]:
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in b.fiber_points(a.fiber[x]):
-            if y in used:
-                continue
-            if not consistent(x, y):
-                continue
-            assignment[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del assignment[x]
-            used.discard(y)
-        return False
-
-    if not extend(0):
-        return None
-    psi = GMap(a, b, dict(assignment))
-    report = check_gmap(psi)
-    if not report.isomorphism:
-        raise OracleMismatch("backtracking returned a non-isomorphism")
+            if G.d[g] == a.fiber[x0]:
+                mapping[a.gamma[g][x0]] = b.gamma[g][y0]
+                used.add(b.gamma[g][y0])
+    psi = GMap(a, b, mapping)
+    if not check_gmap(psi).isomorphism:
+        raise OracleMismatch("orbit transport returned a non-isomorphism")
     return psi

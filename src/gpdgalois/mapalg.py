@@ -464,7 +464,8 @@ def grothendieck_set_check(A: AlgebraAction, X: GSet) -> SetRoundTripReport:
 
     x -> rho_x is an isomorphism exactly when it is a bijection (see
     :func:`build_eval_gset`), so that is what is decided; the independent
-    isomorphism search keeps its own check of the map it finds."""
+    isomorphism is built by orbit transport, for any number of points,
+    and check_gmap checks it (:func:`~gpdgalois.gset.gset_isomorphic`)."""
     require_faithful_hypotheses(A)
     AX = invariant_algebra(X, A)
     K = A.base_subalgebra()

@@ -16,6 +16,7 @@ an F_{p^k}-system to an F_p-system with the same solutions and solves that.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -217,22 +218,27 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
 
 class FpSpan:
     """Echelonized span over F_p, remembering coordinates w.r.t. the
-    vectors that were inserted (which the callers keep independent)."""
+    vectors that were inserted (which the callers keep independent).
+
+    Each stored row has a leading 1 at its pivot and the coordinate tuple
+    of the row over the vectors inserted before it and itself; a shorter
+    tuple reads as zero-padded.  The pivots are kept sorted."""
 
     def __init__(self, p: int):
         self.p = p
         self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.pivots: list[int] = []
         self.count = 0
 
     def _reduce(self, vec):
         vec = list(vec)
         combo = [0] * self.count
-        for pivot in sorted(self.rows):
+        for pivot in self.pivots:
             if pivot < len(vec) and vec[pivot]:
                 c = vec[pivot]
                 row, rcombo = self.rows[pivot]
-                for i, v in enumerate(row):
-                    vec[i] = (vec[i] - c * v) % self.p
+                for i in range(pivot, len(row)):
+                    vec[i] = (vec[i] - c * row[i]) % self.p
                 for i, v in enumerate(rcombo):
                     combo[i] = (combo[i] - c * v) % self.p
         return vec, combo
@@ -246,8 +252,8 @@ class FpSpan:
         inv = pow(red[pivot], self.p - 2, self.p)
         red = tuple((inv * v) % self.p for v in red)
         rcombo = tuple((inv * v) % self.p for v in combo) + (inv % self.p,)
-        self.rows = {pv: (row, rc + (0,)) for pv, (row, rc) in self.rows.items()}
         self.rows[pivot] = (red, rcombo)
+        bisect.insort(self.pivots, pivot)
         self.count += 1
         return True
 
@@ -274,7 +280,7 @@ class FpSpan:
         column.  Back-substitution from the largest pivot down clears
         those entries.  The reduced row echelon form of a subspace is
         unique, so two spans are equal exactly when these tuples are."""
-        pivots = sorted(self.rows)
+        pivots = self.pivots
         rows = [list(self.rows[pv][0]) for pv in pivots]
         for i in reversed(range(len(pivots))):
             pv, row = pivots[i], rows[i]

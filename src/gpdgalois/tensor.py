@@ -43,13 +43,13 @@ class KBlock:
 
 def kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     """The primitive idempotents of K with their field data, in the order
-    the idempotents first appear in K's element enumeration.
+    of their numbers sum c_i p^i, c = K.coords(u), in K's enumeration.
 
     They are a function of the subspace K, so they are computed once per K
-    and kept on it, as Submodule.elements is, and freed with it.  Every K
-    here is a subalgebra of a product of fields, finite and reduced, so a
-    product of fields: a failed self-check raises OracleMismatch, a fault
-    of this library, and keeps nothing."""
+    and kept on it, and freed with it.  Every K here is a subalgebra of a
+    product of fields, finite and reduced, so a product of fields: a failed
+    self-check raises OracleMismatch, a fault of this library, and keeps
+    nothing."""
     blocks = getattr(K, "_kblocks", None)
     if blocks is None:
         blocks = K._kblocks = _find_kblocks(K)
@@ -57,55 +57,48 @@ def kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
 
 
 def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
+    """The idempotents from K's basis, with no listing of K.
+
+    Each slot b gives a unital F_p-linear ring map ev_b: x -> x_b from K
+    to F_{p^k}, fixed by its values on K.basis.  The signature of b is the
+    set of those value tuples under each Frobenius power x -> x^(p^s),
+    s < k.  ev_b factors through the one field K u_i of K with u_i = 1 at
+    b.  Two ring maps K -> F_{p^k} with the same kernel differ by a
+    Frobenius power, and maps with different kernels differ after any, as
+    Frobenius is injective.  So two slots share a primitive idempotent
+    exactly when their signatures are equal, and that idempotent is the
+    unit of their class.  The classes partition the slots, so the units
+    are orthogonal and sum to one; that each lies in K is self-checked,
+    and the generator search fails unless K u is a field.
+    """
     space = K.space
-    idems = [x for x in K.elements if x != space.zero() and space.mul(x, x) == x]
-    primitive = []
-    for u in idems:
-        if not any(w != u and space.mul(u, w) == w for w in idems):
-            primitive.append(u)
-    total = space.zero()
-    for u in primitive:
-        for w in primitive:
-            if w != u and space.mul(u, w) != space.zero():
-                raise OracleMismatch("primitive idempotents not orthogonal")
-        total = space.add(total, u)
-    if total != space.one():
-        raise OracleMismatch("primitive idempotents do not sum to one")
+    F = space.field
+    frobs = [F.frobenius_table(F.p**s) for s in range(F.k)]
+    groups: dict = {}
+    for b, slot in enumerate(space.slots):
+        sig = frozenset(tuple(f[x[b]] for x in K.basis) for f in frobs)
+        groups.setdefault(sig, []).append(slot)
+    primitive = [space.unit(group) for group in groups.values()]
+    if not all(K.contains(u) for u in primitive):
+        raise OracleMismatch("a signature class unit lies outside K")
+    primitive.sort(key=lambda u: K.coords(u)[::-1])
 
     out = []
     for u in primitive:
-        span = FpSpan(space.field.p)
-        fp_basis = []
-        for b in K.basis:
-            v = space.mul(b, u)
-            if span.insert(space.flat(v)):
-                fp_basis.append(v)
+        span = FpSpan(F.p)
+        fp_basis = [v for v in (space.mul(b, u) for b in K.basis) if span.insert(space.flat(v))]
         d = len(fp_basis)
-        kappa = minpoly_coords = None
-        for cand in span_elements(space, fp_basis):
-            if cand == space.zero():
-                continue
-            deg_span = FpSpan(space.field.p)
-            power, degree = u, 0
-            while deg_span.insert(space.flat(power)):
-                degree += 1
-                power = space.mul(power, cand)
-            if degree == d:
-                kappa = cand
-                minpoly_coords = deg_span.coords(space.flat(power))
+        for kappa in span_elements(space, fp_basis)[1:]:  # every nonzero element
+            deg_span, pows = FpSpan(F.p), [u]
+            while deg_span.insert(space.flat(pows[-1])):
+                pows.append(space.mul(pows[-1], kappa))
+            if len(pows) == d + 1:  # u, kappa u, ..., kappa^d u; the last depends
                 break
-        if kappa is None:
-            raise OracleMismatch("no field generator found; K block is not a field")
-        p = space.field.p
-        if d == 1:
-            afield = make_field(p, 1)
         else:
-            modulus = tuple((-c) % p for c in minpoly_coords) + (1,)
-            afield = make_field(p, d, modulus)
-        kappa_pows = [u]
-        for _ in range(d - 1):
-            kappa_pows.append(space.mul(kappa_pows[-1], kappa))
-        out.append(KBlock(space, u, afield, kappa_pows))
+            raise OracleMismatch("no field generator found; K block is not a field")
+        minpoly = deg_span.coords(space.flat(pows.pop()))
+        afield = make_field(F.p, d, tuple((-c) % F.p for c in minpoly) + (1,))
+        out.append(KBlock(space, u, afield, pows))
     return tuple(out)
 
 

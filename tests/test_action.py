@@ -88,6 +88,28 @@ def test_validate_rejects_non_composing(fix1):
         )
 
 
+@pytest.mark.parametrize("sigma_e, frob_e, ok", [
+    ({"w1": "w1", "w2": "w2"}, {"w1": 0, "w2": 0}, True),
+    ({"w1": "w2", "w2": "w1"}, {}, False),
+    ({"w1": "w1", "w2": "w2"}, {"w2": 1}, False),
+], ids=["identity", "swap", "twist"])
+def test_explicit_identity_component_must_be_the_identity(sigma_e, frob_e, ok):
+    # C_2 = {e, a} over F_4 with a swapping two blocks; an identity
+    # component given in the input is checked, not overwritten
+    G = validate_groupoid(
+        ["e", "a"],
+        [("e", "e", "e"), ("e", "a", "a"), ("a", "e", "a"), ("a", "a", "e")],
+    )
+    R = make_ring(make_field(2, 2, [1, 1, 1]), ["w1", "w2"], {"e": ["w1", "w2"]})
+    sigma = {"e": sigma_e, "a": {"w1": "w2", "w2": "w1"}}
+    if ok:
+        A = validate_action(G, R, sigma, {"e": frob_e})
+        assert (A.sigma["e"], A.frob["e"]) == (sigma_e, frob_e)
+    else:
+        with pytest.raises(ValidationError, match=re.escape("beta['e'] must be the identity map")):
+            validate_action(G, R, sigma, {"e": frob_e})
+
+
 def test_apply_beta_values(fix1, fixf4):
     A, R = fix1.action, fix1.ring
     assert A.apply("g", R.element({"v1": 1})) == R.element({"v3": 1})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import PAIR_CYCLIC_SPECS, disjoint_union, idempotents_of, pair_cyclic_doc
-from gpdgalois.action import validate_action
+from gpdgalois.action import subalgebra_closure, validate_action
 from gpdgalois.blockring import (
     ProductSpace,
     disconnected_identity,
@@ -20,6 +20,8 @@ from gpdgalois.errors import (
 from gpdgalois.groupoid import validate_groupoid
 from gpdgalois.mapalg import require_faithful_hypotheses
 from gpdgalois.scalar import make_field
+from gpdgalois.tensor import kblocks
+from theorems import listed_faithful_ideal, listed_primitive_idempotents
 
 
 def test_blockwise_product(fix1):
@@ -218,3 +220,31 @@ def test_criterion_matches_direct_check_on_generated_families(doc):
         g, outside, annihilator = err.value.witness
         assert not faithful[g] and outside == disconnected_identity(G, g)
         assert annihilator is not None
+
+
+@st.composite
+def subalgebras_with_ideals(draw):
+    """The subalgebra of F^n that up to three random elements generate,
+    F in F_2, F_3 and F_4 and n <= 5, with a nonempty set of blocks.
+    Over F_4 a generator may be a Frobenius pair (x, x^2) on two blocks,
+    so that the blocks of one field of K differ by a twist."""
+    field = draw(st.sampled_from([make_field(2), make_field(3), make_field(2, 2, [1, 1, 1])]))
+    n = draw(st.integers(1, 5))
+    space = ProductSpace(field, [f"b{i}" for i in range(n)])
+    scalars = st.sampled_from(field.elements())
+    gens = [tuple(g) for g in draw(st.lists(
+        st.lists(scalars, min_size=n, max_size=n), max_size=3))]
+    if field.k == 2 and n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        x = draw(scalars)
+        gens.append(space.embed({f"b{i}": x, f"b{j}": field.power(x, 2)}))
+    E = draw(st.lists(st.sampled_from(space.slots), min_size=1, unique=True))
+    return subalgebra_closure(space, gens), E
+
+
+@settings(max_examples=300, deadline=None)
+@given(subalgebras_with_ideals())
+def test_kblocks_and_annihilators_match_listing_on_random_subalgebras(case):
+    K, E = case
+    assert [blk.u for blk in kblocks(K)] == listed_primitive_idempotents(K)
+    assert is_faithful_ideal(K, E) == listed_faithful_ideal(K, E)

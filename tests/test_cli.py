@@ -1,13 +1,21 @@
 import copy
 import json
 import pathlib
+import sys
 from unittest import mock
 
 import pytest
 
-from conftest import brute_invariants, doc_action, pair_cyclic_doc, walk_conform
+from conftest import (
+    PAIR_CYCLIC_SPECS,
+    brute_invariants,
+    disjoint_union,
+    doc_action,
+    pair_cyclic_doc,
+    walk_conform,
+)
 from gpdgalois import action as action_mod, cli, tensor
-from gpdgalois.action import invariants
+from gpdgalois.action import Submodule, invariants
 from gpdgalois.cli import EXIT_CODES, main
 from gpdgalois.errors import InvalidInput
 
@@ -515,3 +523,92 @@ def test_tensor_self_check_is_an_oracle_mismatch(capsys):
     report = json.loads(out)
     assert (code, report["status"]) == (4, "oracle-mismatch")
     assert report["checks"][-1]["witness"] == "no field generator found; K block is not a field"
+
+
+# Capacity: inputs past the old listing bounds (2^16 elements of K, 20
+# points of a G-set) end in a verdict, not in bound-exceeded.
+
+def _write(tmp_path, doc, name="problem.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def c2_on_orbits(n):
+    """C_2 = {e, a} on 2n blocks of one object, a swapping blocks 2i and
+    2i+1: n orbits, so K = F_2^n."""
+    blocks = [f"w{i}" for i in range(2 * n)]
+    swap = {f"w{i}": f"w{i ^ 1}" for i in range(2 * n)}
+    return {
+        "field": {"p": 2, "k": 1},
+        "groupoid": {
+            "elements": ["e", "a"],
+            "products": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "e"]],
+        },
+        "ring": {"blocks": blocks, "ideals": {"e": blocks}},
+        "action": {"a": {"sigma": swap}},
+    }
+
+
+def test_seventeen_orbits_pass_galois_and_faithful(capsys, tmp_path):
+    path = _write(tmp_path, c2_on_orbits(17))
+    for cmd in ("galois", "faithful"):
+        code, out = run(capsys, cmd, path)
+        assert (code, out.splitlines()[-1]) == (0, "status: pass"), cmd
+
+
+def test_seventeen_components_pass_galois_and_fail_faithful(capsys, tmp_path):
+    # K = F_2^17, one field per copy of fixc2.  Each ideal is annihilated
+    # by the unit of every other component, and the first annihilator in
+    # K's order is the unit of the first other component.
+    fixc2 = json.loads(pathlib.Path(FIXC2).read_text())
+    doc = disjoint_union([fixc2] * 17, lambda c, label: f"{label}_{c}")
+    path = _write(tmp_path, doc)
+    code, out = run(capsys, "galois", path)
+    assert (code, out.splitlines()[-1]) == (0, "status: pass")
+    code, out = run(capsys, "faithful", path)
+    assert (code, out.splitlines()[-1]) == (1, "status: fail")
+    assert "[FAIL] ideal of e_0 faithful  [annihilator w1_1+w2_1]" in out
+    assert "FAIL] criterion" not in out
+
+
+def test_grothendieck_on_the_regular_gset_of_p3c4(capsys, tmp_path):
+    # 48 points, past the 20 a backtracking search would take
+    doc = pair_cyclic_doc("shift", 3, 4)
+    doc["gsets"] = {"reg": "regular"}
+    code, out = run(capsys, "grothendieck", _write(tmp_path, doc), "--gset", "reg")
+    assert (code, out.splitlines()[-1]) == (0, "status: pass")
+    assert "[PASS] independent isomorphism search" in out
+
+
+GUARD_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[1] ** 2 * spec[2] <= 4]
+
+
+def test_only_the_invariants_oracle_lists_a_subspace(capsys, tmp_path):
+    # every subcommand on every fixture and small generated problem reads
+    # Submodule.elements only from the brute-force cross-check in
+    # action.invariants
+    listed = Submodule.elements.func
+    readers = set()
+
+    def elements(self):
+        caller = sys._getframe(1).f_code
+        readers.add((caller.co_filename, caller.co_name))
+        return listed(self)
+
+    docs = [json.loads(pathlib.Path(path).read_text()) for path in (FIX1, FIX2, FIXC2, FIXF4)]
+    for spec in GUARD_SPECS:
+        doc = pair_cyclic_doc(*spec)
+        doc["subgroupoids"] = {"G0": [f"g{i}_{i}_0" for i in range(spec[1])]}
+        doc["gsets"] = {"reg": "regular", "cosets": "quotient:G0"}
+        docs.append(doc)
+    with mock.patch.object(Submodule, "elements", property(elements)):
+        for doc in docs:
+            path = _write(tmp_path, doc)
+            runs = [[cmd] for cmd in ("check", "galois", "subgroupoids", "faithful", "skew",
+                                      "correspondence")]
+            runs += [["invariants", "--sub", name] for name in doc["subgroupoids"]]
+            runs += [["grothendieck", "--gset", name] for name in doc["gsets"]]
+            for argv in runs:
+                run(capsys, argv[0], path, *argv[1:])
+    assert readers == {(action_mod.__file__, "invariants")}

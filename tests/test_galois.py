@@ -28,7 +28,7 @@ from gpdgalois.action import (
     subalgebra_closure,
     twisted_invariant_basis,
 )
-from gpdgalois.blockring import ideal_fp_basis
+from gpdgalois.blockring import BRUTE_FORCE_BOUND, ideal_fp_basis, is_faithful_ideal
 from gpdgalois.errors import (
     HypothesisFailure,
     OracleMismatch,
@@ -51,7 +51,7 @@ from gpdgalois.mapalg import (
     transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, make_field, solve_linear
-from gpdgalois.tensor import TensorOverK, rank_profile
+from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
 import theorems
 from theorems import (
     associated_idempotent,
@@ -59,6 +59,8 @@ from theorems import (
     dual_basis_solve,
     freeness_check,
     hom_set,
+    listed_faithful_ideal,
+    listed_primitive_idempotents,
     pairwise_strongly_distinct,
     reference_separability_pairs,
     separability_idempotent_from_structure,
@@ -758,6 +760,26 @@ def test_separability_idempotent_matches_the_separability_system(source):
             for (x1, y1), (x2, y2) in itertools.product(sep.pairs, repeat=2)
         ]
         assert _tensor_sum(tens, square) == _tensor_sum(tens, sep.pairs)
+
+
+@pytest.mark.parametrize("source", PROBLEM_SOURCES + ["fixf4swap.json"], ids=str)
+def test_kblocks_and_annihilators_match_listing(source):
+    # the signature partition gives the primitive idempotents that listing
+    # K finds, in its order, and the basis-order annihilator gives the
+    # verdict and first witness of listing K, on every single block, every
+    # pair of blocks and every ideal E_g.  Listing refuses a T of more than
+    # BRUTE_FORCE_BOUND elements; there only the new rule answers.
+    A = problem_action(source)
+    R = A.ring
+    ideals = [list(c) for size in (1, 2) for c in itertools.combinations(R.blocks, size)]
+    ideals += [list(A.support[g]) for g in A.groupoid.elements]
+    for T in _separability_candidates(A):
+        units = [blk.u for blk in kblocks(T)]
+        if T.size > BRUTE_FORCE_BOUND:
+            continue
+        assert units == listed_primitive_idempotents(T)
+        for E in ideals:
+            assert is_faithful_ideal(T, E) == listed_faithful_ideal(T, E)
 
 
 CORRESPONDENCE_SOURCES = [

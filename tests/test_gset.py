@@ -6,9 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import theorems
 from conftest import PROBLEM_SOURCES, pairwise_validate_gset, problem_doc
-from gpdgalois import gset
-from gpdgalois.errors import SizeBoundExceeded, ValidationError
+from gpdgalois.errors import InvalidInput, SizeBoundExceeded, ValidationError
 from gpdgalois.groupoid import (
     coset_space,
     enumerate_wide_subgroupoids,
@@ -18,6 +18,7 @@ from gpdgalois.groupoid import (
     validate_groupoid,
 )
 from gpdgalois.gset import GMap, check_gmap, gset_isomorphic, validate_gset
+from theorems import backtracking_gset_isomorphic
 
 
 def test_regular_validates(fix1):
@@ -150,10 +151,86 @@ def test_isomorphism_reflexive_symmetric(fix1, fix2, fixc2):
 
 
 def test_isomorphism_bound(fix1):
+    # the backtracking reference keeps the 20-point bound; orbit transport
+    # has none
     reg = regular_gset(fix1.groupoid)
-    with mock.patch.object(gset, "DEFAULT_MAX_POINTS", 2), \
+    with mock.patch.object(theorems, "DEFAULT_MAX_POINTS", 2), \
             pytest.raises(SizeBoundExceeded, match="carrier larger than 2"):
-        gset_isomorphic(reg, reg)
+        backtracking_gset_isomorphic(reg, reg)
+
+
+def test_gsets_over_different_groupoids_are_refused(fix1, fix2):
+    a, b = regular_gset(fix1.groupoid), regular_gset(fix2.groupoid)
+    with pytest.raises(InvalidInput, match="G-sets over different groupoids"):
+        gset_isomorphic(a, b)
+    with pytest.raises(InvalidInput, match="source and target live over different groupoids"):
+        check_gmap(GMap(a, b, dict(zip(a.carrier, b.carrier))))
+
+
+def _agrees_with_backtracking(a, b):
+    found = gset_isomorphic(a, b)
+    assert (found is None) == (backtracking_gset_isomorphic(a, b) is None)
+    assert found is None or check_gmap(found).isomorphism
+    return found is not None
+
+
+@pytest.mark.parametrize("source", [
+    s for s in PROBLEM_SOURCES if len(problem_doc(s)["groupoid"]["elements"]) <= 16
+], ids=str)
+def test_orbit_transport_matches_backtracking(source):
+    # every ordered pair of the regular and quotient G-sets, isomorphic
+    # or not
+    _, gsets = _gsets_of(source)
+    for i, a in enumerate(gsets):
+        for j, b in enumerate(gsets):
+            assert _agrees_with_backtracking(a, b) or i != j
+
+
+def _permutation_group(gens):
+    """The one-object groupoid of the permutations the tuples gens
+    generate, (gh)(i) = g(h(i))."""
+    perms = {tuple(range(len(gens[0])))}
+    frontier = list(perms)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(g[i] for i in h)
+            if gh not in perms:
+                perms.add(gh)
+                frontier.append(gh)
+    perms = sorted(perms)
+    name = {g: "".join(map(str, g)) for g in perms}
+    products = [[name[g], name[h], name[tuple(g[i] for i in h)]] for g in perms for h in perms]
+    return validate_groupoid([name[g] for g in perms], products)
+
+
+def _disjoint_union(a, b):
+    """The G-set a + b, its points tagged 0 and 1."""
+    parts = list(enumerate((a, b)))
+    carrier = [(c, x) for c, X in parts for x in X.carrier]
+    fiber = {(c, x): X.fiber[x] for c, X in parts for x in X.carrier}
+    gamma = {g: {(c, x): (c, y) for c, X in parts for x, y in X.gamma[g].items()}
+             for g in a.groupoid.elements}
+    return validate_gset(a.groupoid, carrier, fiber, gamma)
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 0, 2), (1, 2, 0)],          # S_3
+    [(1, 2, 3, 0), (0, 3, 2, 1)],    # D_4
+], ids=["S3", "D4"])
+def test_orbit_transport_with_conjugate_stabilizers(gens):
+    # the vertex group is not abelian, so the points of one orbit have
+    # different, conjugate stabilizers; unions of two quotients have two
+    # orbits, and G/H + G/H' is isomorphic to G/H' + G/H
+    G = _permutation_group(gens)
+    quotients = [quotient_gset(coset_space(G, H)) for H in enumerate_wide_subgroupoids(G)]
+    pairs = list(itertools.combinations_with_replacement(quotients, 2))
+    unions = [_disjoint_union(a, b) for a, b in pairs]
+    gsets = quotients + unions
+    found = sum(_agrees_with_backtracking(a, b) for a in gsets for b in gsets)
+    assert found > len(gsets)
+    for (a, b), ab in zip(pairs, unions):
+        assert gset_isomorphic(_disjoint_union(b, a), ab) is not None
 
 
 def test_split_fiber_count(fix1, fix2):

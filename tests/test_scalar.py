@@ -325,3 +325,39 @@ def test_a_field_above_the_table_bound_refuses():
         make_field(257)
     with pytest.raises(SizeBoundExceeded, match="field has 2\\^9 elements"):
         make_field(2, 9, [1, 1] + [0] * 7 + [1])
+
+
+@st.composite
+def fp_vector_orders(draw):
+    """Vectors over F_p, p in 2, 3, 5, the same vectors in another order,
+    and one more vector to probe with."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+    vecs = draw(st.lists(vector, max_size=8))
+    return p, vecs, draw(st.permutations(vecs)), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_vector_orders())
+def test_fpspan_does_not_depend_on_insertion_order(case):
+    # dim, membership and the reduced basis are the span's, and coords
+    # rebuild each vector from the vectors that were kept, in either order
+    p, vecs, shuffled, probe = case
+    spans = []
+    for order in (vecs, shuffled):
+        span = FpSpan(p)
+        kept = [v for v in order if span.insert(v)]
+        assert span.dim == len(kept)
+        for v in vecs + [probe]:
+            coords = span.coords(v)
+            assert (coords is not None) == span.contains(v)
+            if coords is not None:
+                assert tuple(sum(c * w[i] for c, w in zip(coords, kept)) % p
+                             for i in range(len(v))) == v
+        spans.append(span)
+    a, b = spans
+    assert a.dim == b.dim
+    assert a.rref() == b.rref()
+    assert a.contains(probe) == b.contains(probe)
+    assert all(a.contains(v) for v in vecs)

@@ -9,9 +9,12 @@ an algebra map, the defining linear system of a separability idempotent
 transport of a separability idempotent along beta,
 every algebra map into an ideal (`hom_set`), and the algebra-side round
 trips of the set/algebra equivalence with the two-sided hom G-set check
-they read.  `hom_set`, `double_dual_check` and `grothendieck_algebra_check`
-move back into the package together with their first CLI caller (ROADMAP
-item 8).
+they read.  The exhaustive searches the package replaced by exact
+constructions are here too, as the references the tests compare them
+with: K's primitive idempotents and its first annihilator of an ideal by
+listing K, and G-set isomorphism by backtracking.  `hom_set`,
+`double_dual_check` and `grothendieck_algebra_check` move back into the
+package together with their first CLI caller (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from gpdgalois.errors import (
 )
 from gpdgalois.galois import is_beta_strong, separability_idempotent
 from gpdgalois.groupoid import coset_space, quotient_gset
-from gpdgalois.gset import GSet
+from gpdgalois.gset import GMap, GSet, check_gmap
 from gpdgalois.mapalg import (
     HomRecord,
     invariant_algebra,
@@ -696,3 +699,97 @@ def grothendieck_algebra_check(A: AlgebraAction, B) -> AlgebraRoundTripReport:
     require_faithful_hypotheses(A)
     dd = double_dual_check(B, A)
     return AlgebraRoundTripReport(dd.hom_gset, dd)
+
+
+# Exhaustive references for K's blocks, annihilators and G-set isomorphism
+
+def listed_primitive_idempotents(K: Subalgebra) -> list:
+    """The primitive idempotents of K by listing K: every nonzero
+    idempotent, kept when it lies over no other, in the order of
+    K.elements.  Orthogonality and the sum to one are checked."""
+    space = K.space
+    idems = [x for x in K.elements if x != space.zero() and space.mul(x, x) == x]
+    primitive = [u for u in idems
+                 if not any(w != u and space.mul(u, w) == w for w in idems)]
+    total = space.zero()
+    for u in primitive:
+        for w in primitive:
+            if w != u and space.mul(u, w) != space.zero():
+                raise OracleMismatch("primitive idempotents not orthogonal")
+        total = space.add(total, u)
+    if total != space.one():
+        raise OracleMismatch("primitive idempotents do not sum to one")
+    return primitive
+
+
+def listed_faithful_ideal(K: Subalgebra, E) -> tuple[bool, tuple | None]:
+    """No nonzero element of K annihilates the ideal E, by listing K; the
+    first annihilator in the order of K.elements is the witness."""
+    space = K.space
+    unit = space.unit(E)
+    zero = space.zero()
+    for x in K.elements:
+        if x != zero and space.mul(x, unit) == zero:
+            return False, x
+    return True, None
+
+
+DEFAULT_MAX_POINTS = 20
+
+
+def backtracking_gset_isomorphic(a: GSet, b: GSet):
+    """A G-set isomorphism a -> b by backtracking over fiber-respecting
+    bijections, points tried in carrier order, or None.  Carriers of more
+    than DEFAULT_MAX_POINTS refuse."""
+    if len(a.carrier) > DEFAULT_MAX_POINTS or len(b.carrier) > DEFAULT_MAX_POINTS:
+        raise SizeBoundExceeded(
+            f"carrier larger than {DEFAULT_MAX_POINTS}; raise the bound to proceed"
+        )
+    if a.groupoid is not b.groupoid and a.groupoid.elements != b.groupoid.elements:
+        raise InvalidInput("G-sets over different groupoids")
+    G = a.groupoid
+    if len(a.carrier) != len(b.carrier):
+        return None
+    for e in G.identities:
+        if len(a.fiber_points(e)) != len(b.fiber_points(e)):
+            return None
+
+    order = list(a.carrier)
+    assignment: dict = {}
+    used: set = set()
+
+    def consistent(x, y) -> bool:
+        """x -> y agrees with the assignment under every g with d(g) the
+        fiber of x.  That covers an assigned w -> ww with gamma_g(w) = x,
+        which needs b.gamma_g(ww) = y: g^{-1} starts at x and sends it to
+        w, and b is a G-set, so b.gamma_g(ww) = y exactly when
+        ww = b.gamma_{g^{-1}}(y)."""
+        for g in G.elements:
+            if a.fiber[x] == G.d[g]:
+                xx = a.gamma[g][x]
+                # a point g fixes is x itself, to be mapped to y: not yet assigned
+                if (xx == x or xx in assignment) and assignment.get(xx, y) != b.gamma[g][y]:
+                    return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in b.fiber_points(a.fiber[x]):
+            if y in used or not consistent(x, y):
+                continue
+            assignment[x] = y
+            used.add(y)
+            if extend(i + 1):
+                return True
+            del assignment[x]
+            used.discard(y)
+        return False
+
+    if not extend(0):
+        return None
+    psi = GMap(a, b, dict(assignment))
+    if not check_gmap(psi).isomorphism:
+        raise OracleMismatch("backtracking returned a non-isomorphism")
+    return psi
