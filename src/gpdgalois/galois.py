@@ -89,7 +89,9 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
     singular, which is exactly when no such v exists.
 
     The pairs are (c b_i, b_j), block by block, for each nonzero
-    coefficient c of b_i tensor b_j over the block's K·u-basis b.  Two
+    coefficient c of b_i tensor b_j over the block's K·u-basis b, solved
+    on K·u's values in F_{p^k} (KBlock) and lifted: a matrix over a
+    subfield has its inverse there, and is singular or not in both.  Two
     laws are self-checked: mu(v) = 1 in R, and the symmetry law for every
     block basis element b_m on the block's structure constants, which by
     K-linearity in t gives it for every t in T.  Idempotence follows from
@@ -100,13 +102,10 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
     space = T.space
     all_pairs = []
     for blk in kblocks(K):
-        F = blk.afield
+        F = blk.field
         bmb = BlockModuleBasis(space, blk, T.basis)
         n = bmb.rank
-        mult = [
-            [bmb.decompose(space.mul(bi, bj)) for bj in bmb.basis]
-            for bi in bmb.basis
-        ]
+        mult = [[bmb.decompose(space.mul(bi, bj)) for bj in bmb.basis] for bi in bmb.basis]
         coeffs = inverse_trace_form(F, mult)
         if coeffs is None:
             return None
@@ -119,12 +118,9 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
                     right = F.add(right, F.mul(coeffs[k][i], by_m[i][j]))
                 if left != right:
                     raise OracleMismatch("separability idempotent fails the symmetry law")
-        for i, bi in enumerate(bmb.basis):
-            for j, bj in enumerate(bmb.basis):
-                c = coeffs[i][j]
-                if c != F.zero:
-                    x = space.k_scale(blk.from_abstract(K.space, c), bi)
-                    all_pairs.append((x, bj))
+        all_pairs += [(space.k_scale(blk.lift(K.space, c), bi), bj)
+                      for bi, row in zip(bmb.basis, coeffs)
+                      for bj, c in zip(bmb.basis, row) if c != F.zero]
 
     total = space.zero()
     for x, y in all_pairs:

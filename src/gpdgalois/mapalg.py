@@ -110,7 +110,6 @@ class InvariantAlgebra(Subalgebra):
 
     def __init__(self, mapalgebra: MapAlgebra, basis):
         super().__init__(mapalgebra.space, basis)
-        self.mapalgebra = mapalgebra
         self.gset = mapalgebra.space.gset
         self.action = mapalgebra.action
 

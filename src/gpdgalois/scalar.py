@@ -82,6 +82,10 @@ class FieldSpec:
     add_table[x][y], mul_table[x][y] and neg_table[x] hold x + y, x y and
     -x, digits[x] the coefficients of x, and frobenius_table(p^t) the map
     x -> x^(p^t) for 0 <= t <= k.
+
+    No entry takes a polynomial product: n > 0 is lower[n] + t^i for its
+    lowest nonzero digit i, so row n is row lower[n] after y -> y + t^i
+    (add) or plus y -> y t^i (mul), with t^k = -(modulus below t^k).
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -90,11 +94,21 @@ class FieldSpec:
         self.zero, self.one = 0, 1
         self.digits = [tuple(n // p**i % p for i in range(k)) for n in range(q)]
         code = self.element
-        self.add_table = [[code([a + b for a, b in zip(x, y)]) for y in self.digits]
-                          for x in self.digits]
+        low = [0] + [next(i for i, c in enumerate(d) if c) for d in self.digits[1:]]
+        lower = [n - p ** low[n] for n in range(q)]
+        step = [[code(d[:i] + (d[i] + 1,) + d[i + 1:]) for d in self.digits] for i in range(k)]
+        times_t = [code([a - d[-1] * c for a, c in zip((0,) + d[:-1], modulus)])
+                   for d in self.digits]
+        by_t = [list(range(q))]
+        for _ in range(k - 1):
+            by_t.append([times_t[y] for y in by_t[-1]])
+        self.add_table = add = [list(range(q))]
+        for n in range(1, q):
+            add.append([add[lower[n]][y] for y in step[low[n]]])
+        self.mul_table = mul = [[0] * q]
+        for n in range(1, q):
+            mul.append([add[a][b] for a, b in zip(mul[lower[n]], by_t[low[n]])])
         self.neg_table = [code([-a for a in x]) for x in self.digits]
-        self.mul_table = [[code(_pmod(p, _pmul(p, x, y), modulus)) for y in self.digits]
-                          for x in self.digits]
         frob = [self.power(x, p) for x in range(q)]
         self._frobenius_tables = tables = {1: list(range(q))}
         for t in range(1, k + 1):

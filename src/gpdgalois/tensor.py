@@ -10,35 +10,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import Subalgebra, span_elements
+from .action import Subalgebra
 from .errors import OracleMismatch, ValidationError
-from .scalar import FpSpan, Scalar, make_field
+from .scalar import FpSpan, Scalar
 
 
 class KBlock:
-    """One primitive idempotent u of K together with the field K·u.
+    """One primitive idempotent u of K and the field K·u, read inside the
+    ring's own field F = space.field.
 
-    `afield` is an abstract copy of K·u (built on the minimal polynomial of
-    the chosen generator kappa over F_p); from_abstract maps its scalars
-    into a space as combinations of the powers of kappa.
+    With b the first slot of u (u_b = 1), x -> x_b is a ring map from K·u
+    to F, injective by _find_kblocks, so K·u is the subfield {x_b} of F.
+    fp_basis is an F_p-basis of K·u; to_coords takes x_b to the
+    coordinates of x over it and from_coords takes them back.  Building
+    them is the self-check that K·u is a field, as a finite ring that
+    embeds in a field is a domain.
     """
 
-    def __init__(self, space, u, afield, kappa_pows):
+    def __init__(self, space, u, generators):
         self.u = u
-        self.afield = afield
-        self.kappa_pows = tuple(kappa_pows)
-        span = FpSpan(space.field.p)
-        for pw in self.kappa_pows:
-            if not span.insert(space.flat(pw)):
-                raise OracleMismatch("generator powers are dependent")
+        self.field = F = space.field
+        self.slot = u.index(F.one)
+        span = FpSpan(F.p)
+        self.fp_basis = tuple(v for v in (space.mul(g, u) for g in generators)
+                              if span.insert(space.flat(v)))
+        self.from_coords = {(): F.zero}
+        for f in self.fp_basis:
+            self.from_coords = {cs + (c,): F.add(s, F.mul(c, f[self.slot]))
+                                for cs, s in self.from_coords.items() for c in range(F.p)}
+        self.to_coords = {s: coords for coords, s in self.from_coords.items()}
+        if len(self.to_coords) < len(self.from_coords):
+            raise OracleMismatch("K block is not a field")
 
     @property
     def degree(self) -> int:
-        return self.afield.k
+        return len(self.fp_basis)
 
-    def from_abstract(self, space, s: Scalar) -> tuple:
-        """The element sum c_m kappa^m u for the digits c_m of s."""
-        return space.int_combine(self.afield.digits[s], self.kappa_pows)
+    def lift(self, space, s: Scalar) -> tuple:
+        """The element x of K·u with x_b = s."""
+        return space.int_combine(self.to_coords[s], self.fp_basis)
 
 
 def kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
@@ -68,8 +78,11 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     Frobenius is injective.  So two slots share a primitive idempotent
     exactly when their signatures are equal, and that idempotent is the
     unit of their class.  The classes partition the slots, so the units
-    are orthogonal and sum to one; that each lies in K is self-checked,
-    and the generator search fails unless K u is a field.
+    are orthogonal and sum to one; that each lies in K is self-checked.
+
+    On the class of u with first slot b, each slot c carries b's basis
+    values raised to one p^s, which is F_p-linear, so x_c = x_b^(p^s) for
+    every x in K: x u -> x_b is injective, and KBlock reads K u there.
     """
     space = K.space
     F = space.field
@@ -82,24 +95,7 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     if not all(K.contains(u) for u in primitive):
         raise OracleMismatch("a signature class unit lies outside K")
     primitive.sort(key=lambda u: K.coords(u)[::-1])
-
-    out = []
-    for u in primitive:
-        span = FpSpan(F.p)
-        fp_basis = [v for v in (space.mul(b, u) for b in K.basis) if span.insert(space.flat(v))]
-        d = len(fp_basis)
-        for kappa in span_elements(space, fp_basis)[1:]:  # every nonzero element
-            deg_span, pows = FpSpan(F.p), [u]
-            while deg_span.insert(space.flat(pows[-1])):
-                pows.append(space.mul(pows[-1], kappa))
-            if len(pows) == d + 1:  # u, kappa u, ..., kappa^d u; the last depends
-                break
-        else:
-            raise OracleMismatch("no field generator found; K block is not a field")
-        minpoly = deg_span.coords(space.flat(pows.pop()))
-        afield = make_field(F.p, d, tuple((-c) % F.p for c in minpoly) + (1,))
-        out.append(KBlock(space, u, afield, pows))
-    return tuple(out)
+    return tuple(KBlock(space, u, K.basis) for u in primitive)
 
 
 class BlockModuleBasis:
@@ -109,28 +105,22 @@ class BlockModuleBasis:
     is a fault of this library (OracleMismatch)."""
 
     def __init__(self, space, kblock: KBlock, module_basis):
-        self.space = space
-        self.kblock = kblock
+        self.space, self.kblock = space, kblock
         fp_span = FpSpan(space.field.p)
-        fp_vecs = []
-        for b in module_basis:
-            v = space.k_scale(kblock.u, b)
-            if fp_span.insert(space.flat(v)):
-                fp_vecs.append(v)
-        ku_span = FpSpan(space.field.p)
+        fp_vecs = [v for v in (space.k_scale(kblock.u, b) for b in module_basis)
+                   if fp_span.insert(space.flat(v))]
         self.basis = []
-        self._decomp = FpSpan(space.field.p)
+        self._span = FpSpan(space.field.p)  # f v over fp_basis f, basis v
         for v in fp_vecs:
-            if ku_span.contains(space.flat(v)):
+            if self._span.contains(space.flat(v)):
                 continue
             self.basis.append(v)
-            for pw in kblock.kappa_pows:
-                vv = space.k_scale(pw, v)
-                if not ku_span.insert(space.flat(vv)):
+            for f in kblock.fp_basis:
+                vv = space.k_scale(f, v)
+                if not self._span.insert(space.flat(vv)):
                     raise OracleMismatch("block not free over its base field")
                 if not fp_span.contains(space.flat(vv)):
                     raise ValidationError("module not closed under base multiplication")
-                self._decomp.insert(space.flat(vv))
         if len(self.basis) * kblock.degree != len(fp_vecs):
             raise OracleMismatch("block dimension not divisible by the field degree")
 
@@ -139,12 +129,13 @@ class BlockModuleBasis:
         return len(self.basis)
 
     def decompose(self, z) -> tuple[Scalar, ...]:
-        """K·u-coordinates of z over the basis, as abstract scalars."""
-        coords = self._decomp.coords(self.space.flat(z))
+        """K·u-coordinates of z over the basis, as their values at the
+        block's slot."""
+        coords = self._span.coords(self.space.flat(z))
         if coords is None:
             raise ValidationError("element outside the block span")
-        d, F = self.kblock.degree, self.kblock.afield
-        return tuple(F.element(coords[i * d : (i + 1) * d]) for i in range(len(self.basis)))
+        d, table = self.kblock.degree, self.kblock.from_coords
+        return tuple(table[coords[i * d : (i + 1) * d]] for i in range(len(self.basis)))
 
 
 @dataclass
@@ -178,7 +169,7 @@ class TensorOverK:
     """M tensor N over K, realized blockwise.
 
     Elements are prime-field coordinate vectors over the basis
-    kappa^m (m_i tensor n_j), enumerated block-major.
+    f_m (m_i tensor n_j), f the block's fp_basis, enumerated block-major.
 
     m_parts and n_parts are the BlockModuleBasis of M and of N per block
     of kblocks(K).
@@ -228,20 +219,20 @@ class TensorOverK:
         per_block_n = self._block_coords(self.space_n, self.n_parts, self._n_coords, y)
         coords = [0] * self.dim
         for (bi, i, j), off, d in self.layout:
-            F = self.blocks[bi].afield
-            prod = F.digits[F.mul_table[per_block_m[bi][i]][per_block_n[bi][j]]]
+            blk = self.blocks[bi]
+            prod = blk.to_coords[blk.field.mul_table[per_block_m[bi][i]][per_block_n[bi][j]]]
             for m in range(d):
                 coords[off + m] = (coords[off + m] + prod[m]) % self.p
         got = self._pure[(x, y)] = tuple(coords)
         return got
 
     def basis_vectors(self):
-        """(coords, x, y) for each basis tensor kappa^m (m_i tensor n_j)."""
+        """(coords, x, y) for each basis tensor f_m (m_i tensor n_j)."""
         for (bi, i, j), off, d in self.layout:
             blk = self.blocks[bi]
             for m in range(d):
                 coords = [0] * self.dim
                 coords[off + m] = 1
-                x = self.space_m.k_scale(blk.kappa_pows[m], self.m_parts[bi].basis[i])
+                x = self.space_m.k_scale(blk.fp_basis[m], self.m_parts[bi].basis[i])
                 y = self.n_parts[bi].basis[j]
                 yield tuple(coords), x, y

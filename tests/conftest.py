@@ -263,8 +263,8 @@ def unmemoised_pure(tens, x, y):
         for part, blk in zip(tens.n_parts, tens.blocks)
     ]
     for (bi, i, j), off, d in tens.layout:
-        afield = tens.blocks[bi].afield
-        prod = afield.digits[afield.mul(per_block_m[bi][i], per_block_n[bi][j])]
+        blk = tens.blocks[bi]
+        prod = blk.to_coords[blk.field.mul(per_block_m[bi][i], per_block_n[bi][j])]
         for m in range(d):
             coords[off + m] = (coords[off + m] + prod[m]) % tens.p
     return tuple(coords)

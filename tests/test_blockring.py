@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from conftest import PAIR_CYCLIC_SPECS, disjoint_union, idempotents_of, pair_cyclic_doc
-from gpdgalois.action import subalgebra_closure, validate_action
+from gpdgalois.action import span_elements, subalgebra_closure, validate_action
 from gpdgalois.blockring import (
     ProductSpace,
     disconnected_identity,
@@ -120,7 +120,6 @@ def test_idempotents_match_bruteforce(fix1):
     # oracle: x*x = x over the span of the ideal
     R = fix1.ring
     E = R.ideal("e2")
-    from gpdgalois.action import span_elements
     from gpdgalois.blockring import ideal_fp_basis
 
     brute = {
@@ -248,3 +247,60 @@ def test_kblocks_and_annihilators_match_listing_on_random_subalgebras(case):
     K, E = case
     assert [blk.u for blk in kblocks(K)] == listed_primitive_idempotents(K)
     assert is_faithful_ideal(K, E) == listed_faithful_ideal(K, E)
+
+
+@st.composite
+def subalgebras_over_extensions(draw):
+    """The subalgebra of F^n that up to three random elements generate,
+    F in F_4, F_8 and F_9 and n <= 4, sometimes with a Frobenius pair
+    (x, x^p) on two slots, so that K-block fields K·u of every degree
+    d <= k occur, proper subfields (d < k) among them."""
+    field = draw(st.sampled_from([make_field(2, 2, [1, 1, 1]), make_field(2, 3, [1, 1, 0, 1]),
+                                  make_field(3, 2, [1, 0, 1])]))
+    n = draw(st.integers(1, 4))
+    space = ProductSpace(field, [f"b{i}" for i in range(n)])
+    scalars = st.sampled_from(field.elements())
+    gens = [tuple(g) for g in draw(st.lists(
+        st.lists(scalars, min_size=n, max_size=n), max_size=3))]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        x = draw(scalars)
+        gens.append(space.embed({f"b{i}": x, f"b{j}": field.power(x, field.p)}))
+    return subalgebra_closure(space, gens)
+
+
+def has_proper_subfield_block(K):
+    return any(blk.degree < K.space.field.k for blk in kblocks(K))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subalgebras_over_extensions())
+def test_kblock_fields_are_read_inside_the_ring_field(K):
+    # x -> x_b at the block's first slot is an injective ring map on K·u,
+    # lift inverts it, and the coordinate tables are mutually inverse
+    space, F = K.space, K.space.field
+    for blk in kblocks(K):
+        b = blk.slot
+        assert blk.u[b] == F.one and blk.field is F
+        members = span_elements(space, blk.fp_basis)
+        assert len({x[b] for x in members}) == len(members) == F.p**blk.degree
+        for x, y in itertools.product(members, repeat=2):
+            assert space.add(x, y)[b] == F.add(x[b], y[b])
+            assert space.mul(x, y)[b] == F.mul(x[b], y[b])
+        for x in members:
+            assert K.contains(x) and space.mul(x, blk.u) == x
+            assert blk.lift(space, x[b]) == x
+        assert len(blk.from_coords) == len(blk.to_coords) == len(members)
+        for coords, s in blk.from_coords.items():
+            assert blk.to_coords[s] == coords
+            assert space.int_combine(coords, blk.fp_basis)[b] == s
+
+
+def test_random_subalgebras_over_extensions_include_proper_subfield_blocks():
+    # the strategy above reaches blocks with d < k, over F_4, F_8 and F_9
+    for k, p in ((2, 2), (3, 2), (2, 3)):
+        K = find(subalgebras_over_extensions(),
+                 lambda K: (K.space.field.k, K.space.field.p) == (k, p)
+                 and has_proper_subfield_block(K),
+                 settings=settings(database=None))
+        assert has_proper_subfield_block(K)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import pathlib
@@ -14,7 +15,7 @@ from conftest import (
     pair_cyclic_doc,
     walk_conform,
 )
-from gpdgalois import action as action_mod, cli, tensor
+from gpdgalois import action as action_mod, cli, scalar as scalar_mod, tensor
 from gpdgalois.action import Submodule, invariants
 from gpdgalois.cli import EXIT_CODES, main
 from gpdgalois.errors import InvalidInput
@@ -516,13 +517,17 @@ def test_invariants_oracle_mismatch_is_reported(capsys):
 
 def test_tensor_self_check_is_an_oracle_mismatch(capsys):
     # a K-block self-check that fails is a fault of the library, not a
-    # verdict on the input: with no field generator to find, galois ends in
-    # oracle-mismatch, not fail
-    with mock.patch.object(tensor, "span_elements", lambda space, basis: (space.zero(),)):
+    # verdict on the input: read as one block with unit 1, fix1's K, a
+    # product of several fields, has F_p-dependent values at its first
+    # slot, and galois ends in oracle-mismatch, not fail
+    def one_block(K):
+        return (tensor.KBlock(K.space, K.space.one(), K.basis),)
+
+    with mock.patch.object(tensor, "_find_kblocks", one_block):
         code, out = run(capsys, "galois", FIX1, "--json")
     report = json.loads(out)
     assert (code, report["status"]) == (4, "oracle-mismatch")
-    assert report["checks"][-1]["witness"] == "no field generator found; K block is not a field"
+    assert report["checks"][-1]["witness"] == "K block is not a field"
 
 
 # Capacity: inputs past the old listing bounds (2^16 elements of K, 20
@@ -587,14 +592,23 @@ GUARD_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[1] ** 2 * spec[2] <= 4
 def test_only_the_invariants_oracle_lists_a_subspace(capsys, tmp_path):
     # every subcommand on every fixture and small generated problem reads
     # Submodule.elements only from the brute-force cross-check in
-    # action.invariants
+    # action.invariants, lists a span only inside Submodule.elements, and
+    # builds a field only from the problem's field section
     listed = Submodule.elements.func
     readers = set()
+    callers = {"span_elements": set(), "make_field": set()}
 
     def elements(self):
         caller = sys._getframe(1).f_code
         readers.add((caller.co_filename, caller.co_name))
         return listed(self)
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1).f_code
+            callers[name].add((caller.co_filename, caller.co_name))
+            return fn(*args, **kwargs)
+        return wrapper
 
     docs = [json.loads(pathlib.Path(path).read_text()) for path in (FIX1, FIX2, FIXC2, FIXF4)]
     for spec in GUARD_SPECS:
@@ -602,7 +616,15 @@ def test_only_the_invariants_oracle_lists_a_subspace(capsys, tmp_path):
         doc["subgroupoids"] = {"G0": [f"g{i}_{i}_0" for i in range(spec[1])]}
         doc["gsets"] = {"reg": "regular", "cosets": "quotient:G0"}
         docs.append(doc)
-    with mock.patch.object(Submodule, "elements", property(elements)):
+    package = [module for name, module in sys.modules.items()
+               if name == "gpdgalois" or name.startswith("gpdgalois.")]
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(Submodule, "elements", property(elements)))
+        for name, fn in (("span_elements", action_mod.span_elements),
+                         ("make_field", scalar_mod.make_field)):
+            for module in package:
+                if getattr(module, name, None) is fn:
+                    stack.enter_context(mock.patch.object(module, name, recording(name, fn)))
         for doc in docs:
             path = _write(tmp_path, doc)
             runs = [[cmd] for cmd in ("check", "galois", "subgroupoids", "faithful", "skew",
@@ -612,3 +634,5 @@ def test_only_the_invariants_oracle_lists_a_subspace(capsys, tmp_path):
             for argv in runs:
                 run(capsys, argv[0], path, *argv[1:])
     assert readers == {(action_mod.__file__, "invariants")}
+    assert callers == {"span_elements": {(action_mod.__file__, "elements")},
+                       "make_field": {(cli.__file__, "_field")}}

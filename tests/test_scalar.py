@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,6 +289,28 @@ def test_tables_match_polynomial_arithmetic(p, k, modulus):
             for _ in range(p**t):
                 power = list(reduce(_pmul(p, power, list(dx))))
             assert field.digits[field.frobenius_table(p**t)[x]] == tuple(power)
+
+
+@pytest.mark.parametrize("p,k,modulus", [(3, 5, [1, 2, 0, 0, 0, 1]),
+                                         (2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1])], ids=str)
+def test_largest_tables_match_polynomial_arithmetic_on_a_sample(p, k, modulus):
+    # F_243 and F_256 have too many pairs to check all; every pair with
+    # one factor among the constants, the powers of t and a seeded sample
+    field = make_field(p, k, modulus)
+
+    def reduce(poly):
+        out = _pmod(p, poly, modulus)
+        return tuple(out + [0] * (k - len(out)))
+
+    rng = random.Random(k)
+    special = list(range(p)) + [p**i for i in range(k)] + [field.order - 1]
+    sample = special + rng.sample(range(field.order), 40)
+    for x in sample:
+        for y in itertools.chain(special, rng.sample(range(field.order), 40)):
+            dx, dy = field.digits[x], field.digits[y]
+            assert field.digits[field.add(x, y)] == tuple((a + b) % p for a, b in zip(dx, dy))
+            assert field.digits[field.mul(x, y)] == reduce(_pmul(p, list(dx), list(dy)))
+            assert field.mul(x, y) == field.mul(y, x)
 
 
 @pytest.mark.parametrize("p,k,modulus", SMALL_FIELDS, ids=str)

@@ -269,14 +269,14 @@ def reference_separability_pairs(T, K: Subalgebra):
             for bi in bmb.basis
         ]
         unit_coords = bmb.decompose(space.k_scale(blk.u, space.one()))
-        coeffs = separability_idempotent_from_structure(blk.afield, mult, unit_coords)
+        coeffs = separability_idempotent_from_structure(blk.field, mult, unit_coords)
         if coeffs is None:
             return None
         for i, bi in enumerate(bmb.basis):
             for j, bj in enumerate(bmb.basis):
                 c = coeffs[i][j]
-                if c != blk.afield.zero:
-                    x = space.k_scale(blk.from_abstract(K.space, c), bi)
+                if c != blk.field.zero:
+                    x = space.k_scale(blk.lift(K.space, c), bi)
                     pairs.append((x, bj))
     return tuple(pairs)
 
