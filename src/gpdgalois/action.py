@@ -310,9 +310,7 @@ def twisted_invariant_basis(field, nodes, edges) -> list[dict]:
         for a, b, t in edges:
             if a in w:
                 sub_deg = math.gcd(sub_deg, (w[a] + t - w[b]) % field.k)
-        sub_frob, span = field.frobenius_table(field.p**sub_deg), FpSpan(field.p)
-        sub_basis = [x for x in field.elements()
-                     if sub_frob[x] == x and span.insert(field.digits[x])]
+        sub_basis = field.subfield_basis(sub_deg)
         if len(sub_basis) != sub_deg:
             raise OracleMismatch("subfield dimension mismatch")
         comp = sorted(w, key=idx.__getitem__)

@@ -12,24 +12,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .action import (
-    AlgebraAction,
-    Subalgebra,
-    invariants,
-    stabilizer,
-    subalgebra_closure,
-)
-from .blockring import equalising_block, ideal_fp_basis
+from .action import AlgebraAction, Subalgebra, invariants, stabilizer
+from .blockring import equalising_block
 from .errors import OracleMismatch
 from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
 from .mapalg import hom_gset_check, require_faithful_hypotheses, splits_per_target
-from .scalar import solve_linear
+from .omega import Omega, subalgebra_basis
+from .scalar import FpSpan
 from .tensor import BlockModuleBasis, kblocks
-
-# galois_correspondence's candidate subalgebras are the closures over the
-# base algebra of at most this many prime-field block-basis vectors.
-MAX_GENERATORS = 3
-
 
 # Separability ---------------------------------------------------------
 
@@ -40,12 +30,22 @@ class SeparabilityIdempotent:
     pairs: tuple
 
 
-def inverse_trace_form(field, mult):
+def inverse_trace_form(field, mult, scalars):
     """The inverse C of the Gram matrix G_ij = Tr(b_i b_j) of the trace
-    form of a commutative algebra over a finite field, solved column by
-    column; None when G is singular.  mult[i][j] is the coefficient vector
-    of b_i b_j, so Tr(b_m) = tau_m = sum_l mult[m][l][l] and
-    G_ij = sum_m mult[i][j][m] tau_m.
+    form of a commutative algebra over a subfield L of a finite field,
+    from one elimination of G; None when G is singular.  mult[i][j] is
+    the coefficient vector of b_i b_j, with entries in L, so Tr(b_m) =
+    tau_m = sum_l mult[m][l][l] and G_ij = sum_m mult[i][j][m] tau_m.
+    scalars is an F_p-basis of L inside field.
+
+    The elimination restricts scalars to F_p, as solve_linear does: the
+    n d columns G_j a, a over scalars (d of them), go into one FpSpan.  G
+    is invertible over L exactly when they are independent, as their
+    F_p-span is the L-span of the columns, of dimension d rank G.  Then
+    every unit vector e_m of L^n has coordinates c_ja over them, and
+    C_jm = sum_a c_ja a solves G C_m = e_m: each column of C is read off
+    the same elimination.  The inverse is unique, so it is the inverse
+    over field too.
 
     v = sum C_ij b_i tensor b_j is the separability idempotent, and None
     means that there is none (DeMeyer and Ingraham, Separable Algebras
@@ -71,14 +71,24 @@ def inverse_trace_form(field, mult):
         for j in range(n):
             for m in range(n):
                 gram[i][j] = field.add(gram[i][j], field.mul(mult[i][j][m], tau[m]))
+    span = FpSpan(field.p)
+    for column in gram:  # G is symmetric, so its rows are its columns
+        for a in scalars:
+            times_a = field.mul_table[a]
+            if not span.insert(field.flatten(times_a[x] for x in column)):
+                return None
+    d = len(scalars)
     columns = []
-    for k in range(n):
-        # a singular G misses some unit vector, so G C = I proves C = G^-1
-        sol = solve_linear(field, gram, [field.one if i == k else field.zero
-                                         for i in range(n)])
-        if sol.solution is None:
-            return None
-        columns.append(sol.solution)
+    for m in range(n):
+        coords = span.coords(field.flatten(field.one if i == m else field.zero
+                                           for i in range(n)))
+        column = []
+        for j in range(n):
+            x = field.zero
+            for c, a in zip(coords[j * d : (j + 1) * d], scalars):
+                x = field.add(x, field.mul_table[c][a])
+            column.append(x)
+        columns.append(column)
     return columns  # C is symmetric, so its columns are its rows
 
 
@@ -90,12 +100,11 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
 
     The pairs are (c b_i, b_j), block by block, for each nonzero
     coefficient c of b_i tensor b_j over the block's K·u-basis b, solved
-    on K·u's values in F_{p^k} (KBlock) and lifted: a matrix over a
-    subfield has its inverse there, and is singular or not in both.  Two
-    laws are self-checked: mu(v) = 1 in R, and the symmetry law for every
-    block basis element b_m on the block's structure constants, which by
-    K-linearity in t gives it for every t in T.  Idempotence follows from
-    the two, so it is not checked:
+    on K·u's values at the block's slot, the subfield of F_{p^k} that
+    KBlock reads, and lifted.  Two laws are self-checked: mu(v) = 1 in R,
+    and the symmetry law for every block basis element b_m on the block's
+    structure constants, which by K-linearity in t gives it for every t in
+    T.  Idempotence follows from the two, so it is not checked:
     v v = sum_i (x_i tensor 1)(1 tensor y_i) v
         = sum_i (x_i tensor 1)(y_i tensor 1) v = (mu(v) tensor 1) v = v.
     """
@@ -106,7 +115,7 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
         bmb = BlockModuleBasis(space, blk, T.basis)
         n = bmb.rank
         mult = [[bmb.decompose(space.mul(bi, bj)) for bj in bmb.basis] for bi in bmb.basis]
-        coeffs = inverse_trace_form(F, mult)
+        coeffs = inverse_trace_form(F, mult, [f[blk.slot] for f in blk.fp_basis])
         if coeffs is None:
             return None
         # the coefficients of b_k tensor b_j in (b_m tensor 1)v and (1 tensor b_m)v
@@ -233,10 +242,15 @@ def galois_correspondence(
     """Map every wide subgroupoid to its invariants and compare against an
     independent enumeration of the separable beta-strong subalgebras.
 
-    The candidate subalgebras are closures of generator subsets (of the
-    prime-field block basis) of size at most MAX_GENERATORS over the
-    base algebra; the hypothesis gate raises HypothesisFailure when some
-    ideal is unfaithful or the action is not Galois.
+    The candidate subalgebras are the T of the partitions of Ω that
+    Omega.strong_partitions keeps: every subalgebra between K and R is
+    such a T, and the search drops only partitions whose T fails to be
+    beta-strong, so every separable beta-strong subalgebra is a candidate.
+    Each candidate is still decided by separability_idempotent and
+    is_beta_strong, directly or through the row verdicts below; the
+    search raises SizeBoundExceeded past omega.MAX_SEARCH_NODES.  The
+    hypothesis gate raises HypothesisFailure when some ideal is unfaithful
+    or the action is not Galois.
 
     Three things are kept for the length of this call, and no longer:
     - invariants(A, H) per subgroupoid H, by its label tuple, shared by
@@ -292,12 +306,9 @@ def galois_correspondence(
     partition_injective = len(partitions) == len(rows)
     closure = all(row.closure_holds for row in rows)
 
-    family = ideal_fp_basis(R, R.blocks)
-    seen: dict = {}
-    for size in range(MAX_GENERATORS + 1):
-        for combo in itertools.combinations(family, size):
-            T = subalgebra_closure(R, combo, include=K.basis)
-            seen.setdefault(T.key(), T)
+    candidates = (Subalgebra(R, subalgebra_basis(R, part))
+                  for part in Omega(A).strong_partitions())
+    seen = {T.key(): T for T in candidates}
     row_verdicts = {
         key: (row.separable, row.beta_strong) for key, row in zip(keys, rows)
     }

@@ -167,6 +167,13 @@ class FieldSpec:
         indexed by scalars."""
         return self._frobenius_tables[q]
 
+    def subfield_basis(self, d: int) -> list[Scalar]:
+        """An F_p-basis of the subfield F_{p^d}, d | k: the fixed points of
+        x -> x^(p^d) in scalar order, each kept when independent of those
+        before it."""
+        fixed, span = self.frobenius_table(self.p**d), FpSpan(self.p)
+        return [x for x in self.elements() if fixed[x] == x and span.insert(self.digits[x])]
+
     def frobenius(self, x: Scalar, e: int) -> Scalar:
         if not 0 <= e < self.k:
             raise InvalidInput(f"exponent {e} outside [0, {self.k})")

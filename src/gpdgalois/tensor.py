@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .action import Subalgebra
 from .errors import OracleMismatch, ValidationError
+from .omega import signature_partition
 from .scalar import FpSpan, Scalar
 
 
@@ -70,27 +71,25 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
     """The idempotents from K's basis, with no listing of K.
 
     Each slot b gives a unital F_p-linear ring map ev_b: x -> x_b from K
-    to F_{p^k}, fixed by its values on K.basis.  The signature of b is the
-    set of those value tuples under each Frobenius power x -> x^(p^s),
-    s < k.  ev_b factors through the one field K u_i of K with u_i = 1 at
-    b.  Two ring maps K -> F_{p^k} with the same kernel differ by a
-    Frobenius power, and maps with different kernels differ after any, as
-    Frobenius is injective.  So two slots share a primitive idempotent
-    exactly when their signatures are equal, and that idempotent is the
-    unit of their class.  The classes partition the slots, so the units
-    are orthogonal and sum to one; that each lies in K is self-checked.
+    to F_{p^k}, fixed by its values on K.basis.  signature_partition puts
+    two slots in one Frobenius cycle exactly when their value tuples agree
+    up to a Frobenius power x -> x^(p^s), s < k.  ev_b factors through the
+    one field K u_i of K with u_i = 1 at b.  Two ring maps K -> F_{p^k}
+    with the same kernel differ by a Frobenius power, and maps with
+    different kernels differ after any, as Frobenius is injective.  So two
+    slots share a primitive idempotent exactly when they share a cycle,
+    and that idempotent is the unit of their class.  The classes partition
+    the slots, so the units are orthogonal and sum to one; that each lies
+    in K is self-checked.
 
     On the class of u with first slot b, each slot c carries b's basis
     values raised to one p^s, which is F_p-linear, so x_c = x_b^(p^s) for
     every x in K: x u -> x_b is injective, and KBlock reads K u there.
     """
     space = K.space
-    F = space.field
-    frobs = [F.frobenius_table(F.p**s) for s in range(F.k)]
     groups: dict = {}
-    for b, slot in enumerate(space.slots):
-        sig = frozenset(tuple(f[x[b]] for x in K.basis) for f in frobs)
-        groups.setdefault(sig, []).append(slot)
+    for slot, (cycle, _) in zip(space.slots, signature_partition(space, K.basis).place):
+        groups.setdefault(cycle, []).append(slot)
     primitive = [space.unit(group) for group in groups.values()]
     if not all(K.contains(u) for u in primitive):
         raise OracleMismatch("a signature class unit lies outside K")

@@ -14,6 +14,7 @@ from gpdgalois import cli
 from gpdgalois.action import (
     AlgebraAction,
     SkewReport,
+    Subalgebra,
     Submodule,
     _complete_maps,
     invariants,
@@ -21,7 +22,7 @@ from gpdgalois.action import (
     skew_mul,
     span_elements,
     stabilizer,
-    subalgebra_closure,
+    twisted_invariant_basis,
 )
 from gpdgalois.blockring import ideal_fp_basis
 from gpdgalois.errors import (
@@ -270,11 +271,86 @@ def unmemoised_pure(tens, x, y):
     return tuple(coords)
 
 
-def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_ELEMENTS):
-    """Oracle: galois_correspondence with nothing shared, every row's
-    invariants computed afresh and separability_idempotent plus
-    is_beta_strong run on every candidate subalgebra."""
+# Partitions of Ω past this many are refused by the unpruned oracle.
+PARTITION_ORACLE_BOUND = 4200
+
+
+def omega_orbits(A):
+    """Oracle: the G-orbits of Ω = blocks x Z/k, g . (b, s) =
+    (sigma_g b, s - t_g(b)), each a sorted list of points, found by
+    closing each point under every element of G in turn."""
     G, R = A.groupoid, A.ring
+    k = R.field.k
+    orbits, seen = [], set()
+    for start in itertools.product(R.blocks, range(k)):
+        if start in seen:
+            continue
+        orbit = [start]
+        for b, s in orbit:  # breadth first: the list grows as it is read
+            for g in G.elements:
+                if G.d[g] == R.owner[b]:
+                    image = (A.sigma[g][b], (s - A.frob[g][b]) % k)
+                    if image not in orbit:
+                        orbit.append(image)
+        seen.update(orbit)
+        orbits.append(sorted(orbit, key=lambda w: (R.slot_index(w[0]), w[1])))
+    return orbits
+
+
+def unpruned_partition_subalgebras(A):
+    """Oracle: T for every Frobenius-stable partition of Ω with each part
+    in one G-orbit, with no pruning; SizeBoundExceeded past an orbit of 9
+    points or PARTITION_ORACLE_BOUND partitions.
+
+    Frobenius F(b, s) = (b, s + 1) permutes the G-orbits.  On each class
+    O, F O, ..., F^(m-1) O (m least with F^m O = O) a stable partition is
+    a set partition of O that F^m maps to itself, carried to F^j O by F^j.
+    T is solved from the parts as twisted invariants: x(b, s) = x_b^(p^s)
+    is one value on a part, so x_c = x_b^(p^(s - s')) along the edge from
+    (b, s) to (c, s')."""
+    R = A.ring
+    k = R.field.k
+
+    def frob(points, j):
+        return sorted(((b, (s + j) % k) for b, s in points),
+                      key=lambda w: (R.slot_index(w[0]), w[1]))
+
+    orbits = omega_orbits(A)
+    done, choices = set(), []
+    for orbit in orbits:
+        if orbit[0] in done:
+            continue
+        if len(orbit) > 9:
+            raise SizeBoundExceeded(f"a G-orbit of {len(orbit)} points")
+        m = next(j for j in range(1, k + 1) if frob(orbit, j) == orbit)
+        for j in range(m):
+            done.update(frob(orbit, j))
+        stable = []
+        for parts in set_partitions(orbit):
+            as_sets = {frozenset(part) for part in parts}
+            if {frozenset(frob(part, m)) for part in parts} == as_sets:
+                stable.append([frob(part, j) for part in parts for j in range(m)])
+        choices.append(stable)
+    count = 1
+    for stable in choices:
+        count *= len(stable)
+    if count > PARTITION_ORACLE_BOUND:
+        raise SizeBoundExceeded(f"{count} partitions")
+    out = []
+    for combo in itertools.product(*choices):
+        edges = [(b, c, s - t) for parts in combo for part in parts
+                 for (b, s), (c, t) in zip(part, part[1:])]
+        basis = twisted_invariant_basis(R.field, R.blocks, edges)
+        out.append(Subalgebra(R, [R.embed(v) for v in basis]))
+    return out
+
+
+def partition_correspondence(A, max_elements=DEFAULT_MAX_ELEMENTS):
+    """Oracle: galois_correspondence with nothing shared, every row's
+    invariants computed afresh, and separability_idempotent plus
+    is_beta_strong run on the T of every partition of
+    unpruned_partition_subalgebras."""
+    G = A.groupoid
     require_faithful_hypotheses(A)
     K = A.base_subalgebra()
     rows, partitions = [], set()
@@ -289,17 +365,12 @@ def candidate_loop_correspondence(A, max_generators=3, max_elements=DEFAULT_MAX_
         ))
         partitions.add(frozenset(frozenset(c) for c in coset_space(G, H).classes))
     keys = [row.subalgebra.key() for row in rows]
-    seen: dict = {}
-    for size in range(max_generators + 1):
-        for combo in itertools.combinations(ideal_fp_basis(R, R.blocks), size):
-            T = subalgebra_closure(R, combo, include=K.basis)
-            seen.setdefault(T.key(), T)
-    strong = []
-    for key in sorted(seen, key=lambda k: (len(k), k)):
-        T = seen[key]
-        if (separability_idempotent(T, K) is not None
-                and is_beta_strong(T, A, stabilizer(T, A))[0]):
-            strong.append(T)
+    strong = sorted(
+        (T for T in unpruned_partition_subalgebras(A)
+         if separability_idempotent(T, K) is not None
+         and is_beta_strong(T, A, stabilizer(T, A))[0]),
+        key=lambda T: (len(T.key()), T.key()),
+    )
     return CorrespondenceTable(
         rows, strong, len(set(keys)) == len(keys), len(partitions) == len(rows),
         set(keys) == {T.key() for T in strong},
@@ -602,6 +673,64 @@ def disjoint_union(docs, relabel):
 
 
 PROBLEM_SOURCES = FIXTURE_FILES + PAIR_CYCLIC_SPECS
+
+
+def cyclic_on_copies(m, twists, k=1):
+    """C_m = {a0, ..., a(m-1)} on one object over F_{2^k}, acting on one
+    copy of its regular set per entry of twists: a_j sends block w{c}_{t}
+    to w{c}_{t+j} with Frobenius exponent j * twists[c] mod k (m twists[c]
+    must be 0 mod k)."""
+    elements = [f"a{j}" for j in range(m)]
+    blocks = [f"w{c}_{t}" for c in range(len(twists)) for t in range(m)]
+    action = {
+        f"a{j}": {
+            "sigma": {f"w{c}_{t}": f"w{c}_{(t + j) % m}"
+                      for c in range(len(twists)) for t in range(m)},
+            "frob": {f"w{c}_{t}": j * tw % k
+                     for c, tw in enumerate(twists) for t in range(m)},
+        }
+        for j in range(1, m)
+    }
+    field = {"p": 2, "k": k}
+    if k > 1:
+        field["modulus"] = MODULI[k]
+    return {
+        "field": field,
+        "groupoid": {"elements": elements,
+                     "products": [[f"a{i}", f"a{j}", f"a{(i + j) % m}"]
+                                  for i in range(m) for j in range(m)]},
+        "ring": {"blocks": blocks, "ideals": {"a0": blocks}},
+        "action": action,
+    }
+
+
+def pair_on_two_orbits():
+    """P_2 over F_2, object i owning blocks v{i} and w{i}; the arrow from i
+    to j sends v{i} to v{j} and w{i} to w{j}: two orbits of blocks."""
+    def label(j, i):
+        return f"g{j}_{i}"
+
+    elements = [label(j, i) for j in range(2) for i in range(2)]
+    return {
+        "field": {"p": 2, "k": 1},
+        "groupoid": {"elements": elements,
+                     "products": [[label(q, j), label(j, i), label(q, i)]
+                                  for q in range(2) for j in range(2) for i in range(2)]},
+        "ring": {"blocks": ["v0", "w0", "v1", "w1"],
+                 "ideals": {label(i, i): [f"v{i}", f"w{i}"] for i in range(2)}},
+        "action": {label(j, i): {"sigma": {f"v{i}": f"v{j}", f"w{i}": f"w{j}"}}
+                   for j in range(2) for i in range(2) if i != j},
+    }
+
+
+# Problems with several G-orbits of blocks, by name, for the Ω tests.
+ORBIT_DOCS = {
+    **{f"C{m} on {r} regular copies": cyclic_on_copies(m, (0,) * r)
+       for m, r in ((2, 2), (2, 3), (3, 2), (4, 2))},
+    **{f"C2 on 2 orbits over F4, twists {tw}": cyclic_on_copies(2, tw, 2)
+       for tw in ((1, 0), (1, 1), (0, 0))},
+    "P2 on two orbits": pair_on_two_orbits(),
+}
 
 
 def problem_doc(source):

@@ -15,7 +15,7 @@ from conftest import (
     pair_cyclic_doc,
     walk_conform,
 )
-from gpdgalois import action as action_mod, cli, scalar as scalar_mod, tensor
+from gpdgalois import action as action_mod, cli, omega, scalar as scalar_mod, tensor
 from gpdgalois.action import Submodule, invariants
 from gpdgalois.cli import EXIT_CODES, main
 from gpdgalois.errors import InvalidInput
@@ -466,13 +466,9 @@ def test_shared_parser_gives_the_reports_of_a_fresh_parser(capsys):
 
 
 # Fields of odd characteristic: every fixture and every other generated
-# problem is over F_2, F_4 or F_8.  The one line known to fail is the image
-# line of correspondence on P_2 x C_2: its candidate subalgebras miss strong
-# subalgebras (ROADMAP item 1), as the golden reports record on F_4 and F_8.
+# problem is over F_2, F_4 or F_8.  No line is known to fail.
 ODD_CHARACTERISTIC = [("shift", 2, 2, 1, 3), ("shift", 1, 2, 1, 5), ("shift", 1, 2, 1, 7)]
-KNOWN_FAILURES = {
-    (("shift", 2, 2, 1, 3), "correspondence"): ["image is every separable beta-strong subalgebra"],
-}
+KNOWN_FAILURES: dict = {}
 
 
 @pytest.mark.parametrize("spec", ODD_CHARACTERISTIC,
@@ -560,6 +556,26 @@ def test_seventeen_orbits_pass_galois_and_faithful(capsys, tmp_path):
     for cmd in ("galois", "faithful"):
         code, out = run(capsys, cmd, path)
         assert (code, out.splitlines()[-1]) == (0, "status: pass"), cmd
+
+
+def test_correspondence_on_eight_orbits_passes(capsys, tmp_path):
+    # R needs 8 generators over K = F_2^8; the Omega search finds both
+    # strong subalgebras, K and R
+    code, out = run(capsys, "correspondence", _write(tmp_path, c2_on_orbits(8)))
+    assert (code, out.splitlines()[-1]) == (0, "status: pass")
+    assert out.count("] row  [") == 2
+
+
+def test_partition_search_past_its_bound_is_bound_exceeded(capsys):
+    # past its node bound the search refuses, and correspondence ends in
+    # bound-exceeded, not in a verdict
+    with mock.patch.object(omega, "MAX_SEARCH_NODES", 3):
+        code, out = run(capsys, "correspondence", FIX1)
+    assert code == 3
+    assert out.splitlines()[-2:] == [
+        "[BOUND-EXCEEDED] size bound  [partition search passed 3 nodes]",
+        "status: bound-exceeded",
+    ]
 
 
 def test_seventeen_components_pass_galois_and_fail_faithful(capsys, tmp_path):

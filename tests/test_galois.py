@@ -9,17 +9,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     PROBLEM_SOURCES,
     brute_subalgebras,
-    candidate_loop_correspondence,
+    ORBIT_DOCS,
     corrupted_basis_outcomes,
     distinct_subgroupoids,
     idempotent_is_beta_strong,
     idempotent_strongly_distinct,
+    doc_action,
+    partition_correspondence,
     problem_action,
     unmemoised_pure,
+    unpruned_partition_subalgebras,
 )
 from gpdgalois import action as action_mod
 from gpdgalois import galois as galois_mod
 from gpdgalois import mapalg
+from gpdgalois import omega as omega_mod
 from gpdgalois.action import (
     Subalgebra,
     Submodule,
@@ -50,7 +54,7 @@ from gpdgalois.mapalg import (
     splits_per_target,
     transversal_hom_family,
 )
-from gpdgalois.scalar import FpSpan, make_field, solve_linear
+from gpdgalois.scalar import FpSpan, fp_basis_scalars, make_field, solve_linear
 from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
 import theorems
 from theorems import (
@@ -62,6 +66,7 @@ from theorems import (
     listed_faithful_ideal,
     listed_primitive_idempotents,
     pairwise_strongly_distinct,
+    per_column_inverse_trace_form,
     reference_separability_pairs,
     separability_idempotent_from_structure,
     strongly_distinct,
@@ -296,7 +301,7 @@ def test_separability_structure_solver_nilpotent_case():
         [(one, zero), (zero, one)],
         [(zero, one), (zero, zero)],
     ]
-    assert inverse_trace_form(F, mult) is None
+    assert inverse_trace_form(F, mult, fp_basis_scalars(F)) is None
     # nilpotency oracle: the span contains x with x*x = 0
     assert mult[1][1] == (zero, zero)
 
@@ -310,7 +315,7 @@ def test_separability_structure_solver_split_case():
         [(one, zero), (zero, zero)],
         [(zero, zero), (zero, one)],
     ]
-    coeffs = inverse_trace_form(F, mult)
+    coeffs = inverse_trace_form(F, mult, fp_basis_scalars(F))
     assert coeffs == [[one, zero], [zero, one]]
 
 
@@ -411,7 +416,7 @@ def test_inverse_trace_form_matches_the_separability_system(algebra):
     # n^2-unknown defining system, and None exactly when that system is
     # inconsistent; a square factor is never separable
     F, mult, unit, squared = algebra
-    got = inverse_trace_form(F, mult)
+    got = inverse_trace_form(F, mult, fp_basis_scalars(F))
     assert got == separability_idempotent_from_structure(F, mult, unit)
     if squared:
         assert got is None
@@ -627,8 +632,8 @@ def test_strong_from_distinct_quotient_families(fix1, fixc2):
 
 
 def _candidate_subalgebras(A):
-    """The candidates of galois_correspondence: closures over K of at most
-    three F_p-basis vectors of R, one per subalgebra."""
+    """Subalgebras to test on: the closures over K of at most three
+    F_p-basis vectors of R, each subalgebra once."""
     R, K = A.ring, A.base_subalgebra()
     family = ideal_fp_basis(R, R.blocks)
     seen = {}
@@ -706,11 +711,12 @@ def test_kept_tensor_coordinates_match_unmemoised(source):
 
 
 def _separability_candidates(A):
-    """The invariants of every wide subgroupoid within the default size
-    bound, then the closures over K of at most two F_p-basis vectors of
-    R, one per subalgebra.  The invariants are the structural basis that
-    invariants() builds, without its brute-force cross-check, which the
-    invariants tests run."""
+    """The invariants of every wide subgroupoid when |G| is within the
+    default bound of enumerate_wide_subgroupoids (none otherwise), then
+    the closures over K of no, one and two F_p-basis vectors of R; each
+    subalgebra once, in that order.  The invariants are the structural
+    basis that invariants() builds, without its brute-force cross-check,
+    which the invariants tests run."""
     R, K = A.ring, A.base_subalgebra()
     seen = {}
     try:
@@ -762,6 +768,20 @@ def test_separability_idempotent_matches_the_separability_system(source):
         assert _tensor_sum(tens, square) == _tensor_sum(tens, sep.pairs)
 
 
+@pytest.mark.parametrize("source", PROBLEM_SOURCES, ids=str)
+def test_one_elimination_gives_the_per_column_idempotent(source):
+    # the inverse read off one elimination over K·u's subfield gives the
+    # idempotent of one solve over F_{p^k} per column, and None exactly
+    # when it does
+    A = problem_action(source)
+    K = A.base_subalgebra()
+    for T in _separability_candidates(A):
+        got = separability_idempotent(T, K)
+        with mock.patch.object(galois_mod, "inverse_trace_form",
+                               per_column_inverse_trace_form):
+            assert separability_idempotent(T, K) == got
+
+
 @pytest.mark.parametrize("source", PROBLEM_SOURCES + ["fixf4swap.json"], ids=str)
 def test_kblocks_and_annihilators_match_listing(source):
     # the signature partition gives the primitive idempotents that listing
@@ -784,7 +804,18 @@ def test_kblocks_and_annihilators_match_listing(source):
 
 CORRESPONDENCE_SOURCES = [
     s for s in PROBLEM_SOURCES if isinstance(s, str) or s[1] * s[1] * s[2] <= 16
-]
+] + list(ORBIT_DOCS)
+
+
+def _action(source):
+    """The validated action of an ORBIT_DOCS entry or a problem source."""
+    return doc_action(ORBIT_DOCS[source]) if source in ORBIT_DOCS else problem_action(source)
+
+
+@functools.cache
+def _oracle_table(source):
+    """partition_correspondence on its own action, once per source."""
+    return partition_correspondence(_action(source))
 
 
 def _table_summary(table):
@@ -799,23 +830,53 @@ def _table_summary(table):
 
 @pytest.mark.parametrize("source", CORRESPONDENCE_SOURCES, ids=str)
 def test_correspondence_matches_candidate_loop(source):
-    # shared invariants and row verdicts give the same table as solving
-    # every row and every candidate afresh, each on its own action
+    # shared invariants and row verdicts over the pruned candidates give
+    # the same table as solving every row afresh and deciding every
+    # unpruned partition's T, each on its own action
     try:
-        expected = candidate_loop_correspondence(problem_action(source))
-    except (HypothesisFailure, SizeBoundExceeded) as err:
+        expected = _oracle_table(source)
+    except HypothesisFailure as err:
         with pytest.raises(type(err)):
-            galois_correspondence(problem_action(source))
+            galois_correspondence(_action(source))
         return
-    table = galois_correspondence(problem_action(source))
+    table = galois_correspondence(_action(source))
     assert _table_summary(table) == _table_summary(expected)
+    assert table.ok
+
+
+OMEGA_SOURCES = [s for s in CORRESPONDENCE_SOURCES if not isinstance(s, str)
+                 or s in ORBIT_DOCS]
+
+
+@pytest.mark.parametrize("source", OMEGA_SOURCES, ids=str)
+def test_pruned_survivors_are_the_strong_partitions_and_the_rows(source):
+    # the unpruned partitions give distinct subalgebras, each containing
+    # K and separable; the survivors of the pruned search are exactly
+    # those that are also beta-strong, and exactly the rows' invariants;
+    # each survivor's T gives back its partition
+    A = _action(source)
+    R, K = A.ring, A.base_subalgebra()
+    candidates = unpruned_partition_subalgebras(A)
+    assert len({T.key() for T in candidates}) == len(candidates)
+    assert all(T.contains(x) for T in candidates for x in K.basis)
+    assert all(separability_idempotent(T, K) is not None for T in candidates)
+    survivors = list(omega_mod.Omega(A).strong_partitions())
+    assert len(set(survivors)) == len(survivors)
+    keys = []
+    for part in survivors:
+        basis = omega_mod.subalgebra_basis(R, part)
+        assert omega_mod.signature_partition(R, basis) == part
+        keys.append(Subalgebra(R, basis).key())
+    oracle = _oracle_table(source)
+    assert sorted(keys) == sorted(T.key() for T in oracle.strong_subalgebras)
+    assert sorted(keys) == sorted(row.subalgebra.key() for row in oracle.rows)
 
 
 def test_correspondence_computes_each_stabilizer_once():
     # strong_subalgebra_check hands the cosets of the stabilizer it
-    # computed to hom_gset_check: on twisted P_2 x C_2 over F_4 one
-    # stabilizer per distinct subalgebra (7 rows, 8 other candidates), and
-    # the table of solving every row and candidate afresh
+    # computed to hom_gset_check, and every candidate on twisted P_2 x C_2
+    # over F_4 is a row: one stabilizer per row (7), and the table of
+    # solving every row and unpruned candidate afresh
     source = ("twisted", 2, 2, 2)
     asked = []
 
@@ -826,9 +887,20 @@ def test_correspondence_computes_each_stabilizer_once():
     with mock.patch.object(action_mod, "stabilizer", counting), \
             mock.patch.object(galois_mod, "stabilizer", counting):
         table = galois_correspondence(problem_action(source))
-    assert len(asked) == len(set(asked)) == 15
-    expected = candidate_loop_correspondence(problem_action(source))
-    assert _table_summary(table) == _table_summary(expected)
+    assert len(asked) == len(set(asked)) == 7
+    assert _table_summary(table) == _table_summary(_oracle_table(source))
+
+
+def test_search_past_its_node_bound_refuses():
+    # P_4 x C_4 fits the bound; with the bound one short it refuses
+    A = problem_action(("shift", 4, 4, 1))
+    assert sum(1 for _ in omega_mod.Omega(A).strong_partitions()) == 931
+    nodes = 20967
+    with mock.patch.object(omega_mod, "MAX_SEARCH_NODES", nodes):
+        assert sum(1 for _ in omega_mod.Omega(A).strong_partitions()) == 931
+    with mock.patch.object(omega_mod, "MAX_SEARCH_NODES", nodes - 1), \
+            pytest.raises(SizeBoundExceeded):
+        list(omega_mod.Omega(A).strong_partitions())
 
 
 def test_correspondence_builds_one_coset_space_per_row():

@@ -11,11 +11,6 @@ P_3 x C_2 over F_2 (31 wide subgroupoids of 18 elements), so the order of
 the enumeration is held beyond the fixtures.  A change that claims to keep the reports identical
 proves it here.
 
-The recorded `correspondence` reports on the generated problems FAIL
-"image is every separable beta-strong subalgebra": that is the known fault
-of the candidate subalgebras (ROADMAP item 1), and they are to be
-re-recorded when it is mended.
-
 To record the reports of the current code (only when a report is meant to
 change), run
 

@@ -256,6 +256,31 @@ def separability_idempotent_from_structure(field, mult, unit_coords):
     ]
 
 
+def per_column_inverse_trace_form(field, mult, scalars):
+    """The inverse of the trace form's Gram matrix, the reference for
+    galois.inverse_trace_form: one solve_linear over the whole field per
+    column of the inverse, scalars ignored; None when G is singular."""
+    n = len(mult)
+    tau = [field.zero] * n
+    for m in range(n):
+        for l in range(n):
+            tau[m] = field.add(tau[m], mult[m][l][l])
+    gram = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                gram[i][j] = field.add(gram[i][j], field.mul(mult[i][j][m], tau[m]))
+    columns = []
+    for k in range(n):
+        # a singular G misses some unit vector, so G C = I proves C = G^-1
+        sol = solve_linear(field, gram, [field.one if i == k else field.zero
+                                         for i in range(n)])
+        if sol.solution is None:
+            return None
+        columns.append(sol.solution)
+    return columns
+
+
 def reference_separability_pairs(T, K: Subalgebra):
     """The pairs of separability_idempotent(T, K), in its order, with each
     K-block's coefficients solved by separability_idempotent_from_structure;
