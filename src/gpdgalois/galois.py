@@ -12,7 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .action import AlgebraAction, Subalgebra, invariants, stabilizer
+from .action import AlgebraAction, Subalgebra, Submodule, invariants, stabilizer
 from .blockring import equalising_block
 from .errors import OracleMismatch
 from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
@@ -260,12 +260,14 @@ def galois_correspondence(
       reads the partition of its own H, and hom_gset_check the cosets of
       the row's stabilizer, which is H wherever closure holds.
     - each row's separable and beta-strong verdicts, by the row's key.  A
-      candidate with the same key takes them instead of deciding again.
-      Equal keys mean equal spans, and both verdicts depend on the span
-      only: a separability idempotent is a property of the algebra, not
-      of the basis it is computed on (DeMeyer and Ingraham, Separable
-      Algebras over Commutative Rings, 1971), and the stabilizer and the
-      equalising-block test are linear conditions checked on a basis.
+      candidate with the same key takes them instead of deciding again,
+      and the row's subalgebra stands for it.  Equal keys mean equal
+      spans, and both verdicts depend on the span only: a separability
+      idempotent is a property of the algebra, not of the basis it is
+      computed on (DeMeyer and Ingraham, Separable Algebras over
+      Commutative Rings, 1971), and the stabilizer and the equalising-block
+      test are linear conditions checked on a basis.  A candidate that is
+      no row is built as a Subalgebra, which checks its unit and closure.
     """
     require_faithful_hypotheses(A)
     G, R = A.groupoid, A.ring
@@ -306,23 +308,22 @@ def galois_correspondence(
     partition_injective = len(partitions) == len(rows)
     closure = all(row.closure_holds for row in rows)
 
-    candidates = (Subalgebra(R, subalgebra_basis(R, part))
-                  for part in Omega(A).strong_partitions())
-    seen = {T.key(): T for T in candidates}
-    row_verdicts = {
-        key: (row.separable, row.beta_strong) for key, row in zip(keys, rows)
-    }
-    strong = []
-    for key in sorted(seen, key=lambda k: (len(k), k)):
-        T = seen[key]
-        if key in row_verdicts:
-            ok = all(row_verdicts[key])
-        else:
-            ok = (separability_idempotent(T, K) is not None
-                  and is_beta_strong(T, A, stabilizer(T, A))[0])
-        if ok:
-            strong.append(T)
-    image_ok = set(keys) == {T.key() for T in strong}
+    row_of = dict(zip(keys, rows))
+    found: dict = {}
+    for part in Omega(A).strong_partitions():
+        basis = subalgebra_basis(R, part)
+        key = Submodule(R, basis).key()
+        row = row_of.get(key)
+        if row is not None:
+            if row.separable and row.beta_strong:
+                found[key] = row.subalgebra
+            continue
+        T = Subalgebra(R, basis)
+        if (separability_idempotent(T, K) is not None
+                and is_beta_strong(T, A, stabilizer(T, A))[0]):
+            found[key] = T
+    strong = [found[key] for key in sorted(found, key=lambda k: (len(k), k))]
+    image_ok = set(keys) == set(found)
     return CorrespondenceTable(
         rows, strong, injective, partition_injective, image_ok, closure
     )

@@ -891,6 +891,21 @@ def test_correspondence_computes_each_stabilizer_once():
     assert _table_summary(table) == _table_summary(_oracle_table(source))
 
 
+def test_a_survivor_that_is_no_row_is_decided_on_its_own():
+    # with one subgroupoid left out of the rows, its invariants survive
+    # the search as a candidate that no row shares: it is decided by
+    # separability_idempotent and is_beta_strong, found strong, and the
+    # image line fails
+    source = ("twisted", 2, 2, 2)
+    full = enumerate_wide_subgroupoids
+    with mock.patch.object(galois_mod, "enumerate_wide_subgroupoids",
+                           lambda G, bound: full(G, bound)[:-1]):
+        table = galois_correspondence(problem_action(source))
+    assert len(table.rows) == 6 and not table.image_equals_strong_subalgebras
+    assert ([T.key() for T in table.strong_subalgebras]
+            == [T.key() for T in _oracle_table(source).strong_subalgebras])
+
+
 def test_search_past_its_node_bound_refuses():
     # P_4 x C_4 fits the bound; with the bound one short it refuses
     A = problem_action(("shift", 4, 4, 1))
