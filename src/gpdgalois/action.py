@@ -13,13 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .blockring import (
-    BRUTE_FORCE_BOUND,
-    BlockRing,
-    fixed_elements,
-    ideal_fp_basis,
-    slotwise_matrix,
-)
+from .blockring import BRUTE_FORCE_BOUND, BlockRing, fixed_elements, ideal_fp_basis
 from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded, ValidationError
 from .groupoid import Groupoid, is_wide_subgroupoid, make_subgroupoid
 from .scalar import FpSpan, fp_basis_scalars, solve_linear
@@ -415,6 +409,17 @@ def find_galois_coordinates(A: AlgebraAction) -> GaloisCoordinates | None:
     for the x side.  Any coordinate system can be rewritten over a
     generating set because each beta_g is linear over the invariants, so an
     inconsistent system proves absence.
+
+    Row (g, s) of that system, sum_i x_i[s] beta_g(y_i)[s] = 1_g[s] or 0,
+    reads only the unknowns x_i[s], so it is solved slot by slot, and the
+    pairs are those of one solve of the whole system with unknowns in the
+    order (i, s).  There a column is a pivot when it is independent of the
+    columns before it.  Columns of other slots are zero on the rows of s,
+    so a column of slot s is a combination of earlier columns exactly when
+    it is one of the earlier columns of s: the pivots are the union of
+    the slots' pivots.  The whole system is consistent exactly when every
+    slot's is, and its unique solution with free unknowns zero restricts,
+    on each slot, to that slot's unique solution with free unknowns zero.
     """
     R, G = A.ring, A.groupoid
     pairs = tuple((R.unit([b]), R.unit([b])) for b in R.blocks)
@@ -423,22 +428,18 @@ def find_galois_coordinates(A: AlgebraAction) -> GaloisCoordinates | None:
         return GaloisCoordinates(pairs, "block-idempotents")
 
     ybasis = ideal_fp_basis(R, R.blocks)
-    nvars = len(ybasis)
-    nslots = len(R.blocks)
     idset = set(G.identities)
-    matrix = slotwise_matrix(
-        R,
-        [[A.apply(g, y) for y in ybasis] for g in G.elements],
-        range(nslots),
-    )
-    rhs = []
-    for g in G.elements:
-        rhs.extend(R.unit(A.support[g]) if g in idset else R.zero())
-    sol = solve_linear(R.field, matrix, rhs)
-    if sol.solution is None:
-        return None
-    xs = [tuple(sol.solution[j * nslots : (j + 1) * nslots]) for j in range(nvars)]
-    pairs = tuple(zip(xs, ybasis))
+    images = [[A.apply(g, y) for y in ybasis] for g in G.elements]
+    targets = [R.unit(A.support[g]) if g in idset else R.zero() for g in G.elements]
+    scalars = fp_basis_scalars(R.field)
+    slots = []
+    for s in range(len(R.blocks)):
+        matrix = [[z[s] for z in zs] for zs in images]
+        [solution] = solve_linear(R.field, matrix, [[t[s] for t in targets]], scalars)
+        if solution is None:
+            return None
+        slots.append(solution)
+    pairs = tuple(zip(zip(*slots), ybasis))
     ok, witness = check_galois_coordinates(A, pairs)
     if not ok:
         raise OracleMismatch(f"solved coordinates failed verification at {witness}")

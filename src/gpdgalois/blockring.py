@@ -254,18 +254,6 @@ def equalising_block(R, support, xs, ys):
     return None
 
 
-def slotwise_matrix(R: BlockRing, images, slot_ids) -> list:
-    """The matrix over R.field of x -> (sum_i x_i z_ui)_u, where the
-    unknowns x_i live on the given slots and images[u][i] = z_ui: row
-    (u, s), column (i, s') holds z_ui[s] when s = s' and 0 otherwise."""
-    zero = R.field.zero
-    return [
-        [z[s] if s == s2 else zero for z in zs for s2 in slot_ids]
-        for zs in images
-        for s in slot_ids
-    ]
-
-
 def disconnected_identity(G, g):
     """The first identity outside the connected component of r(g), or None.
 

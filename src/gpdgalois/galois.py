@@ -18,17 +18,10 @@ from .errors import OracleMismatch
 from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
 from .mapalg import hom_gset_check, require_faithful_hypotheses, splits_per_target
 from .omega import Omega, subalgebra_basis
-from .scalar import FpSpan
+from .scalar import solve_linear
 from .tensor import BlockModuleBasis, kblocks
 
 # Separability ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeparabilityIdempotent:
-    """Pairs (x_i, y_i) representing sum x_i tensor y_i in T tensor_K T."""
-
-    pairs: tuple
-
 
 def inverse_trace_form(field, mult, scalars):
     """The inverse C of the Gram matrix G_ij = Tr(b_i b_j) of the trace
@@ -38,14 +31,10 @@ def inverse_trace_form(field, mult, scalars):
     tau_m = sum_l mult[m][l][l] and G_ij = sum_m mult[i][j][m] tau_m.
     scalars is an F_p-basis of L inside field.
 
-    The elimination restricts scalars to F_p, as solve_linear does: the
-    n d columns G_j a, a over scalars (d of them), go into one FpSpan.  G
-    is invertible over L exactly when they are independent, as their
-    F_p-span is the L-span of the columns, of dimension d rank G.  Then
-    every unit vector e_m of L^n has coordinates c_ja over them, and
-    C_jm = sum_a c_ja a solves G C_m = e_m: each column of C is read off
-    the same elimination.  The inverse is unique, so it is the inverse
-    over field too.
+    One solve_linear call over L solves G C_m = e_m for every unit vector
+    e_m of L^n.  G is invertible exactly when every e_m is reached, and
+    then the solutions are the columns of C = G^-1, which is unique, so it
+    is the inverse over field too.
 
     v = sum C_ij b_i tensor b_j is the separability idempotent, and None
     means that there is none (DeMeyer and Ingraham, Separable Algebras
@@ -71,32 +60,18 @@ def inverse_trace_form(field, mult, scalars):
         for j in range(n):
             for m in range(n):
                 gram[i][j] = field.add(gram[i][j], field.mul(mult[i][j][m], tau[m]))
-    span = FpSpan(field.p)
-    for column in gram:  # G is symmetric, so its rows are its columns
-        for a in scalars:
-            times_a = field.mul_table[a]
-            if not span.insert(field.flatten(times_a[x] for x in column)):
-                return None
-    d = len(scalars)
-    columns = []
-    for m in range(n):
-        coords = span.coords(field.flatten(field.one if i == m else field.zero
-                                           for i in range(n)))
-        column = []
-        for j in range(n):
-            x = field.zero
-            for c, a in zip(coords[j * d : (j + 1) * d], scalars):
-                x = field.add(x, field.mul_table[c][a])
-            column.append(x)
-        columns.append(column)
-    return columns  # C is symmetric, so its columns are its rows
+    units = [[field.one if i == m else field.zero for i in range(n)] for m in range(n)]
+    columns = solve_linear(field, gram, units, scalars)
+    # C is symmetric, so its columns are its rows
+    return None if None in columns else columns
 
 
-def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
+def separability_idempotent(T, K: Subalgebra) -> tuple | None:
     """The unique v in T tensor_K T with mu(v) = 1 and (t tensor 1)v =
-    (1 tensor t)v, found per K-block as the inverse of the block's trace
-    form (inverse_trace_form); None when some block's trace form is
-    singular, which is exactly when no such v exists.
+    (1 tensor t)v, as the tuple of pairs (x_i, y_i) with v = sum x_i
+    tensor y_i, found per K-block as the inverse of the block's trace form
+    (inverse_trace_form); None when some block's trace form is singular,
+    which is exactly when no such v exists.
 
     The pairs are (c b_i, b_j), block by block, for each nonzero
     coefficient c of b_i tensor b_j over the block's K·u-basis b, solved
@@ -136,7 +111,7 @@ def separability_idempotent(T, K: Subalgebra) -> SeparabilityIdempotent | None:
         total = space.add(total, space.mul(x, y))
     if total != space.one():
         raise OracleMismatch("separability idempotent fails mu(v) = 1")
-    return SeparabilityIdempotent(tuple(all_pairs))
+    return tuple(all_pairs)
 
 
 def is_beta_strong(T, A: AlgebraAction, H) -> tuple[bool, tuple | None]:

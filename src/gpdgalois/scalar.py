@@ -11,16 +11,17 @@ enumeration order) is part of the contract.
 
 There is one elimination engine, FpSpan, over F_p.  Rank, membership,
 coordinates and canonical keys use it directly, and solve_linear restricts
-an F_{p^k}-system to an F_p-system with the same solutions and solves that.
+a system whose entries lie in a subfield L of F_{p^k}, given by an F_p-basis
+of L, to an F_p-system with the same solutions, and reads the solution for
+every right-hand side off one elimination of it.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 
-from .errors import InvalidInput, SizeBoundExceeded
+from .errors import InvalidInput, OracleMismatch, SizeBoundExceeded
 
 Scalar = int
 
@@ -48,15 +49,6 @@ def _ptrim(cs):
     return cs
 
 
-def _pmul(p, a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
 def _pmod(p, a, m):
     a = list(a)
     dm = len(m) - 1
@@ -79,9 +71,10 @@ class FieldSpec:
     """A finite field F_{p^k}; build through :func:`make_field`.
 
     The tables are built here, once per field, and read by every operation:
-    add_table[x][y], mul_table[x][y] and neg_table[x] hold x + y, x y and
-    -x, digits[x] the coefficients of x, and frobenius_table(p^t) the map
-    x -> x^(p^t) for 0 <= t <= k.
+    add_table[x][y] and mul_table[x][y] hold x + y and x y, digits[x] the
+    coefficients of x, and frobenius_table(p^t) the map x -> x^(p^t) for
+    0 <= t <= k.  Nothing in the package subtracts scalars: elimination
+    happens over F_p, in FpSpan.
 
     No entry takes a polynomial product: n > 0 is lower[n] + t^i for its
     lowest nonzero digit i, so row n is row lower[n] after y -> y + t^i
@@ -108,7 +101,6 @@ class FieldSpec:
         self.mul_table = mul = [[0] * q]
         for n in range(1, q):
             mul.append([add[a][b] for a, b in zip(mul[lower[n]], by_t[low[n]])])
-        self.neg_table = [code([-a for a in x]) for x in self.digits]
         frob = [self.power(x, p) for x in range(q)]
         self._frobenius_tables = tables = {1: list(range(q))}
         for t in range(1, k + 1):
@@ -142,12 +134,6 @@ class FieldSpec:
 
     def add(self, x: Scalar, y: Scalar) -> Scalar:
         return self.add_table[x][y]
-
-    def sub(self, x: Scalar, y: Scalar) -> Scalar:
-        return self.add_table[x][self.neg_table[y]]
-
-    def neg(self, x: Scalar) -> Scalar:
-        return self.neg_table[x]
 
     def mul(self, x: Scalar, y: Scalar) -> Scalar:
         return self.mul_table[x][y]
@@ -318,63 +304,56 @@ def fp_basis_scalars(field_: FieldSpec) -> list[Scalar]:
     return [field_.p**m for m in range(field_.k)]
 
 
-@dataclass
-class LinearSolution:
-    solution: list | None
-    nullspace: list = field(default_factory=list)
+def solve_linear(field_: FieldSpec, matrix, rhss, scalars) -> list:
+    """Solve matrix · x = rhs over F_{p^k} for every rhs in rhss, all read
+    off one elimination: one solution per rhs, free unknowns zero, or None
+    where that system is inconsistent.  Every entry of matrix and of the
+    rhss lies in the subfield L of F_{p^k} with F_p-basis scalars.
 
-
-def solve_linear(field_: FieldSpec, matrix, rhs) -> LinearSolution:
-    """Solve matrix · x = rhs over F_{p^k} by restriction of scalars to
-    F_p; no solution and no nullspace when the system is inconsistent.
-
-    Unknown j becomes the k F_p columns F.flatten(a_ij t^m over rows i),
-    m = 0..k-1, inserted into one FpSpan in the order (j, m).  The unknowns
-    with independent columns are the pivots.  The particular solution,
-    free variables zero, is read off FpSpan.coords(F.flatten(rhs)); each
-    other unknown j gives the nullspace vector e_j minus the coordinates
-    of its column over the pivots.
+    The system is restricted to F_p: unknown j becomes the d = len(scalars)
+    F_p columns F.flatten(a_ij a over rows i), a over scalars, inserted
+    into one FpSpan in the order (j, a).  The unknowns with independent
+    columns are the pivots, and x_j = sum_a c_ja a for the coordinates c
+    of F.flatten(rhs) over the pivot columns.
 
     This is the answer of row reduction directly over F_{p^k}, leftmost
-    pivot column first.  The F_{p^k}-span W of columns 0..j-1 is the F_p-
-    span of their columns a_i t^m.  If a_j lies in W, so does every a_j t^m.
-    If not, W meets F_{p^k} a_j only in 0, so the k columns a_j t^m are
-    independent.  So the F_p pivots are the k-fold copies of the F_{p^k}
-    pivots, only the m = 0 column needs testing, and as coordinates over
-    the pivots are unique, both give the same solution and nullspace.
+    pivot column first.  The L-span W of columns 0..j-1 is the F_p-span of
+    their columns a_i a.  If a_j lies in W, so does every a_j a.  If not,
+    W meets L a_j only in 0, so the d columns a_j a are independent.  So
+    the F_p pivots are the d-fold copies of the pivots over L, only the
+    first scalar's column needs testing, and as coordinates over the
+    pivots are unique, both give the same solution.  Independence and
+    consistency of a system over L do not change in the extension
+    F_{p^k}, so these are its pivots and solutions over F_{p^k} too.
     """
     F = field_
     ncols = len(matrix[0]) if matrix else 0
     if any(len(row) != ncols for row in matrix):
-        raise InvalidInput("ragged matrix")
-    if len(rhs) != len(matrix):
-        raise InvalidInput("rhs length differs from row count")
-    powers = fp_basis_scalars(F)[1:]
+        raise OracleMismatch("ragged matrix")
+    if any(len(rhs) != len(matrix) for rhs in rhss):
+        raise OracleMismatch("rhs length differs from row count")
+
+    def column(j, a):
+        times_a = F.mul_table[a]
+        return F.flatten(times_a[row[j]] for row in matrix)
+
     span = FpSpan(F.p)
     pivots = []
-    dependent = {}  # unknown j -> its m = 0 column
     for j in range(ncols):
-        col = F.flatten(row[j] for row in matrix)
-        if span.insert(col):
+        if span.insert(column(j, scalars[0])):
             pivots.append(j)
-            for t in powers:
-                times_t = F.mul_table[t]
-                span.insert(F.flatten(times_t[row[j]] for row in matrix))
-        else:
-            dependent[j] = col
-    coords = span.coords(F.flatten(rhs))
-    if coords is None:
-        return LinearSolution(None, [])
-
-    def assemble(coords) -> list:
-        vec = [F.zero] * ncols
+            for a in scalars[1:]:
+                span.insert(column(j, a))
+    d = len(scalars)
+    solutions = []
+    for rhs in rhss:
+        coords = span.coords(F.flatten(rhs))
+        if coords is None:
+            solutions.append(None)
+            continue
+        x = [F.zero] * ncols
         for n, j in enumerate(pivots):
-            vec[j] = F.element(coords[n * F.k : (n + 1) * F.k])
-        return vec
-
-    nullspace = []
-    for j, col in dependent.items():
-        vec = [F.neg(x) for x in assemble(span.coords(col))]
-        vec[j] = F.one
-        nullspace.append(vec)
-    return LinearSolution(assemble(coords), nullspace)
+            for c, a in zip(coords[n * d : (n + 1) * d], scalars):
+                x[j] = F.add_table[x[j]][F.mul_table[c][a]]
+        solutions.append(x)
+    return solutions

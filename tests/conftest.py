@@ -380,6 +380,11 @@ def partition_correspondence(A, max_elements=DEFAULT_MAX_ELEMENTS):
 
 # Reference linear algebra -------------------------------------------------
 
+def field_sub(F, x, y):
+    """x - y in F: x plus y times the prime-field constant -1."""
+    return F.add(x, F.mul(F.element(-1), y))
+
+
 def gauss_jordan_solve(F, matrix, rhs):
     """Reference: Gauss-Jordan elimination directly over F_{p^k} with a
     fixed pivot rule (leftmost column first, smallest row index).  Free
@@ -403,8 +408,8 @@ def gauss_jordan_solve(F, matrix, rhs):
         for i in range(nrows):
             if i != r and mat[i][c] != F.zero:
                 factor = mat[i][c]
-                mat[i] = [F.sub(v, F.mul(factor, w)) for v, w in zip(mat[i], mat[r])]
-                rhs[i] = F.sub(rhs[i], F.mul(factor, rhs[r]))
+                mat[i] = [field_sub(F, v, F.mul(factor, w)) for v, w in zip(mat[i], mat[r])]
+                rhs[i] = field_sub(F, rhs[i], F.mul(factor, rhs[r]))
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -422,7 +427,7 @@ def gauss_jordan_solve(F, matrix, rhs):
         vec = [F.zero] * ncols
         vec[c] = F.one
         for row, col in pivots:
-            vec[col] = F.neg(mat[row][c])
+            vec[col] = field_sub(F, F.zero, mat[row][c])
         nullspace.append(vec)
     return solution, nullspace
 

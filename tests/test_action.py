@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    ORBIT_DOCS,
     PAIR_CYCLIC_SPECS,
     PROBLEM_SOURCES,
     brute_invariants,
@@ -43,7 +44,7 @@ from gpdgalois.groupoid import (
     validate_groupoid,
 )
 from gpdgalois.scalar import FpSpan, fp_basis_scalars, make_field
-from theorems import skew_add, skew_element
+from theorems import skew_add, skew_element, whole_system_galois_coordinates
 
 TWISTED_SPECS = [spec for spec in PAIR_CYCLIC_SPECS if spec[3] > 1]
 
@@ -264,6 +265,23 @@ def test_galois_coordinates_bruteforce_existence(fixf4):
 def test_no_coordinates_for_trivial_involution():
     A = trivial_involution_action()
     assert find_galois_coordinates(A) is None
+    assert whole_system_galois_coordinates(A) is None
+
+
+STAGE_TWO_DOCS = {**{str(s): problem_doc(s) for s in PROBLEM_SOURCES}, **ORBIT_DOCS}
+
+
+@pytest.mark.parametrize("name", STAGE_TWO_DOCS)
+def test_slot_by_slot_stage_two_matches_the_whole_system(name):
+    # where the block idempotents fail, the slot-by-slot solve gives the
+    # pairs and strategy of one solve of the whole block-diagonal system
+    A = doc_action(STAGE_TWO_DOCS[name])
+    R = A.ring
+    got = find_galois_coordinates(A)
+    if check_galois_coordinates(A, tuple((R.unit([b]), R.unit([b])) for b in R.blocks))[0]:
+        assert got.strategy == "block-idempotents"
+    else:
+        assert got == whole_system_galois_coordinates(A)
 
 
 def test_check_coordinates_witness(fix1):

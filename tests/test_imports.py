@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, none imports
 a package module inside a function or method, and none imports another
-package module's underscore (private) name.  Every public module-level
-name of the package is reached from the CLI or from a point the benchmark
-traces, and the package reads the name of every method of its classes,
-so code that only tests run lives beside the tests.  Every annotated
+package module's underscore (private) name.  Every module-level name of
+the package but the dunders, private ones included, is reached from the
+CLI or from a point the benchmark traces, and the package reads the name
+of every method of its classes, so code that only tests run lives beside
+the tests.  Every annotated
 field of a package class is read by name somewhere in the package or its
 tests, so a report carries no field that nothing looks at.
 
@@ -115,13 +116,14 @@ def referenced_names(node) -> set:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def unreached_public_names(src) -> list:
-    """(module, name) for each public module-level name of the package at
-    src that no chain of references reaches from the roots: the names
-    cli.py reads and the functions, classes and methods that
+def unreached_names(src) -> list:
+    """(module, name) for each module-level name of the package at src,
+    dunders aside, that no chain of references reaches from the roots: the
+    names cli.py reads and the functions, classes and methods that
     bench/spans.py traces.  A name reaches every module-level statement
     that defines it, and a statement reaches every name its body reads;
-    a class's body includes its methods."""
+    a class's body includes its methods.  A private name is listed too: a
+    helper that only the tests call is code that only tests run."""
     defs: dict = {}
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -136,20 +138,21 @@ def unreached_public_names(src) -> list:
         for _, node in defs.get(name, []):
             todo |= referenced_names(node) - reached
     return sorted((module, name) for name, sites in defs.items() for module, _ in sites
-                  if not name.startswith("_") and name not in reached)
+                  if not (name.startswith("__") and name.endswith("__")) and name not in reached)
 
 
 def test_every_public_name_is_reached_from_cli_or_bench():
-    assert unreached_public_names(SRC) == []
+    assert unreached_names(SRC) == []
 
 
 def test_reachability_guard_names_an_unreached_function(tmp_path):
     (tmp_path / "cli.py").write_text("from .m import used\n\nused()\n")
     (tmp_path / "m.py").write_text(
-        "LIMIT = 3\n_HIDDEN = 1\n\n\ndef used():\n    return helper()\n\n\n"
-        "def helper():\n    return 1\n\n\ndef unused():\n    return LIMIT\n"
+        "__all__ = []\nLIMIT = 3\n_HIDDEN = 1\n\n\ndef used():\n    return _helper()\n\n\n"
+        "def _helper():\n    return 1\n\n\ndef unused():\n    return LIMIT\n"
     )
-    assert unreached_public_names(tmp_path) == [("m.py", "LIMIT"), ("m.py", "unused")]
+    assert unreached_names(tmp_path) == [
+        ("m.py", "LIMIT"), ("m.py", "_HIDDEN"), ("m.py", "unused")]
 
 
 # FieldSpec.frobenius(x, e) is the field's Frobenius x -> x^(p^e) with its
@@ -163,11 +166,13 @@ def unread_methods(src) -> list:
     package at src whose name no module of the package reads as an
     attribute.  Python calls the dunder methods itself, so they are not
     listed.  A name read on any object counts, so a method that shares
-    its name with one that is read passes unseen."""
+    its name with one that is read passes unseen, except on ``args``: the
+    CLI's argparse namespace holds options, not methods."""
     read, methods = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and not (isinstance(n.value, ast.Name) and n.value.id == "args")}
         methods += [
             (path.name, cls.name, fn.name)
             for cls in tree.body if isinstance(cls, ast.ClassDef)
@@ -187,7 +192,8 @@ def test_method_guard_names_an_unread_method(tmp_path):
         "    def unused(self):\n        return 1\n\n"
         "    @property\n    def size(self):\n        return 2\n\n"
         "    def __len__(self):\n        return 3\n\n\n"
-        "def square(R, x):\n    return R.mul(x)\n"
+        "def square(R, x):\n    return R.mul(x)\n\n\n"
+        "def main(args):\n    return args.unused\n"
     )
     assert unread_methods(tmp_path) == [("m.py", "Ring", "unused"), ("m.py", "Ring", "size")]
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gauss_jordan_solve
-from gpdgalois.errors import InvalidInput, SizeBoundExceeded
+from gpdgalois.errors import InvalidInput, OracleMismatch, SizeBoundExceeded
 from gpdgalois.scalar import (
     FIELD_ORDER_BOUND,
     FpSpan,
     _pmod,
-    _pmul,
+    fp_basis_scalars,
     make_field,
     solve_linear,
 )
@@ -23,6 +23,19 @@ F8 = make_field(2, 3, [1, 1, 0, 1])
 F16 = make_field(2, 4, [1, 1, 0, 0, 1])
 
 T = F4.element([0, 1])
+
+
+def pmul(p, a, b):
+    """The product of two polynomials over F_p, coefficient lists lowest
+    degree first and no zero leading coefficient (the zero polynomial is
+    []): the reference the field tables are checked against."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def test_make_field_prime():
@@ -108,15 +121,18 @@ def test_field_axioms_exhaustive(field):
             field.mul(x, y), field.mul(x, z)
         )
     for x in elems:
-        assert field.add(x, field.neg(x)) == field.zero
+        assert field.add(x, field.mul(field.element(-1), x)) == field.zero
         if x != field.zero:
             assert field.mul(x, field.power(x, field.order - 2)) == field.one
 
 
+def solve_one(field, matrix, rhs):
+    """solve_linear of one right-hand side over the whole field."""
+    return solve_linear(field, matrix, [rhs], fp_basis_scalars(field))[0]
+
+
 def test_solve_linear_trivial():
-    out = solve_linear(F2, [[1]], [0])
-    assert out.solution == [0]
-    assert out.nullspace == []
+    assert solve_one(F2, [[1]], [0]) == [0]
 
 
 def test_solve_linear_underdetermined():
@@ -127,14 +143,22 @@ def test_solve_linear_underdetermined():
         if (a + b) % 2 == 1
     ]
     assert ((1, 0) in sols) and ((0, 1) in sols)
-    out = solve_linear(F2, [[1, 1]], [1])
-    assert out.solution == [1, 0]
-    assert out.nullspace == [[1, 1]]
+    assert solve_one(F2, [[1, 1]], [1]) == [1, 0]
 
 
 def test_solve_linear_inconsistent():
-    out = solve_linear(F2, [[0]], [1])
-    assert out.solution is None
+    assert solve_one(F2, [[0]], [1]) is None
+
+
+def test_solve_linear_ragged_matrix_is_a_library_fault():
+    # every caller builds its matrix inside the package
+    with pytest.raises(OracleMismatch, match="ragged matrix"):
+        solve_linear(F2, [[1, 0], [1]], [[0, 0]], [1])
+
+
+def test_solve_linear_rhs_length_is_a_library_fault():
+    with pytest.raises(OracleMismatch, match="rhs length differs from row count"):
+        solve_linear(F2, [[1], [0]], [[0, 1], [1]], [1])
 
 
 @st.composite
@@ -155,7 +179,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_solve_linear_substitution(data):
     field, matrix, rhs = data
-    out = solve_linear(field, matrix, rhs)
+    solution = solve_one(field, matrix, rhs)
 
     def apply(vec):
         result = []
@@ -166,10 +190,8 @@ def test_solve_linear_substitution(data):
             result.append(acc)
         return result
 
-    if out.solution is not None:
-        assert apply(out.solution) == rhs
-        for vec in out.nullspace:
-            assert apply(vec) == [field.zero] * len(matrix)
+    if solution is not None:
+        assert apply(solution) == rhs
     else:
         # oracle: small systems can be checked by full enumeration
         total = len(field.elements()) ** len(matrix[0])
@@ -214,11 +236,57 @@ def dependent_systems(draw):
 @given(dependent_systems())
 def test_solve_linear_matches_gauss_jordan(data):
     field, matrix, rhs = data
-    out = solve_linear(field, matrix, rhs)
-    solution, nullspace = gauss_jordan_solve(field, matrix, rhs)
-    assert out.solution == solution
-    assert len(out.nullspace) == len(nullspace)
-    assert out.nullspace == nullspace
+    assert solve_one(field, matrix, rhs) == gauss_jordan_solve(field, matrix, rhs)[0]
+
+
+def _subfield(field, d):
+    """The elements of the subfield F_{p^d} of field, in scalar order."""
+    fixed = field.frobenius_table(field.p**d)
+    return [x for x in field.elements() if fixed[x] == x]
+
+
+@st.composite
+def subfield_systems(draw):
+    """Systems over F_2 inside F_4 and F_8 and over F_4 inside F_16, with
+    the subfield's F_p-basis and several right-hand sides.  Columns and
+    right-hand sides are often combinations of earlier columns, and half
+    the systems are square, so singular square systems occur."""
+    field, d = draw(st.sampled_from([(F4, 1), (F8, 1), (F16, 2)]))
+    pick = st.sampled_from(_subfield(field, d))
+    rows = draw(st.integers(1, 4))
+    ncols = rows if draw(st.booleans()) else draw(st.integers(1, 4))
+    columns = []
+    for _ in range(ncols):
+        if columns and draw(st.booleans()):
+            columns.append(_combination(field, [draw(pick) for _ in columns], columns))
+        else:
+            columns.append([draw(pick) for _ in range(rows)])
+    rhss = [
+        _combination(field, [draw(pick) for _ in columns], columns)
+        if draw(st.booleans()) else [draw(pick) for _ in range(rows)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    matrix = [[col[i] for col in columns] for i in range(rows)]
+    return field, field.subfield_basis(d), matrix, rhss
+
+
+@settings(max_examples=300, deadline=None)
+@given(subfield_systems())
+def test_solve_linear_over_a_subfield_matches_gauss_jordan(data):
+    # each right-hand side gets the answer of elimination over the whole
+    # field; a square system reaches every unit vector exactly when it is
+    # not singular, so a singular one gives None on some unit vector
+    field, scalars, matrix, rhss = data
+    n = len(matrix)
+    square = n == len(matrix[0])
+    if square:
+        rhss = rhss + [[field.one if i == m else field.zero for i in range(n)]
+                       for m in range(n)]
+    got = solve_linear(field, matrix, rhss, scalars)
+    assert got == [gauss_jordan_solve(field, matrix, rhs)[0] for rhs in rhss]
+    if square:
+        singular = bool(gauss_jordan_solve(field, matrix, [field.zero] * n)[1])
+        assert (None in got[-n:]) == singular
 
 
 def test_fpspan_coords_roundtrip():
@@ -245,14 +313,7 @@ def monic_irreducibles(p, k):
     def monic(d):
         return [list(tail) + [1] for tail in itertools.product(range(p), repeat=d)]
 
-    def times(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    reducible = {tuple(times(a, b)) for d in range(1, k) for a in monic(d) for b in monic(k - d)}
+    reducible = {tuple(pmul(p, a, b)) for d in range(1, k) for a in monic(d) for b in monic(k - d)}
     return [f for f in monic(k) if tuple(f) not in reducible]
 
 
@@ -279,15 +340,13 @@ def test_tables_match_polynomial_arithmetic(p, k, modulus):
     for x, y in itertools.product(field.elements(), repeat=2):
         dx, dy = field.digits[x], field.digits[y]
         assert field.digits[field.add(x, y)] == tuple((a + b) % p for a, b in zip(dx, dy))
-        assert field.digits[field.sub(x, y)] == tuple((a - b) % p for a, b in zip(dx, dy))
-        assert field.digits[field.mul(x, y)] == reduce(_pmul(p, list(dx), list(dy)))
+        assert field.digits[field.mul(x, y)] == reduce(pmul(p, list(dx), list(dy)))
     for x in field.elements():
         dx = field.digits[x]
-        assert field.digits[field.neg(x)] == tuple(-a % p for a in dx)
         for t in range(k + 1):
             power = [1]
             for _ in range(p**t):
-                power = list(reduce(_pmul(p, power, list(dx))))
+                power = list(reduce(pmul(p, power, list(dx))))
             assert field.digits[field.frobenius_table(p**t)[x]] == tuple(power)
 
 
@@ -309,7 +368,7 @@ def test_largest_tables_match_polynomial_arithmetic_on_a_sample(p, k, modulus):
         for y in itertools.chain(special, rng.sample(range(field.order), 40)):
             dx, dy = field.digits[x], field.digits[y]
             assert field.digits[field.add(x, y)] == tuple((a + b) % p for a, b in zip(dx, dy))
-            assert field.digits[field.mul(x, y)] == reduce(_pmul(p, list(dx), list(dy)))
+            assert field.digits[field.mul(x, y)] == reduce(pmul(p, list(dx), list(dy)))
             assert field.mul(x, y) == field.mul(y, x)
 
 

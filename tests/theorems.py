@@ -12,7 +12,8 @@ trips of the set/algebra equivalence with the two-sided hom G-set check
 they read.  The exhaustive searches the package replaced by exact
 constructions are here too, as the references the tests compare them
 with: K's primitive idempotents and its first annihilator of an ideal by
-listing K, and G-set isomorphism by backtracking.  `hom_set`,
+listing K, G-set isomorphism by backtracking, and stage two of the Galois
+coordinates as one solve of the whole slotwise system.  `hom_set`,
 `double_dual_check` and `grothendieck_algebra_check` move back into the
 package together with their first CLI caller (ROADMAP item 8).
 """
@@ -22,16 +23,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+from conftest import field_sub, gauss_jordan_solve
 from gpdgalois.action import (
     AlgebraAction,
+    GaloisCoordinates,
     Subalgebra,
+    check_galois_coordinates,
     find_galois_coordinates,
     invariants,
     span_elements,
     stabilizer,
     trace,
 )
-from gpdgalois.blockring import BlockRing, equalising_block, ideal_fp_basis, slotwise_matrix
+from gpdgalois.blockring import BlockRing, equalising_block, ideal_fp_basis
 from gpdgalois.errors import (
     InvalidInput,
     OracleMismatch,
@@ -47,7 +51,7 @@ from gpdgalois.mapalg import (
     require_faithful_hypotheses,
     transversal_hom_family,
 )
-from gpdgalois.scalar import FpSpan, solve_linear
+from gpdgalois.scalar import FpSpan, fp_basis_scalars, solve_linear
 from gpdgalois.tensor import BlockModuleBasis, kblocks
 
 HOM_SEARCH_BOUND = 1 << 20
@@ -126,6 +130,41 @@ def pairwise_strongly_distinct(family) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def slotwise_matrix(R: BlockRing, images, slot_ids) -> list:
+    """The matrix over R.field of x -> (sum_i x_i z_ui)_u, where the
+    unknowns x_i live on the given slots and images[u][i] = z_ui: row
+    (u, s), column (i, s') holds z_ui[s] when s = s' and 0 otherwise."""
+    zero = R.field.zero
+    return [
+        [z[s] if s == s2 else zero for z in zs for s2 in slot_ids]
+        for zs in images
+        for s in slot_ids
+    ]
+
+
+def whole_system_galois_coordinates(A: AlgebraAction):
+    """Stage two of find_galois_coordinates as one solve of the whole
+    system, the reference for its slot-by-slot solve: x_i over every slot
+    for the y side ideal_fp_basis(R, R.blocks), with the unknowns in the
+    order (i, s).  None when the system is inconsistent."""
+    R, G = A.ring, A.groupoid
+    ybasis = ideal_fp_basis(R, R.blocks)
+    nslots = len(R.blocks)
+    idset = set(G.identities)
+    matrix = slotwise_matrix(R, [[A.apply(g, y) for y in ybasis] for g in G.elements],
+                             range(nslots))
+    rhs = [c for g in G.elements
+           for c in (R.unit(A.support[g]) if g in idset else R.zero())]
+    [solution] = solve_linear(R.field, matrix, [rhs], fp_basis_scalars(R.field))
+    if solution is None:
+        return None
+    pairs = tuple((tuple(solution[i * nslots : (i + 1) * nslots]), y)
+                  for i, y in enumerate(ybasis))
+    if not check_galois_coordinates(A, pairs)[0]:
+        raise OracleMismatch("whole-system coordinates failed verification")
+    return GaloisCoordinates(pairs, "linear-solve")
+
+
 def _frame_matrix(family) -> list:
     """The slotwise matrix D of a frame on the target ideal's slots: D x =
     rhs asks sum x_i u(y_i) = rhs_u for every u in the family and source
@@ -155,15 +194,15 @@ def dual_basis_solve(family):
     ns = len(support)
     unit = ring.unit(support)
 
+    rhss = [[F.one if upi == ui else F.zero for upi in range(len(family)) for _ in support]
+            for ui in range(len(family))]
+    solutions = solve_linear(F, matrix, rhss, fp_basis_scalars(F))
+    if None in solutions:
+        return None
     certificates = []
-    for ui in range(len(family)):
-        rhs = [F.one if upi == ui else F.zero
-               for upi in range(len(family)) for _ in support]
-        sol = solve_linear(F, matrix, rhs)
-        if sol.solution is None:
-            return None
+    for ui, solution in enumerate(solutions):
         pairs = [
-            (ring.embed(dict(zip(support, sol.solution[i * ns : (i + 1) * ns]))), y)
+            (ring.embed(dict(zip(support, solution[i * ns : (i + 1) * ns]))), y)
             for i, y in enumerate(family[0].source.basis)
         ]
         for upi, uprime in enumerate(family):
@@ -184,7 +223,7 @@ def freeness_check(family) -> bool:
         return True
     transposed = [list(col) for col in zip(*_frame_matrix(family))]
     F = family[0].ring.field
-    return not solve_linear(F, transposed, [F.zero] * len(transposed)).nullspace
+    return not gauss_jordan_solve(F, transposed, [F.zero] * len(transposed))[1]
 
 
 @dataclass
@@ -243,23 +282,24 @@ def separability_idempotent_from_structure(field, mult, unit_coords):
                 for i in range(n):
                     row[i * n + b] = field.add(row[i * n + b], mult[tau][i][a])
                 for j in range(n):
-                    row[a * n + j] = field.sub(row[a * n + j], mult[tau][j][b])
+                    row[a * n + j] = field_sub(field, row[a * n + j], mult[tau][j][b])
                 matrix.append(row)
                 rhs.append(field.zero)
-    sol = solve_linear(field, matrix, rhs)
-    if sol.solution is None:
+    solution, nullspace = gauss_jordan_solve(field, matrix, rhs)
+    if solution is None:
         return None
-    if sol.nullspace:
+    if nullspace:
         raise OracleMismatch("separability idempotent is not unique")
     return [
-        [sol.solution[i * n + j] for j in range(n)] for i in range(n)
+        [solution[i * n + j] for j in range(n)] for i in range(n)
     ]
 
 
 def per_column_inverse_trace_form(field, mult, scalars):
     """The inverse of the trace form's Gram matrix, the reference for
-    galois.inverse_trace_form: one solve_linear over the whole field per
-    column of the inverse, scalars ignored; None when G is singular."""
+    galois.inverse_trace_form: one solve_linear over the whole field, in
+    its power basis, per column of the inverse, scalars ignored; None when
+    G is singular."""
     n = len(mult)
     tau = [field.zero] * n
     for m in range(n):
@@ -273,11 +313,12 @@ def per_column_inverse_trace_form(field, mult, scalars):
     columns = []
     for k in range(n):
         # a singular G misses some unit vector, so G C = I proves C = G^-1
-        sol = solve_linear(field, gram, [field.one if i == k else field.zero
-                                         for i in range(n)])
-        if sol.solution is None:
+        [solution] = solve_linear(field, gram, [[field.one if i == k else field.zero
+                                                  for i in range(n)]],
+                                  fp_basis_scalars(field))
+        if solution is None:
             return None
-        columns.append(sol.solution)
+        columns.append(solution)
     return columns
 
 
@@ -354,7 +395,7 @@ def associated_idempotent(T, f_on_basis: dict, base: Subalgebra):
 
     # The column of b_i's coefficient in pi: (x - f(x)) b_i per x, then f(b_i).
     diffs = [
-        tuple(space.field.sub(u, v) for u, v in zip(x, f_apply(x))) for x in T.basis
+        space.add(x, space.int_combine([-1], [f_apply(x)])) for x in T.basis
     ]
     span = FpSpan(space.field.p)
     independent = [
@@ -419,7 +460,7 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
     values = {}
     for g in G.elements:
         total = R.zero()
-        for x, y in sep.pairs:
+        for x, y in sep:
             total = R.add(total, R.mul(x, A.apply(g, y)))
         values[g] = total
     idset = set(G.identities)
@@ -439,7 +480,7 @@ def coords_from_separability(T, A: AlgebraAction) -> SeparabilityTransportReport
     recon_formula = True
     for t in T.elements:
         total = R.zero()
-        for x, y in sep.pairs:
+        for x, y in sep:
             total = R.add(total, R.mul(trace(A, R.mul(y, t)), x))
         if total != t:
             recon_exact = False
