@@ -259,12 +259,23 @@ class SplitReport:
 def tensor_split_check(E, B, K: Subalgebra, family,
                        A: AlgebraAction) -> SplitReport:
     """Materialize (r tensor b) -> (r * f_i(b))_i as a prime-field matrix
-    and check it is a bijective unital multiplicative map onto the product
-    of copies of E indexed by the family.
+    M and check it is a bijective unital multiplicative map onto the
+    product of copies of E indexed by the family.
 
-    Each f_i(y) is computed once per distinct y, and the image phi(x tensor y)
-    once per tensor basis vector; the matrix columns and the right-hand
-    sides of the multiplicativity check both read those images."""
+    Each f_i(y) is computed once per distinct y, and every check reads
+    those images; the matrix columns are phi(x tensor y) on E's slots.
+
+    M is multiplicative on every pair of basis tensors exactly when it is
+    on B's basis, provided every f_i is K-linear into E: f_i(cy) = c f_i(y)
+    on E for c in K.  Then phi(x, y) = (x f_i(y))_i is K-balanced, so it
+    factors through E tensor_K B, where it agrees with M on the basis:
+    M(x tensor y) = phi(x, y) for all x in E, y in B.  A pair's defect is
+    then x1 x2 d_i(y1, y2) with d_i(y1, y2) = f_i(y1 y2) - f_i(y1) f_i(y2)
+    on E, which is K-bilinear.  So d = 0 on B's basis clears every pair.
+    Conversely, for each primitive idempotent u of K the products x1 x2
+    span E u, which holds 1_E u, and the y's span u B over K u; so clear
+    pairs give u d = 0 for every u.  Without K-linearity every pair of
+    basis tensors is compared."""
     R = A.ring
     E_mod = Submodule(R, ideal_fp_basis(R, E))
     tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
@@ -278,17 +289,12 @@ def tensor_split_check(E, B, K: Subalgebra, family,
             hom_images[y] = tuple(hom.apply(y) for hom in family)
         return hom_images[y]
 
-    def phi_tuple(x, y):
-        """(x * f_i(y)) per family member, as ring elements."""
-        return tuple(R.mul(x, img) for img in images_of(y))
+    mul = R.field.mul_table
 
-    def flat_tuple(members):
-        # restrict to the ideal's slots; every value lives inside E
-        return R.flat(
-            itertools.chain.from_iterable(
-                (member[i] for i in slot_ids) for member in members
-            )
-        )
+    def phi_on_E(x, y):
+        """phi(x tensor y) on the slots of E, where every value lives,
+        flattened over F_p."""
+        return R.flat(mul[x[i]][img[i]] for img in images_of(y) for i in slot_ids)
 
     target_dim = len(family) * len(E) * R.field.k
     square = tens.dim == target_dim
@@ -297,9 +303,8 @@ def tensor_split_check(E, B, K: Subalgebra, family,
     span = FpSpan(R.field.p)
     independent = True
     basis_data = list(tens.basis_vectors())
-    phis = [phi_tuple(x, y) for _, x, y in basis_data]
-    for phi in phis:
-        col = flat_tuple(phi)
+    for _, x, y in basis_data:
+        col = phi_on_E(x, y)
         columns.append(col)
         if not span.insert(col):
             independent = False
@@ -313,26 +318,41 @@ def tensor_split_check(E, B, K: Subalgebra, family,
                     total[i] = (total[i] + c * v) % R.field.p
         return tuple(total)
 
-    unital = flat_tuple(phi_tuple(R.unit(E), B.space.one())) == flat_tuple(
-        tuple(R.unit(E) for _ in family)
+    unit = R.unit(E)
+    unital = phi_on_E(unit, B.space.one()) == R.flat(
+        unit[i] for _ in family for i in slot_ids
     )
 
-    multiplicative = True
-    mul = R.field.mul_table
-    terms = [(x, y, phi) for (_, x, y), phi in zip(basis_data, phis)]
-    for (x1, y1, phi1), (x2, y2, phi2) in itertools.combinations_with_replacement(
-        terms, 2
-    ):
-        lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
-        rhs = R.flat(mul[a[i]][b[i]] for a, b in zip(phi1, phi2) for i in slot_ids)
-        if lhs != rhs:
-            multiplicative = False
-            break
+    def agree(z, a, b):
+        """z = a b on the slots of E."""
+        return all(z[i] == mul[a[i]][b[i]] for i in slot_ids)
+
+    if all(agree(fcy, c, fy) for c in K.basis for y in B.basis
+           for fcy, fy in zip(images_of(B.space.k_scale(c, y)), images_of(y))):
+        multiplicative = all(
+            agree(f12, f1, f2)
+            for y1, y2 in itertools.combinations_with_replacement(B.basis, 2)
+            for f12, f1, f2 in zip(
+                images_of(B.space.mul(y1, y2)), images_of(y1), images_of(y2)
+            )
+        )
+    else:
+        multiplicative = True
+        terms = [(x, y, [R.mul(x, img) for img in images_of(y)])
+                 for _, x, y in basis_data]
+        for (x1, y1, phi1), (x2, y2, phi2) in itertools.combinations_with_replacement(
+            terms, 2
+        ):
+            lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
+            rhs = R.flat(mul[a[i]][b[i]] for a, b in zip(phi1, phi2) for i in slot_ids)
+            if lhs != rhs:
+                multiplicative = False
+                break
 
     components_match = True
     width = len(E) * R.field.k
     for b in B.basis:
-        img = matrix_apply(tens.pure(R.unit(E), b))
+        img = matrix_apply(tens.pure(unit, b))
         for i, hom_b in enumerate(images_of(b)):
             expected = R.flat(hom_b[s] for s in slot_ids)
             if img[i * width : (i + 1) * width] != expected:

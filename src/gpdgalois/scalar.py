@@ -53,12 +53,11 @@ def _pmod(p, a, m):
     a = list(a)
     dm = len(m) - 1
     inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and _ptrim(a):
+    while _ptrim(a) and len(a) - 1 >= dm:
         shift = len(a) - 1 - dm
         c = (a[-1] * inv_lead) % p
         for i, y in enumerate(m):
             a[shift + i] = (a[shift + i] - c * y) % p
-        _ptrim(a)
     return a
 
 

@@ -53,10 +53,12 @@ from gpdgalois.mapalg import (
     eval_hom_family,
     invariant_algebra,
     splits_per_target,
+    tensor_split_check,
     transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, fp_basis_scalars, make_field, solve_linear
 from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
+from test_mapalg import family_variants
 import theorems
 from theorems import (
     associated_idempotent,
@@ -680,7 +682,10 @@ def test_single_block_scan_matches_idempotent_oracle(source):
 def test_kept_tensor_coordinates_match_unmemoised(source):
     # every tensor that tensor_split_check builds: pure on the arguments
     # it was asked about, asked again and scaled by K on either side,
-    # against pure recomputed with nothing kept
+    # against pure recomputed with nothing kept.  The evaluation families
+    # are K-linear, so their checks ask only 1_E tensor b; the replaced and
+    # Frobenius variants are not wherever K is more than F_p, and their
+    # checks compare every pair of basis tensors
     A = problem_action(source)
     G = A.groupoid
     K = A.base_subalgebra()
@@ -699,7 +704,15 @@ def test_kept_tensor_coordinates_match_unmemoised(source):
     with mock.patch.object(mapalg, "TensorOverK", Recording):
         AX = invariant_algebra(regular_gset(G), A)
         splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
+        valid = len(built)
+        for e in G.identities:
+            variants = family_variants(eval_hom_family(AX, e), A.support[e], A.ring)
+            for kind in ("replaced", "frobenius"):
+                tensor_split_check(A.support[e], AX, K, variants[kind], A)
     assert any(t.space_m is not t.space_n for t in built)
+    assert all(len({x for x, _ in t.asked}) == 1 for t in built[:valid])
+    if K.dim > 1:
+        assert any(len({x for x, _ in t.asked}) > 1 for t in built[valid:])
     for tens in built:
         asked = list(dict.fromkeys(tens.asked))[:24]
         for x, y in asked:

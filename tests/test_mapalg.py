@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 from unittest import mock
@@ -52,6 +53,7 @@ from gpdgalois.mapalg import (
     transversal_hom_family,
 )
 from gpdgalois.scalar import fp_basis_scalars, make_field
+from gpdgalois.tensor import TensorOverK
 from theorems import (
     double_dual_check,
     from_values,
@@ -505,17 +507,24 @@ SPLIT_SOURCES = FIXTURE_FILES + [
 def family_variants(family, E, ring):
     """The family itself, one hom with its last image replaced by the unit
     of E (or by zero where it is the unit), the first hom appended once
-    more and, in families of two or more, the last hom replaced by a copy
-    of the first."""
+    more, every hom followed by the Frobenius x -> x^p of R (multiplicative
+    but not K-linear where K holds scalars outside F_p) and, in families
+    of two or more, the last hom replaced by a copy of the first."""
     hom = family[0]
     unit = ring.unit(E)
     last = ring.zero() if hom.images[-1] == unit else unit
     replaced = HomRecord(hom.source, ring, hom.target_support,
                          hom.images[:-1] + (last,))
+    frob = ring.field.frobenius_table(ring.field.p)
     out = {
         "valid": list(family),
         "replaced": [replaced] + list(family[1:]),
         "appended": list(family) + [hom],
+        "frobenius": [
+            HomRecord(h.source, ring, h.target_support,
+                      [tuple(frob[v] for v in img) for img in h.images])
+            for h in family
+        ],
     }
     if len(family) > 1:
         out["duplicated"] = list(family[:-1]) + [hom]
@@ -550,6 +559,38 @@ def test_tensor_split_matches_pairwise_oracle(source):
     assert ("valid", True) in verdicts
     assert ("appended", False) in verdicts
     assert any(not ok for kind, ok in verdicts if kind != "valid")
+
+
+def test_tensor_split_decides_valid_families_on_b():
+    # a valid family is K-linear, so multiplicativity is decided on B's
+    # basis and TensorOverK.pure is asked only the components check's
+    # 1_E tensor b; an x other than 1_E shows the pair loop ran
+    asked = []
+
+    class Recording(TensorOverK):
+        def pure(self, x, y):
+            asked.append((x, y))
+            return super().pure(x, y)
+
+    fallbacks = collections.Counter()
+    with mock.patch.object(mapalg, "TensorOverK", Recording):
+        for source in SPLIT_SOURCES:
+            A = problem_action(source)
+            K = A.base_subalgebra()
+            for name, B, family_at in split_families(A):
+                for g in A.groupoid.elements:
+                    E = A.support[g]
+                    unit = A.ring.unit(E)
+                    for kind, fam in family_variants(family_at(g), E, A.ring).items():
+                        asked.clear()
+                        rep = tensor_split_check(E, B, K, fam, A)
+                        if kind == "valid":
+                            assert rep.ok and asked == [(unit, b) for b in B.basis], (
+                                source, name, g)
+                        elif any(x != unit for x, _ in asked):
+                            fallbacks[kind] += 1
+    assert fallbacks["replaced"] and fallbacks["frobenius"]
+    assert set(fallbacks) <= {"replaced", "frobenius"}
 
 
 # fix2 has an unfaithful ideal, so grothendieck_set_check refuses it

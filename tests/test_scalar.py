@@ -372,6 +372,18 @@ def test_largest_tables_match_polynomial_arithmetic_on_a_sample(p, k, modulus):
             assert field.mul(x, y) == field.mul(y, x)
 
 
+def test_pmod_trims_the_dividend_first():
+    # zero leading coefficients do not count towards the dividend's degree
+    assert _pmod(2, [1, 0, 0], [1, 1, 1]) == [1]
+    assert _pmod(2, [0, 0, 0], [1, 1, 1]) == []
+    assert _pmod(3, [1, 2, 0, 0, 0], [2, 0, 1]) == [1, 2]
+    rng = random.Random(0)
+    for p, mod in [(2, [1, 1, 1]), (3, [1, 0, 1]), (2, [1, 1, 0, 1])]:
+        for _ in range(50):
+            a = [rng.randrange(p) for _ in range(rng.randrange(8))]
+            assert _pmod(p, a + [0] * rng.randrange(1, 4), mod) == _pmod(p, a, mod)
+
+
 @pytest.mark.parametrize("p,k,modulus", SMALL_FIELDS, ids=str)
 def test_scalars_round_trip_through_coefficients(p, k, modulus):
     field = make_field(p, k, modulus)
