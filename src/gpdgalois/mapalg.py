@@ -260,23 +260,32 @@ def tensor_split_check(E, B, K: Subalgebra, family,
                        A: AlgebraAction) -> SplitReport:
     """Materialize (r tensor b) -> (r * f_i(b))_i as a prime-field matrix
     M and check it is a bijective unital multiplicative map onto the
-    product of copies of E indexed by the family.
+    product of copies of E indexed by the family, with components
+    M(1_E tensor b) = (f_i(b))_i on E.
 
-    Each f_i(y) is computed once per distinct y, and every check reads
-    those images; the matrix columns are phi(x tensor y) on E's slots.
+    Each f_i(y) is computed once per distinct y; the matrix columns are
+    phi(x tensor y) = (x f_i(y))_i on E's slots for the basis tensors.
 
-    M is multiplicative on every pair of basis tensors exactly when it is
-    on B's basis, provided every f_i is K-linear into E: f_i(cy) = c f_i(y)
-    on E for c in K.  Then phi(x, y) = (x f_i(y))_i is K-balanced, so it
-    factors through E tensor_K B, where it agrees with M on the basis:
-    M(x tensor y) = phi(x, y) for all x in E, y in B.  A pair's defect is
-    then x1 x2 d_i(y1, y2) with d_i(y1, y2) = f_i(y1 y2) - f_i(y1) f_i(y2)
-    on E, which is K-bilinear.  So d = 0 on B's basis clears every pair.
-    Conversely, for each primitive idempotent u of K the products x1 x2
-    span E u, which holds 1_E u, and the y's span u B over K u; so clear
-    pairs give u d = 0 for every u.  Without K-linearity every pair of
-    basis tensors is compared."""
+    Multiplicativity and the components are read off L_i, the K-linear
+    map equal to f_i on each block's K·u-basis n_{u,j} of B (the tensor's
+    n_parts): L_i(z) = sum over u, j of lift(c_{u,j}) f_i(n_{u,j}), with
+    c_{u,j} the K·u-coordinates of z u.  A pure tensor x tensor y has the
+    coordinates of the products of x's and y's block coordinates, and
+    x u = sum over i of lift(c_{u,i}(x u)) m_{u,i}, so expanding against
+    the columns gives M(x tensor y) = x L(y) on E for every x in E and y
+    in B.  Hence:
+    - M(1_E tensor b) = L(b), so the components match exactly when L = f
+      on B's basis.  That is when every f_i is K-linear into E: L is, and
+      a K-linear f has f(z) = sum over u of f(z u) = L(z).
+    - The defect M(t t') - M(t) M(t') of two basis tensors x n, x' n' is
+      x x' d(n, n') with d(n, n') = L(n n') - L(n) L(n').  Tensors of
+      different blocks give x x' = 0.  Within block u the products x x'
+      span E u, which holds 1_E u, and d(n, n') = u d(n, n'), as
+      L(B u) lies in u.  So M is multiplicative exactly when d(n, n') = 0
+      on E for n <= n' in each block's basis.
+    L(z) is kept per z, from one decomposition of z u per block."""
     R = A.ring
+    F = R.field
     E_mod = Submodule(R, ideal_fp_basis(R, E))
     tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
 
@@ -289,77 +298,51 @@ def tensor_split_check(E, B, K: Subalgebra, family,
             hom_images[y] = tuple(hom.apply(y) for hom in family)
         return hom_images[y]
 
-    mul = R.field.mul_table
+    mul, add = F.mul_table, F.add_table
+
+    def on_E(images):
+        """A tuple of elements of R read on the slots of E, member-major."""
+        return tuple(img[i] for img in images for i in slot_ids)
 
     def phi_on_E(x, y):
         """phi(x tensor y) on the slots of E, where every value lives,
         flattened over F_p."""
         return R.flat(mul[x[i]][img[i]] for img in images_of(y) for i in slot_ids)
 
-    target_dim = len(family) * len(E) * R.field.k
+    target_dim = len(family) * len(E) * F.k
     square = tens.dim == target_dim
 
-    columns = []
-    span = FpSpan(R.field.p)
+    span = FpSpan(F.p)
     independent = True
-    basis_data = list(tens.basis_vectors())
-    for _, x, y in basis_data:
-        col = phi_on_E(x, y)
-        columns.append(col)
-        if not span.insert(col):
+    for x, y in tens.basis_vectors():
+        if not span.insert(phi_on_E(x, y)):
             independent = False
     bijective = square and independent
 
-    def matrix_apply(tcoords):
-        total = [0] * target_dim
-        for c, col in zip(tcoords, columns):
-            if c:
-                for i, v in enumerate(col):
-                    total[i] = (total[i] + c * v) % R.field.p
-        return tuple(total)
-
     unit = R.unit(E)
-    unital = phi_on_E(unit, B.space.one()) == R.flat(
-        unit[i] for _ in family for i in slot_ids
+    unital = phi_on_E(unit, B.space.one()) == R.flat(on_E(unit for _ in family))
+
+    kept_L: dict = {}
+
+    def L_of(z):
+        """(L_i(z))_i on the slots of E, computed once per z."""
+        if z not in kept_L:
+            total = [F.zero] * (len(family) * len(slot_ids))
+            for part, blk in zip(tens.n_parts, tens.blocks):
+                for c, n in zip(part.decompose(B.space.k_scale(blk.u, z)), part.basis):
+                    if c != F.zero:
+                        lc = blk.lift(R, c)
+                        terms = (mul[lc[i]][img[i]] for img in images_of(n) for i in slot_ids)
+                        total = [add[a][t] for a, t in zip(total, terms)]
+            kept_L[z] = tuple(total)
+        return kept_L[z]
+
+    components_match = all(L_of(b) == on_E(images_of(b)) for b in B.basis)
+    multiplicative = all(
+        L_of(B.space.mul(n1, n2)) == tuple(mul[a][b] for a, b in zip(L_of(n1), L_of(n2)))
+        for part in tens.n_parts
+        for n1, n2 in itertools.combinations_with_replacement(part.basis, 2)
     )
-
-    def agree(z, a, b):
-        """z = a b on the slots of E."""
-        return all(z[i] == mul[a[i]][b[i]] for i in slot_ids)
-
-    if all(agree(fcy, c, fy) for c in K.basis for y in B.basis
-           for fcy, fy in zip(images_of(B.space.k_scale(c, y)), images_of(y))):
-        multiplicative = all(
-            agree(f12, f1, f2)
-            for y1, y2 in itertools.combinations_with_replacement(B.basis, 2)
-            for f12, f1, f2 in zip(
-                images_of(B.space.mul(y1, y2)), images_of(y1), images_of(y2)
-            )
-        )
-    else:
-        multiplicative = True
-        terms = [(x, y, [R.mul(x, img) for img in images_of(y)])
-                 for _, x, y in basis_data]
-        for (x1, y1, phi1), (x2, y2, phi2) in itertools.combinations_with_replacement(
-            terms, 2
-        ):
-            lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
-            rhs = R.flat(mul[a[i]][b[i]] for a, b in zip(phi1, phi2) for i in slot_ids)
-            if lhs != rhs:
-                multiplicative = False
-                break
-
-    components_match = True
-    width = len(E) * R.field.k
-    for b in B.basis:
-        img = matrix_apply(tens.pure(unit, b))
-        for i, hom_b in enumerate(images_of(b)):
-            expected = R.flat(hom_b[s] for s in slot_ids)
-            if img[i * width : (i + 1) * width] != expected:
-                components_match = False
-                break
-        if not components_match:
-            break
 
     ranks = RankProfile.of(tens.n_parts)
     return SplitReport(

@@ -100,8 +100,9 @@ def _find_kblocks(K: Subalgebra) -> tuple[KBlock, ...]:
 class BlockModuleBasis:
     """A K·u-basis of M·u for a K-module M inside some product space,
     with exact decomposition of arbitrary elements of M·u.  K·u is a
-    field, so M·u is free over it, and a failed freeness or degree check
-    is a fault of this library (OracleMismatch)."""
+    field, so M·u is free over it.  Every M passed here is closed under
+    K, so a failed freeness, closure, degree or span check is a fault of
+    this library (OracleMismatch)."""
 
     def __init__(self, space, kblock: KBlock, module_basis):
         self.space, self.kblock = space, kblock
@@ -119,7 +120,7 @@ class BlockModuleBasis:
                 if not self._span.insert(space.flat(vv)):
                     raise OracleMismatch("block not free over its base field")
                 if not fp_span.contains(space.flat(vv)):
-                    raise ValidationError("module not closed under base multiplication")
+                    raise OracleMismatch("module not closed under base multiplication")
         if len(self.basis) * kblock.degree != len(fp_vecs):
             raise OracleMismatch("block dimension not divisible by the field degree")
 
@@ -132,7 +133,7 @@ class BlockModuleBasis:
         block's slot."""
         coords = self._span.coords(self.space.flat(z))
         if coords is None:
-            raise ValidationError("element outside the block span")
+            raise OracleMismatch("element outside the block span")
         d, table = self.kblock.degree, self.kblock.from_coords
         return tuple(table[coords[i * d : (i + 1) * d]] for i in range(len(self.basis)))
 
@@ -172,24 +173,12 @@ class TensorOverK:
 
     m_parts and n_parts are the BlockModuleBasis of M and of N per block
     of kblocks(K).
-
-    The tensor keeps, for as long as it lives, the per-block coordinates
-    of every element it has decomposed and the coordinates of every pure
-    tensor it has built.  Both are functions of their arguments over
-    fixed parts, so a kept value is the value a new computation would
-    give.
     """
 
     def __init__(self, space_m, space_n, K: Subalgebra, m_basis, n_basis):
-        self.space_m = space_m
-        self.space_n = space_n
-        self.p = K.space.field.p
         self.blocks = kblocks(K)
         self.m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
         self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
-        self._m_coords: dict = {}
-        self._n_coords: dict = {}
-        self._pure: dict = {}
         self.layout = []
         off = 0
         for bi, blk in enumerate(self.blocks):
@@ -199,39 +188,10 @@ class TensorOverK:
                     off += blk.degree
         self.dim = off
 
-    def _block_coords(self, space, parts, kept, z) -> tuple:
-        """The K·u-coordinates of z·u over each block's basis, kept."""
-        got = kept.get(z)
-        if got is None:
-            got = kept[z] = tuple(
-                part.decompose(space.k_scale(blk.u, z))
-                for part, blk in zip(parts, self.blocks)
-            )
-        return got
-
-    def pure(self, x, y) -> tuple:
-        """Coordinates of the pure tensor (x in M, y in N)."""
-        got = self._pure.get((x, y))
-        if got is not None:
-            return got
-        per_block_m = self._block_coords(self.space_m, self.m_parts, self._m_coords, x)
-        per_block_n = self._block_coords(self.space_n, self.n_parts, self._n_coords, y)
-        coords = [0] * self.dim
-        for (bi, i, j), off, d in self.layout:
-            blk = self.blocks[bi]
-            prod = blk.to_coords[blk.field.mul_table[per_block_m[bi][i]][per_block_n[bi][j]]]
-            for m in range(d):
-                coords[off + m] = (coords[off + m] + prod[m]) % self.p
-        got = self._pure[(x, y)] = tuple(coords)
-        return got
-
     def basis_vectors(self):
-        """(coords, x, y) for each basis tensor f_m (m_i tensor n_j)."""
-        for (bi, i, j), off, d in self.layout:
-            blk = self.blocks[bi]
-            for m in range(d):
-                coords = [0] * self.dim
-                coords[off + m] = 1
-                x = self.space_m.k_scale(blk.fp_basis[m], self.m_parts[bi].basis[i])
-                y = self.n_parts[bi].basis[j]
-                yield tuple(coords), x, y
+        """(x, y) for each basis tensor f_m (m_i tensor n_j), in
+        coordinate order."""
+        for (bi, i, j), _, _ in self.layout:
+            part = self.m_parts[bi]
+            for f in self.blocks[bi].fp_basis:
+                yield part.space.k_scale(f, part.basis[i]), self.n_parts[bi].basis[j]

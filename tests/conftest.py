@@ -206,7 +206,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
     span = FpSpan(R.field.p)
     independent = True
     basis_data = list(tens.basis_vectors())
-    for _, x, y in basis_data:
+    for x, y in basis_data:
         col = flat_tuple(phi_tuple(x, y))
         columns.append(col)
         if not span.insert(col):
@@ -225,9 +225,8 @@ def pairwise_tensor_split_check(E, B, K, family, A):
         tuple(unit for _ in family)
     )
     multiplicative = True
-    pures = [(x, y) for _, x, y in basis_data]
-    for (x1, y1), (x2, y2) in itertools.combinations_with_replacement(pures, 2):
-        lhs = matrix_apply(tens.pure(R.mul(x1, x2), B.space.mul(y1, y2)))
+    for (x1, y1), (x2, y2) in itertools.combinations_with_replacement(basis_data, 2):
+        lhs = matrix_apply(unmemoised_pure(tens, R.mul(x1, x2), B.space.mul(y1, y2)))
         rhs = flat_tuple(
             tuple(R.mul(a, b) for a, b in zip(phi_tuple(x1, y1), phi_tuple(x2, y2)))
         )
@@ -238,7 +237,7 @@ def pairwise_tensor_split_check(E, B, K, family, A):
     width = len(E) * R.field.k
     for i, hom in enumerate(family):
         for b in B.basis:
-            img = matrix_apply(tens.pure(unit, b))
+            img = matrix_apply(unmemoised_pure(tens, unit, b))
             expected = R.field.flatten(hom.apply(b)[s] for s in slot_ids)
             if img[i * width : (i + 1) * width] != expected:
                 components_match = False
@@ -252,22 +251,23 @@ def pairwise_tensor_split_check(E, B, K, family, A):
 
 
 def unmemoised_pure(tens, x, y):
-    """Oracle: TensorOverK.pure with both factors decomposed afresh over
-    the tensor's block bases on every call, nothing kept."""
+    """Oracle: the coordinates of the pure tensor x tensor y, with both
+    factors decomposed afresh over the tensor's block bases on every
+    call, nothing kept."""
     coords = [0] * tens.dim
     per_block_m = [
-        part.decompose(tens.space_m.k_scale(blk.u, x))
+        part.decompose(part.space.k_scale(blk.u, x))
         for part, blk in zip(tens.m_parts, tens.blocks)
     ]
     per_block_n = [
-        part.decompose(tens.space_n.k_scale(blk.u, y))
+        part.decompose(part.space.k_scale(blk.u, y))
         for part, blk in zip(tens.n_parts, tens.blocks)
     ]
     for (bi, i, j), off, d in tens.layout:
         blk = tens.blocks[bi]
         prod = blk.to_coords[blk.field.mul(per_block_m[bi][i], per_block_n[bi][j])]
         for m in range(d):
-            coords[off + m] = (coords[off + m] + prod[m]) % tens.p
+            coords[off + m] = (coords[off + m] + prod[m]) % blk.field.p
     return tuple(coords)
 
 

@@ -526,6 +526,32 @@ def test_tensor_self_check_is_an_oracle_mismatch(capsys):
     assert report["checks"][-1]["witness"] == "K block is not a field"
 
 
+class _NeverContains(scalar_mod.FpSpan):
+    def contains(self, vec):
+        return False
+
+
+class _NoCoords(scalar_mod.FpSpan):
+    def coords(self, vec):
+        return None
+
+
+@pytest.mark.parametrize("span, witness", [
+    (_NeverContains, "module not closed under base multiplication"),
+    (_NoCoords, "element outside the block span"),
+], ids=["closure", "span"])
+def test_block_module_self_check_is_an_oracle_mismatch(capsys, span, witness):
+    # every module the package splits into K-blocks is closed under K and
+    # holds what it is asked to decompose, so a failed closure or span
+    # check is a fault of the library: galois ends in oracle-mismatch, not
+    # fail
+    with mock.patch.object(tensor, "FpSpan", span):
+        code, out = run(capsys, "galois", FIX1, "--json")
+    report = json.loads(out)
+    assert (code, report["status"]) == (4, "oracle-mismatch")
+    assert report["checks"][-1]["witness"] == witness
+
+
 # Capacity: inputs past the old listing bounds (2^16 elements of K, 20
 # points of a G-set) end in a verdict, not in bound-exceeded.
 

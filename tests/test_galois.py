@@ -23,7 +23,6 @@ from conftest import (
 )
 from gpdgalois import action as action_mod
 from gpdgalois import galois as galois_mod
-from gpdgalois import mapalg
 from gpdgalois import omega as omega_mod
 from gpdgalois.action import (
     Subalgebra,
@@ -52,13 +51,11 @@ from gpdgalois.mapalg import (
     HomRecord,
     eval_hom_family,
     invariant_algebra,
-    splits_per_target,
     tensor_split_check,
     transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, fp_basis_scalars, make_field, solve_linear
 from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
-from test_mapalg import family_variants
 import theorems
 from theorems import (
     associated_idempotent,
@@ -678,53 +675,6 @@ def test_single_block_scan_matches_idempotent_oracle(source):
                 assert strongly_distinct(f, h) == idempotent_strongly_distinct(f, h)
 
 
-@pytest.mark.parametrize("source", EQUALISER_SOURCES, ids=str)
-def test_kept_tensor_coordinates_match_unmemoised(source):
-    # every tensor that tensor_split_check builds: pure on the arguments
-    # it was asked about, asked again and scaled by K on either side,
-    # against pure recomputed with nothing kept.  The evaluation families
-    # are K-linear, so their checks ask only 1_E tensor b; the replaced and
-    # Frobenius variants are not wherever K is more than F_p, and their
-    # checks compare every pair of basis tensors
-    A = problem_action(source)
-    G = A.groupoid
-    K = A.base_subalgebra()
-    built = []
-
-    class Recording(TensorOverK):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.asked = []
-            built.append(self)
-
-        def pure(self, x, y):
-            self.asked.append((x, y))
-            return super().pure(x, y)
-
-    with mock.patch.object(mapalg, "TensorOverK", Recording):
-        AX = invariant_algebra(regular_gset(G), A)
-        splits_per_target(A, AX, K, lambda e: eval_hom_family(AX, e))
-        valid = len(built)
-        for e in G.identities:
-            variants = family_variants(eval_hom_family(AX, e), A.support[e], A.ring)
-            for kind in ("replaced", "frobenius"):
-                tensor_split_check(A.support[e], AX, K, variants[kind], A)
-    assert any(t.space_m is not t.space_n for t in built)
-    assert all(len({x for x, _ in t.asked}) == 1 for t in built[:valid])
-    if K.dim > 1:
-        assert any(len({x for x, _ in t.asked}) > 1 for t in built[valid:])
-    for tens in built:
-        asked = list(dict.fromkeys(tens.asked))[:24]
-        for x, y in asked:
-            for a, b in [(x, y)] + [
-                pair
-                for c in K.basis
-                for pair in ((tens.space_m.k_scale(c, x), y),
-                             (x, tens.space_n.k_scale(c, y)))
-            ]:
-                assert tens.pure(a, b) == unmemoised_pure(tens, a, b)
-
-
 def _separability_candidates(A):
     """The invariants of every wide subgroupoid when |G| is within the
     default bound of enumerate_wide_subgroupoids (none otherwise), then
@@ -753,9 +703,10 @@ def _separability_candidates(A):
 
 def _tensor_sum(tens, pairs):
     """The coordinates of sum x tensor y over pairs, from pure tensors."""
+    p = tens.blocks[0].field.p
     total = [0] * tens.dim
     for x, y in pairs:
-        total = [(a + b) % tens.p for a, b in zip(total, tens.pure(x, y))]
+        total = [(a + b) % p for a, b in zip(total, unmemoised_pure(tens, x, y))]
     return tuple(total)
 
 
