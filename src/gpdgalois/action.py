@@ -499,29 +499,44 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
     basis of the field) form an F_p-basis of the sum of the E_g delta_g.
     skew_mul is F_p-bilinear: R.mul is bilinear, and apply moves block
     coordinates to other slots and raises them to Frobenius powers
-    x -> x^(p^t), which is F_p-linear.  So with m_u m_v = sum_k c_uv^k m_k,
+    x -> x^(p^t), which is F_p-linear.  So the associator
+    assoc(u, v, w) = (uv)w - u(vw) is trilinear, and with
+    u v = sum_k c_uv^k m_k,
 
-        (m_u m_v) m_w = sum_k c_uv^k (m_k m_w)
-        m_u (m_v m_w) = sum_k c_vw^k (m_u m_k),
+        (u v) w = sum_k c_uv^k (m_k w)
+        u (v w) = sum_k c_vw^k (u m_k),
 
-    and the M x M table of products m_u m_v, each computed once by
-    skew_mul and expanded over the monomials, decides every triple exactly.
-    The expansion is faithful: x beta_g(y) is a multiple of x, so it lies in
-    E_g = E_gh.  Where m_u m_v = 0 and m_v m_w = 0, both sides are zero.
+    so products expanded over the monomials, each computed once by
+    skew_mul, decide a triple exactly.  The expansion is faithful:
+    x beta_g(y) is a multiple of x, so it lies in E_g = E_gh.  Where
+    u v = 0 and v w = 0, both sides are zero.
 
-    The triples first run with w over a generating set only.  The set S
-    of w with (uv)w = u(vw) for all u, v is an F_p-subspace (both sides are
-    trilinear) closed under products: for a, b in S,
-    (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)).  When every
-    beta_g carries 1_{E_{d g}} to 1_{E_{r g}} (checked, |G| applies),
-    composable a, b and x in E_a give (x delta_a)(1_{E_{r b}} delta_b) =
-    x beta_a(1_{E_{d a}}) delta_ab = x delta_ab, and 1_{E_{r b}} delta_b is
-    a sum of monomials at b.  The left-normed products of Gamma
-    (G.generators) are all of G, so the monomials at Gamma and at the
-    identities generate the ring, and M^2 |gens| triples decide
-    associativity.  If the guard or a generator triple fails, all M^3
-    triples run in the order of the direct loop, so the first failing one
-    and its witness are the same.
+    The left and middle factors run over l_g = 1_{E_g} delta_g only, by
+    two lemmas, where r.U multiplies every coefficient of U by r in R:
+    - Left R-linearity: (r.U)V = r.(UV), since each term of skew_mul is
+      (r x) beta_g(y) = r (x beta_g(y)).  So assoc(r.U, V, W) =
+      r.assoc(U, V, W), and every monomial s e_b delta_g is (s e_b).l_g.
+    - Semilinearity of l_g: l_g(r.V) = beta_g(r).(l_g V), because apply is
+      multiplicative slot by slot: each move puts x[i]^q into one slot,
+      and (r y)[i]^q = r[i]^q y[i]^q.  This holds for any AlgebraAction,
+      validated or not, so the reduction is exact on corrupted ones too.
+    Together, assoc(r l_g, r' l_h, w) = r beta_g(r') assoc(l_g, l_h, w),
+    so the |G|^2 pairs (l_g, l_h) stand for all M^2 monomial pairs.
+
+    The right factor w runs over a generating set only.  The set S of w
+    with (uv)w = u(vw) for all u, v is an F_p-subspace closed under
+    products: for a, b in S, (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) =
+    x(y(ab)).  When every beta_g carries 1_{E_{d g}} to 1_{E_{r g}}
+    (checked, |G| applies), composable a, b and x in E_a give
+    (x delta_a)(1_{E_{r b}} delta_b) = x beta_a(1_{E_{d a}}) delta_ab =
+    x delta_ab, and 1_{E_{r b}} delta_b is a sum of monomials at b.  The
+    left-normed products of Gamma (G.generators) are all of G, so the
+    monomials at Gamma and at the identities generate the ring, and
+    |G|^2 |W| triples decide associativity, W the monomials at Gamma and
+    the identities.  They read the products l_g l_h, l_h w, m_k w and
+    l_g m_k.  If the guard or a reduced triple fails, the full M x M table
+    is built and all M^3 triples run in the order of the direct loop, so
+    the first failing one and its witness are the same.
     """
     R, G = A.ring, A.groupoid
     p, digits = R.field.p, R.field.digits
@@ -532,7 +547,6 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
                 index[(g, R.slot_index(b), t)] = len(monomials)
                 monomials.append({g: R.embed({b: s})})
     gens = set(G.generators) | set(G.identities)
-    at_gens = [n for (g, _, _), n in index.items() if g in gens]
 
     def expand(z):
         """(k, c) for every nonzero coefficient c of m_k in z."""
@@ -544,30 +558,40 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
             if c
         )
 
-    table = [[expand(skew_mul(A, u, v)) for v in monomials] for u in monomials]
+    def products(lefts, rights):
+        return [[expand(skew_mul(A, u, v)) for v in rights] for u in lefts]
 
-    def combine(terms, rows, col):
-        """sum of c * rows[k][col] over the (k, c) in terms, as a dict."""
+    def combine(terms, row):
+        """sum of c * row[k] over the (k, c) in terms, as a dict."""
         acc: dict = {}
         for k, c in terms:
-            for j, d in rows[k][col]:
+            for j, d in row[k]:
                 acc[j] = (acc.get(j, 0) + c * d) % p
         return {j: c for j, c in acc.items() if c}
 
-    columns = list(zip(*table))  # columns[k][u] = m_u m_k
+    def fails(uv, vw, w_row, u_row):
+        """Is (uv)w != u(vw), where w_row[k] = m_k w and u_row[k] = u m_k?"""
+        return bool(uv or vw) and combine(uv, w_row) != combine(vw, u_row)
 
-    def first_failure(triples):
-        for u, v, w in triples:
-            uv, vw = table[u][v], table[v][w]
-            if (uv or vw) and combine(uv, table, w) != combine(vw, columns, u):
-                return monomials[u], monomials[v], monomials[w]
-        return None
+    def reduced_failure():
+        ells = [{g: R.unit(A.support[g])} for g in G.elements]
+        at_gens = [m for m in monomials if next(iter(m)) in gens]
+        ll, lw = products(ells, ells), products(ells, at_gens)
+        w_rows = list(zip(*products(monomials, at_gens)))  # w_rows[w][k] = m_k w
+        l_rows = products(ells, monomials)  # l_rows[g][k] = l_g m_k
+        gs = range(len(ells))
+        return any(fails(ll[g][h], lw[h][w], w_rows[w], l_rows[g])
+                   for g, h, w in itertools.product(gs, gs, range(len(at_gens))))
 
-    every = range(len(monomials))
     unital_maps = all(A.apply(g, R.unit(A.source_ideal(g))) == R.unit(A.support[g])
                       for g in G.elements)
-    if not unital_maps or first_failure(itertools.product(every, every, at_gens)):
-        witness = first_failure(itertools.product(every, repeat=3))
+    if not unital_maps or reduced_failure():
+        table = products(monomials, monomials)
+        columns = list(zip(*table))  # columns[w][k] = m_k m_w
+        every = range(len(monomials))
+        witness = next(((monomials[u], monomials[v], monomials[w])
+                        for u, v, w in itertools.product(every, repeat=3)
+                        if fails(table[u][v], table[v][w], columns[w], table[u])), None)
         if witness:
             return SkewReport(False, False, True, witness=witness)
     one = skew_identity(A)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from .action import AlgebraAction, Subalgebra, Submodule, invariants, stabilizer
 from .blockring import equalising_block
 from .errors import OracleMismatch
-from .groupoid import DEFAULT_MAX_ELEMENTS, coset_space, enumerate_wide_subgroupoids
+from .groupoid import (
+    DEFAULT_MAX_ELEMENTS,
+    check_size_bound,
+    coset_space,
+    enumerate_wide_subgroupoids,
+)
 from .mapalg import hom_gset_check, require_faithful_hypotheses, splits_per_target
 from .omega import Omega, subalgebra_basis
 from .scalar import solve_linear
@@ -223,9 +228,12 @@ def galois_correspondence(
     beta-strong, so every separable beta-strong subalgebra is a candidate.
     Each candidate is still decided by separability_idempotent and
     is_beta_strong, directly or through the row verdicts below; the
-    search raises SizeBoundExceeded past omega.MAX_SEARCH_NODES.  The
-    hypothesis gate raises HypothesisFailure when some ideal is unfaithful
-    or the action is not Galois.
+    search raises SizeBoundExceeded past omega.MAX_SEARCH_NODES.  It runs
+    after the |G| bound of the enumeration and before the enumeration and
+    the rows, so both bounds fire before the expensive work; it reads A
+    only, and rows and candidates meet only once both exist, so the order
+    changes no verdict.  The hypothesis gate raises HypothesisFailure when
+    some ideal is unfaithful or the action is not Galois.
 
     Three things are kept for the length of this call, and no longer:
     - invariants(A, H) per subgroupoid H, by its label tuple, shared by
@@ -261,6 +269,8 @@ def galois_correspondence(
             kept_cosets[H] = coset_space(G, H)
         return kept_cosets[H]
 
+    check_size_bound(G, max_elements)
+    survivors = list(Omega(A).strong_partitions())
     rows = []
     partitions = set()
     for H in enumerate_wide_subgroupoids(G, max_elements):
@@ -285,7 +295,7 @@ def galois_correspondence(
 
     row_of = dict(zip(keys, rows))
     found: dict = {}
-    for part in Omega(A).strong_partitions():
+    for part in survivors:
         basis = subalgebra_basis(R, part)
         key = Submodule(R, basis).key()
         row = row_of.get(key)

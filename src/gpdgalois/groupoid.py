@@ -338,6 +338,15 @@ def _closure(G: Groupoid, members: frozenset, g) -> frozenset:
     return frozenset(out)
 
 
+def check_size_bound(G: Groupoid, max_elements: int) -> None:
+    """The bound of enumerate_wide_subgroupoids: SizeBoundExceeded when G
+    has more than max_elements elements."""
+    if len(G.elements) > max_elements:
+        raise SizeBoundExceeded(
+            f"|G|={len(G.elements)} exceeds bound {max_elements}"
+        )
+
+
 def enumerate_wide_subgroupoids(
     G: Groupoid, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> list[tuple]:
@@ -360,10 +369,7 @@ def enumerate_wide_subgroupoids(
     _closure(G, S, g) = _closure(G, S, g^{-1}).  The set of results is the
     same, and so is the returned order, which is a sort.
     """
-    if len(G.elements) > max_elements:
-        raise SizeBoundExceeded(
-            f"|G|={len(G.elements)} exceeds bound {max_elements}"
-        )
+    check_size_bound(G, max_elements)
     identities = frozenset(G.identities)
     found = {identities}
     frontier = [identities]

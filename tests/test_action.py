@@ -426,6 +426,60 @@ def test_skew_table_reports_the_oracle_witness(fix1, fixf4):
         assert report == direct_verify_skew_ring(A)
 
 
+def test_skew_table_matches_direct_oracle_on_the_benchmark_shape():
+    # pure-Frobenius P_2 x C_3 over F_8, M = 36, valid and retwisted
+    A = problem_action(("frobenius", 2, 3, 3))
+    assert verify_skew_ring(A) == direct_verify_skew_ring(A)
+    for g, b, t in [("g1_0_1", "v0", 0), ("g0_1_2", "v1", 1)]:
+        B = corrupted_action(A, g, "retwist", b, t)
+        report = verify_skew_ring(B)
+        assert not report.associative
+        assert report == direct_verify_skew_ring(B)
+
+
+@st.composite
+def skew_lemma_cases(draw):
+    """A valid or corrupted action, r in R, an element g and two skew ring
+    elements with random coefficients in their E_h."""
+    if draw(st.booleans()):
+        A = draw(corrupted_skew_actions())
+    else:
+        A = problem_action(draw(st.sampled_from(SMALL_SKEW_SOURCES)))
+    R, G = A.ring, A.groupoid
+    order = R.field.order
+
+    def ring_element():
+        return tuple(draw(st.integers(0, order - 1)) for _ in R.blocks)
+
+    def skew():
+        hs = draw(st.lists(st.sampled_from(G.elements), max_size=3, unique=True))
+        return {h: R.mul(ring_element(), R.unit(A.support[h])) for h in hs}
+
+    return A, ring_element(), draw(st.sampled_from(G.elements)), skew(), skew()
+
+
+def scale(A, r, u):
+    """r.u: every coefficient of u multiplied by r, zeros dropped."""
+    R = A.ring
+    out = {g: R.mul(r, x) for g, x in u.items()}
+    return {g: x for g, x in out.items() if x != R.zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(skew_lemma_cases())
+def test_skew_mul_is_left_r_linear(case):
+    A, r, _, u, v = case
+    assert skew_mul(A, scale(A, r, u), v) == scale(A, r, skew_mul(A, u, v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(skew_lemma_cases())
+def test_unit_at_g_is_beta_g_semilinear(case):
+    A, r, g, _, v = case
+    ell = {g: A.ring.unit(A.support[g])}
+    assert skew_mul(A, ell, scale(A, r, v)) == scale(A, A.apply(g, r), skew_mul(A, ell, v))
+
+
 def skew_vector(A, z):
     """The F_p coordinates of a skew ring element over every (g, slot)."""
     R = A.ring
@@ -453,10 +507,19 @@ def test_monomials_at_generators_and_identities_generate_the_skew_ring(source):
                 basis.append(z)
                 grown = True
     assert span.dim == MONOMIALS[source]
-    # a valid action passes the unit guard, so only the generator triples run
-    with mock.patch.object(action_mod.itertools, "product", wraps=itertools.product) as prod:
+    # a valid action passes the unit guard, so only the reduced triples
+    # (l_g, l_h, w) run: |G|^2 |W|, W the monomials at Gamma and G_0
+    product, triples = itertools.product, []
+
+    def counted(*args, **kwargs):
+        for triple in product(*args, **kwargs):
+            triples.append(triple)
+            yield triple
+
+    with mock.patch.object(action_mod.itertools, "product", counted):
         assert verify_skew_ring(A).ok
-    assert [call.kwargs for call in prod.call_args_list] == [{}]
+    at_gens = sum(len(A.support[g]) for g in gens) * R.field.k
+    assert len(triples) == len(G.elements) ** 2 * at_gens
 
 
 @pytest.mark.parametrize("A", [

@@ -16,6 +16,7 @@ from conftest import (
     walk_conform,
 )
 from gpdgalois import action as action_mod, cli, omega, scalar as scalar_mod, tensor
+from gpdgalois import galois as galois_mod
 from gpdgalois.action import Submodule, invariants
 from gpdgalois.cli import EXIT_CODES, main
 from gpdgalois.errors import InvalidInput
@@ -600,6 +601,32 @@ def test_partition_search_past_its_bound_is_bound_exceeded(capsys):
     assert code == 3
     assert out.splitlines()[-2:] == [
         "[BOUND-EXCEEDED] size bound  [partition search passed 3 nodes]",
+        "status: bound-exceeded",
+    ]
+
+
+def test_partition_search_bound_fires_before_any_row(capsys):
+    # the search runs before the enumeration and the row loop, so past its
+    # node bound no row is checked and no subgroupoid enumerated
+    with mock.patch.object(omega, "MAX_SEARCH_NODES", 3), \
+            mock.patch.object(galois_mod, "strong_subalgebra_check",
+                              wraps=galois_mod.strong_subalgebra_check) as rows, \
+            mock.patch.object(galois_mod, "enumerate_wide_subgroupoids",
+                              wraps=galois_mod.enumerate_wide_subgroupoids) as subs:
+        code, out = run(capsys, "correspondence", FIX1)
+    assert (code, out.splitlines()[-1]) == (3, "status: bound-exceeded")
+    assert rows.call_count == 0 and subs.call_count == 0
+
+
+def test_the_size_bound_fires_before_the_partition_search(capsys, tmp_path):
+    # |G| = 16 over a bound of 8 is reported, not the node bound
+    path = tmp_path / "p2c4.json"
+    path.write_text(json.dumps(pair_cyclic_doc("shift", 2, 4)))
+    with mock.patch.object(omega, "MAX_SEARCH_NODES", 3):
+        code, out = run(capsys, "correspondence", str(path), "--max-size", "8")
+    assert code == 3
+    assert out.splitlines()[-2:] == [
+        "[BOUND-EXCEEDED] size bound  [|G|=16 exceeds bound 8]",
         "status: bound-exceeded",
     ]
 
