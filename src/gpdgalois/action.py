@@ -534,9 +534,12 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
     monomials at Gamma and at the identities generate the ring, and
     |G|^2 |W| triples decide associativity, W the monomials at Gamma and
     the identities.  They read the products l_g l_h, l_h w, m_k w and
-    l_g m_k.  If the guard or a reduced triple fails, the full M x M table
-    is built and all M^3 triples run in the order of the direct loop, so
-    the first failing one and its witness are the same.
+    l_g m_k, and only the first two are multiplied out by skew_mul: with
+    m_k = (s e_b).l_h, the lemmas give m_k w = (s e_b).(l_h w) and
+    l_g m_k = beta_g(s e_b).(l_g l_h).  If the guard or a reduced triple
+    fails, the full M x M table is built and all M^3 triples run in the
+    order of the direct loop, so the first failing one and its witness are
+    the same.
     """
     R, G = A.ring, A.groupoid
     p, digits = R.field.p, R.field.digits
@@ -573,14 +576,28 @@ def verify_skew_ring(A: AlgebraAction) -> SkewReport:
         """Is (uv)w != u(vw), where w_row[k] = m_k w and u_row[k] = u m_k?"""
         return bool(uv or vw) and combine(uv, w_row) != combine(vw, u_row)
 
+    def scaled(r, z):
+        """expand(r.z): every coefficient of z multiplied by r in R."""
+        return expand({g: R.mul(r, x) for g, x in z.items()})
+
     def reduced_failure():
         ells = [{g: R.unit(A.support[g])} for g in G.elements]
         at_gens = [m for m in monomials if next(iter(m)) in gens]
-        ll, lw = products(ells, ells), products(ells, at_gens)
-        w_rows = list(zip(*products(monomials, at_gens)))  # w_rows[w][k] = m_k w
-        l_rows = products(ells, monomials)  # l_rows[g][k] = l_g m_k
+        ll = [[skew_mul(A, u, v) for v in ells] for u in ells]
+        lw = [[skew_mul(A, u, w) for w in at_gens] for u in ells]
+        # m_k = r.l_h with r = s e_b, so m_k w = r.(l_h w) and
+        # l_g m_k = beta_g(r).(l_g l_h)
+        position = {g: i for i, g in enumerate(G.elements)}
+        factors = [(position[h], r) for m in monomials for h, r in m.items()]
+        w_rows = [[scaled(r, lw[h][w]) for h, r in factors]  # w_rows[w][k] = m_k w
+                  for w in range(len(at_gens))]
+        l_rows = [[scaled(A.apply(g, r), ll[gi][h]) if ll[gi][h] else ()
+                   for h, r in factors]  # l_rows[g][k] = l_g m_k
+                  for gi, g in enumerate(G.elements)]
+        ll_terms = [[expand(z) for z in row] for row in ll]
+        lw_terms = [[expand(z) for z in row] for row in lw]
         gs = range(len(ells))
-        return any(fails(ll[g][h], lw[h][w], w_rows[w], l_rows[g])
+        return any(fails(ll_terms[g][h], lw_terms[h][w], w_rows[w], l_rows[g])
                    for g, h, w in itertools.product(gs, gs, range(len(at_gens))))
 
     unital_maps = all(A.apply(g, R.unit(A.source_ideal(g))) == R.unit(A.support[g])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .action import (
     AlgebraAction,
     Subalgebra,
-    Submodule,
     check_composition,
     find_galois_coordinates,
     invariants,
@@ -24,7 +23,6 @@ from .action import (
 from .blockring import (
     BlockRing,
     disconnected_identity,
-    ideal_fp_basis,
     is_faithful_ideal,
 )
 from .errors import (
@@ -35,8 +33,8 @@ from .errors import (
 )
 from .gset import GSet, gset_isomorphic, validate_gset
 from .groupoid import CosetSpace
-from .scalar import FpSpan
-from .tensor import RankProfile, TensorOverK
+from .scalar import FpSpan, fp_basis_scalars
+from .tensor import RankProfile, block_parts
 
 
 class MapSpace(BlockRing):
@@ -256,28 +254,41 @@ class SplitReport:
         )
 
 
-def tensor_split_check(E, B, K: Subalgebra, family,
+def tensor_split_check(E, B, parts, family,
                        A: AlgebraAction) -> SplitReport:
-    """Materialize (r tensor b) -> (r * f_i(b))_i as a prime-field matrix
-    M and check it is a bijective unital multiplicative map onto the
-    product of copies of E indexed by the family, with components
-    M(1_E tensor b) = (f_i(b))_i on E.
+    """Is the map M(x tensor y) = (x f_i(y))_i from E tensor_K B onto the
+    product of copies of E indexed by the family a bijective unital
+    multiplicative map with components M(1_E tensor b) = (f_i(b))_i on E?
 
-    Each f_i(y) is computed once per distinct y; the matrix columns are
-    phi(x tensor y) = (x f_i(y))_i on E's slots for the basis tensors.
+    parts is B's BlockModuleBasis per block u of kblocks(K)
+    (:func:`~gpdgalois.tensor.block_parts`), with K·u-basis n_{u,j}.  It
+    depends on B and K only, so splits_per_target builds it once for
+    every target.  Each f_i(y) is computed once per distinct y.
+
+    E tensor_K B is the sum over u of E u tensor_{K u} B u, and B u is free
+    on the n_{u,j}, so M is fixed by M(x tensor n_{u,j}) = (x f_i(n_{u,j}))_i
+    for x in E u.  E u is the sum of the fields F e_b over the slots b of E
+    with u_b = 1, and K u acts on F e_b through x -> x_b.  So M is the sum
+    over the slots b of E of F-linear maps F^{rank_u} -> F^n at b, with
+    columns (f_i(n_{u,j})_b)_i, u the block with u_b = 1:
+    - square: the F_p-dimensions of both sides agree, that is the sum over
+      the slots b of E of rank_u is n |E|.
+    - bijective: M is square and every slot's map is injective; then no
+      slot's rank_u exceeds n, so each is n and each map is onto.  The
+      columns at b are F-independent exactly when their multiples by the
+      power basis of F are F_p-independent, decided in one FpSpan per slot.
+    - unital: M(1_E tensor 1_B) = (f_i(1_B))_i is 1 on every slot of E.
 
     Multiplicativity and the components are read off L_i, the K-linear
-    map equal to f_i on each block's K·u-basis n_{u,j} of B (the tensor's
-    n_parts): L_i(z) = sum over u, j of lift(c_{u,j}) f_i(n_{u,j}), with
-    c_{u,j} the K·u-coordinates of z u.  A pure tensor x tensor y has the
-    coordinates of the products of x's and y's block coordinates, and
-    x u = sum over i of lift(c_{u,i}(x u)) m_{u,i}, so expanding against
-    the columns gives M(x tensor y) = x L(y) on E for every x in E and y
-    in B.  Hence:
+    map equal to f_i on the n_{u,j}: L_i(z) = sum over u, j of
+    lift(c_{u,j}) f_i(n_{u,j}), with c_{u,j} the K·u-coordinates of z u.
+    For x in E u, x tensor z = x tensor z u = sum over j of
+    x lift(c_{u,j}) tensor n_{u,j}, so M(x tensor y) = x L(y) on E for
+    every x in E and y in B.  Hence:
     - M(1_E tensor b) = L(b), so the components match exactly when L = f
       on B's basis.  That is when every f_i is K-linear into E: L is, and
       a K-linear f has f(z) = sum over u of f(z u) = L(z).
-    - The defect M(t t') - M(t) M(t') of two basis tensors x n, x' n' is
+    - The defect M(t t') - M(t) M(t') of two tensors x n, x' n' is
       x x' d(n, n') with d(n, n') = L(n n') - L(n) L(n').  Tensors of
       different blocks give x x' = 0.  Within block u the products x x'
       span E u, which holds 1_E u, and d(n, n') = u d(n, n'), as
@@ -286,9 +297,6 @@ def tensor_split_check(E, B, K: Subalgebra, family,
     L(z) is kept per z, from one decomposition of z u per block."""
     R = A.ring
     F = R.field
-    E_mod = Submodule(R, ideal_fp_basis(R, E))
-    tens = TensorOverK(R, B.space, K, E_mod.basis, B.basis)
-
     slot_ids = [R.slot_index(b) for b in E]
     hom_images: dict = {}
 
@@ -304,23 +312,19 @@ def tensor_split_check(E, B, K: Subalgebra, family,
         """A tuple of elements of R read on the slots of E, member-major."""
         return tuple(img[i] for img in images for i in slot_ids)
 
-    def phi_on_E(x, y):
-        """phi(x tensor y) on the slots of E, where every value lives,
-        flattened over F_p."""
-        return R.flat(mul[x[i]][img[i]] for img in images_of(y) for i in slot_ids)
+    # the part of the block u with u_b = 1, for each slot b of E
+    part_at = [next(part for part in parts if part.kblock.u[i] == F.one) for i in slot_ids]
+    square = sum(part.rank for part in part_at) == len(family) * len(slot_ids)
 
-    target_dim = len(family) * len(E) * F.k
-    square = tens.dim == target_dim
+    def independent_at(slot, part):
+        """Are the columns (f_i(n) at slot)_i, n over the block's basis,
+        F-independent?"""
+        span = FpSpan(F.p)
+        return all(span.insert(F.flatten(mul[t][img[slot]] for img in images_of(n)))
+                   for n in part.basis for t in fp_basis_scalars(F))
 
-    span = FpSpan(F.p)
-    independent = True
-    for x, y in tens.basis_vectors():
-        if not span.insert(phi_on_E(x, y)):
-            independent = False
-    bijective = square and independent
-
-    unit = R.unit(E)
-    unital = phi_on_E(unit, B.space.one()) == R.flat(on_E(unit for _ in family))
+    bijective = square and all(independent_at(s, part) for s, part in zip(slot_ids, part_at))
+    unital = on_E(images_of(B.space.one())) == (F.one,) * (len(family) * len(slot_ids))
 
     kept_L: dict = {}
 
@@ -328,7 +332,8 @@ def tensor_split_check(E, B, K: Subalgebra, family,
         """(L_i(z))_i on the slots of E, computed once per z."""
         if z not in kept_L:
             total = [F.zero] * (len(family) * len(slot_ids))
-            for part, blk in zip(tens.n_parts, tens.blocks):
+            for part in parts:
+                blk = part.kblock
                 for c, n in zip(part.decompose(B.space.k_scale(blk.u, z)), part.basis):
                     if c != F.zero:
                         lc = blk.lift(R, c)
@@ -340,38 +345,30 @@ def tensor_split_check(E, B, K: Subalgebra, family,
     components_match = all(L_of(b) == on_E(images_of(b)) for b in B.basis)
     multiplicative = all(
         L_of(B.space.mul(n1, n2)) == tuple(mul[a][b] for a, b in zip(L_of(n1), L_of(n2)))
-        for part in tens.n_parts
+        for part in parts
         for n1, n2 in itertools.combinations_with_replacement(part.basis, 2)
     )
-
-    ranks = RankProfile.of(tens.n_parts)
-    return SplitReport(
-        square,
-        bijective,
-        unital,
-        multiplicative,
-        components_match,
-        len(family),
-        ranks,
-    )
+    return SplitReport(square, bijective, unital, multiplicative, components_match,
+                       len(family), RankProfile.of(parts))
 
 
 def splits_per_target(A: AlgebraAction, B, K: Subalgebra, family_at) -> dict:
-    """{g: tensor_split_check(E_g, B, K, family_at(r(g)), A)} for every g
-    in G, with the check run once per target identity, in the order the
-    targets first occur in G.
+    """{g: tensor_split_check(E_g, B, block_parts(B, K), family_at(r(g)), A)}
+    for every g in G, with the check run once per target identity, in the
+    order the targets first occur in G, and B's block parts built once.
 
     The split check at g has arguments that depend on r(g) only: E_g is
     the ideal of r(g), the evaluation family V_g(X) is read off the fiber
     X_{r(g)}, and a transversal family is the one grouped under r(g).
     One report therefore serves every g with the same target."""
     G = A.groupoid
+    parts = block_parts(B, K)
     by_target: dict = {}
     out = {}
     for g in G.elements:
         e = G.r[g]
         if e not in by_target:
-            by_target[e] = tensor_split_check(A.support[e], B, K, family_at(e), A)
+            by_target[e] = tensor_split_check(A.support[e], B, parts, family_at(e), A)
         out[g] = by_target[e]
     return out
 

@@ -1,9 +1,12 @@
-"""Base-algebra linear algebra: K-blocks, ranks, blockwise tensor products.
+"""Base-algebra linear algebra: K-blocks, block module bases and ranks.
 
 The base algebra K (the invariants) is a product of finite fields; its
 primitive idempotents cut every K-module into blocks, each a vector space
-over one field.  Ranks, tensor products and separability (galois.py) are
-all settled per block by exact prime-field computation.
+over one field.  Ranks, separability (galois.py) and the tensor split
+E tensor_K B (mapalg.py) are all settled per block by exact prime-field
+computation on a module's BlockModuleBasis.  No tensor basis is built:
+E u is a sum of copies of the field F at the slots b of E with u_b = 1,
+so the split is decided slot by slot from the images of B's K·u-basis.
 """
 
 from __future__ import annotations
@@ -162,36 +165,9 @@ def rank_profile(T, K: Subalgebra) -> RankProfile:
         for b in T.basis:
             if not T.contains(space.k_scale(c, b)):
                 raise ValidationError("module not closed under base multiplication")
-    return RankProfile.of(BlockModuleBasis(space, blk, T.basis) for blk in kblocks(K))
+    return RankProfile.of(block_parts(T, K))
 
 
-class TensorOverK:
-    """M tensor N over K, realized blockwise.
-
-    Elements are prime-field coordinate vectors over the basis
-    f_m (m_i tensor n_j), f the block's fp_basis, enumerated block-major.
-
-    m_parts and n_parts are the BlockModuleBasis of M and of N per block
-    of kblocks(K).
-    """
-
-    def __init__(self, space_m, space_n, K: Subalgebra, m_basis, n_basis):
-        self.blocks = kblocks(K)
-        self.m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
-        self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
-        self.layout = []
-        off = 0
-        for bi, blk in enumerate(self.blocks):
-            for i in range(self.m_parts[bi].rank):
-                for j in range(self.n_parts[bi].rank):
-                    self.layout.append(((bi, i, j), off, blk.degree))
-                    off += blk.degree
-        self.dim = off
-
-    def basis_vectors(self):
-        """(x, y) for each basis tensor f_m (m_i tensor n_j), in
-        coordinate order."""
-        for (bi, i, j), _, _ in self.layout:
-            part = self.m_parts[bi]
-            for f in self.blocks[bi].fp_basis:
-                yield part.space.k_scale(f, part.basis[i]), self.n_parts[bi].basis[j]
+def block_parts(T, K: Subalgebra) -> list[BlockModuleBasis]:
+    """The BlockModuleBasis of T per block of kblocks(K), in their order."""
+    return [BlockModuleBasis(T.space, blk, T.basis) for blk in kblocks(K)]

@@ -49,7 +49,7 @@ from gpdgalois.groupoid import (
 from gpdgalois.gset import GSet, _complete_gamma
 from gpdgalois.mapalg import SplitReport, require_faithful_hypotheses
 from gpdgalois.scalar import FpSpan, fp_basis_scalars
-from gpdgalois.tensor import TensorOverK, rank_profile
+from gpdgalois.tensor import BlockModuleBasis, kblocks, rank_profile
 
 
 @pytest.fixture(scope="session")
@@ -180,6 +180,38 @@ def direct_verify_skew_ring(A):
         if skew_mul(A, one, u) != u or skew_mul(A, u, one) != u:
             return SkewReport(False, True, False, witness=(u,))
     return SkewReport(True, True, True)
+
+
+class TensorOverK:
+    """Oracle: M tensor N over K, realized blockwise.
+
+    Elements are prime-field coordinate vectors over the basis
+    f_m (m_i tensor n_j), f the block's fp_basis, enumerated block-major.
+
+    m_parts and n_parts are the BlockModuleBasis of M and of N per block
+    of kblocks(K).
+    """
+
+    def __init__(self, space_m, space_n, K, m_basis, n_basis):
+        self.blocks = kblocks(K)
+        self.m_parts = [BlockModuleBasis(space_m, blk, m_basis) for blk in self.blocks]
+        self.n_parts = [BlockModuleBasis(space_n, blk, n_basis) for blk in self.blocks]
+        self.layout = []
+        off = 0
+        for bi, blk in enumerate(self.blocks):
+            for i in range(self.m_parts[bi].rank):
+                for j in range(self.n_parts[bi].rank):
+                    self.layout.append(((bi, i, j), off, blk.degree))
+                    off += blk.degree
+        self.dim = off
+
+    def basis_vectors(self):
+        """(x, y) for each basis tensor f_m (m_i tensor n_j), in
+        coordinate order."""
+        for (bi, i, j), _, _ in self.layout:
+            part = self.m_parts[bi]
+            for f in self.blocks[bi].fp_basis:
+                yield part.space.k_scale(f, part.basis[i]), self.n_parts[bi].basis[j]
 
 
 def pairwise_tensor_split_check(E, B, K, family, A):
@@ -751,6 +783,11 @@ def doc_action(doc):
 def problem_action(source):
     """The validated action of problem_doc(source)."""
     return doc_action(problem_doc(source))
+
+
+def source_action(source):
+    """The validated action of an ORBIT_DOCS entry or a problem source."""
+    return doc_action(ORBIT_DOCS[source]) if source in ORBIT_DOCS else problem_action(source)
 
 
 Fixture = namedtuple("Fixture", "name groupoid ring action wide_subgroupoids")

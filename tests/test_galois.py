@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     PROBLEM_SOURCES,
+    TensorOverK,
     brute_subalgebras,
     ORBIT_DOCS,
     corrupted_basis_outcomes,
@@ -15,9 +16,9 @@ from conftest import (
     field_sub,
     idempotent_is_beta_strong,
     idempotent_strongly_distinct,
-    doc_action,
     partition_correspondence,
     problem_action,
+    source_action,
     unmemoised_pure,
     unpruned_partition_subalgebras,
 )
@@ -55,7 +56,7 @@ from gpdgalois.mapalg import (
     transversal_hom_family,
 )
 from gpdgalois.scalar import FpSpan, fp_basis_scalars, make_field, solve_linear
-from gpdgalois.tensor import TensorOverK, kblocks, rank_profile
+from gpdgalois.tensor import block_parts, kblocks, rank_profile
 import theorems
 from theorems import (
     associated_idempotent,
@@ -616,7 +617,7 @@ def test_rank_family_split_agree_on_galois_fixtures(fix1, fixc2, fixf4):
         for g in fix.groupoid.elements:
             fam = eval_hom_family(AX, g)
             sd, _ = pairwise_strongly_distinct(fam)
-            split = tensor_split_check(A.support[g], AX, K, fam, A).ok
+            split = tensor_split_check(A.support[g], AX, block_parts(AX, K), fam, A).ok
             counts = prof.constant and prof.ranks[:1] == (len(fam),)
             assert sd and split and counts
 
@@ -773,15 +774,10 @@ CORRESPONDENCE_SOURCES = [
 ] + list(ORBIT_DOCS)
 
 
-def _action(source):
-    """The validated action of an ORBIT_DOCS entry or a problem source."""
-    return doc_action(ORBIT_DOCS[source]) if source in ORBIT_DOCS else problem_action(source)
-
-
 @functools.cache
 def _oracle_table(source):
     """partition_correspondence on its own action, once per source."""
-    return partition_correspondence(_action(source))
+    return partition_correspondence(source_action(source))
 
 
 def _table_summary(table):
@@ -803,9 +799,9 @@ def test_correspondence_matches_candidate_loop(source):
         expected = _oracle_table(source)
     except HypothesisFailure as err:
         with pytest.raises(type(err)):
-            galois_correspondence(_action(source))
+            galois_correspondence(source_action(source))
         return
-    table = galois_correspondence(_action(source))
+    table = galois_correspondence(source_action(source))
     assert _table_summary(table) == _table_summary(expected)
     assert table.ok
 
@@ -820,7 +816,7 @@ def test_pruned_survivors_are_the_strong_partitions_and_the_rows(source):
     # K and separable; the survivors of the pruned search are exactly
     # those that are also beta-strong, and exactly the rows' invariants;
     # each survivor's T gives back its partition
-    A = _action(source)
+    A = source_action(source)
     R, K = A.ring, A.base_subalgebra()
     candidates = unpruned_partition_subalgebras(A)
     assert len({T.key() for T in candidates}) == len(candidates)
